@@ -9,7 +9,7 @@ Everything in this package eventually reduces to
                 |R_j c| <= beta_j          optional norm-ball constraints
 
 at desk scale (dimensions well below a few hundred).  The kernel is
-self-contained on purpose: a dense two-phase primal simplex handles the
+self-contained on purpose: a dense simplex (``simplex.py``) handles the
 polyhedral paths and produces Farkas-type infeasibility certificates, an
 active-set method handles Euclidean objectives, and the non-polyhedral cases
 (second-order cones, Euclidean norm balls, sums and maxima of block norms)
@@ -22,13 +22,13 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
-from enum import Enum
 
 import numpy as np
 
 from . import cones as _cones
 from . import projops
 from .norms import BlockNorm, NormTag
+from .simplex import DEFAULT_TOL, LinearProgram, SolveStatus, Tolerances
 
 __all__ = [
     "Tolerances",
@@ -49,31 +49,6 @@ __all__ = [
     "nonneg_lstsq",
     "MinNormSweep",
 ]
-
-
-@dataclass(frozen=True)
-class Tolerances:
-    """Numerical thresholds shared across the kernel.
-
-    feasibility: primal/dual feasibility of returned points.
-    optimality:  objective-gap / KKT residual target.
-    cap(m, n):   iteration budget, quadratic in the problem size.
-    """
-
-    feasibility: float = 1e-9
-    optimality: float = 1e-8
-
-    def cap(self, m: int, n: int) -> int:
-        return 10 * (m + n) ** 2 + 100
-
-
-DEFAULT_TOL = Tolerances()
-
-
-class SolveStatus(str, Enum):
-    OPTIMAL = "optimal"
-    INFEASIBLE = "infeasible"
-    ITERATION_LIMIT = "iteration_limit"
 
 
 @dataclass
@@ -201,203 +176,6 @@ def nonneg_lstsq(A: np.ndarray, b: np.ndarray, tol: float = 1e-11, maxiter: int 
 
 
 # ---------------------------------------------------------------------------
-# dense two-phase primal simplex on standard form
-
-
-class _StandardLP:
-    """min c v s.t. A v = b, v >= 0 with deterministic pivoting.
-
-    Dantzig's rule (lowest index on ties) with a switch to Bland's rule after
-    a stall budget guards against cycling.  Desk-scale dense tableau.
-    """
-
-    def __init__(self, A: np.ndarray, b: np.ndarray, c: np.ndarray, tol: Tolerances = DEFAULT_TOL):
-        self.A = np.atleast_2d(np.asarray(A, dtype=float))
-        self.b = np.asarray(b, dtype=float)
-        self.c = np.asarray(c, dtype=float)
-        self.tol = tol
-
-    def solve(self):
-        A, b, c = self.A.copy(), self.b.copy(), self.c.copy()
-        m, n = A.shape
-        neg = b < 0
-        A[neg] *= -1.0
-        b[neg] *= -1.0
-        eps = self.tol.feasibility
-        cap = self.tol.cap(m, n)
-
-        # phase 1: columns [original | artificial | rhs]
-        T = np.zeros((m + 1, n + m + 1))
-        T[:m, :n] = A
-        T[:m, n : n + m] = np.eye(m)
-        T[:m, -1] = b
-        basis = list(range(n, n + m))
-        T[m, :n] = -A.sum(axis=0)
-        T[m, -1] = -b.sum()
-        it1 = self._pivot_loop(T, basis, restrict=n + m, eps=eps, cap=cap)
-        if it1 == -1:
-            return SolveStatus.ITERATION_LIMIT, None, None, cap
-        if -T[m, -1] > 1e-9 * max(1.0, float(np.abs(b).max(initial=0.0))):
-            return SolveStatus.INFEASIBLE, None, None, max(it1, 0)
-        keep_rows = []
-        for i in range(m):
-            if basis[i] >= n:
-                piv = next((j for j in range(n) if abs(T[i, j]) > 1e-9), None)
-                if piv is None:
-                    continue  # redundant row
-                self._pivot(T, i, piv, basis)
-            keep_rows.append(i)
-        # phase 2 on the original columns
-        T2 = np.zeros((len(keep_rows) + 1, n + 1))
-        T2[: len(keep_rows), :n] = T[keep_rows][:, :n]
-        T2[: len(keep_rows), -1] = T[keep_rows][:, -1]
-        basis2 = [basis[i] for i in keep_rows]
-        T2[-1, :n] = c
-        for i, bi in enumerate(basis2):
-            if c[bi] != 0.0:
-                T2[-1, :] -= c[bi] * T2[i, :]
-        it2 = self._pivot_loop(T2, basis2, restrict=n, eps=eps, cap=cap)
-        if it2 == -2:
-            return SolveStatus.INFEASIBLE, None, None, max(it1, 0)  # unbounded; not hit by norms
-        if it2 == -1:
-            return SolveStatus.ITERATION_LIMIT, None, None, cap
-        v = np.zeros(n)
-        for i, bi in enumerate(basis2):
-            v[bi] = T2[i, -1]
-        return SolveStatus.OPTIMAL, v, float(-T2[-1, -1]), it1 + it2
-
-    @staticmethod
-    def _pivot(T, row, col, basis):
-        T[row, :] /= T[row, col]
-        colvals = T[:, col].copy()
-        colvals[row] = 0.0
-        T -= np.outer(colvals, T[row, :])
-        basis[row] = col
-
-    def _pivot_loop(self, T, basis, restrict, eps, cap):
-        m = len(basis)
-        it = 0
-        bland_after = 4 * (m + restrict) + 50
-        while it < cap:
-            costs = T[-1, :restrict]
-            if it < bland_after:
-                j = int(np.argmin(costs))
-                if costs[j] >= -eps:
-                    return it
-            else:
-                below = np.nonzero(costs < -eps)[0]
-                if below.size == 0:
-                    return it
-                j = int(below[0])
-            col = T[:m, j]
-            pos = col > eps
-            if not np.any(pos):
-                return -2
-            with np.errstate(divide="ignore"):
-                ratios = np.where(pos, T[:m, -1] / np.where(pos, col, 1.0), np.inf)
-            best = np.min(ratios)
-            tie = np.nonzero(ratios <= best + 1e-12)[0]
-            row = int(min(tie, key=lambda r: basis[r]))
-            self._pivot(T, row, j, basis)
-            it += 1
-        return -1
-
-
-class LinearProgram:
-    """Row/column builder over free and nonnegative variables.
-
-    Free variables are split into positive and negative parts at
-    standardization; <= and >= rows get slack columns.  The standardized
-    matrix is cached so right-hand-side sweeps only reassemble b.
-    """
-
-    def __init__(self):
-        self.var_nonneg: list[bool] = []
-        self.obj: list[float] = []
-        self.rows: list[tuple[np.ndarray, str, float]] = []
-        self._cache = None
-
-    def add_vars(self, k: int, nonneg: bool, obj: float | np.ndarray = 0.0) -> list[int]:
-        self._cache = None
-        idx = list(range(len(self.var_nonneg), len(self.var_nonneg) + k))
-        self.var_nonneg.extend([nonneg] * k)
-        o = np.broadcast_to(np.asarray(obj, dtype=float), (k,))
-        self.obj.extend(o.tolist())
-        return idx
-
-    def add_row(self, coeffs, sense: str, rhs: float, at: list[int] | None = None) -> int:
-        self._cache = None
-        coeffs = np.asarray(coeffs, dtype=float)
-        if at is None:
-            at = list(range(coeffs.shape[0]))
-        packed = np.zeros(len(self.var_nonneg))
-        packed[at] = coeffs
-        self.rows.append((packed, sense, float(rhs)))
-        return len(self.rows) - 1
-
-    def set_objective(self, coeffs: dict[int, float], reset: bool = True):
-        self._cache = None
-        if reset:
-            self.obj = [0.0] * len(self.obj)
-        for j, v in coeffs.items():
-            self.obj[j] = v
-
-    def _standardize(self):
-        if self._cache is not None:
-            return self._cache
-        nr = len(self.rows)
-        col_of = []
-        cols = 0
-        for nonneg in self.var_nonneg:
-            if nonneg:
-                col_of.append((cols, -1))
-                cols += 1
-            else:
-                col_of.append((cols, cols + 1))
-                cols += 2
-        slack_cols = sum(1 for _, s, _ in self.rows if s != "=")
-        A = np.zeros((nr, cols + slack_cols))
-        b = np.zeros(nr)
-        c = np.zeros(cols + slack_cols)
-        for j, (p, q) in enumerate(col_of):
-            c[p] = self.obj[j]
-            if q >= 0:
-                c[q] = -self.obj[j]
-        s_at = cols
-        for i, (row, sense, rhs) in enumerate(self.rows):
-            for j in np.nonzero(row)[0]:
-                p, q = col_of[j]
-                A[i, p] = row[j]
-                if q >= 0:
-                    A[i, q] = -row[j]
-            b[i] = rhs
-            if sense == "<=":
-                A[i, s_at] = 1.0
-                s_at += 1
-            elif sense == ">=":
-                A[i, s_at] = -1.0
-                s_at += 1
-            elif sense != "=":
-                raise ValueError(f"bad sense {sense!r}")
-        self._cache = (A, b, c, col_of)
-        return self._cache
-
-    def solve(self, tol: Tolerances = DEFAULT_TOL, rhs_override: dict[int, float] | None = None):
-        A, b, c, col_of = self._standardize()
-        if rhs_override:
-            b = b.copy()
-            for i, v in rhs_override.items():
-                b[i] = v
-        status, v, value, its = _StandardLP(A, b, c, tol).solve()
-        if status is not SolveStatus.OPTIMAL:
-            return status, None, None, its
-        z = np.empty(len(col_of))
-        for j, (p, q) in enumerate(col_of):
-            z[j] = v[p] - (v[q] if q >= 0 else 0.0)
-        return status, z, value, its
-
-
-# ---------------------------------------------------------------------------
 # active-set method for convex quadratic objectives
 
 
@@ -475,8 +253,8 @@ def active_set_qp(
     return z, it, SolveStatus.ITERATION_LIMIT
 
 
-def _feasible_point(eq_A, eq_b, in_A, in_b, tol: Tolerances):
-    """Phase-1 start for the active-set method (simplex vertex)."""
+def _feasibility_lp(eq_A, eq_b, in_A, in_b) -> LinearProgram:
+    """Zero-objective LP over {eq_A z = eq_b, in_A z <= in_b}; row i is eq row i."""
     n = eq_A.shape[1] if eq_A.size else (in_A.shape[1] if in_A.size else 0)
     lp = LinearProgram()
     lp.add_vars(n, nonneg=False)
@@ -484,7 +262,12 @@ def _feasible_point(eq_A, eq_b, in_A, in_b, tol: Tolerances):
         lp.add_row(row, "=", rhs)
     for row, rhs in zip(in_A, in_b):
         lp.add_row(row, "<=", rhs)
-    status, z, _, its = lp.solve(tol)
+    return lp
+
+
+def _feasible_point(eq_A, eq_b, in_A, in_b, tol: Tolerances):
+    """Phase-1 start for the active-set method (simplex vertex)."""
+    status, z, _, its = _feasibility_lp(eq_A, eq_b, in_A, in_b).solve(tol)
     return status, z, its
 
 
@@ -1096,7 +879,7 @@ def _projected_gradient_driver(canon: _Canon, center: np.ndarray | None, tol: To
 
     def project(zz):
         # exotic balls enter through repeated shrink steps of their own
-        out = projops.dykstra(projs, zz, _canon_violation.__get__(canon) if False else (lambda v: _canon_violation(canon, v)), tol=1e-10).point
+        out = projops.dykstra(projs, zz, lambda v: _canon_violation(canon, v), tol=1e-10).point
         for E, ball in ex_pairs:
             w = E @ out
             val = ball._block_norm().of(w)
@@ -1125,16 +908,18 @@ def _projected_gradient_driver(canon: _Canon, center: np.ndarray | None, tol: To
         return g
 
     L_est = sum(float(np.linalg.norm(E, 2)) ** 2 for E, _ in canon.obj_blocks) or 1.0
+    steps = 0
     for _ in range(6):
         step = mu / L_est
         for _ in range(500):
             z_new = project(z - step * grad(z))
+            steps += 1
             if np.linalg.norm(z_new - z) <= 1e-12:
                 z = z_new
                 break
             z = z_new
         mu *= 0.1
-    return SolveStatus.OPTIMAL, z, 0
+    return SolveStatus.OPTIMAL, z, steps
 
 
 # ---------------------------------------------------------------------------
@@ -1292,11 +1077,9 @@ def solve_min_linear(
         for i in range(canon.in_A.shape[0]):
             lp.add_row(canon.in_A[i], "<=", canon.in_b[i])
         st, z, _, its = lp.solve(tol)
+        if st is SolveStatus.UNBOUNDED:
+            raise ArithmeticError("linear objective unbounded below; add a norm cap")
         if st is SolveStatus.INFEASIBLE:
-            # the simplex reports an unbounded phase 2 the same way
-            if check_feasible(problem.map, problem.target, cone,
-                              extra_bounds=extra_bounds, balls=balls, tol=tol).feasible:
-                raise ArithmeticError("linear objective unbounded below; add a norm cap")
             return _infeasible_solution(problem, tol)
         if st is not SolveStatus.OPTIMAL:
             return Solution(st, iterations=its)
@@ -1439,6 +1222,12 @@ class MinNormSweep:
     Canonicalization and LP standardization happen once; each target only
     swaps the equality right-hand side.  Infeasible targets report inf.
     An optional gauge (R, tag) replaces the objective by |R c|_tag.
+
+    On polyhedral templates ``value`` and ``feasible`` each keep one LP for
+    the whole sweep, so the optimal bases of earlier targets carry over:
+    a target inside a known critical region costs one matrix product, and
+    a target next to one costs a few dual simplex pivots (see
+    ``LinearProgram``).  Values agree with a cold solve to rounding.
     """
 
     def __init__(self, map, cone, objective: BlockNorm, tol: Tolerances = DEFAULT_TOL,
@@ -1459,6 +1248,7 @@ class MinNormSweep:
             self._lp, self._zidx, self._aux, self._eq_ids = _build_lp(self.canon)
         else:
             self._mode = "general"
+        self._feas_lp = None
 
     def _retarget(self, x: np.ndarray) -> _Canon:
         canon = self.canon
@@ -1497,11 +1287,13 @@ class MinNormSweep:
 
     def feasible(self, x: np.ndarray) -> bool:
         x = np.asarray(x, dtype=float)
-        canon = self._retarget(x)
+        canon = self.canon
         if canon.polyhedral:
-            st, _, _ = _feasible_point(canon.eq_A, canon.eq_b, canon.in_A, canon.in_b, self.tol)
+            if self._feas_lp is None:
+                self._feas_lp = _feasibility_lp(canon.eq_A, canon.eq_b, canon.in_A, canon.in_b)
+            st, _, _, _ = self._feas_lp.solve(self.tol, rhs_override=dict(enumerate(x.tolist())))
             return st is SolveStatus.OPTIMAL
-        return _dykstra_project(canon, np.zeros(canon.n)).converged
+        return _dykstra_project(self._retarget(x), np.zeros(canon.n)).converged
 
 
 def _set_level(cone: _cones.Cone) -> _cones.Cone:

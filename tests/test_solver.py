@@ -4,6 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from conekit import parse_instance, random_polyhedral_instance, simplex, solver
 from conekit.cones import DirectSumL1, Generators, Negation, Orthant, SecondOrder
 from conekit.norms import BlockNorm, NormTag
 from conekit.solver import (BallConstraint, LinearProgram, MinNormProblem, MinNormSweep,
@@ -214,3 +215,87 @@ def test_min_norm_sweep_caches_and_matches():
                              BlockNorm.flat(2, NormTag.L2))
     assert one_sided.value(np.array([-1.0])) == np.inf
     assert not one_sided.feasible(np.array([-1.0]))
+
+
+# -- warm-started sweeps ------------------------------------------------------
+
+# the last row is the sum of the first two, so phase 1 drops one row as
+# redundant and targets off the plane x3 = x1 + x2 are infeasible
+REDUNDANT = np.array([[1.0, 0.0, 1.0, -1.0], [0.0, 1.0, 1.0, 1.0], [1.0, 1.0, 2.0, 0.0]])
+
+
+def sweep_cases():
+    for seed in range(10):  # even seeds are onto, odd seeds are not
+        m = parse_instance(random_polyhedral_instance(seed)).map
+        yield f"seed{seed}", m.matrix, m.cone, m.domain_norm
+    yield "redundant", REDUNDANT, Orthant(4), BlockNorm.flat(4, NormTag.L1)
+
+
+def sweep_targets(T, rng, count=100):
+    xs = rng.standard_normal((count, T.shape[0]))
+    if np.linalg.matrix_rank(T) < T.shape[0]:
+        # half the targets on the image plane, reachable or not
+        xs[::2] = rng.standard_normal((count // 2, T.shape[1])) @ T.T
+    return xs
+
+
+def cold_value(sweep, x):
+    lp, _, _, eq_ids = solver._build_lp(sweep.canon)
+    st, _, value, _ = lp.solve(sweep.tol, rhs_override=dict(zip(eq_ids, x.tolist())))
+    return np.inf if st is SolveStatus.INFEASIBLE else value
+
+
+def spy(monkeypatch, owner, name, log, pick):
+    """Wrap owner.name so every call appends pick(result) to log."""
+    inner = getattr(owner, name)
+
+    def wrapped(*args, **kw):
+        out = inner(*args, **kw)
+        log.append(pick(out))
+        return out
+
+    monkeypatch.setattr(owner, name, wrapped)
+
+
+SWEEP_CASES = list(sweep_cases())
+
+
+@pytest.mark.parametrize("name,T,cone,norm", SWEEP_CASES, ids=[c[0] for c in SWEEP_CASES])
+def test_sweep_warm_start_matches_cold(name, T, cone, norm, monkeypatch):
+    sweep = MinNormSweep(T, cone, norm)
+    xs = sweep_targets(T, np.random.default_rng(1))
+    pivots, cold, rejected = [], [], []
+    spy(monkeypatch, LinearProgram, "solve", pivots, lambda out: out[3])
+    spy(monkeypatch, simplex._StandardLP, "solve", cold, lambda out: out[0])
+    spy(monkeypatch, simplex._WarmStart, "_accept", rejected, lambda out: out is None)
+    warm = [sweep.value(x) for x in xs]
+    monkeypatch.undo()
+    assert len(pivots) == len(xs)
+    if name == "redundant":
+        # off-plane targets can satisfy the kept rows and fail the residual
+        # check on the full matrix; those go back to the cold simplex
+        assert any(rejected) and len(cold) > 1
+    else:
+        # until some target is feasible there is no basis to start from and
+        # every solve is cold; a map that is not onto may meet none
+        first = next((i for i, w in enumerate(warm) if np.isfinite(w)), len(xs))
+        later = pivots[max(10, first + 1):]
+        assert not later or np.mean(later) < 3.0
+    for x, w in zip(xs, warm):
+        c = cold_value(sweep, x)
+        assert np.isinf(w) == np.isinf(c), (x, w, c)
+        if np.isfinite(c):
+            assert abs(w - c) <= 1e-10 * max(1.0, abs(c)), (x, w, c)
+    feasible = [sweep.feasible(x) for x in xs]
+    assert feasible == [check_feasible(T, x, cone).feasible for x in xs]
+    assert feasible == [bool(np.isfinite(w)) for w in warm]
+
+
+def test_lp_unbounded_status():
+    # min -x st x - y <= 1, x, y >= 0: x = y + 1 grows without bound
+    lp = LinearProgram()
+    idx = lp.add_vars(2, nonneg=True, obj=[-1.0, 0.0])
+    lp.add_row([1.0, -1.0], "<=", 1.0, at=idx)
+    status, z, value, _ = lp.solve()
+    assert status is SolveStatus.UNBOUNDED
+    assert z is None and value is None
