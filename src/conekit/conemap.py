@@ -90,6 +90,11 @@ class ConeMap:
     def _sweep(self) -> _solver.MinNormSweep:
         return _solver.MinNormSweep(self.matrix, self.cone, self.domain_norm)
 
+    @cached_property
+    def _slice(self) -> _solver._SliceTemplate:
+        """Projections onto {c in C : T c = x}, compiled once for the plain selection."""
+        return _solver._SliceTemplate(self.matrix, self.cone)
+
     def min_preimage(self, x: np.ndarray, tol: _solver.Tolerances = _solver.DEFAULT_TOL) -> _solver.Solution:
         """Smallest-norm cone point mapped to x, with certificate if none."""
         problem = _solver.MinNormProblem(self.matrix, x, self.cone, self.domain_norm)

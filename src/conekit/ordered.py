@@ -24,6 +24,7 @@ from __future__ import annotations
 import math
 from dataclasses import dataclass
 from enum import Enum
+from functools import cached_property
 
 import numpy as np
 
@@ -75,6 +76,11 @@ class OrderedSpace:
     def dim(self) -> int:
         return self.positive.ambient_dim
 
+    @cached_property
+    def _summing_map(self) -> ConeMap:
+        """The summing map, built once so repeated decompositions share its compiled selection."""
+        return summing_map(self)
+
     def holds_order(self, a: np.ndarray, b: np.ndarray, tol: float = 1e-9) -> bool:
         """a <= b in the cone order."""
         return _cones.contains(self.positive, np.asarray(b, float) - np.asarray(a, float), tol=tol)
@@ -115,7 +121,7 @@ def summing_map(space: OrderedSpace) -> ConeMap:
 
 def is_generating(space: OrderedSpace, config: SamplerConfig | None = None) -> SurjectivityReport:
     """Does X+ - X+ fill the space?  Exact for polyhedral cones."""
-    return summing_map(space).is_surjective(config=config)
+    return space._summing_map.is_surjective(config=config)
 
 
 def positive_part_functional(space: OrderedSpace) -> ConstraintFunctional:
@@ -132,10 +138,11 @@ def ando_decompose(space: OrderedSpace, x: np.ndarray,
     The Euclidean objective decouples coordinates on lattice cones, giving
     the componentwise positive and negative parts there.  An optional spec
     switches to the constrained selection (same map required).  Raises on
-    non-generating orders where x has no decomposition.
+    non-generating orders where x has no decomposition.  The space keeps
+    one summing map, so repeated calls share its compiled selection.
     """
     x = np.asarray(x, dtype=float)
-    cm = spec.map if spec is not None else summing_map(space)
+    cm = spec.map if spec is not None else space._summing_map
     c = RightInverse(cm, spec)(x)
     d = space.dim
     return AndoDecomposition(plus=c[:d].copy(), minus=-c[d:], source=x)
@@ -143,7 +150,7 @@ def ando_decompose(space: OrderedSpace, x: np.ndarray,
 
 def decomposition_bound(space: OrderedSpace, config: SamplerConfig | None = None) -> float:
     """Sampled constant K with |plus| + |minus| <= K |x| for ando_decompose."""
-    return selection_bound(RightInverse(summing_map(space)), config)
+    return selection_bound(RightInverse(space._summing_map), config)
 
 
 def kind_objective(space: OrderedSpace, kind: ConormalityKind):
@@ -153,7 +160,7 @@ def kind_objective(space: OrderedSpace, kind: ConormalityKind):
     objective, inf when x has none.  Batch callers reuse the closure; the
     sum kind shares one canonicalized sweep across targets.
     """
-    cm = summing_map(space)
+    cm = space._summing_map
     if kind is ConormalityKind.SUM:
         sweep = cm._sweep
         return sweep.value
@@ -198,7 +205,7 @@ def conormality_constant(space: OrderedSpace, kind: ConormalityKind = Conormalit
     over exact ball vertices; the Euclidean sphere adds local refinement.
     """
     config = config or SamplerConfig()
-    cm = summing_map(space)
+    cm = space._summing_map
     if kind is ConormalityKind.SUM:
         return cm.openness_constant(config)
     value = kind_objective(space, kind)
@@ -246,7 +253,7 @@ def verify_approximate_conormality(space: OrderedSpace, alpha: float,
     the witness direction lands in the report.
     """
     config = config or SamplerConfig()
-    cm = summing_map(space)
+    cm = space._summing_map
     rho = positive_part_functional(space)
     norm_cap = ConstraintFunctional.seminorm(np.eye(cm.domain_dim), cm.domain_norm)
     dirs = sphere_directions(space.dim, space.norm, config.search())

@@ -19,6 +19,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass
+from functools import cached_property
 
 import numpy as np
 
@@ -104,7 +105,8 @@ class CorrespondenceSpec:
     The right-hand sides scale with the target norm, which keeps F
     positively homogeneous; on the unit sphere the bounds read
     alpha_j + slack exactly.  ``constraints`` pairs each functional with
-    its alpha.
+    its alpha.  F is compiled once into a slice template at unit caps;
+    each target rescales the caps and starts phase 1 warm.
     """
 
     map: ConeMap
@@ -119,18 +121,17 @@ class CorrespondenceSpec:
     def relaxed(self, extra: float) -> "CorrespondenceSpec":
         return CorrespondenceSpec(self.map, self.constraints, self.slack + extra)
 
-    def constraints_at(self, x: np.ndarray):
-        """(extra_bounds, balls) describing F at target x."""
-        scale = self.map.codomain_norm.of(np.asarray(x, dtype=float))
+    @cached_property
+    def _template(self) -> _solver._SliceTemplate:
+        """F compiled at |x|_X = 1, where every cap reads alpha_j + slack."""
         bounds = []
         balls = []
         for f, alpha in self.constraints:
-            cap = (alpha + self.slack) * scale
             if f.is_linear:
-                bounds.append((f.matrix[0], cap))
+                bounds.append((f.matrix[0], alpha + self.slack))
             else:
-                balls.append(_solver.BallConstraint(f.matrix, f.norm, cap))
-        return tuple(bounds), tuple(balls)
+                balls.append(_solver.BallConstraint(f.matrix, f.norm, alpha + self.slack))
+        return _solver._SliceTemplate(self.map.matrix, self.map.cone, bounds, balls)
 
     def member(self, x: np.ndarray, c: np.ndarray, tol: float = 1e-7) -> bool:
         x = np.asarray(x, dtype=float)
@@ -149,9 +150,7 @@ class CorrespondenceSpec:
     def project(self, x: np.ndarray, point: np.ndarray) -> _solver.Solution:
         """Euclidean projection of ``point`` onto F(x); value is the distance."""
         x = np.asarray(x, dtype=float)
-        bounds, balls = self.constraints_at(x)
-        return _solver.project_onto_slice(self.map.matrix, x, self.map.cone, point,
-                                          extra_bounds=bounds, balls=balls)
+        return self._template.project(x, point, scale=self.map.codomain_norm.of(x))
 
 
 def correspondence_value(spec: CorrespondenceSpec, x: np.ndarray) -> _solver.Solution:
@@ -159,11 +158,7 @@ def correspondence_value(spec: CorrespondenceSpec, x: np.ndarray) -> _solver.Sol
 
     Infeasible status means F(x) is empty, i.e. the constants fail at x.
     """
-    x = np.asarray(x, dtype=float)
-    bounds, balls = spec.constraints_at(x)
-    return _solver.project_onto_slice(spec.map.matrix, x, spec.map.cone,
-                                      np.zeros(spec.map.domain_dim),
-                                      extra_bounds=bounds, balls=balls)
+    return spec.project(x, np.zeros(spec.map.domain_dim))
 
 
 @dataclass(frozen=True, eq=False)
@@ -174,6 +169,9 @@ class RightInverse:
     preimage in the cone; with one, the smallest point of the constrained
     correspondence.  Either way the map is positively homogeneous and, for
     achievable constants, continuous (unique parametric minimizer).
+
+    Each call projects through the slice template compiled once by the map
+    (plain) or the spec (constrained), starting phase 1 warm.
     """
 
     map: ConeMap
@@ -184,10 +182,8 @@ class RightInverse:
             raise ValueError("spec was built for a different map")
 
     def solve(self, x: np.ndarray) -> _solver.Solution:
-        x = np.asarray(x, dtype=float)
         if self.spec is None:
-            return _solver.project_onto_slice(self.map.matrix, x, self.map.cone,
-                                              np.zeros(self.map.domain_dim))
+            return self.map._slice.project(x, np.zeros(self.map.domain_dim))
         return correspondence_value(self.spec, x)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:

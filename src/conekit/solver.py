@@ -22,6 +22,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, field, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -253,24 +254,6 @@ def active_set_qp(
     return z, it, SolveStatus.ITERATION_LIMIT
 
 
-def _feasibility_lp(eq_A, eq_b, in_A, in_b) -> LinearProgram:
-    """Zero-objective LP over {eq_A z = eq_b, in_A z <= in_b}; row i is eq row i."""
-    n = eq_A.shape[1] if eq_A.size else (in_A.shape[1] if in_A.size else 0)
-    lp = LinearProgram()
-    lp.add_vars(n, nonneg=False)
-    for row, rhs in zip(eq_A, eq_b):
-        lp.add_row(row, "=", rhs)
-    for row, rhs in zip(in_A, in_b):
-        lp.add_row(row, "<=", rhs)
-    return lp
-
-
-def _feasible_point(eq_A, eq_b, in_A, in_b, tol: Tolerances):
-    """Phase-1 start for the active-set method (simplex vertex)."""
-    status, z, _, its = _feasibility_lp(eq_A, eq_b, in_A, in_b).solve(tol)
-    return status, z, its
-
-
 # ---------------------------------------------------------------------------
 # canonical constraint assembly
 
@@ -330,6 +313,14 @@ class _Canon:
     def orthogonal_S(self) -> bool:
         StS = self.S.T @ self.S
         return bool(np.allclose(StS, np.eye(self.n), atol=1e-11))
+
+    def at(self, x: np.ndarray, scale: float = 1.0) -> "_Canon":
+        """This canon at target x, every bound right-hand side and radius times
+        scale (cone and epigraph rows have right-hand side zero)."""
+        return replace(self, eq_b=x, in_b=self.in_b * scale,
+                       l2balls=[(R, r * scale) for R, r in self.l2balls],
+                       groupballs=[(idxs, r * scale) for idxs, r in self.groupballs],
+                       exotic=[replace(b, bound=b.bound * scale) for b in self.exotic])
 
 
 def _cone_structure(cone: _cones.Cone):
@@ -515,6 +506,39 @@ def _canon_violation(canon: _Canon, z: np.ndarray) -> float:
     return max(v, 0.0)
 
 
+class _Phase1:
+    """The zero-objective LP over a canon's polyhedral rows, built once.
+
+    Each solve overrides the equality rows and the inequality rows with a
+    nonzero right-hand side at build time (cone and epigraph rows stay zero
+    at every target and scale), so it starts from the optimal bases of
+    earlier right-hand sides (``LinearProgram``).
+    """
+
+    def __init__(self, canon: _Canon):
+        self.lp = LinearProgram()
+        self.lp.add_vars(canon.n, nonneg=False)
+        for row, rhs in zip(canon.eq_A, canon.eq_b):
+            self.lp.add_row(row, "=", rhs)
+        for row, rhs in zip(canon.in_A, canon.in_b):
+            self.lp.add_row(row, "<=", rhs)
+        self.moving = np.flatnonzero(canon.in_b)
+        self.rows = (canon.eq_A.shape[0] + self.moving).tolist()
+
+    def start(self, eq_b: np.ndarray, in_b: np.ndarray, tol: Tolerances):
+        """(status, vertex, pivots) for the given right-hand sides."""
+        override = dict(enumerate(eq_b.tolist()))
+        override.update(zip(self.rows, in_b[self.moving].tolist()))
+        status, z, _, its = self.lp.solve(tol, rhs_override=override)
+        return status, z, its
+
+
+def _feasible_point(canon: _Canon, tol: Tolerances, phase1: _Phase1 | None = None):
+    """Phase-1 start for the active-set method (simplex vertex), warm when
+    ``phase1`` is the LP of the template the canon was retargeted from."""
+    return (phase1 or _Phase1(canon)).start(canon.eq_b, canon.in_b, tol)
+
+
 def _canon_projectors(canon: _Canon, extra_balls=()):
     projs = []
     if canon.eq_A.size:
@@ -571,9 +595,9 @@ def _canon_projectors(canon: _Canon, extra_balls=()):
 # objective-specific drivers
 
 
-def _lp_driver(canon: _Canon, tol: Tolerances, lexicographic: bool, rhs_lp=None):
+def _lp_driver(canon: _Canon, tol: Tolerances, lexicographic: bool):
     lp, zidx, aux_meta, eq_row_ids = _build_lp(canon)
-    status, zfull, value, its = lp.solve(tol, rhs_override=rhs_lp)
+    status, zfull, value, its = lp.solve(tol)
     if status is not SolveStatus.OPTIMAL:
         return status, None, None, its
     z = zfull[: canon.n]
@@ -585,7 +609,7 @@ def _lp_driver(canon: _Canon, tol: Tolerances, lexicographic: bool, rhs_lp=None)
             if not np.any(srow):
                 continue
             lp.set_objective({zidx[k]: srow[k] for k in np.nonzero(srow)[0]})
-            st2, zf2, v2, it2 = lp.solve(tol, rhs_override=rhs_lp)
+            st2, zf2, v2, it2 = lp.solve(tol)
             its += it2
             if st2 is not SolveStatus.OPTIMAL:
                 break
@@ -628,26 +652,33 @@ def _build_lp(canon: _Canon):
     return lp, zidx, aux_meta, eq_row_ids
 
 
-def _qp_driver(canon: _Canon, E: np.ndarray, center: np.ndarray | None, tol: Tolerances):
-    """min |E z - center|_2^2 over the polyhedral constraints."""
-    H = 2.0 * (E.T @ E) + 1e-12 * np.eye(canon.n)
-    g = np.zeros(canon.n) if center is None else -2.0 * (E.T @ center)
-    status, z0, its0 = _feasible_point(canon.eq_A, canon.eq_b, canon.in_A, canon.in_b, tol)
+def _euclidean_hessian(E: np.ndarray) -> np.ndarray:
+    """Hessian of |E z - center|_2^2, with a hair of regularization."""
+    return 2.0 * (E.T @ E) + 1e-12 * np.eye(E.shape[1])
+
+
+def _qp_driver(canon: _Canon, H: np.ndarray, g: np.ndarray, tol: Tolerances,
+               phase1: _Phase1 | None = None):
+    """min .5 z H z + g z over the polyhedral constraints, from a phase-1 vertex."""
+    status, z0, its0 = _feasible_point(canon, tol, phase1)
     if status is not SolveStatus.OPTIMAL:
         return status, None, its0
     z, its, st = active_set_qp(H, g, canon.eq_A, canon.eq_b, canon.in_A, canon.in_b, z0, tol)
     return st, z, its0 + its
 
 
-def _irls_driver(canon: _Canon, tol: Tolerances):
+def _irls_driver(canon: _Canon, tol: Tolerances, phase1: _Phase1 | None = None):
     """min sum_b |E_b z|_tag via reweighted QPs plus a Newton face polish.
 
     The surrogate weights 1/sqrt(|E_b z|^2 + mu^2) majorize the Euclidean
     block norms; driving mu down recovers the nonsmooth optimum, and the
     final Newton step on the identified face removes the smoothing bias.
     Polyhedral blocks inside the sum ride along as exact epigraph rows with
-    a linear cost.
+    a linear cost; the phase-1 vertex of the canon starts them at |E_i z|.
     """
+    status, z, its0 = _feasible_point(canon, tol, phase1)
+    if status is not SolveStatus.OPTIMAL:
+        return status, None, its0
     l2_blocks = [E for E, tag in canon.obj_blocks if tag is NormTag.L2]
     poly_blocks = [(E, tag) for E, tag in canon.obj_blocks if tag is not NormTag.L2]
     n = canon.n
@@ -680,10 +711,9 @@ def _irls_driver(canon: _Canon, tol: Tolerances):
         lin = np.concatenate([lin, np.ones(extra)])
         l2_blocks = [np.hstack([E, np.zeros((E.shape[0], extra))]) for E in l2_blocks]
         n = total
-
-    status, z, its0 = _feasible_point(eq_A, eq_b, in_A, in_b, tol)
-    if status is not SolveStatus.OPTIMAL:
-        return status, None, its0
+        aux = [np.abs(E @ z) if tag is NormTag.L1 else [np.max(np.abs(E @ z), initial=0.0)]
+               for E, tag in poly_blocks]
+        z = np.concatenate([z, *aux])
 
     its = its0
     scale = max(1.0, float(np.linalg.norm(z)))
@@ -837,7 +867,7 @@ def _maxblock_driver(canon: _Canon, tol: Tolerances):
             raise ValueError("max-of-blocks driver expects orthonormal Euclidean blocks")
         Rs.append(E)
     if canon.polyhedral:
-        status, z0, its = _feasible_point(canon.eq_A, canon.eq_b, canon.in_A, canon.in_b, tol)
+        status, z0, its = _feasible_point(canon, tol)
         if status is not SolveStatus.OPTIMAL:
             return status, None, its
     else:
@@ -865,7 +895,8 @@ def _maxblock_driver(canon: _Canon, tol: Tolerances):
 
 def _projected_gradient_driver(canon: _Canon, center: np.ndarray | None, tol: Tolerances):
     """Smoothed projected-gradient fallback for combinations with no exact
-    path.  Slow; only exotic instances land here."""
+    path.  Slow; only exotic instances land here.  The final point must
+    satisfy every constraint to 1e-6, or the slice is reported infeasible."""
     n = canon.n
     ex_pairs = [(b.matrix @ canon.S[:, : canon.n], b) for b in canon.exotic]
 
@@ -919,6 +950,8 @@ def _projected_gradient_driver(canon: _Canon, center: np.ndarray | None, tol: To
                 break
             z = z_new
         mu *= 0.1
+    if viol(z) > 1e-6:
+        return SolveStatus.INFEASIBLE, None, steps
     return SolveStatus.OPTIMAL, z, steps
 
 
@@ -950,11 +983,13 @@ def _finish(problem: MinNormProblem, status: SolveStatus, c: np.ndarray, its: in
     return Solution(status, c, float(value), _residuals(problem, c), iterations=its)
 
 
-def _solve_canon(canon: _Canon, tol: Tolerances, lexicographic: bool):
+def _solve_canon(canon: _Canon, tol: Tolerances, lexicographic: bool,
+                 phase1: _Phase1 | None = None):
     """Dispatch one canonical problem to the right driver.
 
     Returns (status, z, iterations); the objective is whatever canon's
     obj_blocks say, which need not be a norm of the full ambient point.
+    ``phase1`` warm-starts the Euclidean drivers on polyhedral data.
     """
     tags = {tag for _, tag in canon.obj_blocks}
     single_l2 = len(canon.obj_blocks) == 1 and tags == {NormTag.L2}
@@ -964,8 +999,9 @@ def _solve_canon(canon: _Canon, tol: Tolerances, lexicographic: bool):
             st, z, _, its = _lp_driver(canon, tol, lexicographic)
             return st, z, its
         if single_l2:
-            return _qp_driver(canon, canon.obj_blocks[0][0], None, tol)
-        return _irls_driver(canon, tol)
+            H = _euclidean_hessian(canon.obj_blocks[0][0])
+            return _qp_driver(canon, H, np.zeros(canon.n), tol, phase1)
+        return _irls_driver(canon, tol, phase1)
 
     if not canon.exotic and single_l2:
         E = canon.obj_blocks[0][0]
@@ -975,10 +1011,7 @@ def _solve_canon(canon: _Canon, tol: Tolerances, lexicographic: bool):
             if not res.converged:
                 return SolveStatus.INFEASIBLE, None, res.iterations
             return SolveStatus.OPTIMAL, res.point, res.iterations
-    st, z, its = _projected_gradient_driver(canon, None, tol)
-    if st is SolveStatus.OPTIMAL and _canon_violation(canon, z) > 1e-6:
-        return SolveStatus.INFEASIBLE, None, its
-    return st, z, its
+    return _projected_gradient_driver(canon, None, tol)
 
 
 def _canon_objective_value(canon: _Canon, z: np.ndarray) -> float:
@@ -986,8 +1019,8 @@ def _canon_objective_value(canon: _Canon, z: np.ndarray) -> float:
 
 
 def _solution_from_canon(problem: MinNormProblem, canon: _Canon, tol: Tolerances,
-                         lexicographic: bool) -> Solution:
-    st, z, its = _solve_canon(canon, tol, lexicographic)
+                         lexicographic: bool, phase1: _Phase1 | None = None) -> Solution:
+    st, z, its = _solve_canon(canon, tol, lexicographic, phase1)
     if st is SolveStatus.INFEASIBLE:
         return _infeasible_solution(problem, tol)
     if st is not SolveStatus.OPTIMAL:
@@ -1139,6 +1172,55 @@ def solve_max_block_norm(problem: MinNormProblem, tol: Tolerances = DEFAULT_TOL)
     return Solution(SolveStatus.OPTIMAL, c, float(value), _residuals(problem, c), iterations=its)
 
 
+class _SliceTemplate:
+    """Euclidean projections onto {c in C : T c = x} plus bounds, compiled once.
+
+    The canon is built once with the bounds at unit scale; a call gives the
+    target, the point and a scale for every bound right-hand side and ball
+    radius (|x|_X when the caps grow with the target norm).  Polyhedral
+    templates keep the Euclidean Hessian and one ``_Phase1`` LP, so each
+    call runs the active-set QP from a warm phase-1 vertex; curved ones
+    reuse the canon for Dykstra or the projected-gradient fallback.
+    """
+
+    def __init__(self, map, cone: _cones.Cone, extra_bounds=(), balls=()):
+        d = np.atleast_2d(np.asarray(map, dtype=float)).shape[0]
+        objective = BlockNorm.flat(cone.ambient_dim, NormTag.L2)
+        self.problem = MinNormProblem(map, np.zeros(d), cone, objective, tuple(extra_bounds),
+                                      tuple(balls))
+        self.canon = _canonicalize(self.problem)
+        if self.canon.polyhedral:
+            self._H = _euclidean_hessian(self.canon.S)
+            self._phase1 = _Phase1(self.canon)
+
+    def _problem_at(self, x: np.ndarray, scale: float) -> MinNormProblem:
+        p = self.problem
+        return replace(p, target=x, extra_bounds=tuple((a, b * scale) for a, b in p.extra_bounds),
+                       balls=tuple(replace(b, bound=b.bound * scale) for b in p.balls))
+
+    def project(self, x, point, scale: float = 1.0, tol: Tolerances = DEFAULT_TOL) -> Solution:
+        """Projection of ``point`` onto the slice at target x; value is the distance."""
+        problem = self._problem_at(x, scale)
+        point = np.asarray(point, dtype=float)
+        canon = self.canon.at(problem.target, scale)
+        if canon.polyhedral:
+            g = -2.0 * (canon.S.T @ point)
+            st, z, its = _qp_driver(canon, self._H, g, tol, self._phase1)
+        elif not canon.exotic and canon.orthogonal_S:
+            res = _dykstra_project(canon, canon.S.T @ point)
+            st = SolveStatus.OPTIMAL if res.converged else SolveStatus.INFEASIBLE
+            z, its = res.point, res.iterations
+        else:
+            st, z, its = _projected_gradient_driver(canon, point, tol)
+        if st is SolveStatus.INFEASIBLE:
+            return _infeasible_solution(problem, tol)
+        if st is not SolveStatus.OPTIMAL:
+            return Solution(st, iterations=its)
+        c = canon.S @ z
+        return Solution(st, c, float(np.linalg.norm(c - point)), _residuals(problem, c),
+                        iterations=its)
+
+
 def project_onto_slice(
     map: np.ndarray,
     target: np.ndarray,
@@ -1152,31 +1234,11 @@ def project_onto_slice(
     """Euclidean projection of ``point`` onto {c in C : T c = x} plus bounds.
 
     The projection is unique by strict convexity; Infeasible when the slice
-    is empty.  Solution.value is the distance.
+    is empty.  Solution.value is the distance.  A one-shot slice template;
+    ``ConeMap`` and ``CorrespondenceSpec`` keep theirs for many targets.
     """
-    objective = BlockNorm.flat(cone.ambient_dim, NormTag.L2)
-    problem = MinNormProblem(map, target, cone, objective, tuple(extra_bounds), tuple(balls))
-    point = np.asarray(point, dtype=float)
-    canon = _canonicalize(problem)
-    if canon.polyhedral:
-        st, z, its = _qp_driver(canon, canon.S, point, tol)
-        if st is SolveStatus.INFEASIBLE:
-            return _infeasible_solution(problem, tol)
-        if st is not SolveStatus.OPTIMAL:
-            return Solution(st, iterations=its)
-        c = canon.S @ z
-        return Solution(st, c, float(np.linalg.norm(c - point)), _residuals(problem, c),
-                        iterations=its)
-    if not canon.exotic and canon.orthogonal_S:
-        res = _dykstra_project(canon, canon.S.T @ point)
-        if not res.converged:
-            return _infeasible_solution(problem, tol)
-        c = canon.S @ res.point
-        return Solution(SolveStatus.OPTIMAL, c, float(np.linalg.norm(c - point)),
-                        _residuals(problem, c), iterations=res.iterations)
-    st, z, its = _projected_gradient_driver(canon, point, tol)
-    c = canon.S @ z
-    return Solution(st, c, float(np.linalg.norm(c - point)), _residuals(problem, c), iterations=its)
+    template = _SliceTemplate(map, cone, extra_bounds, balls)
+    return template.project(target, point, tol=tol)
 
 
 @dataclass
@@ -1202,7 +1264,7 @@ def check_feasible(
     problem = MinNormProblem(map, target, cone, objective, tuple(extra_bounds), tuple(balls))
     canon = _canonicalize(problem)
     if canon.polyhedral:
-        st, z, its = _feasible_point(canon.eq_A, canon.eq_b, canon.in_A, canon.in_b, tol)
+        st, z, its = _feasible_point(canon, tol)
         if st is SolveStatus.OPTIMAL:
             return FeasibilityReport(True, point=canon.S @ z)
         cert = None
@@ -1223,11 +1285,13 @@ class MinNormSweep:
     swaps the equality right-hand side.  Infeasible targets report inf.
     An optional gauge (R, tag) replaces the objective by |R c|_tag.
 
-    On polyhedral templates ``value`` and ``feasible`` each keep one LP for
+    On polyhedral templates ``value`` and ``feasible`` keep their LPs for
     the whole sweep, so the optimal bases of earlier targets carry over:
     a target inside a known critical region costs one matrix product, and
     a target next to one costs a few dual simplex pivots (see
-    ``LinearProgram``).  Values agree with a cold solve to rounding.
+    ``LinearProgram``); ``feasible`` and the phase-1 starts of Euclidean
+    objectives share one ``_Phase1`` LP.  Values agree with a cold solve to
+    rounding.
     """
 
     def __init__(self, map, cone, objective: BlockNorm, tol: Tolerances = DEFAULT_TOL,
@@ -1235,7 +1299,6 @@ class MinNormSweep:
         d = np.atleast_2d(np.asarray(map, dtype=float)).shape[0]
         self.problem = MinNormProblem(map, np.zeros(d), cone, objective,
                                       tuple(extra_bounds), tuple(balls))
-        self.d = d
         self.tol = tol
         self.canon = _canonicalize(self.problem)
         if gauge is not None:
@@ -1248,14 +1311,11 @@ class MinNormSweep:
             self._lp, self._zidx, self._aux, self._eq_ids = _build_lp(self.canon)
         else:
             self._mode = "general"
-        self._feas_lp = None
 
-    def _retarget(self, x: np.ndarray) -> _Canon:
-        canon = self.canon
-        eq_b = canon.eq_b.copy()
-        eq_b[: self.d] = x
-        return _Canon(canon.S, canon.eq_A, eq_b, canon.in_A, canon.in_b, canon.soc_idx,
-                      canon.l2balls, canon.groupballs, canon.obj_blocks, canon.exotic)
+    @cached_property
+    def _phase1(self) -> _Phase1 | None:
+        """The LP behind ``feasible`` and the Euclidean drivers' starts, on polyhedral data."""
+        return _Phase1(self.canon) if self.canon.polyhedral else None
 
     def value(self, x: np.ndarray) -> float:
         """Optimal value for target x, or inf when the slice is empty."""
@@ -1270,7 +1330,7 @@ class MinNormSweep:
             if st is not SolveStatus.OPTIMAL:
                 raise ArithmeticError("iteration limit in sweep solve")
             return float(value)
-        st, z, _ = _solve_canon(self._retarget(x), self.tol, lexicographic=False)
+        st, z, _ = _solve_canon(self.canon.at(x), self.tol, False, self._phase1)
         if st is SolveStatus.INFEASIBLE:
             return math.inf
         if st is not SolveStatus.OPTIMAL:
@@ -1283,17 +1343,13 @@ class MinNormSweep:
         if _zero_point_admissible(problem):
             c = np.zeros(problem.cone.ambient_dim)
             return Solution(SolveStatus.OPTIMAL, c, 0.0, _residuals(problem, c))
-        return _solution_from_canon(problem, self._retarget(x), self.tol, lexicographic=False)
+        return _solution_from_canon(problem, self.canon.at(x), self.tol, False, self._phase1)
 
     def feasible(self, x: np.ndarray) -> bool:
         x = np.asarray(x, dtype=float)
-        canon = self.canon
-        if canon.polyhedral:
-            if self._feas_lp is None:
-                self._feas_lp = _feasibility_lp(canon.eq_A, canon.eq_b, canon.in_A, canon.in_b)
-            st, _, _, _ = self._feas_lp.solve(self.tol, rhs_override=dict(enumerate(x.tolist())))
-            return st is SolveStatus.OPTIMAL
-        return _dykstra_project(self._retarget(x), np.zeros(canon.n)).converged
+        if self._phase1 is not None:
+            return self._phase1.start(x, self.canon.in_b, self.tol)[0] is SolveStatus.OPTIMAL
+        return _dykstra_project(self.canon.at(x), np.zeros(self.canon.n)).converged
 
 
 def _set_level(cone: _cones.Cone) -> _cones.Cone:

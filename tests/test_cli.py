@@ -1,6 +1,10 @@
+import contextlib
+import io
 import json
 import math
+import pathlib
 
+import numpy as np
 import pytest
 
 from conekit.cli import main
@@ -248,3 +252,55 @@ def test_decompose_repeat_runs_are_byte_identical(tmp_path, capsys):
     first = open(report, "rb").read()
     run(capsys, argv)
     assert first == open(report, "rb").read()
+
+
+# -- golden outputs ------------------------------------------------------------
+
+# stdout and every report file of `decompose` and `lift` on lattice summing
+# maps, captured before the right inverses were compiled once per map or spec;
+# the compiled selection has to reproduce them byte for byte
+GOLDEN = pathlib.Path(__file__).with_name("cli_golden.json")
+
+GOLDEN_DIMS = (2, 3, 5)
+
+
+def golden_outputs(tmp_path, d):
+    """Exit codes, stdout and report files of decompose and lift on the d-dim lattice."""
+    doc = {"dimension": d, "norm": "l2",
+           "cones": [{"variant": "orthant", "dim": d},
+                     {"variant": "negation", "inner": {"variant": "orthant", "dim": d}}],
+           "sampler": {"directions": 64, "search_directions": 24, "seed": 3,
+                       "refine_steps": 8}}
+    inst = write_instance(tmp_path, doc)
+    rng = np.random.default_rng(d)
+    points = np.vstack([np.zeros(d), np.eye(d)[0], -np.eye(d)[-1],
+                        rng.standard_normal((9, d))])
+    pts = tmp_path / "pts.csv"
+    pts.write_text("".join([",".join(f"x{i + 1}" for i in range(d)) + "\n"]
+                           + [",".join(repr(float(v)) for v in p) + "\n" for p in points]),
+                   encoding="utf-8")
+    fn = tmp_path / "fn.csv"
+    fn.write_text("".join(["label,tail_flag," + ",".join(f"x{i + 1}" for i in range(d)) + "\n"]
+                          + [f"s{k:02d},{int(k >= 10)}," + ",".join(repr(float(v)) for v in row)
+                             + "\n" for k, row in enumerate(rng.standard_normal((12, d)))]),
+                  encoding="utf-8")
+    out = {}
+    for command, extra in (("decompose", ["--points", str(pts)]),
+                           ("lift", ["--function", str(fn)])):
+        report = str(tmp_path / f"{command}.csv")
+        with contextlib.redirect_stdout(io.StringIO()) as stdout:
+            out[f"{command}.code"] = main([command, inst, *extra, "--report", report])
+        out[f"{command}.stdout"] = stdout.getvalue().replace(str(tmp_path), "<tmp>")
+    for path in sorted(tmp_path.glob("*.csv")):
+        if path.name not in ("pts.csv", "fn.csv"):
+            out[path.name] = path.read_text(encoding="utf-8")
+    return out
+
+
+@pytest.mark.parametrize("d", GOLDEN_DIMS)
+def test_decompose_and_lift_match_golden_outputs(tmp_path, d):
+    want = json.loads(GOLDEN.read_text(encoding="utf-8"))[f"lattice{d}"]
+    got = golden_outputs(tmp_path, d)
+    assert sorted(got) == sorted(want)
+    for key in want:
+        assert got[key] == want[key], key

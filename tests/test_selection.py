@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from conekit import parse_instance, random_polyhedral_instance, solver
 from conekit.conemap import ConeMap
 from conekit.cones import DirectSumL1, Generators, Negation, Orthant, SecondOrder
 from conekit.norms import NormTag
@@ -16,6 +17,7 @@ from conekit.selection import (ConstraintFunctional, CorrespondenceSpec,
                                correspondence_value, extend_from_sphere, gamma,
                                gamma_constrained, hemicontinuity_schedule,
                                lipschitz_estimate, selection_bound, tabulate_sphere)
+from conekit.solver import LinearProgram, SolveStatus
 
 import oracles
 
@@ -195,3 +197,105 @@ def test_lipschitz_estimate_reports_a_pair():
     a, b = rep.pair
     assert np.linalg.norm(a) == pytest.approx(1.0, abs=1e-9)
     assert np.linalg.norm(b) == pytest.approx(1.0, abs=1e-9)
+
+
+# -- compiled selections -------------------------------------------------------
+#
+# A RightInverse projects through a slice template compiled once per map or
+# spec; later targets start phase 1 from the optimal bases of earlier ones.
+# A fresh map per target takes the one-shot cold path, the reference here.
+
+
+def lattice(d):
+    cone = DirectSumL1((Orthant(d), Negation(Orthant(d))))
+    return ConeMap(np.hstack([np.eye(d), np.eye(d)]), cone, codomain_norm=NormTag.L2,
+                   domain_norm=NormTag.L2)
+
+
+def compiled_cases():
+    for seed in (0, 2, 4, 6):  # even seeds are onto
+        m = parse_instance(random_polyhedral_instance(seed)).map
+        yield f"seed{seed}", lambda m=m: ConeMap(m.matrix, m.cone, m.codomain_norm, m.domain_norm)
+    for d in (2, 3, 5):
+        yield f"lattice{d}", functools.partial(lattice, d)
+
+
+COMPILED = list(compiled_cases())
+
+
+def close(a, b, rel=1e-10):
+    return float(np.max(np.abs(a - b), initial=0.0)) <= rel * max(1.0, float(np.max(np.abs(b))))
+
+
+@pytest.mark.parametrize("name,make", COMPILED, ids=[c[0] for c in COMPILED])
+def test_reused_selection_matches_fresh_objects(name, make):
+    cm = make()
+    ri = gamma(cm)
+    for x in np.random.default_rng(7).standard_normal((100, cm.codomain_dim)):
+        c = ri(x)
+        assert close(c, gamma(make())(x)), (x, c)
+        assert close(cm.matrix @ c, x)
+        assert close(ri(2.5 * x), 2.5 * c)
+
+
+def polyhedral_spec(cm, alpha):
+    """An l1 cap on the positive part and a linear functional on the negative part."""
+    d = cm.codomain_dim
+    cap = ConstraintFunctional.seminorm(np.hstack([np.eye(d), np.zeros((d, d))]), NormTag.L1)
+    neg = ConstraintFunctional.linear(np.concatenate([np.zeros(d), -np.ones(d)]))
+    return CorrespondenceSpec(cm, ((cap, alpha), (neg, 2.5)), slack=0.01)
+
+
+@pytest.mark.parametrize("d", (2, 3, 5))
+@pytest.mark.parametrize("alpha", (2.5, 0.6))
+def test_reused_spec_matches_fresh_objects(d, alpha):
+    # alpha = 0.6 is too tight: |x+|_1 > 0.61 |x|_2 leaves F(x) empty
+    spec = polyhedral_spec(lattice(d), alpha)
+    ri = RightInverse(spec.map, spec)
+    empty = 0
+    for x in np.random.default_rng(d).standard_normal((100, d)):
+        fresh = polyhedral_spec(lattice(d), alpha)
+        want = correspondence_value(fresh, x)
+        if want.status is SolveStatus.INFEASIBLE:
+            empty += 1
+            with pytest.raises(EmptyCorrespondence):
+                ri(x)
+            continue
+        c = ri(x)
+        assert close(c, want.point), (x, c, want.point)
+        assert spec.member(x, c)
+        assert close(ri(3.0 * x), 3.0 * c)
+    assert (empty > 0) == (alpha < 1.0)
+
+
+def test_canonicalization_runs_once_per_map_and_spec(monkeypatch):
+    calls = []
+    inner = solver._canonicalize
+    monkeypatch.setattr(solver, "_canonicalize", lambda p: calls.append(1) or inner(p))
+    xs = np.random.default_rng(3).standard_normal((100, 3))
+    ri = gamma(lattice(3))
+    for x in xs:
+        ri(x)
+    assert len(calls) == 1
+    spec = polyhedral_spec(lattice(3), 2.5)
+    for x in xs:
+        RightInverse(spec.map, spec)(x)
+    assert len(calls) == 2
+
+
+@pytest.mark.parametrize("d", (2, 3))
+def test_phase_one_starts_warm_on_the_lattice(d, monkeypatch):
+    pivots = []
+    inner = LinearProgram.solve
+
+    def spy(self, *args, **kw):
+        out = inner(self, *args, **kw)
+        pivots.append(out[3])
+        return out
+
+    monkeypatch.setattr(LinearProgram, "solve", spy)
+    ri = gamma(lattice(d))
+    for x in np.random.default_rng(d).standard_normal((100, d)):
+        ri(x)
+    assert len(pivots) == 100
+    assert np.mean(pivots[10:]) < 1.0

@@ -9,8 +9,8 @@ from conekit.cones import DirectSumL1, Generators, Negation, Orthant, SecondOrde
 from conekit.norms import BlockNorm, NormTag
 from conekit.solver import (BallConstraint, LinearProgram, MinNormProblem, MinNormSweep,
                             SolveStatus, certificate_is_valid, check_feasible,
-                            farkas_certificate, solve_max_block_norm, solve_min_gauge,
-                            solve_min_linear, solve_min_norm)
+                            farkas_certificate, project_onto_slice, solve_max_block_norm,
+                            solve_min_gauge, solve_min_linear, solve_min_norm)
 
 import oracles
 
@@ -127,6 +127,20 @@ def test_ball_constraints_bind_and_exclude():
                            balls=(BallConstraint(np.eye(2), NormTag.LINF, 0.8),))
     sol = solve_min_norm(tight)
     assert sol.status is SolveStatus.INFEASIBLE  # sum can reach at most 1.6
+
+
+def test_projection_through_a_non_orthonormal_ball_reports_an_empty_slice():
+    # |(2 c1, 3 c2)|_2 <= r has no exact encoding, so the projection takes the
+    # projected-gradient fallback; on c1 + c2 = 1, c >= 0 it needs r >= 6/sqrt(13)
+    T, x, R = np.array([[1.0, 1.0]]), np.array([1.0]), np.diag([2.0, 3.0])
+    ok = project_onto_slice(T, x, Orthant(2), np.zeros(2),
+                            balls=(BallConstraint(R, NormTag.L2, 2.5),))
+    assert ok.status is SolveStatus.OPTIMAL
+    np.testing.assert_allclose(ok.point, [0.5, 0.5], atol=1e-4)
+    empty = project_onto_slice(T, x, Orthant(2), np.zeros(2),
+                               balls=(BallConstraint(R, NormTag.L2, 1.0),))
+    assert empty.status is SolveStatus.INFEASIBLE
+    assert empty.point is None
 
 
 def test_second_order_slice():
@@ -289,6 +303,25 @@ def test_sweep_warm_start_matches_cold(name, T, cone, norm, monkeypatch):
     feasible = [sweep.feasible(x) for x in xs]
     assert feasible == [check_feasible(T, x, cone).feasible for x in xs]
     assert feasible == [bool(np.isfinite(w)) for w in warm]
+
+
+@pytest.mark.parametrize("tags", [(NormTag.L2, NormTag.L2), (NormTag.L2, NormTag.L1)],
+                         ids=["l2-sum", "l2-l1-mix"])
+def test_euclidean_sweep_starts_phase_one_warm(tags, monkeypatch):
+    # Euclidean and mixed objectives run the active-set QP or IRLS from a
+    # phase-1 vertex, which the sweep takes from its one feasibility LP
+    norm = BlockNorm(((0, 2, tags[0]), (2, 4, tags[1])))
+    sweep = MinNormSweep(SUMMING, LATTICE, norm)
+    xs = np.random.default_rng(5).standard_normal((60, 2))
+    pivots = []
+    spy(monkeypatch, LinearProgram, "solve", pivots, lambda out: out[3])
+    warm = [sweep.value(x) for x in xs]
+    monkeypatch.undo()
+    assert len(pivots) == len(xs)
+    assert np.mean(pivots[10:]) < 1.0
+    for x, w in zip(xs, warm):
+        cold = solve_min_norm(MinNormProblem(SUMMING, x, LATTICE, norm), lexicographic=False)
+        assert abs(w - cold.value) <= 1e-10 * max(1.0, cold.value), (x, w, cold.value)
 
 
 def test_lp_unbounded_status():
