@@ -97,19 +97,21 @@ def project_l2_ball(radius: float, block: slice | None = None) -> Projector:
     return proj
 
 
-def project_group_l1_ball(blocks: Sequence[tuple[int, int]], radius: float) -> Projector:
+def project_group_l1_ball(blocks: Sequence, radius: float) -> Projector:
     """Projector onto {z : sum_b ||z[b]||_2 <= radius}.
 
-    Lagrangian form: each block shrinks by a common threshold lam chosen so
-    the shrunk block norms sum to the radius; lam is the root of a piecewise
-    linear decreasing function of the sorted block norms, found exactly.
+    A block is a ``(start, stop)`` pair or an array of indices (blocks
+    picked out of a larger vector need not be contiguous).  Lagrangian form:
+    each block shrinks by a common threshold lam chosen so the shrunk block
+    norms sum to the radius; lam is the root of a piecewise linear
+    decreasing function of the sorted block norms, found exactly.
     """
     if radius < 0:
         raise ValueError("radius must be nonnegative")
-    blocks = [tuple(b) for b in blocks]
+    blocks = [slice(*b) if isinstance(b, tuple) else np.asarray(b, dtype=int) for b in blocks]
 
     def proj(z: np.ndarray) -> np.ndarray:
-        norms = np.array([np.linalg.norm(z[a:b]) for a, b in blocks])
+        norms = np.array([np.linalg.norm(z[b]) for b in blocks])
         if norms.sum() <= radius:
             return z
         # find lam > 0 with sum max(norms - lam, 0) = radius
@@ -124,11 +126,8 @@ def project_group_l1_ball(blocks: Sequence[tuple[int, int]], radius: float) -> P
         if lam is None:
             lam = (csum[-1] - radius) / len(s)
         out = z.copy()
-        for (a, b), n in zip(blocks, norms):
-            if n <= lam:
-                out[a:b] = 0.0
-            else:
-                out[a:b] *= (n - lam) / n
+        for b, n in zip(blocks, norms):
+            out[b] = 0.0 if n <= lam else z[b] * ((n - lam) / n)
         return out
 
     return proj
@@ -140,6 +139,7 @@ class DykstraResult:
     iterations: int
     max_violation: float
     converged: bool
+    stalled: bool = False  # stopped moving while still infeasible
 
 
 def dykstra(
@@ -155,8 +155,9 @@ def dykstra(
     nonempty.  ``violation`` measures distance-like infeasibility of an
     iterate against all sets; iteration stops once both the iterate movement
     and the violation are below tol.  On an empty intersection the movement
-    stalls while the violation stays bounded away from zero, which callers
-    use as an infeasibility verdict.
+    stalls while the violation stays bounded away from zero; the result is
+    then flagged ``stalled``, which callers use as an infeasibility verdict.
+    A run that reaches maxiter without either is undecided.
     """
     m = len(projectors)
     z = np.asarray(z0, dtype=float).copy()
@@ -175,5 +176,5 @@ def dykstra(
                 return DykstraResult(z, it, v, True)
             if move <= tol * 1e-3:
                 # stalled while infeasible
-                return DykstraResult(z, it, v, False)
+                return DykstraResult(z, it, v, False, stalled=True)
     return DykstraResult(z, it, violation(z), violation(z) <= 10 * tol)

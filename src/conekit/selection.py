@@ -106,7 +106,10 @@ class CorrespondenceSpec:
     positively homogeneous; on the unit sphere the bounds read
     alpha_j + slack exactly.  ``constraints`` pairs each functional with
     its alpha.  F is compiled once into a slice template at unit caps;
-    each target rescales the caps and starts phase 1 warm.
+    each target rescales the caps and starts phase 1 warm.  On polyhedral
+    cones the projection onto F(x) first solves the polyhedral relaxation
+    (curved caps dropped) with the active-set QP; the slack usually leaves
+    the caps loose, and Dykstra runs only when a cap binds.
     """
 
     map: ConeMap
@@ -171,7 +174,11 @@ class RightInverse:
     achievable constants, continuous (unique parametric minimizer).
 
     Each call projects through the slice template compiled once by the map
-    (plain) or the spec (constrained), starting phase 1 warm.
+    (plain) or the spec (constrained), starting phase 1 warm.  A constrained
+    call on a polyhedral cone solves the polyhedral relaxation first and
+    returns its exact point when every curved cap holds there; Dykstra runs
+    only when a cap binds.  An undecided solve raises ArithmeticError, an
+    empty F(x) its subclass EmptyCorrespondence.
     """
 
     map: ConeMap
@@ -209,7 +216,10 @@ def gamma_constrained(cmap: ConeMap,
     """Right inverse forced through rho_j(c) <= (alpha_j + slack) |x|.
 
     Constants straight from achievable_alpha need slack > 0 to keep the
-    correspondence nonempty off the attaining directions.
+    correspondence nonempty off the attaining directions.  That slack
+    usually keeps the caps loose at the minimal preimage; each call then
+    costs one warm QP on the polyhedral relaxation, and Dykstra runs only
+    on targets where a cap binds.
     """
     return RightInverse(cmap, CorrespondenceSpec(cmap, constraints, slack))
 

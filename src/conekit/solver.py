@@ -565,29 +565,7 @@ def _canon_projectors(canon: _Canon, extra_balls=()):
 
         projs.append(ball_proj)
     for idxs, r in canon.groupballs:
-
-        def group_proj(z, idxs=idxs, r=r):
-            norms = np.array([np.linalg.norm(z[idx]) for idx in idxs])
-            if norms.sum() <= r:
-                return z
-            s = np.sort(norms)[::-1]
-            csum = np.cumsum(s)
-            lam = (csum[-1] - r) / len(s)
-            for k in range(1, len(s) + 1):
-                cand = (csum[k - 1] - r) / k
-                nxt = s[k] if k < len(s) else 0.0
-                if nxt - 1e-15 <= cand <= s[k - 1] + 1e-15:
-                    lam = cand
-                    break
-            out = z.copy()
-            for idx, nn in zip(idxs, norms):
-                if nn <= lam:
-                    out[idx] = 0.0
-                else:
-                    out[idx] = z[idx] * ((nn - lam) / nn)
-            return out
-
-        projs.append(group_proj)
+        projs.append(projops.project_group_l1_ball(idxs, r))
     return projs
 
 
@@ -820,6 +798,21 @@ def _dykstra_project(canon: _Canon, center_z: np.ndarray, tol_val: float = 1e-11
     return projops.dykstra(projs, center_z, viol, tol=tol_val, maxiter=maxiter)
 
 
+def _dykstra_status(res: projops.DykstraResult) -> SolveStatus:
+    """OPTIMAL when converged, INFEASIBLE only on a stall, else undecided."""
+    if res.converged:
+        return SolveStatus.OPTIMAL
+    return SolveStatus.INFEASIBLE if res.stalled else SolveStatus.ITERATION_LIMIT
+
+
+def _caps_hold(canon: _Canon, z: np.ndarray) -> bool:
+    """Whether z meets every curved cap of the canon, with no tolerance."""
+    return (all(np.linalg.norm(R @ z) <= r for R, r in canon.l2balls)
+            and all(sum(np.linalg.norm(z[idx]) for idx in idxs) <= r
+                    for idxs, r in canon.groupballs)
+            and all(ball.value(canon.S @ z) <= ball.bound for ball in canon.exotic))
+
+
 def _maxblock_lp(canon: _Canon, tol: Tolerances):
     """min max_b |E_b z|_tag as one epigraph LP, for polyhedral tags."""
     lp = LinearProgram()
@@ -1008,9 +1001,8 @@ def _solve_canon(canon: _Canon, tol: Tolerances, lexicographic: bool,
         if canon.orthogonal_S and np.array_equal(E, canon.S):
             # min |S z| = min |z| for orthonormal S: a single projection
             res = _dykstra_project(canon, np.zeros(canon.n))
-            if not res.converged:
-                return SolveStatus.INFEASIBLE, None, res.iterations
-            return SolveStatus.OPTIMAL, res.point, res.iterations
+            st = _dykstra_status(res)
+            return st, res.point if st is SolveStatus.OPTIMAL else None, res.iterations
     return _projected_gradient_driver(canon, None, tol)
 
 
@@ -1177,10 +1169,14 @@ class _SliceTemplate:
 
     The canon is built once with the bounds at unit scale; a call gives the
     target, the point and a scale for every bound right-hand side and ball
-    radius (|x|_X when the caps grow with the target norm).  Polyhedral
-    templates keep the Euclidean Hessian and one ``_Phase1`` LP, so each
-    call runs the active-set QP from a warm phase-1 vertex; curved ones
-    reuse the canon for Dykstra or the projected-gradient fallback.
+    radius (|x|_X when the caps grow with the target norm).  Templates on a
+    polyhedral cone keep the Euclidean Hessian and one ``_Phase1`` LP, and
+    each call first projects onto the polyhedral relaxation (equality and
+    <= rows, curved caps dropped) with the active-set QP from a warm
+    phase-1 vertex.  A point inside every cap is the exact projection and
+    an empty relaxation means an empty slice; only when a cap binds (or the
+    QP is undecided) does the call run Dykstra or the projected-gradient
+    fallback from the original point.  Second-order cones skip the screen.
     """
 
     def __init__(self, map, cone: _cones.Cone, extra_bounds=(), balls=()):
@@ -1189,7 +1185,7 @@ class _SliceTemplate:
         self.problem = MinNormProblem(map, np.zeros(d), cone, objective, tuple(extra_bounds),
                                       tuple(balls))
         self.canon = _canonicalize(self.problem)
-        if self.canon.polyhedral:
+        if not self.canon.soc_idx:
             self._H = _euclidean_hessian(self.canon.S)
             self._phase1 = _Phase1(self.canon)
 
@@ -1203,15 +1199,20 @@ class _SliceTemplate:
         problem = self._problem_at(x, scale)
         point = np.asarray(point, dtype=float)
         canon = self.canon.at(problem.target, scale)
-        if canon.polyhedral:
+        st, its = None, 0
+        if not canon.soc_idx:
             g = -2.0 * (canon.S.T @ point)
             st, z, its = _qp_driver(canon, self._H, g, tol, self._phase1)
-        elif not canon.exotic and canon.orthogonal_S:
-            res = _dykstra_project(canon, canon.S.T @ point)
-            st = SolveStatus.OPTIMAL if res.converged else SolveStatus.INFEASIBLE
-            z, its = res.point, res.iterations
-        else:
-            st, z, its = _projected_gradient_driver(canon, point, tol)
+            if not (canon.polyhedral or st is SolveStatus.INFEASIBLE
+                    or (st is SolveStatus.OPTIMAL and _caps_hold(canon, z))):
+                st = None
+        if st is None:
+            if not canon.exotic and canon.orthogonal_S:
+                res = _dykstra_project(canon, canon.S.T @ point)
+                st, z, more = _dykstra_status(res), res.point, res.iterations
+            else:
+                st, z, more = _projected_gradient_driver(canon, point, tol)
+            its += more
         if st is SolveStatus.INFEASIBLE:
             return _infeasible_solution(problem, tol)
         if st is not SolveStatus.OPTIMAL:

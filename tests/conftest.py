@@ -1,4 +1,8 @@
+import numpy as np
+import pytest
 from hypothesis import HealthCheck, settings
+
+from conekit import projops
 
 settings.register_profile(
     "suite",
@@ -8,3 +12,36 @@ settings.register_profile(
     suppress_health_check=[HealthCheck.too_slow],
 )
 settings.load_profile("suite")
+
+
+@pytest.fixture
+def spy(monkeypatch):
+    """spy(owner, name, log, pick): wrap owner.name so every call appends
+    pick(result) to log (the result itself by default)."""
+
+    def install(owner, name, log, pick=lambda out: out):
+        inner = getattr(owner, name)
+
+        def wrapped(*args, **kw):
+            out = inner(*args, **kw)
+            log.append(pick(out))
+            return out
+
+        monkeypatch.setattr(owner, name, wrapped)
+
+    return install
+
+
+@pytest.fixture
+def undecided_dykstra(monkeypatch):
+    """undecided_dykstra(stalled): make projops.dykstra give up unconverged
+    at maxiter, flagged as a stall or not."""
+
+    def install(stalled):
+        def run(projectors, z0, violation, tol=1e-11, maxiter=20000):
+            return projops.DykstraResult(np.asarray(z0, dtype=float), maxiter, 1.0, False,
+                                         stalled=stalled)
+
+        monkeypatch.setattr(projops, "dykstra", run)
+
+    return install

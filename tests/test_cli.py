@@ -304,3 +304,32 @@ def test_decompose_and_lift_match_golden_outputs(tmp_path, d):
     assert sorted(got) == sorted(want)
     for key in want:
         assert got[key] == want[key], key
+
+
+def test_loose_l2_functional_gives_exact_parts(tmp_path, capsys):
+    # the functional caps |x+|_2 at (1.5 + epsilon)|x|_2, which (x+, x-) never
+    # reaches, so the constrained selection is the exact lattice decomposition
+    doc = {**LATTICE, "functionals": [{"matrix": [[1, 0, 0, 0], [0, 1, 0, 0]],
+                                       "norm": "l2", "bound": 1.5}],
+           "sampler": {"directions": 64, "search_directions": 24, "seed": 3}}
+    inst = write_instance(tmp_path, doc)
+    xs = [[0.5, -1.25], [3.0, 2.0], [-2.0, -0.75], [1.5, 0.0], [-4.0, 1.0]]
+    pts = tmp_path / "pts.csv"
+    pts.write_text("x1,x2\n" + "".join(f"{a!r},{b!r}\n" for a, b in xs), encoding="utf-8")
+    report = str(tmp_path / "parts.csv")
+    code, out, _ = run(capsys, ["decompose", inst, "--points", str(pts), "--report", report])
+    assert code == 0
+    rows = open(report, encoding="utf-8").read().splitlines()[1:]
+    for x, row in zip(xs, rows):
+        plus, minus = np.maximum(x, 0.0), np.minimum(x, 0.0)
+        parts = np.array([float(v) for v in row.split(",")[4:8]])
+        np.testing.assert_allclose(parts, np.concatenate([plus, minus]), rtol=0, atol=1e-13)
+    fn = tmp_path / "fn.csv"
+    fn.write_text("label,tail_flag,x1,x2\n" + "".join(
+        f"s{k},{int(k >= 3)},{a!r},{b!r}\n" for k, (a, b) in enumerate(xs)), encoding="utf-8")
+    code, out, _ = run(capsys, ["lift", inst, "--function", str(fn),
+                                "--report", str(tmp_path / "lift.csv")])
+    assert code == 0
+    line = next(s for s in out.splitlines() if s.startswith("pointwise sum:"))
+    assert line.startswith("pointwise sum: PASS")
+    assert float(line.split("worst ")[1].split()[0].rstrip(")")) == 0.0

@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conekit import parse_instance, random_polyhedral_instance, solver
+from conekit import parse_instance, projops, random_polyhedral_instance, solver
 from conekit.conemap import ConeMap
 from conekit.cones import DirectSumL1, Generators, Negation, Orthant, SecondOrder
 from conekit.norms import NormTag
@@ -268,10 +268,9 @@ def test_reused_spec_matches_fresh_objects(d, alpha):
     assert (empty > 0) == (alpha < 1.0)
 
 
-def test_canonicalization_runs_once_per_map_and_spec(monkeypatch):
+def test_canonicalization_runs_once_per_map_and_spec(spy):
     calls = []
-    inner = solver._canonicalize
-    monkeypatch.setattr(solver, "_canonicalize", lambda p: calls.append(1) or inner(p))
+    spy(solver, "_canonicalize", calls)
     xs = np.random.default_rng(3).standard_normal((100, 3))
     ri = gamma(lattice(3))
     for x in xs:
@@ -284,18 +283,149 @@ def test_canonicalization_runs_once_per_map_and_spec(monkeypatch):
 
 
 @pytest.mark.parametrize("d", (2, 3))
-def test_phase_one_starts_warm_on_the_lattice(d, monkeypatch):
+def test_phase_one_starts_warm_on_the_lattice(d, spy):
     pivots = []
-    inner = LinearProgram.solve
-
-    def spy(self, *args, **kw):
-        out = inner(self, *args, **kw)
-        pivots.append(out[3])
-        return out
-
-    monkeypatch.setattr(LinearProgram, "solve", spy)
+    spy(LinearProgram, "solve", pivots, lambda out: out[3])
     ri = gamma(lattice(d))
     for x in np.random.default_rng(d).standard_normal((100, d)):
         ri(x)
     assert len(pivots) == 100
     assert np.mean(pivots[10:]) < 1.0
+
+
+# -- the polyhedral screen -------------------------------------------------------
+#
+# A template on a polyhedral cone first projects onto the polyhedral
+# relaxation (the curved caps dropped).  A point inside every cap is then the
+# projection onto F(x); Dykstra, which the template ran on every target
+# before, is the reference here, run on the canon retargeted to x.
+
+
+def dykstra_reference(spec, x):
+    canon = spec._template.canon.at(x, spec.map.codomain_norm.of(x))
+    return canon, solver._dykstra_project(canon, np.zeros(canon.n))
+
+
+def norm_cap(cm, alpha):
+    return ConstraintFunctional.seminorm(np.eye(cm.domain_dim), cm.domain_norm), alpha
+
+
+@pytest.mark.parametrize("d", (2, 3, 5))
+def test_loose_caps_return_the_relaxed_projection(d, spy):
+    # (x+, x-) meets |p| <= |x| and |p| + |q| <= sqrt(2) |x|; the slack
+    # leaves both caps loose, so no target needs Dykstra
+    cm = lattice(d)
+    pos = ConstraintFunctional.seminorm(np.hstack([np.eye(d), np.zeros((d, d))]), NormTag.L2)
+    spec = CorrespondenceSpec(cm, (norm_cap(cm, math.sqrt(2.0)), (pos, 1.0)), slack=0.01)
+    canon = spec._template.canon
+    assert len(canon.l2balls) == 1 and len(canon.groupballs) == 1
+    ri = RightInverse(cm, spec)
+    xs = np.random.default_rng(10 + d).standard_normal((100, d))
+    runs = []
+    spy(projops, "dykstra", runs)
+    got = [ri(x) for x in xs]
+    assert runs == []
+    for x, c in zip(xs, got):
+        _, ref = dykstra_reference(spec, x)
+        assert ref.converged
+        assert close(c, canon.S @ ref.point, 1e-9), (x, c)
+        assert close(c, np.concatenate(oracles.lattice_parts(x)), 1e-13)
+
+
+@pytest.mark.parametrize("d", (2, 3, 5))
+def test_binding_caps_run_dykstra_on_exactly_those_targets(d, spy):
+    # rho(c) = |p1 - p2| / sqrt(2) reaches 0 on every target (raise the
+    # smaller of p1, p2), so alpha = 0.05 is just above the achievable
+    # constant and the cap binds wherever (x+, x-) exceeds it; the norm cap
+    # stays loose because raising p costs at most |x+| on each side
+    cm = lattice(d)
+    row = np.zeros((1, 2 * d))
+    row[0, :2] = (1.0, -1.0)
+    rho = ConstraintFunctional.seminorm(row / math.sqrt(2.0), NormTag.L2)
+    spec = CorrespondenceSpec(cm, ((rho, 0.05), norm_cap(cm, 3.5)), slack=0.01)
+    ri = RightInverse(cm, spec)
+    runs = []
+    spy(projops, "dykstra", runs)
+    binding = 0
+    for x in np.random.default_rng(20 + d).standard_normal((100, d)):
+        binds = rho.value(np.concatenate(oracles.lattice_parts(x))) > 0.06 * np.linalg.norm(x)
+        binding += binds
+        before = len(runs)
+        try:
+            c = ri(x)
+        except EmptyCorrespondence:
+            c = None
+        assert len(runs) - before == binds, x
+        canon, ref = dykstra_reference(spec, x)
+        if not binds:
+            assert c is not None and close(c, np.concatenate(oracles.lattice_parts(x)), 1e-13)
+            continue
+        # the template returns Dykstra's verdict: F(x) is never empty here, but
+        # Dykstra's stall test can end a slow plateau with an empty verdict
+        assert (c is None) == (not ref.converged), x
+        if c is not None:
+            assert close(c, canon.S @ ref.point, 1e-9), (x, c)
+            assert spec.member(x, c)
+    assert 0 < binding < 100
+
+
+@pytest.mark.parametrize("d", (2, 3, 5))
+def test_empty_relaxation_raises_without_dykstra(d, spy):
+    # sum(p) <= (-1 + slack) |x| leaves no p >= 0 for any target
+    cm = lattice(d)
+    lin = ConstraintFunctional.linear(np.concatenate([np.ones(d), np.zeros(d)]))
+    spec = CorrespondenceSpec(cm, (norm_cap(cm, math.sqrt(2.0)), (lin, -1.0)), slack=0.01)
+    ri = RightInverse(cm, spec)
+    runs = []
+    spy(projops, "dykstra", runs)
+    for x in np.random.default_rng(30 + d).standard_normal((10, d)):
+        with pytest.raises(EmptyCorrespondence) as exc:
+            ri(x)
+        assert exc.value.solution.status is SolveStatus.INFEASIBLE
+    assert runs == []
+
+
+def test_loose_exotic_cap_skips_projected_gradient(spy):
+    # |2 p|_2 has no orthonormal encoding and lands among the exotic balls;
+    # Dykstra on the canon leaves exotic balls out, so it is the relaxation
+    cm = lattice(3)
+    rho = ConstraintFunctional.seminorm(2.0 * np.hstack([np.eye(3), np.zeros((3, 3))]),
+                                        NormTag.L2)
+    spec = CorrespondenceSpec(cm, ((rho, 2.0),), slack=0.01)
+    assert len(spec._template.canon.exotic) == 1
+    ri = RightInverse(cm, spec)
+    drivers = []
+    spy(solver, "_projected_gradient_driver", drivers)
+    for x in np.random.default_rng(40).standard_normal((100, 3)):
+        c = ri(x)
+        canon, ref = dykstra_reference(spec, x)
+        assert ref.converged
+        assert close(c, canon.S @ ref.point, 1e-9), (x, c)
+        assert spec.member(x, c)
+    assert drivers == []
+
+
+def test_second_order_templates_skip_the_screen(spy):
+    built = []
+    spy(solver, "_Phase1", built)
+    ri = gamma(ConeMap(np.eye(3), SecondOrder(3), codomain_norm=NormTag.L2))
+    x = np.array([2.0, 1.0, -0.5])
+    np.testing.assert_allclose(ri(x), x, atol=1e-9)
+    assert built == []
+    assert not hasattr(ri.map._slice, "_phase1")
+
+
+def test_dykstra_at_maxiter_is_not_an_empty_correspondence(undecided_dykstra):
+    ice = ConeMap(np.hstack([np.eye(2), np.eye(2)]),
+                  DirectSumL1((SecondOrder(2), Negation(SecondOrder(2)))), codomain_norm=NormTag.L2)
+    cm = lattice(2)
+    row = np.array([[1.0, -1.0, 0.0, 0.0]]) / math.sqrt(2.0)
+    spec = CorrespondenceSpec(cm, ((ConstraintFunctional.seminorm(row), 0.05),), slack=0.01)
+    x = np.array([1.0, 0.2])  # the cap binds at (x+, x-)
+    for stalled, verdict in ((False, SolveStatus.ITERATION_LIMIT), (True, SolveStatus.INFEASIBLE)):
+        undecided_dykstra(stalled)
+        for ri in (gamma(ice), RightInverse(cm, spec)):
+            assert ri.solve(x).status is verdict
+            with pytest.raises(ArithmeticError) as exc:
+                ri(x)
+            assert isinstance(exc.value, EmptyCorrespondence) == stalled

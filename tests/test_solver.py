@@ -157,6 +157,19 @@ def test_second_order_slice():
     assert solve_min_norm(out).status is SolveStatus.INFEASIBLE
 
 
+@pytest.mark.parametrize("stalled,verdict", [(False, SolveStatus.ITERATION_LIMIT),
+                                             (True, SolveStatus.INFEASIBLE)])
+def test_dykstra_verdicts_are_honest(stalled, verdict, undecided_dykstra):
+    # min |c|_2 over a second-order slice is one Dykstra projection; a run
+    # that reaches maxiter is undecided, and only a stall reads as infeasible
+    undecided_dykstra(stalled)
+    p = MinNormProblem(np.eye(3), np.array([2.0, 1.0, -0.5]), SecondOrder(3),
+                       BlockNorm.flat(3, NormTag.L2))
+    sol = solve_min_norm(p)
+    assert sol.status is verdict
+    assert sol.point is None
+
+
 # -- gauge, linear, and max-block objectives --------------------------------
 
 def test_min_gauge_positive_part():
@@ -259,29 +272,17 @@ def cold_value(sweep, x):
     return np.inf if st is SolveStatus.INFEASIBLE else value
 
 
-def spy(monkeypatch, owner, name, log, pick):
-    """Wrap owner.name so every call appends pick(result) to log."""
-    inner = getattr(owner, name)
-
-    def wrapped(*args, **kw):
-        out = inner(*args, **kw)
-        log.append(pick(out))
-        return out
-
-    monkeypatch.setattr(owner, name, wrapped)
-
-
 SWEEP_CASES = list(sweep_cases())
 
 
 @pytest.mark.parametrize("name,T,cone,norm", SWEEP_CASES, ids=[c[0] for c in SWEEP_CASES])
-def test_sweep_warm_start_matches_cold(name, T, cone, norm, monkeypatch):
+def test_sweep_warm_start_matches_cold(name, T, cone, norm, monkeypatch, spy):
     sweep = MinNormSweep(T, cone, norm)
     xs = sweep_targets(T, np.random.default_rng(1))
     pivots, cold, rejected = [], [], []
-    spy(monkeypatch, LinearProgram, "solve", pivots, lambda out: out[3])
-    spy(monkeypatch, simplex._StandardLP, "solve", cold, lambda out: out[0])
-    spy(monkeypatch, simplex._WarmStart, "_accept", rejected, lambda out: out is None)
+    spy(LinearProgram, "solve", pivots, lambda out: out[3])
+    spy(simplex._StandardLP, "solve", cold, lambda out: out[0])
+    spy(simplex._WarmStart, "_accept", rejected, lambda out: out is None)
     warm = [sweep.value(x) for x in xs]
     monkeypatch.undo()
     assert len(pivots) == len(xs)
@@ -307,14 +308,14 @@ def test_sweep_warm_start_matches_cold(name, T, cone, norm, monkeypatch):
 
 @pytest.mark.parametrize("tags", [(NormTag.L2, NormTag.L2), (NormTag.L2, NormTag.L1)],
                          ids=["l2-sum", "l2-l1-mix"])
-def test_euclidean_sweep_starts_phase_one_warm(tags, monkeypatch):
+def test_euclidean_sweep_starts_phase_one_warm(tags, monkeypatch, spy):
     # Euclidean and mixed objectives run the active-set QP or IRLS from a
     # phase-1 vertex, which the sweep takes from its one feasibility LP
     norm = BlockNorm(((0, 2, tags[0]), (2, 4, tags[1])))
     sweep = MinNormSweep(SUMMING, LATTICE, norm)
     xs = np.random.default_rng(5).standard_normal((60, 2))
     pivots = []
-    spy(monkeypatch, LinearProgram, "solve", pivots, lambda out: out[3])
+    spy(LinearProgram, "solve", pivots, lambda out: out[3])
     warm = [sweep.value(x) for x in xs]
     monkeypatch.undo()
     assert len(pivots) == len(xs)
