@@ -22,11 +22,9 @@ from dataclasses import replace
 
 import numpy as np
 
-from . import solver as _solver
 from .funclift import LiftInfeasible, SampledFunction, SampledSpace, lift
 from .instances import Instance, InstanceError, load_instance
-from .norms import NormTag
-from .sampling import SamplerConfig, covering_radius, refine_on_sphere
+from .sampling import SamplerConfig, sphere_sup
 from .selection import CorrespondenceSpec, EmptyCorrespondence, RightInverse, gamma
 
 __all__ = ["main", "cmd_check_surjective", "cmd_constant", "cmd_decompose", "cmd_lift"]
@@ -88,27 +86,6 @@ def cmd_check_surjective(inst: Instance, sampler: SamplerConfig, args) -> int:
 
 # -- constant ----------------------------------------------------------------
 
-def _kind_value(inst: Instance, kind: str):
-    """Per-direction objective for the requested constant."""
-    cmap = inst.map
-    if kind in ("openness", "sum"):
-        # the domain norm is the summed block norm, so both kinds coincide
-        return cmap.preimage_gauge
-    norm = cmap.domain_norm
-    if kind == "max":
-        def value(u):
-            problem = _solver.MinNormProblem(cmap.matrix, u, cmap.cone, norm)
-            sol = _solver.solve_max_block_norm(problem)
-            return math.inf if sol.status is _solver.SolveStatus.INFEASIBLE else sol.value
-        return value
-    a, b, tag = norm.blocks[0]
-    R = np.eye(cmap.domain_dim)[a:b]
-    def value(u):
-        sol = _solver.solve_min_gauge(cmap.matrix, u, cmap.cone, (R, tag))
-        return math.inf if sol.status is _solver.SolveStatus.INFEASIBLE else sol.value
-    return value
-
-
 def cmd_constant(inst: Instance, sampler: SamplerConfig, args) -> int:
     rep = inst.map.is_surjective(config=sampler)
     if not rep.surjective:
@@ -117,29 +94,16 @@ def cmd_constant(inst: Instance, sampler: SamplerConfig, args) -> int:
             print(f"witness: {_fmt_vec(rep.unreachable)}")
         return 2
 
-    value = _kind_value(inst, args.kind)
-    dirs, exact = inst.map._search_directions(sampler)
-    vals = np.array([value(u) for u in dirs])
-    best = int(np.argmax(vals))
-    grid_max = float(vals[best])
-    if exact:
-        lower = upper = grid_max
-    else:
-        _, refined = refine_on_sphere(value, dirs[best], inst.map.codomain_norm,
-                                      steps=sampler.refine_steps)
-        lower = max(grid_max, float(refined))
-        delta = covering_radius(dirs, inst.map.codomain_norm, sampler)
-        upper = grid_max / (1.0 - delta) if delta < 1.0 else math.inf
-        upper = max(upper, lower)
-
-    print(f"mode: {'exact' if exact else 'sampled'}")
-    print(f"constant {args.kind}: [{_fmt(lower)}, {_fmt(upper)}]")
+    cmap = inst.map
+    sup = sphere_sup(cmap._kind_objective(args.kind), cmap.codomain_dim, cmap.codomain_norm,
+                     sampler)
+    print(f"mode: {'exact' if sup.exact else 'sampled'}")
+    print(f"constant {args.kind}: [{_fmt(sup.value)}, {_fmt(sup.upper())}]")
     if args.report:
         fh, w = _open_csv(args.report)
         with fh:
-            d = inst.map.codomain_dim
-            w.writerow([f"u{i + 1}" for i in range(d)] + ["value"])
-            for u, v in zip(dirs, vals):
+            w.writerow([f"u{i + 1}" for i in range(cmap.codomain_dim)] + ["value"])
+            for u, v in zip(sup.directions, sup.values):
                 w.writerow([_fmt(x) for x in u] + [_fmt(v)])
         print(f"report: {args.report}")
     return 0

@@ -24,7 +24,7 @@ import numpy as np
 from . import cones as _cones
 from . import solver as _solver
 from .norms import BlockNorm, NormTag, operator_norm_upper
-from .sampling import SamplerConfig, ball_vertices, refine_on_sphere, sphere_directions
+from .sampling import SamplerConfig, refine_on_sphere, search_grid, sphere_directions, sphere_sup
 
 __all__ = ["ConeMap", "SurjectivityReport"]
 
@@ -94,6 +94,39 @@ class ConeMap:
     def _slice(self) -> _solver._SliceTemplate:
         """Projections onto {c in C : T c = x}, compiled once for the plain selection."""
         return _solver._SliceTemplate(self.matrix, self.cone)
+
+    @cached_property
+    def _plain_sweep(self) -> _solver.MinNormSweep:
+        """Sweep of the gauge |c_1|, the norm of the first domain block alone."""
+        a, b, tag = self.domain_norm.blocks[0]
+        return _solver.MinNormSweep(self.matrix, self.cone, self.domain_norm,
+                                    gauge=(np.eye(self.domain_dim)[a:b], tag))
+
+    def _max_block_value(self, x: np.ndarray) -> float:
+        problem = _solver.MinNormProblem(self.matrix, np.asarray(x, dtype=float), self.cone,
+                                         self.domain_norm)
+        sol = _solver.solve_max_block_norm(problem)
+        if sol.status is _solver.SolveStatus.INFEASIBLE:
+            return math.inf
+        if sol.status is not _solver.SolveStatus.OPTIMAL:
+            raise ArithmeticError("max decomposition solve hit its iteration limit")
+        return float(sol.value)
+
+    def _kind_objective(self, kind: str):
+        """x -> inf over preimages c of the kind's cost, inf when x is unreachable.
+
+        Over a direct-sum domain with blocks c_1, c_2, ...: "openness" and
+        "sum" cost sum_b |c_b| (the domain norm, so m itself), "max" costs
+        max_b |c_b| and "plain" |c_1|.  The sum and plain kinds reuse a
+        sweep compiled once per map; the max kind solves each target anew.
+        """
+        if kind in ("openness", "sum"):
+            return self._sweep.value
+        if kind == "plain":
+            return self._plain_sweep.value
+        if kind == "max":
+            return self._max_block_value
+        raise ValueError(f"unknown decomposition kind {kind!r}")
 
     def min_preimage(self, x: np.ndarray, tol: _solver.Tolerances = _solver.DEFAULT_TOL) -> _solver.Solution:
         """Smallest-norm cone point mapped to x, with certificate if none."""
@@ -187,15 +220,6 @@ class ConeMap:
 
     # -- openness constant and interior radius ------------------------------
 
-    def _search_directions(self, config: SamplerConfig) -> tuple[np.ndarray, bool]:
-        """(directions, exact) where exact means vertices of the codomain ball."""
-        d = self.codomain_dim
-        if self.codomain_norm.is_polyhedral:
-            verts = ball_vertices(d, self.codomain_norm, cap=config.vertex_cap)
-            if verts is not None:
-                return verts, True
-        return sphere_directions(d, self.codomain_norm, config.search()), False
-
     def openness_constant(self, config: SamplerConfig | None = None) -> float:
         """K = sup of m over the unit sphere of the codomain norm.
 
@@ -203,17 +227,8 @@ class ConeMap:
         and the vertex grid is exact.  Euclidean spheres are sampled and the
         incumbent refined locally; inf signals an unreachable direction.
         """
-        config = config or SamplerConfig()
-        dirs, exact = self._search_directions(config)
-        vals = np.array([self._sweep.value(x) for x in dirs])
-        if np.any(np.isinf(vals)):
-            return math.inf
-        best = int(np.argmax(vals))
-        if exact:
-            return float(vals[best])
-        _, refined = refine_on_sphere(self._sweep.value, dirs[best], self.codomain_norm,
-                                      steps=config.refine_steps)
-        return float(max(refined, vals[best]))
+        return sphere_sup(self._sweep.value, self.codomain_dim, self.codomain_norm,
+                          config or SamplerConfig()).value
 
     def interior_radius(self, config: SamplerConfig | None = None) -> float:
         """Largest t with t B_X inside T(C ∩ B_Y), measured independently.
@@ -225,7 +240,7 @@ class ConeMap:
         running minimum are skipped after a single feasibility check.
         """
         config = config or SamplerConfig()
-        dirs, exact = self._search_directions(config)
+        dirs, exact = search_grid(self.codomain_dim, self.codomain_norm, config)
         ball = _solver.BallConstraint(np.eye(self.domain_dim), self.domain_norm, 1.0)
         sweep = _solver.MinNormSweep(self.matrix, self.cone, self.domain_norm, balls=(ball,))
 

@@ -21,7 +21,6 @@ for them.
 """
 from __future__ import annotations
 
-import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import cached_property
@@ -29,10 +28,9 @@ from functools import cached_property
 import numpy as np
 
 from . import cones as _cones
-from . import solver as _solver
 from .conemap import ConeMap, SurjectivityReport
 from .norms import NormTag
-from .sampling import SamplerConfig, refine_on_sphere, sphere_directions
+from .sampling import SamplerConfig, sphere_directions, sphere_sup
 from .selection import (
     ConstraintFunctional,
     CorrespondenceSpec,
@@ -97,14 +95,6 @@ class AndoDecomposition:
     def defect(self) -> float:
         return float(np.max(np.abs(self.plus - self.minus - self.source), initial=0.0))
 
-    def cost(self, norm: NormTag, kind: "ConormalityKind") -> float:
-        p, m = float(norm.of(self.plus)), float(norm.of(self.minus))
-        if kind is ConormalityKind.PLAIN:
-            return p
-        if kind is ConormalityKind.MAX:
-            return max(p, m)
-        return p + m
-
 
 def summing_map(space: OrderedSpace) -> ConeMap:
     """(p, q) -> p + q on X+ x (-X+), the map behind every decomposition.
@@ -157,38 +147,11 @@ def kind_objective(space: OrderedSpace, kind: ConormalityKind):
     """Per-point optimal decomposition cost of the kind, as a callable.
 
     Returns value(x) = inf over decompositions x = p - m of the kind's
-    objective, inf when x has none.  Batch callers reuse the closure; the
-    sum kind shares one canonicalized sweep across targets.
+    objective, inf when x has none.  Batch callers reuse the callable: the
+    sum and plain kinds each share a sweep compiled once for the space's
+    summing map, and the max kind solves every target afresh.
     """
-    cm = space._summing_map
-    if kind is ConormalityKind.SUM:
-        sweep = cm._sweep
-        return sweep.value
-    if kind is ConormalityKind.PLAIN:
-        rho = positive_part_functional(space)
-        d = space.dim
-
-        def plain_value(x: np.ndarray) -> float:
-            sol = _solver.solve_min_gauge(cm.matrix, np.asarray(x, float), cm.cone,
-                                          (rho.matrix, space.norm))
-            if sol.status is _solver.SolveStatus.INFEASIBLE:
-                return math.inf
-            if sol.status is not _solver.SolveStatus.OPTIMAL:
-                raise ArithmeticError("plain decomposition solve did not converge")
-            return float(sol.value)
-
-        return plain_value
-
-    def max_value(x: np.ndarray) -> float:
-        problem = _solver.MinNormProblem(cm.matrix, np.asarray(x, float), cm.cone, cm.domain_norm)
-        sol = _solver.solve_max_block_norm(problem)
-        if sol.status is _solver.SolveStatus.INFEASIBLE:
-            return math.inf
-        if sol.status is not _solver.SolveStatus.OPTIMAL:
-            raise ArithmeticError("max decomposition solve hit its iteration limit")
-        return float(sol.value)
-
-    return max_value
+    return space._summing_map._kind_objective(kind)
 
 
 def decomposition_value(space: OrderedSpace, x: np.ndarray,
@@ -204,20 +167,9 @@ def conormality_constant(space: OrderedSpace, kind: ConormalityKind = Conormalit
     inf when the cone is not generating.  Polyhedral space norms are scanned
     over exact ball vertices; the Euclidean sphere adds local refinement.
     """
-    config = config or SamplerConfig()
     cm = space._summing_map
-    if kind is ConormalityKind.SUM:
-        return cm.openness_constant(config)
-    value = kind_objective(space, kind)
-    dirs, exact = cm._search_directions(config)
-    vals = np.array([value(x) for x in dirs])
-    if np.any(np.isinf(vals)):
-        return math.inf
-    best = int(np.argmax(vals))
-    if exact:
-        return float(vals[best])
-    _, refined = refine_on_sphere(value, dirs[best], space.norm, steps=config.refine_steps)
-    return float(max(refined, vals[best]))
+    return sphere_sup(cm._kind_objective(kind), cm.codomain_dim, cm.codomain_norm,
+                      config or SamplerConfig()).value
 
 
 @dataclass(frozen=True)

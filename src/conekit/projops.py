@@ -19,7 +19,6 @@ __all__ = [
     "project_soc",
     "project_halfspace",
     "affine_projector",
-    "project_l2_ball",
     "project_group_l1_ball",
     "dykstra",
     "DykstraResult",
@@ -74,25 +73,6 @@ def affine_projector(A: np.ndarray, b: np.ndarray) -> Projector:
 
     def proj(z: np.ndarray) -> np.ndarray:
         return z - pinv @ (A @ z - b)
-
-    return proj
-
-
-def project_l2_ball(radius: float, block: slice | None = None) -> Projector:
-    if radius < 0:
-        raise ValueError("radius must be nonnegative")
-
-    def proj(z: np.ndarray) -> np.ndarray:
-        seg = z if block is None else z[block]
-        n = np.linalg.norm(seg)
-        if n <= radius:
-            return z
-        out = z.copy()
-        scaled = seg * (radius / n)
-        if block is None:
-            return scaled
-        out[block] = scaled
-        return out
 
     return proj
 

@@ -12,10 +12,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .norms import BlockNorm, NormTag
+from .norms import NormTag
 
-__all__ = ["SamplerConfig", "ball_vertices", "sphere_directions", "refine_on_sphere",
-           "covering_radius"]
+__all__ = ["SamplerConfig", "ball_vertices", "sphere_directions", "search_grid",
+           "refine_on_sphere", "covering_radius", "SphereSup", "sphere_sup"]
 
 
 @dataclass(frozen=True)
@@ -79,6 +79,72 @@ def sphere_directions(dim: int, tag: NormTag, config: SamplerConfig | None = Non
         pts = pts[np.linalg.norm(pts, axis=1) > 1e-12]
     norms = np.array([tag.of(p) for p in pts])
     return pts / norms[:, None]
+
+
+def search_grid(dim: int, tag: NormTag, config: SamplerConfig) -> tuple[np.ndarray, bool]:
+    """(directions, exact) for a sphere search; exact means ball vertices.
+
+    A polyhedral ball whose vertices can be enumerated gives its vertex
+    set, where a convex function attains its maximum over the sphere.
+    Anything else gets the ``config.search()`` sample.
+    """
+    if tag.is_polyhedral:
+        verts = ball_vertices(dim, tag, cap=config.vertex_cap)
+        if verts is not None:
+            return verts, True
+    return sphere_directions(dim, tag, config.search()), False
+
+
+@dataclass(frozen=True, eq=False)
+class SphereSup:
+    """A supremum over the unit ``tag``-sphere, measured on a direction grid.
+
+    ``value`` is the lower end: the grid maximum, raised by local refinement
+    when the grid is a sample, or inf when some direction has value inf
+    (``argmax`` is then the first such direction).  ``values[i]`` belongs to
+    ``directions[i]``.
+    """
+
+    value: float
+    argmax: np.ndarray
+    directions: np.ndarray
+    values: np.ndarray
+    exact: bool
+    tag: NormTag
+    config: SamplerConfig
+
+    def upper(self) -> float:
+        """Sampled upper end, grid max / (1 - covering radius); exact grids give value."""
+        if self.exact:
+            return self.value
+        delta = covering_radius(self.directions, self.tag, self.config)
+        upper = float(np.max(self.values)) / (1.0 - delta) if delta < 1.0 else math.inf
+        return max(upper, self.value)
+
+
+def sphere_sup(value, dim: int, tag: NormTag, config: SamplerConfig,
+               trust_vertices: bool = True) -> SphereSup:
+    """sup of a convex positively homogeneous ``value`` on the unit ``tag``-sphere.
+
+    Evaluates ``value`` on every direction of ``search_grid``.  A vertex
+    grid is the answer as it stands; a sampled grid refines its argmax
+    with ``refine_on_sphere``.  ``trust_vertices=False`` refines on a
+    vertex grid too, for functions that need not be convex.
+    """
+    dirs, exact = search_grid(dim, tag, config)
+    exact = exact and trust_vertices
+    vals = np.array([value(x) for x in dirs], dtype=float)
+    unreachable = np.isinf(vals)
+    if unreachable.any():
+        first = int(np.argmax(unreachable))
+        return SphereSup(math.inf, dirs[first], dirs, vals, exact, tag, config)
+    best = int(np.argmax(vals))
+    top, arg = float(vals[best]), dirs[best]
+    if not exact:
+        x, refined = refine_on_sphere(value, arg, tag, steps=config.refine_steps)
+        if refined > top:
+            top, arg = float(refined), x
+    return SphereSup(top, arg, dirs, vals, exact, tag, config)
 
 
 def refine_on_sphere(f, x0: np.ndarray, tag: NormTag, steps: int = 48) -> tuple[np.ndarray, float]:

@@ -26,7 +26,7 @@ import numpy as np
 from . import solver as _solver
 from .conemap import ConeMap
 from .norms import BlockNorm, NormTag
-from .sampling import SamplerConfig, refine_on_sphere, sphere_directions
+from .sampling import SamplerConfig, sphere_directions, sphere_sup
 
 __all__ = [
     "ConstraintFunctional",
@@ -120,9 +120,6 @@ class CorrespondenceSpec:
         object.__setattr__(self, "constraints", tuple((f, float(a)) for f, a in self.constraints))
         if self.slack < 0:
             raise ValueError("slack must be nonnegative")
-
-    def relaxed(self, extra: float) -> "CorrespondenceSpec":
-        return CorrespondenceSpec(self.map, self.constraints, self.slack + extra)
 
     @cached_property
     def _template(self) -> _solver._SliceTemplate:
@@ -268,18 +265,10 @@ def achievable_alpha(cmap: ConeMap, rho: ConstraintFunctional | None = None,
     def value(x: np.ndarray) -> float:
         return _min_rho_at(cmap, rho, x, balls)
 
-    dirs, exact = cmap._search_directions(config)
-    vals = np.empty(dirs.shape[0])
-    for i, x in enumerate(dirs):
-        vals[i] = value(x)
-        if math.isinf(vals[i]):
-            raise EmptyCorrespondence(x)
-    best = int(np.argmax(vals))
-    if exact:
-        return float(vals[best])
-    _, refined = refine_on_sphere(value, dirs[best], cmap.codomain_norm,
-                                  steps=config.refine_steps)
-    return float(max(refined, vals[best]))
+    sup = sphere_sup(value, cmap.codomain_dim, cmap.codomain_norm, config)
+    if math.isinf(sup.value):
+        raise EmptyCorrespondence(sup.argmax)
+    return sup.value
 
 
 def selection_bound(ri: RightInverse, config: SamplerConfig | None = None) -> float:
@@ -288,23 +277,16 @@ def selection_bound(ri: RightInverse, config: SamplerConfig | None = None) -> fl
     An empirical constant K with |gamma(x)|_Y <= K |x|_X on the sampled
     directions; by homogeneity the bound extends along every sampled ray.
     """
-    config = config or SamplerConfig()
     cmap = ri.map
-    dirs, exact = cmap._search_directions(config)
 
     def value(x: np.ndarray) -> float:
         return float(cmap.domain_norm.of(ri(x)))
 
-    vals = np.array([value(x) for x in dirs])
-    best = int(np.argmax(vals))
-    if exact and ri.spec is None:
-        # vertex directions are exact for the openness constant, and the
-        # plain selection's norm is dominated by any minimal decomposition
-        # witness only on lattices; refine anyway unless the grid is exact
-        return float(vals[best])
-    _, refined = refine_on_sphere(value, dirs[best], cmap.codomain_norm,
-                                  steps=config.refine_steps)
-    return float(max(refined, vals[best]))
+    # a plain selection trusts a vertex grid, which is exact on lattices:
+    # there |gamma(x)| is the sum-kind gauge, convex and so maximal at a
+    # vertex; a constrained selection refines its grid maximum anyway
+    return sphere_sup(value, cmap.codomain_dim, cmap.codomain_norm, config or SamplerConfig(),
+                      trust_vertices=ri.spec is None).value
 
 
 # -- sphere tables -----------------------------------------------------------

@@ -128,10 +128,6 @@ class MinNormProblem:
         object.__setattr__(self, "extra_bounds", bounds)
         object.__setattr__(self, "balls", tuple(self.balls))
 
-    @staticmethod
-    def with_tag(map, target, cone, tag: NormTag, **kw) -> "MinNormProblem":
-        return MinNormProblem(map, target, cone, _cones.space_norm(cone, tag), **kw)
-
 
 # ---------------------------------------------------------------------------
 # nonnegative least squares (Lawson-Hanson), used for generator cones
@@ -861,14 +857,11 @@ def _maxblock_driver(canon: _Canon, tol: Tolerances):
         Rs.append(E)
     if canon.polyhedral:
         status, z0, its = _feasible_point(canon, tol)
-        if status is not SolveStatus.OPTIMAL:
-            return status, None, its
     else:
-        its = 0
         base = _dykstra_project(canon, np.zeros(canon.n))
-        if not base.converged:
-            return SolveStatus.INFEASIBLE, None, 0
-        z0 = base.point
+        status, z0, its = _dykstra_status(base), base.point, 0
+    if status is not SolveStatus.OPTIMAL:
+        return status, None, its
     hi = max(float(np.linalg.norm(R @ z0)) for R in Rs)
     lo = 0.0
     zbest = z0
@@ -1116,8 +1109,11 @@ def solve_min_linear(
         raise ValueError("linear objectives support polyhedral constraints and "
                          "orthogonal ball structure only")
     res = _dykstra_project(canon, np.zeros(canon.n))
-    if not res.converged:
+    st = _dykstra_status(res)
+    if st is SolveStatus.INFEASIBLE:
         return _infeasible_solution(problem, tol)
+    if st is not SolveStatus.OPTIMAL:
+        return Solution(st, iterations=res.iterations)
     z = res.point
     if float(np.linalg.norm(w)) == 0.0:
         c = canon.S @ z
@@ -1337,14 +1333,6 @@ class MinNormSweep:
         if st is not SolveStatus.OPTIMAL:
             raise ArithmeticError("iteration limit in sweep solve")
         return _canon_objective_value(self.canon, z)
-
-    def solve(self, x: np.ndarray) -> Solution:
-        x = np.asarray(x, dtype=float)
-        problem = replace(self.problem, target=x)
-        if _zero_point_admissible(problem):
-            c = np.zeros(problem.cone.ambient_dim)
-            return Solution(SolveStatus.OPTIMAL, c, 0.0, _residuals(problem, c))
-        return _solution_from_canon(problem, self.canon.at(x), self.tol, False, self._phase1)
 
     def feasible(self, x: np.ndarray) -> bool:
         x = np.asarray(x, dtype=float)

@@ -7,6 +7,7 @@ import pathlib
 import numpy as np
 import pytest
 
+from conekit import solver
 from conekit.cli import main
 
 
@@ -112,6 +113,19 @@ def test_constant_plain_and_report_csv(tmp_path, capsys):
     lines = raw.decode("utf-8").splitlines()
     assert lines[0] == "u1,u2,value"
     assert len(lines) == 96 + 1  # search grid rows, header included
+
+
+@pytest.mark.parametrize("kind,driver", [("max", "_maxblock_driver"), ("plain", "_qp_driver")])
+def test_constant_reports_an_undecided_solve(tmp_path, capsys, monkeypatch, kind, driver):
+    # a kind objective whose solve hits its iteration limit has no value:
+    # the command fails with an error line instead of printing a number
+    monkeypatch.setattr(solver, driver,
+                        lambda *args, **kw: (solver.SolveStatus.ITERATION_LIMIT, None, 0))
+    inst = write_instance(tmp_path, LATTICE)
+    code, out, err = run(capsys, ["constant", inst, "--kind", kind])
+    assert code == 1
+    assert err.startswith("error:")
+    assert "constant" not in out
 
 
 def test_constant_rejects_nonsurjective(tmp_path, capsys):
@@ -258,14 +272,21 @@ def test_decompose_repeat_runs_are_byte_identical(tmp_path, capsys):
 
 # stdout and every report file of `decompose` and `lift` on lattice summing
 # maps, captured before the right inverses were compiled once per map or spec;
-# the compiled selection has to reproduce them byte for byte
+# the compiled selection has to reproduce them byte for byte.  The `constant`
+# outputs were captured before every kind went through one sphere sweep; one
+# row differs since: the planar plain report at theta = pi prints the exact
+# |x+| = 1.22464679915e-16 of the compiled gauge sweep, where the per-target
+# cold solve printed 0
 GOLDEN = pathlib.Path(__file__).with_name("cli_golden.json")
 
 GOLDEN_DIMS = (2, 3, 5)
 
+CONSTANT_KINDS = ("openness", "plain", "max", "sum")
+
 
 def golden_outputs(tmp_path, d):
-    """Exit codes, stdout and report files of decompose and lift on the d-dim lattice."""
+    """Exit codes, stdout and report files of decompose, lift and every
+    constant kind on the d-dim lattice."""
     doc = {"dimension": d, "norm": "l2",
            "cones": [{"variant": "orthant", "dim": d},
                      {"variant": "negation", "inner": {"variant": "orthant", "dim": d}}],
@@ -285,12 +306,14 @@ def golden_outputs(tmp_path, d):
                              + "\n" for k, row in enumerate(rng.standard_normal((12, d)))]),
                   encoding="utf-8")
     out = {}
-    for command, extra in (("decompose", ["--points", str(pts)]),
-                           ("lift", ["--function", str(fn)])):
-        report = str(tmp_path / f"{command}.csv")
+    runs = [("decompose", "decompose", ["--points", str(pts)]),
+            ("lift", "lift", ["--function", str(fn)])]
+    runs += [(f"constant_{kind}", "constant", ["--kind", kind]) for kind in CONSTANT_KINDS]
+    for name, command, extra in runs:
+        report = str(tmp_path / f"{name}.csv")
         with contextlib.redirect_stdout(io.StringIO()) as stdout:
-            out[f"{command}.code"] = main([command, inst, *extra, "--report", report])
-        out[f"{command}.stdout"] = stdout.getvalue().replace(str(tmp_path), "<tmp>")
+            out[f"{name}.code"] = main([command, inst, *extra, "--report", report])
+        out[f"{name}.stdout"] = stdout.getvalue().replace(str(tmp_path), "<tmp>")
     for path in sorted(tmp_path.glob("*.csv")):
         if path.name not in ("pts.csv", "fn.csv"):
             out[path.name] = path.read_text(encoding="utf-8")

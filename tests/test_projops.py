@@ -5,8 +5,7 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conekit.projops import (affine_projector, dykstra, project_group_l1_ball,
-                             project_halfspace, project_l2_ball, project_orthant,
-                             project_soc)
+                             project_halfspace, project_orthant, project_soc)
 
 import oracles
 
@@ -82,7 +81,8 @@ def test_affine_projector_consistent_rank_deficient():
 
 
 def test_l2_ball_projector_block():
-    proj = project_l2_ball(1.0, block=slice(0, 2))
+    # one group is the l2 ball on that block; the other coordinates stay
+    proj = project_group_l1_ball([(0, 2)], 1.0)
     out = proj(np.array([3.0, 4.0, 7.0]))
     np.testing.assert_allclose(out, [0.6, 0.8, 7.0])
 
@@ -112,7 +112,7 @@ def test_group_l1_ball_is_a_projection(z, radius):
 
 def test_dykstra_ball_meets_orthant():
     # project (2, 0): already nonneg, ball clips to (1, 0)
-    projs = [project_orthant, project_l2_ball(1.0)]
+    projs = [project_orthant, project_group_l1_ball([(0, 2)], 1.0)]
 
     def violation(z):
         return max(0.0, -float(np.min(z))) + max(0.0, float(np.linalg.norm(z)) - 1.0)

@@ -1,0 +1,117 @@
+import contextlib
+import io
+import json
+import math
+
+import numpy as np
+import pytest
+
+from conekit import (ConormalityKind, ConstraintFunctional, NormTag, OrderedSpace, Orthant,
+                     achievable_alpha, conormality_constant, gamma, gamma_constrained,
+                     positive_part_functional, sampling, selection_bound, summing_map)
+from conekit.cli import main
+from conekit.sampling import SamplerConfig, covering_radius, sphere_sup
+
+CFG = SamplerConfig(directions=64, search_directions=24, seed=3, refine_steps=8)
+
+
+def peak(x):
+    # convex and positively homogeneous, largest along (1, 1)
+    return float(abs(x[0] + x[1]))
+
+
+@pytest.mark.parametrize("tag,top", [(NormTag.L1, 1.0), (NormTag.LINF, 2.0)])
+def test_vertex_grid_is_the_answer(tag, top, spy):
+    calls = []
+    spy(sampling, "refine_on_sphere", calls)
+    sup = sphere_sup(peak, 2, tag, CFG)
+    assert calls == []
+    assert sup.exact
+    assert sup.value == top == float(np.max(sup.values))
+    assert sup.upper() == top
+    assert peak(sup.argmax) == top
+
+
+def test_sampled_grid_refines_once(spy):
+    calls = []
+    spy(sampling, "refine_on_sphere", calls)
+    sup = sphere_sup(peak, 2, NormTag.L2, CFG)
+    assert not sup.exact
+    assert len(calls) == 1
+    _, refined = calls[0]
+    assert sup.value == max(refined, float(np.max(sup.values)))
+    assert sup.value == pytest.approx(math.sqrt(2.0), abs=1e-9)
+    assert peak(sup.argmax) == sup.value
+    delta = covering_radius(sup.directions, NormTag.L2, CFG)
+    assert sup.upper() == max(float(np.max(sup.values)) / (1.0 - delta), sup.value)
+
+
+def test_untrusted_vertex_grid_refines(spy):
+    calls = []
+    spy(sampling, "refine_on_sphere", calls)
+    sup = sphere_sup(peak, 2, NormTag.L1, CFG, trust_vertices=False)
+    assert not sup.exact
+    assert len(calls) == 1
+    assert sup.value == 1.0
+
+
+def test_an_unreachable_direction_gives_inf(spy):
+    calls = []
+    spy(sampling, "refine_on_sphere", calls)
+
+    def one_sided(x):
+        return math.inf if x[1] < 0.0 else float(np.linalg.norm(x))
+
+    sup = sphere_sup(one_sided, 2, NormTag.L2, CFG)
+    first = next(i for i, x in enumerate(sup.directions) if x[1] < 0.0)
+    assert sup.value == math.inf
+    np.testing.assert_array_equal(sup.argmax, sup.directions[first])
+    assert calls == []
+
+
+# refine calls per constant on the planar lattices: one on the Euclidean
+# sphere, none on the vertex grids, except the constrained selection bound,
+# which refines on every grid (the counts of the separate sweep loops that
+# sphere_sup replaced)
+def lattice_sweeps(tag):
+    space = OrderedSpace(Orthant(2), tag)
+    cmap = summing_map(space)
+    rho = positive_part_functional(space)
+    cap = ConstraintFunctional.seminorm(np.eye(cmap.domain_dim), cmap.domain_norm)
+    sweeps = {
+        "openness_constant": lambda: cmap.openness_constant(CFG),
+        "achievable_alpha": lambda: achievable_alpha(cmap, rho=rho, config=CFG),
+        "selection_bound/plain": lambda: selection_bound(gamma(cmap), CFG),
+        "selection_bound/constrained": lambda: selection_bound(
+            gamma_constrained(cmap, ((rho, 1.0), (cap, 2.0)), slack=0.01), CFG),
+    }
+    for kind in ConormalityKind:
+        sweeps[f"conormality_constant/{kind.value}"] = (
+            lambda kind=kind: conormality_constant(space, kind, CFG))
+    return sweeps
+
+
+@pytest.mark.parametrize("tag", [NormTag.L1, NormTag.L2, NormTag.LINF])
+def test_refine_calls_per_constant(tag, spy, tmp_path):
+    calls = []
+    spy(sampling, "refine_on_sphere", calls)
+    got = {}
+    for name, sweep in lattice_sweeps(tag).items():
+        calls.clear()
+        sweep()
+        got[name] = len(calls)
+    doc = {"dimension": 2, "norm": tag.value,
+           "cones": [{"variant": "orthant", "dim": 2},
+                     {"variant": "negation", "inner": {"variant": "orthant", "dim": 2}}],
+           "sampler": {"directions": 64, "search_directions": 24, "seed": 3, "refine_steps": 8}}
+    inst = tmp_path / "inst.json"
+    inst.write_text(json.dumps(doc), encoding="utf-8")
+    for kind in ("openness", "plain", "max", "sum"):
+        calls.clear()
+        with contextlib.redirect_stdout(io.StringIO()):
+            assert main(["constant", str(inst), "--kind", kind]) == 0
+        got[f"constant/{kind}"] = len(calls)
+    sampled = int(tag is NormTag.L2)
+    want = {name: sampled for name in got}
+    want["selection_bound/constrained"] = 1
+    assert got == want

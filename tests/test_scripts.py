@@ -1,0 +1,31 @@
+import importlib.util
+import os
+import pathlib
+import subprocess
+import sys
+
+import pytest
+
+SCRIPTS = pathlib.Path(__file__).resolve().parents[1] / "scripts"
+SRC = SCRIPTS.parent / "src"
+
+
+@pytest.mark.parametrize("script,args", [("run_lattice_constants.py", ["--dim", "2"]),
+                                         ("run_open_mapping_suite.py", ["--count", "6"])])
+def test_script_runs_clean(script, args):
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(SRC), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, str(SCRIPTS / script), *args], env=env,
+                          capture_output=True, text=True, timeout=600)
+    assert proc.returncode == 0, proc.stdout + proc.stderr
+
+
+def test_lattice_script_fails_on_a_missed_closed_form(monkeypatch, capsys):
+    spec = importlib.util.spec_from_file_location("run_lattice_constants",
+                                                  SCRIPTS / "run_lattice_constants.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    monkeypatch.setattr(script, "conormality_constant", lambda space, kind: 1.0 + 2e-6)
+    monkeypatch.setattr(sys, "argv", ["run_lattice_constants.py", "--dim", "2"])
+    assert script.main() == 1
+    assert "9 constants miss their closed form" in capsys.readouterr().out

@@ -170,6 +170,32 @@ def test_dykstra_verdicts_are_honest(stalled, verdict, undecided_dykstra):
     assert sol.point is None
 
 
+@pytest.mark.parametrize("stalled,verdict", [(False, SolveStatus.ITERATION_LIMIT),
+                                             (True, SolveStatus.INFEASIBLE)])
+def test_min_linear_start_verdicts_are_honest(stalled, verdict, undecided_dykstra):
+    # an l2 cap makes the slice curved, so the starting point is a Dykstra run
+    undecided_dykstra(stalled)
+    ball = BallConstraint(np.eye(4), NormTag.L2, 5.0)
+    sol = solve_min_linear(SUMMING, np.array([1.0, -2.0]), LATTICE,
+                           np.array([1.0, 1.0, 0.0, 0.0]), balls=(ball,))
+    assert sol.status is verdict
+    assert sol.point is None
+
+
+@pytest.mark.parametrize("stalled,verdict", [(False, SolveStatus.ITERATION_LIMIT),
+                                             (True, SolveStatus.INFEASIBLE)])
+def test_max_block_start_verdicts_are_honest(stalled, verdict, undecided_dykstra):
+    # on second-order summands the bisection starts from a Dykstra projection
+    undecided_dykstra(stalled)
+    cone = DirectSumL1((SecondOrder(3), Negation(SecondOrder(3))))
+    objective = BlockNorm(((0, 3, NormTag.L2), (3, 6, NormTag.L2)))
+    p = MinNormProblem(np.hstack([np.eye(3), np.eye(3)]), np.array([1.0, 0.5, -0.25]), cone,
+                       objective)
+    sol = solve_max_block_norm(p)
+    assert sol.status is verdict
+    assert sol.point is None
+
+
 # -- gauge, linear, and max-block objectives --------------------------------
 
 def test_min_gauge_positive_part():
