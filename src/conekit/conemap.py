@@ -237,21 +237,37 @@ class ConeMap:
         ball of the cone is monotone in t, so each direction has a critical
         scale found by bisection on ball-constrained feasibility.  The radius
         is the smallest critical scale.  Directions already reachable at the
-        running minimum are skipped after a single feasibility check.
+        running minimum are skipped after a single feasibility check.  A
+        curved feasibility test that cannot decide a scale puts that scale
+        at the critical one, to the solver's resolution.
         """
         config = config or SamplerConfig()
         dirs, exact = search_grid(self.codomain_dim, self.codomain_norm, config)
         ball = _solver.BallConstraint(np.eye(self.domain_dim), self.domain_norm, 1.0)
         sweep = _solver.MinNormSweep(self.matrix, self.cone, self.domain_norm, balls=(ball,))
 
+        def reachable(t: float, x) -> bool | None:
+            """Whether t x lies in T(C ∩ B_Y); None when the solver cannot
+            tell, which puts t at the critical scale to its resolution."""
+            try:
+                return sweep.feasible(t * x)
+            except ArithmeticError:
+                return None
+
         def critical(x, hi_guess: float) -> float:
             if not self._sweep.feasible(x):
                 return 0.0  # the whole ray misses the image
             lo, hi = 0.0, max(hi_guess, 1e-8)
-            if sweep.feasible(hi * x):
+            inside = reachable(hi, x)
+            if inside is None:
+                return hi
+            if inside:
                 for _ in range(60):
                     hi *= 2.0
-                    if not sweep.feasible(hi * x):
+                    inside = reachable(hi, x)
+                    if inside is None:
+                        return hi
+                    if not inside:
                         lo = hi / 2.0
                         break
                 else:
@@ -260,7 +276,10 @@ class ConeMap:
                 if hi - lo <= 1e-9 * max(hi, 1e-6):
                     break
                 mid = 0.5 * (lo + hi)
-                if sweep.feasible(mid * x):
+                inside = reachable(mid, x)
+                if inside is None:
+                    return mid
+                if inside:
                     lo = mid
                 else:
                     hi = mid
@@ -269,7 +288,7 @@ class ConeMap:
         running = math.inf
         argmin_dir = None
         for x in dirs:
-            if math.isfinite(running) and sweep.feasible(running * x):
+            if math.isfinite(running) and reachable(running, x):
                 continue  # critical scale of x exceeds the running minimum
             running = critical(x, running if math.isfinite(running) else 1.0)
             argmin_dir = x

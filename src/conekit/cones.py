@@ -210,9 +210,7 @@ def contains(cone: Cone, x: np.ndarray, tol: float = 1e-9) -> bool:
     if isinstance(cone, (Product, DirectSumL1)):
         return all(contains(p, x[a:b], tol) for a, b, p in _blocks(cone))
     if isinstance(cone, Generators):
-        from .solver import nonneg_lstsq
-
-        lam, resid = nonneg_lstsq(cone.columns, x)
+        lam, resid = projops.nonneg_lstsq(cone.columns, x)
         return resid <= tol * max(1.0, float(np.linalg.norm(x)))
     raise TypeError(f"unknown cone variant {type(cone).__name__}")
 
@@ -249,9 +247,7 @@ def project_l2(cone: Cone, z: np.ndarray) -> np.ndarray:
         res = projops.dykstra(projs, z, violation, tol=1e-12)
         return res.point
     if isinstance(cone, Generators):
-        from .solver import nonneg_lstsq
-
-        lam, _ = nonneg_lstsq(cone.columns, z)
+        lam, _ = projops.nonneg_lstsq(cone.columns, z)
         return cone.columns @ lam
     raise TypeError(f"unknown cone variant {type(cone).__name__}")
 

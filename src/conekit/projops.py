@@ -1,9 +1,11 @@
 """Closed-form Euclidean projectors and Dykstra's alternating scheme.
 
-These are the primitives behind every non-polyhedral solve in the package:
-projection onto an intersection of simple closed convex sets is computed by
+Projection onto an intersection of simple closed convex sets is computed by
 Dykstra's algorithm, which converges to the exact projection (not merely a
-feasible point) whenever the intersection is nonempty.
+feasible point) whenever the intersection is nonempty.  Curved solves run
+on the conic driver (``conic.py``); Dykstra remains the fast yes of curved
+feasibility tests, the level-set test of the max-of-blocks bisection, and
+the projection onto halfspace cones.
 """
 from __future__ import annotations
 
@@ -20,6 +22,7 @@ __all__ = [
     "project_halfspace",
     "affine_projector",
     "project_group_l1_ball",
+    "nonneg_lstsq",
     "dykstra",
     "DykstraResult",
 ]
@@ -111,6 +114,46 @@ def project_group_l1_ball(blocks: Sequence, radius: float) -> Projector:
         return out
 
     return proj
+
+
+def nonneg_lstsq(A: np.ndarray, b: np.ndarray, tol: float = 1e-11, maxiter: int | None = None):
+    """min |A lam - b|_2 over lam >= 0 (Lawson-Hanson), the projection onto a
+    finitely generated cone.  Returns (lam, residual norm)."""
+    A = np.atleast_2d(np.asarray(A, dtype=float))
+    b = np.asarray(b, dtype=float)
+    m, n = A.shape
+    if maxiter is None:
+        maxiter = 6 * n + 60
+    scale = max(1.0, float(np.linalg.norm(b)))
+    passive: list[int] = []
+    lam = np.zeros(n)
+    resid = b.copy()
+    for _ in range(maxiter):
+        w = A.T @ resid
+        candidates = [j for j in range(n) if j not in passive and w[j] > tol * scale]
+        if not candidates:
+            break
+        passive.append(max(candidates, key=lambda j: (w[j], -j)))
+        while True:
+            Ap = A[:, passive]
+            sol, *_ = np.linalg.lstsq(Ap, b, rcond=None)
+            if np.all(sol >= -tol):
+                lam = np.zeros(n)
+                lam[passive] = np.maximum(sol, 0.0)
+                break
+            cur = lam[passive]
+            denom = cur - sol
+            with np.errstate(divide="ignore", invalid="ignore"):
+                ratios = np.where(sol < -tol, cur / np.where(denom != 0, denom, 1e-300), np.inf)
+            alpha = float(np.min(ratios))
+            newvals = cur - alpha * (cur - sol)
+            lam = np.zeros(n)
+            lam[passive] = np.maximum(newvals, 0.0)
+            passive = [j for j in passive if lam[j] > tol]
+            if not passive:
+                break
+        resid = b - A @ lam
+    return lam, float(np.linalg.norm(b - A @ lam))
 
 
 @dataclass

@@ -109,7 +109,9 @@ class CorrespondenceSpec:
     each target rescales the caps and starts phase 1 warm.  On polyhedral
     cones the projection onto F(x) first solves the polyhedral relaxation
     (curved caps dropped) with the active-set QP; the slack usually leaves
-    the caps loose, and Dykstra runs only when a cap binds.
+    the caps loose, and the conic driver runs only when a cap binds, with
+    the squared distance as one rotated second-order cone.  An empty F(x)
+    is reported only with a certificate checked on the conic data.
     """
 
     map: ConeMap
@@ -173,9 +175,10 @@ class RightInverse:
     Each call projects through the slice template compiled once by the map
     (plain) or the spec (constrained), starting phase 1 warm.  A constrained
     call on a polyhedral cone solves the polyhedral relaxation first and
-    returns its exact point when every curved cap holds there; Dykstra runs
-    only when a cap binds.  An undecided solve raises ArithmeticError, an
-    empty F(x) its subclass EmptyCorrespondence.
+    returns its exact point when every curved cap holds there; the conic
+    driver runs only when a cap binds, and on second-order cones always.
+    An undecided solve raises ArithmeticError, an empty F(x) its subclass
+    EmptyCorrespondence.
     """
 
     map: ConeMap
@@ -215,8 +218,9 @@ def gamma_constrained(cmap: ConeMap,
     Constants straight from achievable_alpha need slack > 0 to keep the
     correspondence nonempty off the attaining directions.  That slack
     usually keeps the caps loose at the minimal preimage; each call then
-    costs one warm QP on the polyhedral relaxation, and Dykstra runs only
-    on targets where a cap binds.
+    costs one warm QP on the polyhedral relaxation, and a target where a
+    cap binds costs one interior-point solve of the conic program the spec
+    compiles once.
     """
     return RightInverse(cmap, CorrespondenceSpec(cmap, constraints, slack))
 

@@ -11,12 +11,13 @@ Everything in this package eventually reduces to
 at desk scale (dimensions well below a few hundred).  The kernel is
 self-contained on purpose: a dense simplex (``simplex.py``) handles the
 polyhedral paths and produces Farkas-type infeasibility certificates, an
-active-set method handles Euclidean objectives, and the non-polyhedral cases
-(second-order cones, Euclidean norm balls, sums and maxima of block norms)
-are refined on top of those cores with Dykstra projections, iteratively
-reweighted least squares, and a Newton polish on the identified face.
-
-Interior-point methods and sparse large-scale work are out of scope.
+active-set method (with iteratively reweighted least squares for sums of
+Euclidean blocks) handles Euclidean objectives on polyhedral data, and every
+curved program (second-order cones, Euclidean and group norm balls, caps
+with no orthonormal rows) is encoded once as a conic program over LP x SOC
+cones and solved by the interior-point method of ``conic.py``.  Dykstra
+projections remain as a fast yes for curved feasibility and inside the
+max-of-blocks bisection.
 """
 from __future__ import annotations
 
@@ -29,6 +30,7 @@ import numpy as np
 from . import cones as _cones
 from . import projops
 from .norms import BlockNorm, NormTag
+from .projops import nonneg_lstsq
 from .simplex import DEFAULT_TOL, LinearProgram, SolveStatus, Tolerances
 
 __all__ = [
@@ -56,25 +58,31 @@ __all__ = [
 class Certificate:
     """Separating functional for an infeasible slice.
 
-    For a polyhedral cone the certificate is exact Farkas evidence:
-    ``<y, x> > 0`` while ``T^T y`` lies in the dual cone of ``-C``, so no
-    ``c in C`` can satisfy ``T c = x``.  Non-polyhedral domains get a
-    residual-based approximate certificate, flagged as such.
+    Farkas evidence: ``<y, x> > 0`` while ``T^T y`` lies in the dual cone
+    of ``-C``, so no ``c in C`` can satisfy ``T c = x``.  Polyhedral cones
+    get it from a separation LP, curved ones from the conic driver's
+    certificate; either way it has passed ``certificate_is_valid``.
     """
 
     y: np.ndarray
-    kind: str = "exact"  # "exact" | "approximate"
+    kind: str = "exact"  # every certificate returned here has been checked
     note: str = ""
 
 
 @dataclass
 class Solution:
+    """One solve.  ``driver`` names the method that produced the answer
+    ("simplex", "active-set", "irls", "conic", "bisection", or "zero" for
+    the trivial point), and ``iterations`` counts its pivots, active-set
+    iterations or interior-point iterations."""
+
     status: SolveStatus
     point: np.ndarray | None = None
     value: float | None = None
     residuals: dict = field(default_factory=dict)
     certificate: Certificate | None = None
     iterations: int = 0
+    driver: str = ""
 
 
 @dataclass(frozen=True, eq=False)
@@ -127,49 +135,6 @@ class MinNormProblem:
         bounds = tuple((np.asarray(a, dtype=float), float(b)) for a, b in self.extra_bounds)
         object.__setattr__(self, "extra_bounds", bounds)
         object.__setattr__(self, "balls", tuple(self.balls))
-
-
-# ---------------------------------------------------------------------------
-# nonnegative least squares (Lawson-Hanson), used for generator cones
-
-
-def nonneg_lstsq(A: np.ndarray, b: np.ndarray, tol: float = 1e-11, maxiter: int | None = None):
-    """min |A lam - b|_2 over lam >= 0.  Returns (lam, residual norm)."""
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    b = np.asarray(b, dtype=float)
-    m, n = A.shape
-    if maxiter is None:
-        maxiter = 6 * n + 60
-    scale = max(1.0, float(np.linalg.norm(b)))
-    passive: list[int] = []
-    lam = np.zeros(n)
-    resid = b.copy()
-    for _ in range(maxiter):
-        w = A.T @ resid
-        candidates = [j for j in range(n) if j not in passive and w[j] > tol * scale]
-        if not candidates:
-            break
-        passive.append(max(candidates, key=lambda j: (w[j], -j)))
-        while True:
-            Ap = A[:, passive]
-            sol, *_ = np.linalg.lstsq(Ap, b, rcond=None)
-            if np.all(sol >= -tol):
-                lam = np.zeros(n)
-                lam[passive] = np.maximum(sol, 0.0)
-                break
-            cur = lam[passive]
-            denom = cur - sol
-            with np.errstate(divide="ignore", invalid="ignore"):
-                ratios = np.where(sol < -tol, cur / np.where(denom != 0, denom, 1e-300), np.inf)
-            alpha = float(np.min(ratios))
-            newvals = cur - alpha * (cur - sol)
-            lam = np.zeros(n)
-            lam[passive] = np.maximum(newvals, 0.0)
-            passive = [j for j in passive if lam[j] > tol]
-            if not passive:
-                break
-        resid = b - A @ lam
-    return lam, float(np.linalg.norm(b - A @ lam))
 
 
 # ---------------------------------------------------------------------------
@@ -281,9 +246,9 @@ class _Canon:
     Ambient point c = S z (plus zero columns for auxiliary variables).
     Linear part: eq rows, <= rows.  Curved part: second-order index blocks,
     Euclidean balls |R z| <= r with orthonormal-row R, and group balls
-    sum_b |z[idx_b]| <= r.  ``exotic`` flags ball constraints that none of
-    the exact paths can represent; those fall to the projected-gradient
-    driver.
+    sum_b |z[idx_b]| <= r.  ``exotic`` holds the other curved caps (rows
+    that are not orthonormal, mixed block tags); Dykstra has no projector
+    for them, and the conic encoding takes them as they are.
     """
 
     S: np.ndarray
@@ -295,7 +260,7 @@ class _Canon:
     l2balls: list  # (R with orthonormal rows, radius)
     groupballs: list  # (list of index arrays, radius)
     obj_blocks: list  # (E over z, tag)
-    exotic: list  # BallConstraint objects without an exact encoding
+    exotic: list  # BallConstraint objects without a Dykstra projector
 
     @property
     def n(self) -> int:
@@ -304,11 +269,6 @@ class _Canon:
     @property
     def polyhedral(self) -> bool:
         return not self.soc_idx and not self.l2balls and not self.groupballs and not self.exotic
-
-    @property
-    def orthogonal_S(self) -> bool:
-        StS = self.S.T @ self.S
-        return bool(np.allclose(StS, np.eye(self.n), atol=1e-11))
 
     def at(self, x: np.ndarray, scale: float = 1.0) -> "_Canon":
         """This canon at target x, every bound right-hand side and radius times
@@ -563,6 +523,110 @@ def _canon_projectors(canon: _Canon, extra_balls=()):
     for idxs, r in canon.groupballs:
         projs.append(projops.project_group_l1_ball(idxs, r))
     return projs
+
+
+# ---------------------------------------------------------------------------
+# conic encoding of curved canons
+
+
+class _ConicForm:
+    """One canon as a ``conic.ConeProgram`` over z and epigraph variables, built once.
+
+    Equality rows are the canon's.  Nonnegative rows: its <= rows, then the
+    l1 and linf epigraph rows.  Second-order blocks: the cone's index
+    blocks; each curved cap |E z| <= r, flat Euclidean caps directly as
+    (r, E z) (no orthonormal rows needed), group and exotic caps as block
+    epigraphs summed under one <= row; each l2 objective block as (t, E z).
+
+    ``objective`` is "norm" (the sum of the canon's obj_blocks), "center"
+    (half the squared distance of S z to a point given per solve, as one
+    rotated cone (t + rho/2, t - rho/2, S z - point), which stays away from
+    the apex when the distance is 0), a cost vector over z, or None for a
+    feasibility program.  Every nonzero right-hand side is a target entry,
+    a bound or a radius, so a solve at (x, scale) rebuilds only b and h.
+    """
+
+    def __init__(self, canon: _Canon, objective="norm"):
+        # imported on the first curved program: compiling the interior-point
+        # code is a real share of a cold import, and polyhedral work never needs it
+        from . import conic
+
+        self.n = n = canon.n
+        self._aux = 0
+        # rows: (z coefficients, {aux variable: coefficient}, rhs at unit scale)
+        self._lp = [(row, {}, rhs) for row, rhs in zip(canon.in_A, canon.in_b)]
+        eye = np.eye(n)
+        self._socs = [[(-eye[j], {}, 0.0) for j in idx] for idx in canon.soc_idx]
+        for R, r in canon.l2balls:
+            self._cap(R, BlockNorm.flat(R.shape[0], NormTag.L2), r)
+        for idxs, r in canon.groupballs:
+            stops = np.cumsum([len(i) for i in idxs]).tolist()
+            blocks = tuple((a, b, NormTag.L2) for a, b in zip([0] + stops[:-1], stops))
+            self._cap(eye[np.concatenate(idxs)], BlockNorm(blocks), r)
+        for ball in canon.exotic:
+            self._cap(ball.matrix @ canon.S, ball._block_norm(), ball.bound)
+        # norm values and feasibility verdicts need no sharper point than TOL gives
+        self._target, cost, epi = conic.TOL, np.zeros(n), []
+        if isinstance(objective, np.ndarray):
+            self._target, cost = conic.TARGET, objective
+        elif objective == "norm":
+            epi = [t for E, tag in canon.obj_blocks for t in self._epigraph(E, tag)]
+        elif objective == "center":
+            self._target, epi = conic.TARGET, [self._new()]
+            self._center = len(self._lp) + sum(map(len, self._socs))
+            self._socs.append([(np.zeros(n), {epi[0]: -1.0}, 0.0)] * 2
+                              + [(-row, {}, 0.0) for row in canon.S])
+        rows = self._lp + [row for blk in self._socs for row in blk]
+        G = np.zeros((len(rows), n + self._aux))
+        for i, (zrow, coefs, _) in enumerate(rows):
+            G[i, :n] = zrow
+            G[i, list(coefs)] = list(coefs.values())
+        self.h = np.array([rhs for *_, rhs in rows])
+        c = np.zeros(n + self._aux)
+        c[:n], c[epi] = cost, 1.0
+        A = np.hstack([canon.eq_A, np.zeros((canon.eq_A.shape[0], self._aux))])
+        self.program = conic.ConeProgram(c, G, len(self._lp), [len(b) for b in self._socs], A)
+
+    def _new(self) -> int:
+        self._aux += 1
+        return self.n + self._aux - 1
+
+    def _epigraph(self, E, tag: NormTag) -> list:
+        """Auxiliary variables whose sum bounds |E z|_tag from above."""
+        zero = np.zeros(self.n)
+        if tag is NormTag.L2:
+            t = self._new()
+            self._socs.append([(zero, {t: -1.0}, 0.0)] + [(-row, {}, 0.0) for row in E])
+            return [t]
+        rows = [row for row in E if np.any(row)]
+        if tag is NormTag.L1:
+            out = ties = [self._new() for _ in rows]
+        else:
+            out = [self._new()] if rows else []
+            ties = out * len(rows)
+        for row, t in zip(rows, ties):
+            self._lp += [(row, {t: -1.0}, 0.0), (-row, {t: -1.0}, 0.0)]
+        return out
+
+    def _cap(self, E, norm: BlockNorm, radius: float):
+        """Rows for norm(E z) <= radius."""
+        if norm.is_flat and norm.blocks[0][2] is NormTag.L2:
+            self._socs.append([(np.zeros(self.n), {}, radius)] + [(-row, {}, 0.0) for row in E])
+            return
+        aux = [t for a, b, tag in norm.blocks for t in self._epigraph(E[a:b], tag)]
+        self._lp.append((np.zeros(self.n), dict.fromkeys(aux, 1.0), radius))
+
+    def solve(self, x, scale: float = 1.0, center=None):
+        """(status, z, iterations, result) at target x with bounds and radii times scale."""
+        h = self.h * scale
+        if center is not None:
+            k = self._center
+            rho = max(float(np.linalg.norm(x)), float(np.linalg.norm(center))) or 1.0
+            h[k], h[k + 1] = 0.5 * rho, -0.5 * rho
+            h[k + 2:k + 2 + center.shape[0]] = -center
+        res = self.program.solve(x, h, target=self._target)
+        z = res.x[:self.n] if res.status is SolveStatus.OPTIMAL else None
+        return res.status, z, res.iterations, res
 
 
 # ---------------------------------------------------------------------------
@@ -879,68 +943,6 @@ def _maxblock_driver(canon: _Canon, tol: Tolerances):
     return SolveStatus.OPTIMAL, zbest, its
 
 
-def _projected_gradient_driver(canon: _Canon, center: np.ndarray | None, tol: Tolerances):
-    """Smoothed projected-gradient fallback for combinations with no exact
-    path.  Slow; only exotic instances land here.  The final point must
-    satisfy every constraint to 1e-6, or the slice is reported infeasible."""
-    n = canon.n
-    ex_pairs = [(b.matrix @ canon.S[:, : canon.n], b) for b in canon.exotic]
-
-    def viol(zz):
-        v = _canon_violation(canon, zz)
-        for E, ball in ex_pairs:
-            v = max(v, ball._block_norm().of(E @ zz) - ball.bound)
-        return v
-
-    projs = _canon_projectors(canon)
-
-    def project(zz):
-        # exotic balls enter through repeated shrink steps of their own
-        out = projops.dykstra(projs, zz, lambda v: _canon_violation(canon, v), tol=1e-10).point
-        for E, ball in ex_pairs:
-            w = E @ out
-            val = ball._block_norm().of(w)
-            if val > ball.bound and val > 0:
-                out = out - E.T @ np.linalg.lstsq(E @ E.T, w, rcond=None)[0] * (1.0 - ball.bound / val)
-        return out
-
-    z = project(np.zeros(n))
-    mu = 1e-2
-
-    def grad(zz):
-        g = np.zeros(n)
-        for E, tag in canon.obj_blocks:
-            r = E @ zz
-            if center is not None:
-                r = r - center
-            if tag is NormTag.L2:
-                g += E.T @ (r / math.sqrt(float(r @ r) + mu * mu))
-            elif tag is NormTag.L1:
-                g += E.T @ (r / np.sqrt(r * r + mu * mu))
-            else:
-                m = float(np.max(np.abs(r), initial=0.0))
-                w = np.exp((np.abs(r) - m) / max(mu, 1e-12))
-                w /= max(w.sum(), 1e-300)
-                g += E.T @ (np.sign(r) * w)
-        return g
-
-    L_est = sum(float(np.linalg.norm(E, 2)) ** 2 for E, _ in canon.obj_blocks) or 1.0
-    steps = 0
-    for _ in range(6):
-        step = mu / L_est
-        for _ in range(500):
-            z_new = project(z - step * grad(z))
-            steps += 1
-            if np.linalg.norm(z_new - z) <= 1e-12:
-                z = z_new
-                break
-            z = z_new
-        mu *= 0.1
-    if viol(z) > 1e-6:
-        return SolveStatus.INFEASIBLE, None, steps
-    return SolveStatus.OPTIMAL, z, steps
-
-
 # ---------------------------------------------------------------------------
 # public entry points
 
@@ -962,41 +964,31 @@ def _zero_point_admissible(problem: MinNormProblem) -> bool:
     return all(b >= 0.0 for _, b in problem.extra_bounds)
 
 
-def _finish(problem: MinNormProblem, status: SolveStatus, c: np.ndarray, its: int,
-            value: float | None = None) -> Solution:
-    if value is None:
-        value = problem.objective.of(c)
-    return Solution(status, c, float(value), _residuals(problem, c), iterations=its)
+def _zero_solution(problem: MinNormProblem) -> Solution:
+    c = np.zeros(problem.cone.ambient_dim)
+    return Solution(SolveStatus.OPTIMAL, c, 0.0, _residuals(problem, c), driver="zero")
 
 
 def _solve_canon(canon: _Canon, tol: Tolerances, lexicographic: bool,
                  phase1: _Phase1 | None = None):
     """Dispatch one canonical problem to the right driver.
 
-    Returns (status, z, iterations); the objective is whatever canon's
-    obj_blocks say, which need not be a norm of the full ambient point.
-    ``phase1`` warm-starts the Euclidean drivers on polyhedral data.
+    Returns (status, z, iterations, driver); the objective is whatever
+    canon's obj_blocks say, which need not be a norm of the full ambient
+    point.  ``phase1`` warm-starts the Euclidean drivers on polyhedral data;
+    curved canons go to the conic driver.
     """
     tags = {tag for _, tag in canon.obj_blocks}
-    single_l2 = len(canon.obj_blocks) == 1 and tags == {NormTag.L2}
-
-    if canon.polyhedral:
-        if NormTag.L2 not in tags:
-            st, z, _, its = _lp_driver(canon, tol, lexicographic)
-            return st, z, its
-        if single_l2:
-            H = _euclidean_hessian(canon.obj_blocks[0][0])
-            return _qp_driver(canon, H, np.zeros(canon.n), tol, phase1)
-        return _irls_driver(canon, tol, phase1)
-
-    if not canon.exotic and single_l2:
-        E = canon.obj_blocks[0][0]
-        if canon.orthogonal_S and np.array_equal(E, canon.S):
-            # min |S z| = min |z| for orthonormal S: a single projection
-            res = _dykstra_project(canon, np.zeros(canon.n))
-            st = _dykstra_status(res)
-            return st, res.point if st is SolveStatus.OPTIMAL else None, res.iterations
-    return _projected_gradient_driver(canon, None, tol)
+    if not canon.polyhedral:
+        st, z, its, _ = _ConicForm(canon).solve(canon.eq_b)
+        return st, z, its, "conic"
+    if NormTag.L2 not in tags:
+        st, z, _, its = _lp_driver(canon, tol, lexicographic)
+        return st, z, its, "simplex"
+    if len(canon.obj_blocks) == 1:
+        H = _euclidean_hessian(canon.obj_blocks[0][0])
+        return (*_qp_driver(canon, H, np.zeros(canon.n), tol, phase1), "active-set")
+    return (*_irls_driver(canon, tol, phase1), "irls")
 
 
 def _canon_objective_value(canon: _Canon, z: np.ndarray) -> float:
@@ -1005,13 +997,16 @@ def _canon_objective_value(canon: _Canon, z: np.ndarray) -> float:
 
 def _solution_from_canon(problem: MinNormProblem, canon: _Canon, tol: Tolerances,
                          lexicographic: bool, phase1: _Phase1 | None = None) -> Solution:
-    st, z, its = _solve_canon(canon, tol, lexicographic, phase1)
+    st, z, its, driver = _solve_canon(canon, tol, lexicographic, phase1)
     if st is SolveStatus.INFEASIBLE:
-        return _infeasible_solution(problem, tol)
-    if st is not SolveStatus.OPTIMAL:
-        return Solution(st, iterations=its)
-    c = canon.S @ z
-    return _finish(problem, st, c, its, value=_canon_objective_value(canon, z))
+        sol = _infeasible_solution(problem, tol)
+    elif st is not SolveStatus.OPTIMAL:
+        sol = Solution(st)
+    else:
+        c = canon.S @ z
+        sol = Solution(st, c, _canon_objective_value(canon, z), _residuals(problem, c))
+    sol.iterations, sol.driver = its, driver
+    return sol
 
 
 def solve_min_norm(
@@ -1028,8 +1023,7 @@ def solve_min_norm(
     ``lexicographic=False`` when only the value matters).
     """
     if _zero_point_admissible(problem):
-        c = np.zeros(problem.cone.ambient_dim)
-        return Solution(SolveStatus.OPTIMAL, c, 0.0, _residuals(problem, c))
+        return _zero_solution(problem)
     canon = _canonicalize(problem)
     return _solution_from_canon(problem, canon, tol, lexicographic)
 
@@ -1056,9 +1050,7 @@ def solve_min_gauge(
     objective = BlockNorm.flat(cone.ambient_dim, NormTag.L2)  # placeholder for residual checks
     problem = MinNormProblem(map, target, cone, objective, tuple(extra_bounds), tuple(balls))
     if _zero_point_admissible(problem):
-        c = np.zeros(cone.ambient_dim)
-        sol = Solution(SolveStatus.OPTIMAL, c, 0.0, _residuals(problem, c))
-        return sol
+        return _zero_solution(problem)
     canon = _canonicalize(problem)
     canon.obj_blocks = [(R @ canon.S, tag)]
     return _solution_from_canon(problem, canon, tol, lexicographic)
@@ -1078,60 +1070,33 @@ def solve_min_linear(
 
     The value can be negative.  The feasible set must be bounded in the
     -cost direction (a norm ball does it); an unbounded objective raises.
-    Polyhedral instances solve exactly; Euclidean balls go through proximal
-    projections, accurate to roughly the Dykstra tolerance.
+    Polyhedral instances solve exactly with the simplex; curved ones with
+    the conic driver, to its residual and gap tolerance.
     """
     cost = np.asarray(cost, dtype=float)
     objective = BlockNorm.flat(cone.ambient_dim, NormTag.L2)  # placeholder, not minimized
     problem = MinNormProblem(map, target, cone, objective, tuple(extra_bounds), tuple(balls))
     canon = _canonicalize(problem)
     w = canon.S.T @ cost
-
     if canon.polyhedral:
-        lp = LinearProgram()
-        lp.add_vars(canon.n, nonneg=False, obj=w)
-        for i in range(canon.eq_A.shape[0]):
-            lp.add_row(canon.eq_A[i], "=", canon.eq_b[i])
-        for i in range(canon.in_A.shape[0]):
-            lp.add_row(canon.in_A[i], "<=", canon.in_b[i])
+        lp = _Phase1(canon).lp
+        lp.set_objective(dict(enumerate(w.tolist())))
         st, z, _, its = lp.solve(tol)
-        if st is SolveStatus.UNBOUNDED:
-            raise ArithmeticError("linear objective unbounded below; add a norm cap")
-        if st is SolveStatus.INFEASIBLE:
-            return _infeasible_solution(problem, tol)
-        if st is not SolveStatus.OPTIMAL:
-            return Solution(st, iterations=its)
-        c = canon.S @ z
-        return Solution(SolveStatus.OPTIMAL, c, float(cost @ c), _residuals(problem, c),
-                        iterations=its)
-
-    if canon.exotic or not canon.orthogonal_S:
-        raise ValueError("linear objectives support polyhedral constraints and "
-                         "orthogonal ball structure only")
-    res = _dykstra_project(canon, np.zeros(canon.n))
-    st = _dykstra_status(res)
+        driver = "simplex"
+    else:
+        st, z, its, _ = _ConicForm(canon, w).solve(canon.eq_b)
+        driver = "conic"
+    if st is SolveStatus.UNBOUNDED:
+        raise ArithmeticError("linear objective unbounded below; add a norm cap")
     if st is SolveStatus.INFEASIBLE:
-        return _infeasible_solution(problem, tol)
-    if st is not SolveStatus.OPTIMAL:
-        return Solution(st, iterations=res.iterations)
-    z = res.point
-    if float(np.linalg.norm(w)) == 0.0:
+        sol = _infeasible_solution(problem, tol)
+    elif st is not SolveStatus.OPTIMAL:
+        sol = Solution(st)
+    else:
         c = canon.S @ z
-        return Solution(SolveStatus.OPTIMAL, c, 0.0, _residuals(problem, c),
-                        iterations=res.iterations)
-    # proximal steps z <- P(z - lam w); for growing lam the projections slide
-    # down the objective and settle on the minimizing face
-    scale = (1.0 + float(np.linalg.norm(z))) / float(np.linalg.norm(w))
-    its = res.iterations
-    for lam in scale * 10.0 ** np.arange(0, 11):
-        step = _dykstra_project(canon, z - lam * w)
-        if not step.converged:
-            break
-        z = step.point
-        its += step.iterations
-    c = canon.S @ z
-    return Solution(SolveStatus.OPTIMAL, c, float(cost @ c), _residuals(problem, c),
-                    iterations=its)
+        sol = Solution(SolveStatus.OPTIMAL, c, float(cost @ c), _residuals(problem, c))
+    sol.iterations, sol.driver = its, driver
+    return sol
 
 
 def solve_max_block_norm(problem: MinNormProblem, tol: Tolerances = DEFAULT_TOL) -> Solution:
@@ -1141,8 +1106,7 @@ def solve_max_block_norm(problem: MinNormProblem, tol: Tolerances = DEFAULT_TOL)
     through bisection on the level set.  Mixing the two is not supported.
     """
     if _zero_point_admissible(problem):
-        c = np.zeros(problem.cone.ambient_dim)
-        return Solution(SolveStatus.OPTIMAL, c, 0.0, _residuals(problem, c))
+        return _zero_solution(problem)
     canon = _canonicalize(problem)
     tags = {tag for _, tag in canon.obj_blocks}
     if NormTag.L2 in tags and len(tags) > 1:
@@ -1151,13 +1115,16 @@ def solve_max_block_norm(problem: MinNormProblem, tol: Tolerances = DEFAULT_TOL)
         if not canon.polyhedral:
             raise ValueError("polyhedral max-of-blocks objective needs polyhedral constraints")
         st, z, its = _maxblock_lp(canon, tol)
+        driver = "simplex"
     else:
         st, z, its = _maxblock_driver(canon, tol)
+        driver = "bisection"
     if st is not SolveStatus.OPTIMAL:
         return _infeasible_solution(problem, tol) if st is SolveStatus.INFEASIBLE else Solution(st)
     c = canon.S @ z
     value = max(tag.of(E @ z) for E, tag in canon.obj_blocks)
-    return Solution(SolveStatus.OPTIMAL, c, float(value), _residuals(problem, c), iterations=its)
+    return Solution(SolveStatus.OPTIMAL, c, float(value), _residuals(problem, c), iterations=its,
+                    driver=driver)
 
 
 class _SliceTemplate:
@@ -1170,9 +1137,11 @@ class _SliceTemplate:
     each call first projects onto the polyhedral relaxation (equality and
     <= rows, curved caps dropped) with the active-set QP from a warm
     phase-1 vertex.  A point inside every cap is the exact projection and
-    an empty relaxation means an empty slice; only when a cap binds (or the
-    QP is undecided) does the call run Dykstra or the projected-gradient
-    fallback from the original point.  Second-order cones skip the screen.
+    an empty relaxation means an empty slice.  Only when a cap binds (or the
+    QP is undecided) does the call go to the conic driver, whose program
+    (the squared distance as one rotated cone) is also built once, on first
+    need.  Second-order cones skip the screen and always take the conic
+    driver.
     """
 
     def __init__(self, map, cone: _cones.Cone, extra_bounds=(), balls=()):
@@ -1185,6 +1154,10 @@ class _SliceTemplate:
             self._H = _euclidean_hessian(self.canon.S)
             self._phase1 = _Phase1(self.canon)
 
+    @cached_property
+    def _conic(self) -> _ConicForm:
+        return _ConicForm(self.canon, "center")
+
     def _problem_at(self, x: np.ndarray, scale: float) -> MinNormProblem:
         p = self.problem
         return replace(p, target=x, extra_bounds=tuple((a, b * scale) for a, b in p.extra_bounds),
@@ -1194,28 +1167,29 @@ class _SliceTemplate:
         """Projection of ``point`` onto the slice at target x; value is the distance."""
         problem = self._problem_at(x, scale)
         point = np.asarray(point, dtype=float)
-        canon = self.canon.at(problem.target, scale)
-        st, its = None, 0
-        if not canon.soc_idx:
+        st, its, driver = None, 0, "active-set"
+        if not self.canon.soc_idx:
+            canon = self.canon.at(problem.target, scale)
             g = -2.0 * (canon.S.T @ point)
             st, z, its = _qp_driver(canon, self._H, g, tol, self._phase1)
             if not (canon.polyhedral or st is SolveStatus.INFEASIBLE
                     or (st is SolveStatus.OPTIMAL and _caps_hold(canon, z))):
                 st = None
         if st is None:
-            if not canon.exotic and canon.orthogonal_S:
-                res = _dykstra_project(canon, canon.S.T @ point)
-                st, z, more = _dykstra_status(res), res.point, res.iterations
-            else:
-                st, z, more = _projected_gradient_driver(canon, point, tol)
+            if not np.any(point) and _zero_point_admissible(problem):
+                return _zero_solution(problem)  # an apex, where interior points converge slowly
+            st, z, more, _ = self._conic.solve(problem.target, scale, center=point)
             its += more
+            driver = "conic"
         if st is SolveStatus.INFEASIBLE:
-            return _infeasible_solution(problem, tol)
-        if st is not SolveStatus.OPTIMAL:
-            return Solution(st, iterations=its)
-        c = canon.S @ z
-        return Solution(st, c, float(np.linalg.norm(c - point)), _residuals(problem, c),
-                        iterations=its)
+            sol = _infeasible_solution(problem, tol)
+        elif st is not SolveStatus.OPTIMAL:
+            sol = Solution(st)
+        else:
+            c = self.canon.S @ z
+            sol = Solution(st, c, float(np.linalg.norm(c - point)), _residuals(problem, c))
+        sol.iterations, sol.driver = its, driver
+        return sol
 
 
 def project_onto_slice(
@@ -1255,24 +1229,47 @@ def check_feasible(
     balls=(),
     tol: Tolerances = DEFAULT_TOL,
 ) -> FeasibilityReport:
-    """Is {c in C : T c = x, bounds} nonempty?  Infeasible polyhedral systems
-    come with a verified Farkas-type certificate."""
+    """Is {c in C : T c = x, bounds} nonempty?
+
+    Polyhedral systems are decided by phase 1.  Curved systems take a
+    converged Dykstra run as the fast yes and otherwise the conic driver's
+    feasible point or checked certificate; ArithmeticError when that is
+    undecided too.  An empty slice with no bounds or caps comes with a
+    verified Farkas-type certificate.
+    """
     objective = BlockNorm.flat(cone.ambient_dim, NormTag.L2)
     problem = MinNormProblem(map, target, cone, objective, tuple(extra_bounds), tuple(balls))
     canon = _canonicalize(problem)
     if canon.polyhedral:
-        st, z, its = _feasible_point(canon, tol)
-        if st is SolveStatus.OPTIMAL:
-            return FeasibilityReport(True, point=canon.S @ z)
-        cert = None
-        if not extra_bounds and not balls:
-            cert = farkas_certificate(problem.map, problem.target, cone, tol)
-        return FeasibilityReport(False, certificate=cert)
+        st, z, _ = _feasible_point(canon, tol)
+        feasible, note = st is SolveStatus.OPTIMAL, ""
+    else:
+        feasible, z, note = _curved_feasible(canon)
+    if feasible:
+        return FeasibilityReport(True, point=canon.S @ z, note=note)
+    cert = None
+    if not extra_bounds and not balls:
+        cert = farkas_certificate(problem.map, problem.target, cone, tol)
+    return FeasibilityReport(False, certificate=cert, note=note)
+
+
+def _curved_feasible(canon: _Canon, form: _ConicForm | None = None):
+    """(feasible, z, note) on a curved canon.
+
+    A converged Dykstra run is the fast yes (note "sampled").  Any other
+    run asks the conic driver (``form``, the canon's feasibility program,
+    built here when not given) for a feasible point or a checked
+    certificate; when that is undecided too, ArithmeticError.
+    """
     res = _dykstra_project(canon, np.zeros(canon.n))
     if res.converged:
-        return FeasibilityReport(True, point=canon.S @ res.point, note="sampled")
-    cert = _approximate_certificate(problem.map, problem.target, cone)
-    return FeasibilityReport(False, certificate=cert, note="sampled")
+        return True, res.point, "sampled"
+    st, z, _, _ = (form or _ConicForm(canon, None)).solve(canon.eq_b)
+    if st is SolveStatus.OPTIMAL:
+        return True, z, ""
+    if st is SolveStatus.INFEASIBLE:
+        return False, None, ""
+    raise ArithmeticError(f"feasibility undecided at target {canon.eq_b.tolist()}")
 
 
 class MinNormSweep:
@@ -1288,7 +1285,9 @@ class MinNormSweep:
     a target next to one costs a few dual simplex pivots (see
     ``LinearProgram``); ``feasible`` and the phase-1 starts of Euclidean
     objectives share one ``_Phase1`` LP.  Values agree with a cold solve to
-    rounding.
+    rounding.  On curved templates the objective and the feasibility test
+    are conic programs built once, on first need; a target changes only
+    their right-hand side.
     """
 
     def __init__(self, map, cone, objective: BlockNorm, tol: Tolerances = DEFAULT_TOL,
@@ -1314,6 +1313,15 @@ class MinNormSweep:
         """The LP behind ``feasible`` and the Euclidean drivers' starts, on polyhedral data."""
         return _Phase1(self.canon) if self.canon.polyhedral else None
 
+    @cached_property
+    def _conic(self) -> _ConicForm:
+        """The objective's conic program, on curved data."""
+        return _ConicForm(self.canon)
+
+    @cached_property
+    def _conic_feasibility(self) -> _ConicForm:
+        return _ConicForm(self.canon, None)
+
     def value(self, x: np.ndarray) -> float:
         """Optimal value for target x, or inf when the slice is empty."""
         x = np.asarray(x, dtype=float)
@@ -1327,7 +1335,10 @@ class MinNormSweep:
             if st is not SolveStatus.OPTIMAL:
                 raise ArithmeticError("iteration limit in sweep solve")
             return float(value)
-        st, z, _ = _solve_canon(self.canon.at(x), self.tol, False, self._phase1)
+        if self.canon.polyhedral:
+            st, z, _, _ = _solve_canon(self.canon.at(x), self.tol, False, self._phase1)
+        else:
+            st, z, _, _ = self._conic.solve(x)
         if st is SolveStatus.INFEASIBLE:
             return math.inf
         if st is not SolveStatus.OPTIMAL:
@@ -1338,7 +1349,7 @@ class MinNormSweep:
         x = np.asarray(x, dtype=float)
         if self._phase1 is not None:
             return self._phase1.start(x, self.canon.in_b, self.tol)[0] is SolveStatus.OPTIMAL
-        return _dykstra_project(self.canon.at(x), np.zeros(self.canon.n)).converged
+        return _curved_feasible(self.canon.at(x), self._conic_feasibility)[0]
 
 
 def _set_level(cone: _cones.Cone) -> _cones.Cone:
@@ -1389,14 +1400,22 @@ def farkas_certificate(
 ) -> Certificate | None:
     """Separating y with <y, x> > 0 and T^T y in dual(-C), if one exists.
 
-    Solved as the explicit separation program max <y, x> over that dual cone
-    with a box bound.  Exact for polyhedral cones; second-order domains fall
-    back to an approximate residual certificate since their images need not
-    be closed.
+    Polyhedral cones solve the explicit separation program max <y, x> over
+    that dual cone with a box bound.  Curved cones take the equality
+    multipliers of the conic driver's certificate for the empty slice; their
+    images need not be closed, so a target on the boundary of the closure
+    may have none.
     """
     cone = _set_level(cone)
     if not _cones.is_polyhedral(cone):
-        return _approximate_certificate(map, target, cone)
+        problem = MinNormProblem(map, target, cone, BlockNorm.flat(cone.ambient_dim, NormTag.L2))
+        res = _ConicForm(_canonicalize(problem), None).solve(problem.target)[3]
+        if res.status is not SolveStatus.INFEASIBLE:
+            return None
+        y = -res.y / np.max(np.abs(res.y))
+        if certificate_is_valid(problem.map, problem.target, cone, y, tol):
+            return Certificate(y=y, note="conic")
+        return None
     T = np.atleast_2d(np.asarray(map, dtype=float))
     x = np.asarray(target, dtype=float)
     d = T.shape[0]
@@ -1419,27 +1438,6 @@ def farkas_certificate(
     if certificate_is_valid(T, x, cone, y, tol):
         return Certificate(y=y, kind="exact")
     return None
-
-
-def _approximate_certificate(map, target, cone) -> Certificate | None:
-    """Residual direction of min |T c - x| over the cone, by projected gradient."""
-    T = np.atleast_2d(np.asarray(map, dtype=float))
-    x = np.asarray(target, dtype=float)
-    c = np.zeros(cone.ambient_dim)
-    L = float(np.linalg.norm(T, 2)) ** 2
-    step = 1.0 / max(L, 1e-9)
-    for _ in range(5000):
-        grad = T.T @ (T @ c - x)
-        c_new = _cones.project_l2(cone, c - step * grad)
-        if np.linalg.norm(c_new - c) <= 1e-13:
-            c = c_new
-            break
-        c = c_new
-    r = x - T @ c
-    if np.linalg.norm(r) <= 1e-7 * max(1.0, np.linalg.norm(x)):
-        return None
-    y = r / np.max(np.abs(r))
-    return Certificate(y=y, kind="approximate", note="projected-gradient residual direction")
 
 
 def certificate_is_valid(map, target, cone, y, tol: Tolerances = DEFAULT_TOL) -> bool:

@@ -2,7 +2,8 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from conekit import projops
+from conekit import conic, projops
+from conekit.simplex import SolveStatus
 
 settings.register_profile(
     "suite",
@@ -43,5 +44,24 @@ def undecided_dykstra(monkeypatch):
                                          stalled=stalled)
 
         monkeypatch.setattr(projops, "dykstra", run)
+
+    return install
+
+
+@pytest.fixture
+def undecided_conic(monkeypatch):
+    """undecided_conic(certified): make every conic solve end without an
+    optimal pair, as INFEASIBLE (a certified empty program, with a dummy
+    certificate that callers still check) when certified and as
+    ITERATION_LIMIT otherwise."""
+
+    def install(certified):
+        def run(self, b=None, h=None, **kw):
+            if certified:
+                return conic.ConicResult(SolveStatus.INFEASIBLE, y=np.ones(self.A.shape[0]),
+                                         z=np.zeros(self.m), iterations=60)
+            return conic.ConicResult(SolveStatus.ITERATION_LIMIT, iterations=60)
+
+        monkeypatch.setattr(conic.ConeProgram, "solve", run)
 
     return install

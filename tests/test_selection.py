@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conekit import parse_instance, projops, random_polyhedral_instance, solver
+from conekit import conic, parse_instance, projops, random_polyhedral_instance, solver
 from conekit.conemap import ConeMap
 from conekit.cones import DirectSumL1, Generators, Negation, Orthant, SecondOrder
 from conekit.norms import NormTag
@@ -332,41 +332,58 @@ def test_loose_caps_return_the_relaxed_projection(d, spy):
         assert close(c, np.concatenate(oracles.lattice_parts(x)), 1e-13)
 
 
+def binding_cap(cm):
+    """rho(c) = |p1 - p2| / sqrt(2), with alpha = 0.05.
+
+    rho reaches 0 on every target (raise the smaller of p1, p2), so F(x) is
+    never empty; alpha = 0.05 is just above the achievable constant, and
+    the cap binds wherever (x+, x-) exceeds it.
+    """
+    row = np.zeros((1, cm.domain_dim))
+    row[0, :2] = (1.0, -1.0)
+    return ConstraintFunctional.seminorm(row / math.sqrt(2.0), NormTag.L2), 0.05
+
+
 @pytest.mark.parametrize("d", (2, 3, 5))
 def test_binding_caps_run_dykstra_on_exactly_those_targets(d, spy):
-    # rho(c) = |p1 - p2| / sqrt(2) reaches 0 on every target (raise the
-    # smaller of p1, p2), so alpha = 0.05 is just above the achievable
-    # constant and the cap binds wherever (x+, x-) exceeds it; the norm cap
-    # stays loose because raising p costs at most |x+| on each side
+    # exactly the targets where the cap binds leave the screen for the conic
+    # driver; the norm cap stays loose because raising p costs at most |x+|
+    # on each side.  Dykstra, where it converges, is the reference
     cm = lattice(d)
-    row = np.zeros((1, 2 * d))
-    row[0, :2] = (1.0, -1.0)
-    rho = ConstraintFunctional.seminorm(row / math.sqrt(2.0), NormTag.L2)
-    spec = CorrespondenceSpec(cm, ((rho, 0.05), norm_cap(cm, 3.5)), slack=0.01)
+    rho, alpha = binding_cap(cm)
+    spec = CorrespondenceSpec(cm, ((rho, alpha), norm_cap(cm, 3.5)), slack=0.01)
     ri = RightInverse(cm, spec)
     runs = []
-    spy(projops, "dykstra", runs)
+    spy(conic.ConeProgram, "solve", runs)
     binding = 0
     for x in np.random.default_rng(20 + d).standard_normal((100, d)):
         binds = rho.value(np.concatenate(oracles.lattice_parts(x))) > 0.06 * np.linalg.norm(x)
         binding += binds
         before = len(runs)
-        try:
-            c = ri(x)
-        except EmptyCorrespondence:
-            c = None
+        c = ri(x)
         assert len(runs) - before == binds, x
-        canon, ref = dykstra_reference(spec, x)
         if not binds:
-            assert c is not None and close(c, np.concatenate(oracles.lattice_parts(x)), 1e-13)
+            assert close(c, np.concatenate(oracles.lattice_parts(x)), 1e-13)
             continue
-        # the template returns Dykstra's verdict: F(x) is never empty here, but
-        # Dykstra's stall test can end a slow plateau with an empty verdict
-        assert (c is None) == (not ref.converged), x
-        if c is not None:
+        assert spec.member(x, c)
+        canon, ref = dykstra_reference(spec, x)
+        if ref.converged:
             assert close(c, canon.S @ ref.point, 1e-9), (x, c)
-            assert spec.member(x, c)
     assert 0 < binding < 100
+
+
+@pytest.mark.parametrize("d", (2, 3, 5))
+def test_binding_caps_get_the_right_verdict(d):
+    # F(x) is nonempty at every target; Dykstra's stall test once read slow
+    # plateaus here as empty (3, 1 and 5 targets at d = 2, 3, 5), and the
+    # conic driver returns a member of F(x) on each
+    cm = lattice(d)
+    spec = CorrespondenceSpec(cm, (binding_cap(cm),), slack=0.01)
+    ri = RightInverse(cm, spec)
+    for x in np.random.default_rng(d).standard_normal((100, d)):
+        c = ri(x)
+        assert close(cm.matrix @ c, x), (x, c)
+        assert spec.member(x, c), (x, c)
 
 
 @pytest.mark.parametrize("d", (2, 3, 5))
@@ -387,22 +404,23 @@ def test_empty_relaxation_raises_without_dykstra(d, spy):
 
 def test_loose_exotic_cap_skips_projected_gradient(spy):
     # |2 p|_2 has no orthonormal encoding and lands among the exotic balls;
-    # Dykstra on the canon leaves exotic balls out, so it is the relaxation
+    # Dykstra on the canon leaves exotic balls out, so it is the relaxation.
+    # The cap never binds, so the conic driver never runs
     cm = lattice(3)
     rho = ConstraintFunctional.seminorm(2.0 * np.hstack([np.eye(3), np.zeros((3, 3))]),
                                         NormTag.L2)
     spec = CorrespondenceSpec(cm, ((rho, 2.0),), slack=0.01)
     assert len(spec._template.canon.exotic) == 1
     ri = RightInverse(cm, spec)
-    drivers = []
-    spy(solver, "_projected_gradient_driver", drivers)
+    runs = []
+    spy(conic.ConeProgram, "solve", runs)
     for x in np.random.default_rng(40).standard_normal((100, 3)):
         c = ri(x)
         canon, ref = dykstra_reference(spec, x)
         assert ref.converged
         assert close(c, canon.S @ ref.point, 1e-9), (x, c)
         assert spec.member(x, c)
-    assert drivers == []
+    assert runs == []
 
 
 def test_second_order_templates_skip_the_screen(spy):
@@ -415,17 +433,22 @@ def test_second_order_templates_skip_the_screen(spy):
     assert not hasattr(ri.map._slice, "_phase1")
 
 
-def test_dykstra_at_maxiter_is_not_an_empty_correspondence(undecided_dykstra):
+def test_dykstra_at_maxiter_is_not_an_empty_correspondence(undecided_conic):
+    # a second-order template and a binding cap both end in the conic
+    # driver; an undecided solve raises ArithmeticError, and only a
+    # certified empty program raises EmptyCorrespondence
     ice = ConeMap(np.hstack([np.eye(2), np.eye(2)]),
                   DirectSumL1((SecondOrder(2), Negation(SecondOrder(2)))), codomain_norm=NormTag.L2)
     cm = lattice(2)
-    row = np.array([[1.0, -1.0, 0.0, 0.0]]) / math.sqrt(2.0)
-    spec = CorrespondenceSpec(cm, ((ConstraintFunctional.seminorm(row), 0.05),), slack=0.01)
+    spec = CorrespondenceSpec(cm, (binding_cap(cm),), slack=0.01)
     x = np.array([1.0, 0.2])  # the cap binds at (x+, x-)
-    for stalled, verdict in ((False, SolveStatus.ITERATION_LIMIT), (True, SolveStatus.INFEASIBLE)):
-        undecided_dykstra(stalled)
+    for certified, verdict in ((False, SolveStatus.ITERATION_LIMIT),
+                               (True, SolveStatus.INFEASIBLE)):
+        undecided_conic(certified)
         for ri in (gamma(ice), RightInverse(cm, spec)):
-            assert ri.solve(x).status is verdict
+            sol = ri.solve(x)
+            assert sol.status is verdict
+            assert sol.driver == "conic"
             with pytest.raises(ArithmeticError) as exc:
                 ri(x)
-            assert isinstance(exc.value, EmptyCorrespondence) == stalled
+            assert isinstance(exc.value, EmptyCorrespondence) == certified

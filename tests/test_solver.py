@@ -4,7 +4,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conekit import parse_instance, random_polyhedral_instance, simplex, solver
+from conekit import conic, parse_instance, random_polyhedral_instance, simplex, solver
 from conekit.cones import DirectSumL1, Generators, Negation, Orthant, SecondOrder
 from conekit.norms import BlockNorm, NormTag
 from conekit.solver import (BallConstraint, LinearProgram, MinNormProblem, MinNormSweep,
@@ -157,24 +157,25 @@ def test_second_order_slice():
     assert solve_min_norm(out).status is SolveStatus.INFEASIBLE
 
 
-@pytest.mark.parametrize("stalled,verdict", [(False, SolveStatus.ITERATION_LIMIT),
-                                             (True, SolveStatus.INFEASIBLE)])
-def test_dykstra_verdicts_are_honest(stalled, verdict, undecided_dykstra):
-    # min |c|_2 over a second-order slice is one Dykstra projection; a run
-    # that reaches maxiter is undecided, and only a stall reads as infeasible
-    undecided_dykstra(stalled)
+@pytest.mark.parametrize("certified,verdict", [(False, SolveStatus.ITERATION_LIMIT),
+                                               (True, SolveStatus.INFEASIBLE)])
+def test_dykstra_verdicts_are_honest(certified, verdict, undecided_conic):
+    # min |c|_2 over a second-order slice is one conic solve; an undecided
+    # run stays undecided, and only a certified one reads as infeasible
+    undecided_conic(certified)
     p = MinNormProblem(np.eye(3), np.array([2.0, 1.0, -0.5]), SecondOrder(3),
                        BlockNorm.flat(3, NormTag.L2))
     sol = solve_min_norm(p)
     assert sol.status is verdict
     assert sol.point is None
+    assert sol.driver == "conic"
 
 
-@pytest.mark.parametrize("stalled,verdict", [(False, SolveStatus.ITERATION_LIMIT),
-                                             (True, SolveStatus.INFEASIBLE)])
-def test_min_linear_start_verdicts_are_honest(stalled, verdict, undecided_dykstra):
-    # an l2 cap makes the slice curved, so the starting point is a Dykstra run
-    undecided_dykstra(stalled)
+@pytest.mark.parametrize("certified,verdict", [(False, SolveStatus.ITERATION_LIMIT),
+                                               (True, SolveStatus.INFEASIBLE)])
+def test_min_linear_start_verdicts_are_honest(certified, verdict, undecided_conic):
+    # an l2 cap makes the slice curved, so the linear objective is a conic solve
+    undecided_conic(certified)
     ball = BallConstraint(np.eye(4), NormTag.L2, 5.0)
     sol = solve_min_linear(SUMMING, np.array([1.0, -2.0]), LATTICE,
                            np.array([1.0, 1.0, 0.0, 0.0]), balls=(ball,))
@@ -194,6 +195,79 @@ def test_max_block_start_verdicts_are_honest(stalled, verdict, undecided_dykstra
     sol = solve_max_block_norm(p)
     assert sol.status is verdict
     assert sol.point is None
+
+
+# -- curved feasibility ----------------------------------------------------------
+#
+# A converged Dykstra run is the fast yes; any other run asks the conic driver
+# for a feasible point or a checked certificate.
+
+ICE_INSIDE, ICE_OUTSIDE = np.array([2.0, 1.0, -0.5]), np.array([1.0, 2.0, 0.0])
+UNIT_CAP = BallConstraint(np.eye(3), NormTag.L2, 3.0)
+
+
+def curved_feasibility(x, **kw):
+    """(sweep verdict, check_feasible report) on SecondOrder(3) under the identity."""
+    sweep = MinNormSweep(np.eye(3), SecondOrder(3), BlockNorm.flat(3, NormTag.L2), **kw)
+    return sweep.feasible(x), check_feasible(np.eye(3), x, SecondOrder(3), **kw)
+
+
+def test_curved_feasibility_fast_yes_runs_no_conic_solve(spy):
+    runs = []
+    spy(conic.ConeProgram, "solve", runs)
+    for kw in ({}, {"balls": (UNIT_CAP,)}):
+        fast, rep = curved_feasibility(ICE_INSIDE, **kw)
+        assert fast and rep.feasible
+        np.testing.assert_allclose(rep.point, ICE_INSIDE, atol=1e-9)
+    assert runs == []
+
+
+@pytest.mark.parametrize("stalled", (False, True))
+def test_curved_feasibility_asks_the_conic_driver(stalled, undecided_dykstra, spy):
+    # neither a stall nor a run to maxiter is a verdict of its own
+    undecided_dykstra(stalled)
+    runs = []
+    spy(conic.ConeProgram, "solve", runs)
+    small_cap = BallConstraint(np.eye(3), NormTag.L2, 1.0)  # |ICE_INSIDE| > 1
+    cases = ((ICE_INSIDE, {}, True), (ICE_OUTSIDE, {}, False),
+             (ICE_INSIDE, {"balls": (UNIT_CAP,)}, True),
+             (ICE_INSIDE, {"balls": (small_cap,)}, False))
+    for x, kw, want in cases:
+        del runs[:]
+        fast, rep = curved_feasibility(x, **kw)
+        assert fast is want and rep.feasible is want, (x, kw)
+        status = SolveStatus.OPTIMAL if want else SolveStatus.INFEASIBLE
+        assert len(runs) >= 2 and all(r.status is status for r in runs), (x, kw)
+        if want:
+            np.testing.assert_allclose(rep.point, x, atol=1e-8)
+        elif not kw:  # an empty slice with no caps has a Farkas certificate
+            assert certificate_is_valid(np.eye(3), x, SecondOrder(3), rep.certificate.y)
+
+
+@pytest.mark.parametrize("stalled", (False, True))
+def test_curved_feasibility_undecided_raises(stalled, undecided_dykstra, undecided_conic):
+    undecided_dykstra(stalled)
+    undecided_conic(False)
+    for x in (ICE_INSIDE, ICE_OUTSIDE):
+        with pytest.raises(ArithmeticError):
+            MinNormSweep(np.eye(3), SecondOrder(3), BlockNorm.flat(3, NormTag.L2)).feasible(x)
+        with pytest.raises(ArithmeticError):
+            check_feasible(np.eye(3), x, SecondOrder(3))
+
+
+def test_solutions_name_their_driver():
+    two_l2 = lattice_problem([3.0, -4.0])
+    one_l2 = MinNormProblem(np.array([[1.0, 1.0]]), np.array([2.0]), Orthant(2),
+                            BlockNorm.flat(2, NormTag.L2))
+    ice = MinNormProblem(np.eye(3), np.array([2.0, 1.0, -0.5]), SecondOrder(3),
+                         BlockNorm.flat(3, NormTag.L2))
+    assert solve_min_norm(lattice_problem([3.0, -4.0], NormTag.L1)).driver == "simplex"
+    assert solve_min_norm(one_l2).driver == "active-set"
+    assert solve_min_norm(two_l2).driver == "irls"
+    assert solve_min_norm(lattice_problem([0.0, 0.0])).driver == "zero"
+    assert solve_max_block_norm(two_l2).driver == "bisection"
+    sol = solve_min_norm(ice)
+    assert sol.driver == "conic" and 0 < sol.iterations <= 60
 
 
 # -- gauge, linear, and max-block objectives --------------------------------
