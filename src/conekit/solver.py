@@ -72,8 +72,9 @@ class Certificate:
 @dataclass
 class Solution:
     """One solve.  ``driver`` names the method that produced the answer
-    ("simplex", "active-set", "irls", "conic", "bisection", or "zero" for
-    the trivial point), and ``iterations`` counts its pivots, active-set
+    ("simplex", "active-set", "irls", "conic", "bisection", or "trivial"
+    for an answer known without a solve: the zero point, or a point that is
+    its own projection), and ``iterations`` counts its pivots, active-set
     iterations or interior-point iterations."""
 
     status: SolveStatus
@@ -947,9 +948,11 @@ def _maxblock_driver(canon: _Canon, tol: Tolerances):
 # public entry points
 
 
-def _residuals(problem: MinNormProblem, c: np.ndarray) -> dict:
+def _residuals(problem: MinNormProblem, c: np.ndarray, cone_tol: float | None = None) -> dict:
     eq = float(np.max(np.abs(problem.map @ c - problem.target), initial=0.0))
-    cone_ok = _cones.contains(problem.cone, c, tol=1e-7 * max(1.0, float(np.linalg.norm(c))))
+    if cone_tol is None:
+        cone_tol = 1e-7 * max(1.0, float(np.linalg.norm(c)))
+    cone_ok = _cones.contains(problem.cone, c, tol=cone_tol)
     bounds = 0.0
     for a, b in problem.extra_bounds:
         bounds = max(bounds, float(a @ c - b))
@@ -958,15 +961,33 @@ def _residuals(problem: MinNormProblem, c: np.ndarray) -> dict:
     return {"eq": eq, "cone": 0.0 if cone_ok else 1.0, "bounds": max(bounds, 0.0)}
 
 
-def _zero_point_admissible(problem: MinNormProblem) -> bool:
-    if np.any(problem.target != 0.0):
-        return False
-    return all(b >= 0.0 for _, b in problem.extra_bounds)
+def _trivial_solution(problem: MinNormProblem, c: np.ndarray | None = None) -> Solution | None:
+    """c (the zero point by default) as the answer at value 0, when it meets
+    every constraint to rounding: the zero point of a min-norm problem at
+    target 0, or a point that is its own projection."""
+    if c is None:
+        if np.any(problem.target):
+            return None
+        c = np.zeros(problem.cone.ambient_dim)
+    tol = 1e-12 * max(float(np.linalg.norm(c)), float(np.linalg.norm(problem.target)))
+    strict = _residuals(problem, c, cone_tol=tol)
+    if strict["cone"] or max(strict["eq"], strict["bounds"]) > tol:
+        return None
+    return Solution(SolveStatus.OPTIMAL, c.copy(), 0.0, _residuals(problem, c), driver="trivial")
 
 
-def _zero_solution(problem: MinNormProblem) -> Solution:
-    c = np.zeros(problem.cone.ambient_dim)
-    return Solution(SolveStatus.OPTIMAL, c, 0.0, _residuals(problem, c), driver="zero")
+def _conclude(problem: MinNormProblem, tol: Tolerances, st: SolveStatus, its: int, driver: str,
+              answer) -> Solution:
+    """The Solution for a driver's verdict; ``answer()`` gives (point, value) when OPTIMAL."""
+    if st is SolveStatus.INFEASIBLE:
+        sol = _infeasible_solution(problem, tol)
+    elif st is SolveStatus.OPTIMAL:
+        c, value = answer()
+        sol = Solution(st, c, float(value), _residuals(problem, c))
+    else:
+        sol = Solution(st)
+    sol.iterations, sol.driver = its, driver
+    return sol
 
 
 def _solve_canon(canon: _Canon, tol: Tolerances, lexicographic: bool,
@@ -998,15 +1019,8 @@ def _canon_objective_value(canon: _Canon, z: np.ndarray) -> float:
 def _solution_from_canon(problem: MinNormProblem, canon: _Canon, tol: Tolerances,
                          lexicographic: bool, phase1: _Phase1 | None = None) -> Solution:
     st, z, its, driver = _solve_canon(canon, tol, lexicographic, phase1)
-    if st is SolveStatus.INFEASIBLE:
-        sol = _infeasible_solution(problem, tol)
-    elif st is not SolveStatus.OPTIMAL:
-        sol = Solution(st)
-    else:
-        c = canon.S @ z
-        sol = Solution(st, c, _canon_objective_value(canon, z), _residuals(problem, c))
-    sol.iterations, sol.driver = its, driver
-    return sol
+    return _conclude(problem, tol, st, its, driver,
+                     lambda: (canon.S @ z, _canon_objective_value(canon, z)))
 
 
 def solve_min_norm(
@@ -1022,8 +1036,8 @@ def solve_min_norm(
     returned point is the lexicographically smallest optimum (disable with
     ``lexicographic=False`` when only the value matters).
     """
-    if _zero_point_admissible(problem):
-        return _zero_solution(problem)
+    if (sol := _trivial_solution(problem)) is not None:
+        return sol
     canon = _canonicalize(problem)
     return _solution_from_canon(problem, canon, tol, lexicographic)
 
@@ -1049,8 +1063,8 @@ def solve_min_gauge(
     R = np.atleast_2d(np.asarray(R, dtype=float))
     objective = BlockNorm.flat(cone.ambient_dim, NormTag.L2)  # placeholder for residual checks
     problem = MinNormProblem(map, target, cone, objective, tuple(extra_bounds), tuple(balls))
-    if _zero_point_admissible(problem):
-        return _zero_solution(problem)
+    if (sol := _trivial_solution(problem)) is not None:
+        return sol
     canon = _canonicalize(problem)
     canon.obj_blocks = [(R @ canon.S, tag)]
     return _solution_from_canon(problem, canon, tol, lexicographic)
@@ -1088,15 +1102,7 @@ def solve_min_linear(
         driver = "conic"
     if st is SolveStatus.UNBOUNDED:
         raise ArithmeticError("linear objective unbounded below; add a norm cap")
-    if st is SolveStatus.INFEASIBLE:
-        sol = _infeasible_solution(problem, tol)
-    elif st is not SolveStatus.OPTIMAL:
-        sol = Solution(st)
-    else:
-        c = canon.S @ z
-        sol = Solution(SolveStatus.OPTIMAL, c, float(cost @ c), _residuals(problem, c))
-    sol.iterations, sol.driver = its, driver
-    return sol
+    return _conclude(problem, tol, st, its, driver, lambda: (canon.S @ z, cost @ (canon.S @ z)))
 
 
 def solve_max_block_norm(problem: MinNormProblem, tol: Tolerances = DEFAULT_TOL) -> Solution:
@@ -1105,8 +1111,8 @@ def solve_max_block_norm(problem: MinNormProblem, tol: Tolerances = DEFAULT_TOL)
     Polyhedral block tags become a single epigraph LP; Euclidean blocks go
     through bisection on the level set.  Mixing the two is not supported.
     """
-    if _zero_point_admissible(problem):
-        return _zero_solution(problem)
+    if (sol := _trivial_solution(problem)) is not None:
+        return sol
     canon = _canonicalize(problem)
     tags = {tag for _, tag in canon.obj_blocks}
     if NormTag.L2 in tags and len(tags) > 1:
@@ -1119,12 +1125,8 @@ def solve_max_block_norm(problem: MinNormProblem, tol: Tolerances = DEFAULT_TOL)
     else:
         st, z, its = _maxblock_driver(canon, tol)
         driver = "bisection"
-    if st is not SolveStatus.OPTIMAL:
-        return _infeasible_solution(problem, tol) if st is SolveStatus.INFEASIBLE else Solution(st)
-    c = canon.S @ z
-    value = max(tag.of(E @ z) for E, tag in canon.obj_blocks)
-    return Solution(SolveStatus.OPTIMAL, c, float(value), _residuals(problem, c), iterations=its,
-                    driver=driver)
+    return _conclude(problem, tol, st, its, driver,
+                     lambda: (canon.S @ z, max(tag.of(E @ z) for E, tag in canon.obj_blocks)))
 
 
 class _SliceTemplate:
@@ -1141,7 +1143,7 @@ class _SliceTemplate:
     QP is undecided) does the call go to the conic driver, whose program
     (the squared distance as one rotated cone) is also built once, on first
     need.  Second-order cones skip the screen and always take the conic
-    driver.
+    driver, unless the point already lies in the slice.
     """
 
     def __init__(self, map, cone: _cones.Cone, extra_bounds=(), balls=()):
@@ -1158,14 +1160,12 @@ class _SliceTemplate:
     def _conic(self) -> _ConicForm:
         return _ConicForm(self.canon, "center")
 
-    def _problem_at(self, x: np.ndarray, scale: float) -> MinNormProblem:
-        p = self.problem
-        return replace(p, target=x, extra_bounds=tuple((a, b * scale) for a, b in p.extra_bounds),
-                       balls=tuple(replace(b, bound=b.bound * scale) for b in p.balls))
-
     def project(self, x, point, scale: float = 1.0, tol: Tolerances = DEFAULT_TOL) -> Solution:
         """Projection of ``point`` onto the slice at target x; value is the distance."""
-        problem = self._problem_at(x, scale)
+        p = self.problem
+        problem = replace(p, target=x,
+                          extra_bounds=tuple((a, b * scale) for a, b in p.extra_bounds),
+                          balls=tuple(replace(b, bound=b.bound * scale) for b in p.balls))
         point = np.asarray(point, dtype=float)
         st, its, driver = None, 0, "active-set"
         if not self.canon.soc_idx:
@@ -1175,21 +1175,15 @@ class _SliceTemplate:
             if not (canon.polyhedral or st is SolveStatus.INFEASIBLE
                     or (st is SolveStatus.OPTIMAL and _caps_hold(canon, z))):
                 st = None
+        if st is None and (sol := _trivial_solution(problem, point)) is not None:
+            return sol  # interior points converge slowly to a zero distance
         if st is None:
-            if not np.any(point) and _zero_point_admissible(problem):
-                return _zero_solution(problem)  # an apex, where interior points converge slowly
             st, z, more, _ = self._conic.solve(problem.target, scale, center=point)
             its += more
             driver = "conic"
-        if st is SolveStatus.INFEASIBLE:
-            sol = _infeasible_solution(problem, tol)
-        elif st is not SolveStatus.OPTIMAL:
-            sol = Solution(st)
-        else:
-            c = self.canon.S @ z
-            sol = Solution(st, c, float(np.linalg.norm(c - point)), _residuals(problem, c))
-        sol.iterations, sol.driver = its, driver
-        return sol
+        S = self.canon.S
+        return _conclude(problem, tol, st, its, driver,
+                         lambda: (S @ z, np.linalg.norm(S @ z - point)))
 
 
 def project_onto_slice(
@@ -1242,34 +1236,34 @@ def check_feasible(
     canon = _canonicalize(problem)
     if canon.polyhedral:
         st, z, _ = _feasible_point(canon, tol)
-        feasible, note = st is SolveStatus.OPTIMAL, ""
+        feasible = st is SolveStatus.OPTIMAL
     else:
-        feasible, z, note = _curved_feasible(canon)
+        feasible, z = _curved_feasible(canon)
     if feasible:
-        return FeasibilityReport(True, point=canon.S @ z, note=note)
+        return FeasibilityReport(True, point=canon.S @ z)
     cert = None
     if not extra_bounds and not balls:
         cert = farkas_certificate(problem.map, problem.target, cone, tol)
-    return FeasibilityReport(False, certificate=cert, note=note)
+    return FeasibilityReport(False, certificate=cert)
 
 
 def _curved_feasible(canon: _Canon, form: _ConicForm | None = None):
-    """(feasible, z, note) on a curved canon.
+    """(feasible, z) on a curved canon.
 
-    A converged Dykstra run is the fast yes (note "sampled").  Any other
-    run asks the conic driver (``form``, the canon's feasibility program,
-    built here when not given) for a feasible point or a checked
-    certificate; when that is undecided too, ArithmeticError.
+    A converged Dykstra run is the fast yes.  Any other run asks the conic
+    driver (``form``, the canon's feasibility program, built here when not
+    given) for a feasible point or a checked certificate; when that is
+    undecided too, ArithmeticError.
     """
     res = _dykstra_project(canon, np.zeros(canon.n))
     if res.converged:
-        return True, res.point, "sampled"
+        return True, res.point
     st, z, _, _ = (form or _ConicForm(canon, None)).solve(canon.eq_b)
-    if st is SolveStatus.OPTIMAL:
-        return True, z, ""
     if st is SolveStatus.INFEASIBLE:
-        return False, None, ""
-    raise ArithmeticError(f"feasibility undecided at target {canon.eq_b.tolist()}")
+        return False, None
+    if st is not SolveStatus.OPTIMAL:
+        raise ArithmeticError(f"feasibility undecided at target {canon.eq_b.tolist()}")
+    return True, z
 
 
 class MinNormSweep:
@@ -1325,7 +1319,7 @@ class MinNormSweep:
     def value(self, x: np.ndarray) -> float:
         """Optimal value for target x, or inf when the slice is empty."""
         x = np.asarray(x, dtype=float)
-        if not np.any(x) and _zero_point_admissible(self.problem):
+        if not np.any(x) and _trivial_solution(self.problem) is not None:
             return 0.0
         if self._mode == "lp":
             override = {rid: float(x[i]) for i, rid in enumerate(self._eq_ids)}

@@ -220,6 +220,18 @@ def test_zero_target():
         np.testing.assert_allclose(sol.point, np.concatenate([p, -p]), atol=1e-6)
 
 
+def test_points_in_the_slice_are_their_own_projection():
+    cm = ice_cream(NormTag.L2)
+    ri = gamma(cm)
+    for x in TARGETS[:10]:
+        c = ri(x)
+        sol = ri.map._slice.project(x, c)
+        assert sol.driver == "trivial" and sol.value == 0.0
+        np.testing.assert_array_equal(sol.point, c)
+        moved = ri.map._slice.project(x, c + 0.1)
+        assert moved.driver == "conic" and moved.value > 0.0
+
+
 def test_duplicate_and_rank_deficient_maps():
     cone = SecondOrder(3)
     T = np.array([[1.0, 0.0, 0.0], [0.0, 1.0, 0.0], [1.0, 0.0, 0.0], [2.0, 2.0, 0.0]])

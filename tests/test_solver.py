@@ -264,7 +264,7 @@ def test_solutions_name_their_driver():
     assert solve_min_norm(lattice_problem([3.0, -4.0], NormTag.L1)).driver == "simplex"
     assert solve_min_norm(one_l2).driver == "active-set"
     assert solve_min_norm(two_l2).driver == "irls"
-    assert solve_min_norm(lattice_problem([0.0, 0.0])).driver == "zero"
+    assert solve_min_norm(lattice_problem([0.0, 0.0])).driver == "trivial"
     assert solve_max_block_norm(two_l2).driver == "bisection"
     sol = solve_min_norm(ice)
     assert sol.driver == "conic" and 0 < sol.iterations <= 60
