@@ -1,8 +1,9 @@
-"""Sweep decomposition constants for the planar lattice cone.
+"""Sweep decomposition constants for the lattice cone (planar by default).
 
-Prints one row per codomain norm and kind, next to the closed-form value
-where one is known.  Useful as a quick sanity run after solver changes: the
-exit code is 1 when a constant misses its closed form by more than 1e-6.
+Prints one row per codomain norm and kind, next to its closed-form value,
+which is the same in every dimension d >= 2.  Useful as a quick sanity run
+after solver changes: the exit code is 1 when a constant misses its closed
+form by more than 1e-6.
 """
 
 import argparse
@@ -39,7 +40,7 @@ def main() -> int:
             t0 = time.perf_counter()
             value = conormality_constant(space, kind)
             dt = time.perf_counter() - t0
-            ref = CLOSED_FORM.get((tag, kind)) if args.dim == 2 else None
+            ref = CLOSED_FORM.get((tag, kind))
             ref_s = f"{ref:.6f}" if ref is not None else "-"
             print(f"{tag.value:6s} {kind.value:6s} {value:14.10f} {ref_s:>10s} {dt:7.2f}s")
             if ref is not None and not abs(value - ref) <= 1e-6:

@@ -4,8 +4,7 @@ Projection onto an intersection of simple closed convex sets is computed by
 Dykstra's algorithm, which converges to the exact projection (not merely a
 feasible point) whenever the intersection is nonempty.  Curved solves run
 on the conic driver (``conic.py``); Dykstra remains the fast yes of curved
-feasibility tests, the level-set test of the max-of-blocks bisection, and
-the projection onto halfspace cones.
+feasibility tests and the projection onto halfspace cones.
 """
 from __future__ import annotations
 
@@ -162,7 +161,6 @@ class DykstraResult:
     iterations: int
     max_violation: float
     converged: bool
-    stalled: bool = False  # stopped moving while still infeasible
 
 
 def dykstra(
@@ -177,10 +175,9 @@ def dykstra(
     Converges to the projection of z0 onto the intersection when it is
     nonempty.  ``violation`` measures distance-like infeasibility of an
     iterate against all sets; iteration stops once both the iterate movement
-    and the violation are below tol.  On an empty intersection the movement
-    stalls while the violation stays bounded away from zero; the result is
-    then flagged ``stalled``, which callers use as an infeasibility verdict.
-    A run that reaches maxiter without either is undecided.
+    and the violation are below tol.  A run whose movement stalls while the
+    violation stays above tol stops early, unconverged, as does one that
+    reaches maxiter: neither says the intersection is empty.
     """
     m = len(projectors)
     z = np.asarray(z0, dtype=float).copy()
@@ -198,6 +195,5 @@ def dykstra(
             if v <= 10 * tol:
                 return DykstraResult(z, it, v, True)
             if move <= tol * 1e-3:
-                # stalled while infeasible
-                return DykstraResult(z, it, v, False, stalled=True)
+                return DykstraResult(z, it, v, False)
     return DykstraResult(z, it, violation(z), violation(z) <= 10 * tol)

@@ -11,13 +11,12 @@ Everything in this package eventually reduces to
 at desk scale (dimensions well below a few hundred).  The kernel is
 self-contained on purpose: a dense simplex (``simplex.py``) handles the
 polyhedral paths and produces Farkas-type infeasibility certificates, an
-active-set method (with iteratively reweighted least squares for sums of
-Euclidean blocks) handles Euclidean objectives on polyhedral data, and every
-curved program (second-order cones, Euclidean and group norm balls, caps
-with no orthonormal rows) is encoded once as a conic program over LP x SOC
-cones and solved by the interior-point method of ``conic.py``.  Dykstra
-projections remain as a fast yes for curved feasibility and inside the
-max-of-blocks bisection.
+active-set method handles a single Euclidean objective on polyhedral data,
+and everything else (sums and maxima of blocks with a Euclidean one,
+second-order cones, Euclidean and group norm balls, caps with no orthonormal
+rows) is encoded once as a conic program over LP x SOC cones and solved by
+the interior-point method of ``conic.py``.  Dykstra projections remain as
+the fast yes of curved feasibility.
 """
 from __future__ import annotations
 
@@ -72,10 +71,10 @@ class Certificate:
 @dataclass
 class Solution:
     """One solve.  ``driver`` names the method that produced the answer
-    ("simplex", "active-set", "irls", "conic", "bisection", or "trivial"
-    for an answer known without a solve: the zero point, or a point that is
-    its own projection), and ``iterations`` counts its pivots, active-set
-    iterations or interior-point iterations."""
+    ("simplex", "active-set", "conic", or "trivial" for an answer known
+    without a solve: the zero point, or a point that is its own projection),
+    and ``iterations`` counts its pivots, active-set iterations or
+    interior-point iterations."""
 
     status: SolveStatus
     point: np.ndarray | None = None
@@ -496,7 +495,7 @@ def _feasible_point(canon: _Canon, tol: Tolerances, phase1: _Phase1 | None = Non
     return (phase1 or _Phase1(canon)).start(canon.eq_b, canon.in_b, tol)
 
 
-def _canon_projectors(canon: _Canon, extra_balls=()):
+def _canon_projectors(canon: _Canon):
     projs = []
     if canon.eq_A.size:
         projs.append(projops.affine_projector(canon.eq_A, canon.eq_b))
@@ -511,7 +510,7 @@ def _canon_projectors(canon: _Canon, extra_balls=()):
             return out
 
         projs.append(soc_proj)
-    for R, r in list(canon.l2balls) + list(extra_balls):
+    for R, r in canon.l2balls:
 
         def ball_proj(z, R=R, r=r):
             w = R @ z
@@ -539,7 +538,9 @@ class _ConicForm:
     (r, E z) (no orthonormal rows needed), group and exotic caps as block
     epigraphs summed under one <= row; each l2 objective block as (t, E z).
 
-    ``objective`` is "norm" (the sum of the canon's obj_blocks), "center"
+    ``objective`` is "norm" (the sum of the canon's obj_blocks), "max"
+    (their maximum: one epigraph variable t, each l2 block as (t, E z) and
+    each polyhedral block's epigraph summed under one <= t row), "center"
     (half the squared distance of S z to a point given per solve, as one
     rotated cone (t + rho/2, t - rho/2, S z - point), which stays away from
     the apex when the distance is 0), a cost vector over z, or None for a
@@ -566,12 +567,22 @@ class _ConicForm:
             self._cap(eye[np.concatenate(idxs)], BlockNorm(blocks), r)
         for ball in canon.exotic:
             self._cap(ball.matrix @ canon.S, ball._block_norm(), ball.bound)
-        # norm values and feasibility verdicts need no sharper point than TOL gives
-        self._target, cost, epi = conic.TOL, np.zeros(n), []
+        # on curved data, norm values and feasibility verdicts need no sharper
+        # point than TOL gives; on polyhedral data the objective is the only
+        # curvature, and its values are printed to 12 digits
+        self._target = conic.TARGET if canon.polyhedral else conic.TOL
+        cost, epi = np.zeros(n), []
         if isinstance(objective, np.ndarray):
             self._target, cost = conic.TARGET, objective
         elif objective == "norm":
             epi = [t for E, tag in canon.obj_blocks for t in self._epigraph(E, tag)]
+        elif objective == "max":
+            t = self._new()
+            epi = [t]
+            for E, tag in canon.obj_blocks:
+                aux = self._epigraph(E, tag, t)
+                if tag is not NormTag.L2:
+                    self._lp.append((np.zeros(n), {**dict.fromkeys(aux, 1.0), t: -1.0}, 0.0))
         elif objective == "center":
             self._target, epi = conic.TARGET, [self._new()]
             self._center = len(self._lp) + sum(map(len, self._socs))
@@ -592,11 +603,12 @@ class _ConicForm:
         self._aux += 1
         return self.n + self._aux - 1
 
-    def _epigraph(self, E, tag: NormTag) -> list:
-        """Auxiliary variables whose sum bounds |E z|_tag from above."""
+    def _epigraph(self, E, tag: NormTag, t: int | None = None) -> list:
+        """Auxiliary variables whose sum bounds |E z|_tag from above; an l2
+        block is bounded by the variable t when one is given."""
         zero = np.zeros(self.n)
         if tag is NormTag.L2:
-            t = self._new()
+            t = self._new() if t is None else t
             self._socs.append([(zero, {t: -1.0}, 0.0)] + [(-row, {}, 0.0) for row in E])
             return [t]
         rows = [row for row in E if np.any(row)]
@@ -706,164 +718,9 @@ def _qp_driver(canon: _Canon, H: np.ndarray, g: np.ndarray, tol: Tolerances,
     return st, z, its0 + its
 
 
-def _irls_driver(canon: _Canon, tol: Tolerances, phase1: _Phase1 | None = None):
-    """min sum_b |E_b z|_tag via reweighted QPs plus a Newton face polish.
-
-    The surrogate weights 1/sqrt(|E_b z|^2 + mu^2) majorize the Euclidean
-    block norms; driving mu down recovers the nonsmooth optimum, and the
-    final Newton step on the identified face removes the smoothing bias.
-    Polyhedral blocks inside the sum ride along as exact epigraph rows with
-    a linear cost; the phase-1 vertex of the canon starts them at |E_i z|.
-    """
-    status, z, its0 = _feasible_point(canon, tol, phase1)
-    if status is not SolveStatus.OPTIMAL:
-        return status, None, its0
-    l2_blocks = [E for E, tag in canon.obj_blocks if tag is NormTag.L2]
-    poly_blocks = [(E, tag) for E, tag in canon.obj_blocks if tag is not NormTag.L2]
-    n = canon.n
-    eq_A, eq_b = canon.eq_A, canon.eq_b
-    in_A, in_b = canon.in_A, canon.in_b
-    lin = np.zeros(n)
-    if poly_blocks:
-        rows = []
-        extra = 0
-        for E, tag in poly_blocks:
-            if tag is NormTag.L1:
-                for i in range(E.shape[0]):
-                    rows.append((E[i], extra))
-                    rows.append((-E[i], extra))
-                    extra += 1
-            else:
-                for i in range(E.shape[0]):
-                    rows.append((E[i], extra))
-                    rows.append((-E[i], extra))
-                extra += 1
-        total = n + extra
-        eq_A = np.hstack([eq_A, np.zeros((eq_A.shape[0], extra))]) if eq_A.size else np.zeros((0, total))
-        newin = np.zeros((len(rows), total))
-        for r, (coeff, aux) in enumerate(rows):
-            newin[r, : coeff.shape[0]] = coeff
-            newin[r, n + aux] = -1.0
-        in_A = np.hstack([in_A, np.zeros((in_A.shape[0], extra))]) if in_A.size else np.zeros((0, total))
-        in_A = np.vstack([in_A, newin])
-        in_b = np.concatenate([in_b, np.zeros(len(rows))])
-        lin = np.concatenate([lin, np.ones(extra)])
-        l2_blocks = [np.hstack([E, np.zeros((E.shape[0], extra))]) for E in l2_blocks]
-        n = total
-        aux = [np.abs(E @ z) if tag is NormTag.L1 else [np.max(np.abs(E @ z), initial=0.0)]
-               for E, tag in poly_blocks]
-        z = np.concatenate([z, *aux])
-
-    its = its0
-    scale = max(1.0, float(np.linalg.norm(z)))
-    mu = 0.1 * scale
-    for _ in range(45):
-        H = 1e-11 * np.eye(n)
-        for E in l2_blocks:
-            w = 1.0 / math.sqrt(float(np.sum((E @ z) ** 2)) + mu * mu)
-            H = H + w * (E.T @ E)
-        znew, it_qp, _ = active_set_qp(H, lin, eq_A, eq_b, in_A, in_b, z, tol)
-        its += it_qp
-        move = float(np.linalg.norm(znew - z))
-        z = znew
-        if mu <= 1e-12 * scale and move <= 1e-11 * scale:
-            break
-        mu = max(mu * 0.25, 1e-13 * scale)
-
-    z = _newton_face_polish(z, l2_blocks, lin, eq_A, eq_b, in_A, in_b)
-    return SolveStatus.OPTIMAL, z[: canon.n], its
-
-
-def _newton_face_polish(z, l2_blocks, lin, eq_A, eq_b, in_A, in_b):
-    """Newton refinement of sum-of-norms on the face identified by IRLS."""
-    n = z.shape[0]
-    scale = max(1.0, float(np.linalg.norm(z)))
-    active = [i for i in range(in_A.shape[0]) if in_A[i] @ z >= in_b[i] - 1e-7 * scale]
-    zero_blocks = [E for E in l2_blocks if np.linalg.norm(E @ z) <= 1e-7 * scale]
-    live_blocks = [E for E in l2_blocks if np.linalg.norm(E @ z) > 1e-7 * scale]
-    rows = []
-    rhs = []
-    if eq_A.size:
-        rows.append(eq_A)
-        rhs.append(eq_b)
-    if active:
-        rows.append(in_A[active])
-        rhs.append(in_b[active])
-    for E in zero_blocks:
-        rows.append(E)
-        rhs.append(np.zeros(E.shape[0]))
-    if rows:
-        Aact = np.vstack(rows)
-        bact = np.concatenate(rhs)
-        _, s, vt = np.linalg.svd(Aact, full_matrices=True)
-        rank = int(np.sum(s > 1e-11 * max(1.0, s[0] if s.size else 1.0)))
-        Z = vt[rank:].T
-        z = z - np.linalg.pinv(Aact, rcond=1e-12) @ (Aact @ z - bact)
-    else:
-        Z = np.eye(n)
-    if Z.shape[1] == 0:
-        return z
-
-    def fval(zz):
-        return float(lin @ zz) + sum(float(np.linalg.norm(E @ zz)) for E in live_blocks)
-
-    best = fval(z)
-    for _ in range(60):
-        grad = lin.copy()
-        Hess = np.zeros((n, n))
-        ok = True
-        for E in live_blocks:
-            r = E @ z
-            nr = float(np.linalg.norm(r))
-            if nr <= 1e-13 * scale:
-                ok = False
-                break
-            grad = grad + E.T @ (r / nr)
-            u = E.T @ r
-            Hess = Hess + (E.T @ E) / nr - np.outer(u, u) / nr**3
-        if not ok:
-            break
-        gz = Z.T @ grad
-        if np.linalg.norm(gz) <= 1e-13 * max(1.0, best):
-            break
-        Hz = Z.T @ Hess @ Z + 1e-13 * np.eye(Z.shape[1])
-        try:
-            step = np.linalg.solve(Hz, -gz)
-        except np.linalg.LinAlgError:
-            step, *_ = np.linalg.lstsq(Hz, -gz, rcond=None)
-        t = 1.0
-        improved = False
-        for _ in range(30):
-            zc = z + t * (Z @ step)
-            feas = (not in_A.size) or float(np.max(in_A @ zc - in_b, initial=0.0)) <= 1e-9 * scale
-            if feas and fval(zc) < best - 1e-16:
-                z, best = zc, fval(zc)
-                improved = True
-                break
-            t *= 0.5
-        if not improved:
-            break
-    return z
-
-
-def _dykstra_project(canon: _Canon, center_z: np.ndarray, tol_val: float = 1e-11,
-                     extra_balls=(), maxiter: int = 20000):
-    projs = _canon_projectors(canon, extra_balls)
-
-    def viol(zz):
-        v = _canon_violation(canon, zz)
-        for R, r in extra_balls:
-            v = max(v, float(np.linalg.norm(R @ zz) - r))
-        return v
-
-    return projops.dykstra(projs, center_z, viol, tol=tol_val, maxiter=maxiter)
-
-
-def _dykstra_status(res: projops.DykstraResult) -> SolveStatus:
-    """OPTIMAL when converged, INFEASIBLE only on a stall, else undecided."""
-    if res.converged:
-        return SolveStatus.OPTIMAL
-    return SolveStatus.INFEASIBLE if res.stalled else SolveStatus.ITERATION_LIMIT
+def _dykstra_project(canon: _Canon, center_z: np.ndarray):
+    return projops.dykstra(_canon_projectors(canon), center_z,
+                           lambda zz: _canon_violation(canon, zz))
 
 
 def _caps_hold(canon: _Canon, z: np.ndarray) -> bool:
@@ -913,37 +770,6 @@ def _maxblock_lp(canon: _Canon, tol: Tolerances):
     return status, zfull[: canon.n], its
 
 
-def _maxblock_driver(canon: _Canon, tol: Tolerances):
-    """min max_b |E_b z|_2 by bisection on the level with Dykstra feasibility."""
-    Rs = []
-    for E, tag in canon.obj_blocks:
-        if tag is not NormTag.L2 or not _orthonormal_rows(E):
-            raise ValueError("max-of-blocks driver expects orthonormal Euclidean blocks")
-        Rs.append(E)
-    if canon.polyhedral:
-        status, z0, its = _feasible_point(canon, tol)
-    else:
-        base = _dykstra_project(canon, np.zeros(canon.n))
-        status, z0, its = _dykstra_status(base), base.point, 0
-    if status is not SolveStatus.OPTIMAL:
-        return status, None, its
-    hi = max(float(np.linalg.norm(R @ z0)) for R in Rs)
-    lo = 0.0
-    zbest = z0
-    scale = max(1.0, hi)
-    for _ in range(48):
-        if hi - lo <= 1e-10 * scale:
-            break
-        mid = 0.5 * (lo + hi)
-        res = _dykstra_project(canon, zbest, extra_balls=[(R, mid) for R in Rs], maxiter=4000)
-        if res.converged:
-            hi = mid
-            zbest = res.point
-        else:
-            lo = mid
-    return SolveStatus.OPTIMAL, zbest, its
-
-
 # ---------------------------------------------------------------------------
 # public entry points
 
@@ -977,10 +803,11 @@ def _trivial_solution(problem: MinNormProblem, c: np.ndarray | None = None) -> S
 
 
 def _conclude(problem: MinNormProblem, tol: Tolerances, st: SolveStatus, its: int, driver: str,
-              answer) -> Solution:
-    """The Solution for a driver's verdict; ``answer()`` gives (point, value) when OPTIMAL."""
+              answer, res=None) -> Solution:
+    """The Solution for a driver's verdict; ``answer()`` gives (point, value) when
+    OPTIMAL, and ``res`` is the conic driver's result, if it ran."""
     if st is SolveStatus.INFEASIBLE:
-        sol = _infeasible_solution(problem, tol)
+        sol = _infeasible_solution(problem, tol, res)
     elif st is SolveStatus.OPTIMAL:
         c, value = answer()
         sol = Solution(st, c, float(value), _residuals(problem, c))
@@ -994,22 +821,25 @@ def _solve_canon(canon: _Canon, tol: Tolerances, lexicographic: bool,
                  phase1: _Phase1 | None = None):
     """Dispatch one canonical problem to the right driver.
 
-    Returns (status, z, iterations, driver); the objective is whatever
-    canon's obj_blocks say, which need not be a norm of the full ambient
-    point.  ``phase1`` warm-starts the Euclidean drivers on polyhedral data;
-    curved canons go to the conic driver.
+    Returns (status, z, iterations, driver, conic result or None); the
+    objective is whatever canon's obj_blocks say, which need not be a norm
+    of the full ambient point.  ``phase1`` warm-starts the active-set QP.
     """
-    tags = {tag for _, tag in canon.obj_blocks}
-    if not canon.polyhedral:
-        st, z, its, _ = _ConicForm(canon).solve(canon.eq_b)
-        return st, z, its, "conic"
-    if NormTag.L2 not in tags:
+    if _conic_objective(canon):
+        st, z, its, res = _ConicForm(canon).solve(canon.eq_b)
+        return st, z, its, "conic", res
+    if all(tag is not NormTag.L2 for _, tag in canon.obj_blocks):
         st, z, _, its = _lp_driver(canon, tol, lexicographic)
-        return st, z, its, "simplex"
-    if len(canon.obj_blocks) == 1:
-        H = _euclidean_hessian(canon.obj_blocks[0][0])
-        return (*_qp_driver(canon, H, np.zeros(canon.n), tol, phase1), "active-set")
-    return (*_irls_driver(canon, tol, phase1), "irls")
+        return st, z, its, "simplex", None
+    H = _euclidean_hessian(canon.obj_blocks[0][0])
+    return (*_qp_driver(canon, H, np.zeros(canon.n), tol, phase1), "active-set", None)
+
+
+def _conic_objective(canon: _Canon) -> bool:
+    """Whether the canon's objective runs on the conic driver: on curved data,
+    and on a sum of several blocks one of which is Euclidean."""
+    return not canon.polyhedral or (len(canon.obj_blocks) > 1
+                                    and any(tag is NormTag.L2 for _, tag in canon.obj_blocks))
 
 
 def _canon_objective_value(canon: _Canon, z: np.ndarray) -> float:
@@ -1018,9 +848,9 @@ def _canon_objective_value(canon: _Canon, z: np.ndarray) -> float:
 
 def _solution_from_canon(problem: MinNormProblem, canon: _Canon, tol: Tolerances,
                          lexicographic: bool, phase1: _Phase1 | None = None) -> Solution:
-    st, z, its, driver = _solve_canon(canon, tol, lexicographic, phase1)
+    st, z, its, driver, res = _solve_canon(canon, tol, lexicographic, phase1)
     return _conclude(problem, tol, st, its, driver,
-                     lambda: (canon.S @ z, _canon_objective_value(canon, z)))
+                     lambda: (canon.S @ z, _canon_objective_value(canon, z)), res)
 
 
 def solve_min_norm(
@@ -1096,37 +926,34 @@ def solve_min_linear(
         lp = _Phase1(canon).lp
         lp.set_objective(dict(enumerate(w.tolist())))
         st, z, _, its = lp.solve(tol)
-        driver = "simplex"
+        driver, res = "simplex", None
     else:
-        st, z, its, _ = _ConicForm(canon, w).solve(canon.eq_b)
+        st, z, its, res = _ConicForm(canon, w).solve(canon.eq_b)
         driver = "conic"
     if st is SolveStatus.UNBOUNDED:
         raise ArithmeticError("linear objective unbounded below; add a norm cap")
-    return _conclude(problem, tol, st, its, driver, lambda: (canon.S @ z, cost @ (canon.S @ z)))
+    return _conclude(problem, tol, st, its, driver, lambda: (canon.S @ z, cost @ (canon.S @ z)),
+                     res)
 
 
 def solve_max_block_norm(problem: MinNormProblem, tol: Tolerances = DEFAULT_TOL) -> Solution:
     """Minimize max_b |c_b| over the objective blocks of the problem.
 
-    Polyhedral block tags become a single epigraph LP; Euclidean blocks go
-    through bisection on the level set.  Mixing the two is not supported.
+    Polyhedral block tags on polyhedral data become a single epigraph LP;
+    any other mix of tags and cones is one conic program, with an epigraph
+    variable t bounding every block.
     """
     if (sol := _trivial_solution(problem)) is not None:
         return sol
     canon = _canonicalize(problem)
-    tags = {tag for _, tag in canon.obj_blocks}
-    if NormTag.L2 in tags and len(tags) > 1:
-        raise ValueError("max-of-blocks objective cannot mix Euclidean and polyhedral tags")
-    if NormTag.L2 not in tags:
-        if not canon.polyhedral:
-            raise ValueError("polyhedral max-of-blocks objective needs polyhedral constraints")
+    if canon.polyhedral and all(tag is not NormTag.L2 for _, tag in canon.obj_blocks):
         st, z, its = _maxblock_lp(canon, tol)
-        driver = "simplex"
+        driver, res = "simplex", None
     else:
-        st, z, its = _maxblock_driver(canon, tol)
-        driver = "bisection"
+        st, z, its, res = _ConicForm(canon, "max").solve(canon.eq_b)
+        driver = "conic"
     return _conclude(problem, tol, st, its, driver,
-                     lambda: (canon.S @ z, max(tag.of(E @ z) for E, tag in canon.obj_blocks)))
+                     lambda: (canon.S @ z, max(tag.of(E @ z) for E, tag in canon.obj_blocks)), res)
 
 
 class _SliceTemplate:
@@ -1167,7 +994,7 @@ class _SliceTemplate:
                           extra_bounds=tuple((a, b * scale) for a, b in p.extra_bounds),
                           balls=tuple(replace(b, bound=b.bound * scale) for b in p.balls))
         point = np.asarray(point, dtype=float)
-        st, its, driver = None, 0, "active-set"
+        st, its, driver, res = None, 0, "active-set", None
         if not self.canon.soc_idx:
             canon = self.canon.at(problem.target, scale)
             g = -2.0 * (canon.S.T @ point)
@@ -1178,12 +1005,12 @@ class _SliceTemplate:
         if st is None and (sol := _trivial_solution(problem, point)) is not None:
             return sol  # interior points converge slowly to a zero distance
         if st is None:
-            st, z, more, _ = self._conic.solve(problem.target, scale, center=point)
+            st, z, more, res = self._conic.solve(problem.target, scale, center=point)
             its += more
             driver = "conic"
         S = self.canon.S
         return _conclude(problem, tol, st, its, driver,
-                         lambda: (S @ z, np.linalg.norm(S @ z - point)))
+                         lambda: (S @ z, np.linalg.norm(S @ z - point)), res)
 
 
 def project_onto_slice(
@@ -1280,8 +1107,9 @@ class MinNormSweep:
     ``LinearProgram``); ``feasible`` and the phase-1 starts of Euclidean
     objectives share one ``_Phase1`` LP.  Values agree with a cold solve to
     rounding.  On curved templates the objective and the feasibility test
-    are conic programs built once, on first need; a target changes only
-    their right-hand side.
+    are conic programs built once, on first need, and so is the objective
+    of a sum of blocks with a Euclidean one; a target changes only their
+    right-hand side.
     """
 
     def __init__(self, map, cone, objective: BlockNorm, tol: Tolerances = DEFAULT_TOL,
@@ -1304,12 +1132,12 @@ class MinNormSweep:
 
     @cached_property
     def _phase1(self) -> _Phase1 | None:
-        """The LP behind ``feasible`` and the Euclidean drivers' starts, on polyhedral data."""
+        """The LP behind ``feasible`` and the active-set QP's starts, on polyhedral data."""
         return _Phase1(self.canon) if self.canon.polyhedral else None
 
     @cached_property
     def _conic(self) -> _ConicForm:
-        """The objective's conic program, on curved data."""
+        """The objective's conic program, where ``_conic_objective`` asks for one."""
         return _ConicForm(self.canon)
 
     @cached_property
@@ -1329,10 +1157,10 @@ class MinNormSweep:
             if st is not SolveStatus.OPTIMAL:
                 raise ArithmeticError("iteration limit in sweep solve")
             return float(value)
-        if self.canon.polyhedral:
-            st, z, _, _ = _solve_canon(self.canon.at(x), self.tol, False, self._phase1)
-        else:
+        if _conic_objective(self.canon):
             st, z, _, _ = self._conic.solve(x)
+        else:
+            st, z, *_ = _solve_canon(self.canon.at(x), self.tol, False, self._phase1)
         if st is SolveStatus.INFEASIBLE:
             return math.inf
         if st is not SolveStatus.OPTIMAL:
@@ -1406,10 +1234,7 @@ def farkas_certificate(
         res = _ConicForm(_canonicalize(problem), None).solve(problem.target)[3]
         if res.status is not SolveStatus.INFEASIBLE:
             return None
-        y = -res.y / np.max(np.abs(res.y))
-        if certificate_is_valid(problem.map, problem.target, cone, y, tol):
-            return Certificate(y=y, note="conic")
-        return None
+        return _conic_certificate(problem, res, tol)
     T = np.atleast_2d(np.asarray(map, dtype=float))
     x = np.asarray(target, dtype=float)
     d = T.shape[0]
@@ -1446,8 +1271,22 @@ def certificate_is_valid(map, target, cone, y, tol: Tolerances = DEFAULT_TOL) ->
     return _cones.contains(dual_cone, u, tol=1e-8 * max(1.0, float(np.linalg.norm(u))))
 
 
-def _infeasible_solution(problem: MinNormProblem, tol: Tolerances) -> Solution:
+def _conic_certificate(problem: MinNormProblem, res, tol: Tolerances) -> Certificate | None:
+    """The Farkas certificate in the equality multipliers of the conic driver's
+    INFEASIBLE result ``res`` on the problem's slice, when it passes
+    ``certificate_is_valid``."""
+    y = -res.y / np.max(np.abs(res.y))
+    if certificate_is_valid(problem.map, problem.target, problem.cone, y, tol):
+        return Certificate(y=y, note="conic")
+    return None
+
+
+def _infeasible_solution(problem: MinNormProblem, tol: Tolerances, res=None) -> Solution:
+    """INFEASIBLE, with a checked Farkas certificate when the slice has no bounds
+    or caps: from the conic driver's result ``res`` when it gives one, else
+    from ``farkas_certificate``."""
     cert = None
     if not problem.extra_bounds and not problem.balls:
-        cert = farkas_certificate(problem.map, problem.target, problem.cone, tol)
+        cert = ((res is not None and _conic_certificate(problem, res, tol))
+                or farkas_certificate(problem.map, problem.target, problem.cone, tol))
     return Solution(SolveStatus.INFEASIBLE, certificate=cert)

@@ -35,13 +35,11 @@ def spy(monkeypatch):
 
 @pytest.fixture
 def undecided_dykstra(monkeypatch):
-    """undecided_dykstra(stalled): make projops.dykstra give up unconverged
-    at maxiter, flagged as a stall or not."""
+    """undecided_dykstra(): make projops.dykstra give up unconverged at maxiter."""
 
-    def install(stalled):
+    def install():
         def run(projectors, z0, violation, tol=1e-11, maxiter=20000):
-            return projops.DykstraResult(np.asarray(z0, dtype=float), maxiter, 1.0, False,
-                                         stalled=stalled)
+            return projops.DykstraResult(np.asarray(z0, dtype=float), maxiter, 1.0, False)
 
         monkeypatch.setattr(projops, "dykstra", run)
 

@@ -115,12 +115,16 @@ def test_constant_plain_and_report_csv(tmp_path, capsys):
     assert len(lines) == 96 + 1  # search grid rows, header included
 
 
-@pytest.mark.parametrize("kind,driver", [("max", "_maxblock_driver"), ("plain", "_qp_driver")])
-def test_constant_reports_an_undecided_solve(tmp_path, capsys, monkeypatch, kind, driver):
+@pytest.mark.parametrize("kind,driver", [("max", "conic"), ("plain", "_qp_driver")])
+def test_constant_reports_an_undecided_solve(tmp_path, capsys, monkeypatch, undecided_conic,
+                                             kind, driver):
     # a kind objective whose solve hits its iteration limit has no value:
     # the command fails with an error line instead of printing a number
-    monkeypatch.setattr(solver, driver,
-                        lambda *args, **kw: (solver.SolveStatus.ITERATION_LIMIT, None, 0))
+    if driver == "conic":
+        undecided_conic(False)
+    else:
+        monkeypatch.setattr(solver, driver,
+                            lambda *args, **kw: (solver.SolveStatus.ITERATION_LIMIT, None, 0))
     inst = write_instance(tmp_path, LATTICE)
     code, out, err = run(capsys, ["constant", inst, "--kind", kind])
     assert code == 1
@@ -276,7 +280,9 @@ def test_decompose_repeat_runs_are_byte_identical(tmp_path, capsys):
 # outputs were captured before every kind went through one sphere sweep; one
 # row differs since: the planar plain report at theta = pi prints the exact
 # |x+| = 1.22464679915e-16 of the compiled gauge sweep, where the per-target
-# cold solve printed 0
+# cold solve printed 0.  The max outputs were captured again when the conic
+# driver replaced a level-set bisection that stopped about 1e-10 below the
+# closed form, which the test after the golden one checks
 GOLDEN = pathlib.Path(__file__).with_name("cli_golden.json")
 
 GOLDEN_DIMS = (2, 3, 5)
@@ -327,6 +333,16 @@ def test_decompose_and_lift_match_golden_outputs(tmp_path, d):
     assert sorted(got) == sorted(want)
     for key in want:
         assert got[key] == want[key], key
+
+
+@pytest.mark.parametrize("d", GOLDEN_DIMS)
+def test_golden_max_constants_match_the_closed_form(d):
+    # the max decomposition of u on an l2 lattice costs max(|u+|_2, |u-|_2)
+    report = json.loads(GOLDEN.read_text(encoding="utf-8"))[f"lattice{d}"]["constant_max.csv"]
+    for row in report.splitlines()[1:]:
+        *u, value = (float(v) for v in row.split(","))
+        want = max(np.linalg.norm(np.maximum(u, 0.0)), np.linalg.norm(np.minimum(u, 0.0)))
+        assert abs(value - want) <= 1e-11 * want, row
 
 
 def test_loose_l2_functional_gives_exact_parts(tmp_path, capsys):

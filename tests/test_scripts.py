@@ -26,6 +26,7 @@ def test_lattice_script_fails_on_a_missed_closed_form(monkeypatch, capsys):
     script = importlib.util.module_from_spec(spec)
     spec.loader.exec_module(script)
     monkeypatch.setattr(script, "conormality_constant", lambda space, kind: 1.0 + 2e-6)
-    monkeypatch.setattr(sys, "argv", ["run_lattice_constants.py", "--dim", "2"])
-    assert script.main() == 1
-    assert "9 constants miss their closed form" in capsys.readouterr().out
+    for dim in ("2", "3"):
+        monkeypatch.setattr(sys, "argv", ["run_lattice_constants.py", "--dim", dim])
+        assert script.main() == 1
+        assert "9 constants miss their closed form" in capsys.readouterr().out

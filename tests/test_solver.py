@@ -143,6 +143,19 @@ def test_projection_through_a_non_orthonormal_ball_reports_an_empty_slice():
     assert empty.point is None
 
 
+def test_empty_second_order_slice_takes_one_conic_solve(spy):
+    # the conic driver's certificate for the min-norm program is the Farkas
+    # certificate itself, so no separation program runs after it
+    runs = []
+    spy(conic.ConeProgram, "solve", runs)
+    x = np.array([1.0, 2.0, 0.0])
+    sol = solve_min_norm(MinNormProblem(np.eye(3), x, SecondOrder(3),
+                                        BlockNorm.flat(3, NormTag.L2)))
+    assert sol.status is SolveStatus.INFEASIBLE
+    assert len(runs) == 1
+    assert certificate_is_valid(np.eye(3), x, SecondOrder(3), sol.certificate.y)
+
+
 def test_second_order_slice():
     # min |c|_2 over SecondOrder(3) with c fixed to x on the first two coords:
     # free third coordinate, membership forces x1 >= |(x2, c3)|
@@ -183,11 +196,11 @@ def test_min_linear_start_verdicts_are_honest(certified, verdict, undecided_coni
     assert sol.point is None
 
 
-@pytest.mark.parametrize("stalled,verdict", [(False, SolveStatus.ITERATION_LIMIT),
-                                             (True, SolveStatus.INFEASIBLE)])
-def test_max_block_start_verdicts_are_honest(stalled, verdict, undecided_dykstra):
-    # on second-order summands the bisection starts from a Dykstra projection
-    undecided_dykstra(stalled)
+@pytest.mark.parametrize("certified,verdict", [(False, SolveStatus.ITERATION_LIMIT),
+                                               (True, SolveStatus.INFEASIBLE)])
+def test_max_block_start_verdicts_are_honest(certified, verdict, undecided_conic):
+    # on second-order summands the maximum is one conic solve
+    undecided_conic(certified)
     cone = DirectSumL1((SecondOrder(3), Negation(SecondOrder(3))))
     objective = BlockNorm(((0, 3, NormTag.L2), (3, 6, NormTag.L2)))
     p = MinNormProblem(np.hstack([np.eye(3), np.eye(3)]), np.array([1.0, 0.5, -0.25]), cone,
@@ -222,10 +235,9 @@ def test_curved_feasibility_fast_yes_runs_no_conic_solve(spy):
     assert runs == []
 
 
-@pytest.mark.parametrize("stalled", (False, True))
-def test_curved_feasibility_asks_the_conic_driver(stalled, undecided_dykstra, spy):
-    # neither a stall nor a run to maxiter is a verdict of its own
-    undecided_dykstra(stalled)
+def test_curved_feasibility_asks_the_conic_driver(undecided_dykstra, spy):
+    # an unconverged run is no verdict of its own
+    undecided_dykstra()
     runs = []
     spy(conic.ConeProgram, "solve", runs)
     small_cap = BallConstraint(np.eye(3), NormTag.L2, 1.0)  # |ICE_INSIDE| > 1
@@ -244,9 +256,8 @@ def test_curved_feasibility_asks_the_conic_driver(stalled, undecided_dykstra, sp
             assert certificate_is_valid(np.eye(3), x, SecondOrder(3), rep.certificate.y)
 
 
-@pytest.mark.parametrize("stalled", (False, True))
-def test_curved_feasibility_undecided_raises(stalled, undecided_dykstra, undecided_conic):
-    undecided_dykstra(stalled)
+def test_curved_feasibility_undecided_raises(undecided_dykstra, undecided_conic):
+    undecided_dykstra()
     undecided_conic(False)
     for x in (ICE_INSIDE, ICE_OUTSIDE):
         with pytest.raises(ArithmeticError):
@@ -263,9 +274,9 @@ def test_solutions_name_their_driver():
                          BlockNorm.flat(3, NormTag.L2))
     assert solve_min_norm(lattice_problem([3.0, -4.0], NormTag.L1)).driver == "simplex"
     assert solve_min_norm(one_l2).driver == "active-set"
-    assert solve_min_norm(two_l2).driver == "irls"
+    assert solve_min_norm(two_l2).driver == "conic"
     assert solve_min_norm(lattice_problem([0.0, 0.0])).driver == "trivial"
-    assert solve_max_block_norm(two_l2).driver == "bisection"
+    assert solve_max_block_norm(two_l2).driver == "conic"
     sol = solve_min_norm(ice)
     assert sol.driver == "conic" and 0 < sol.iterations <= 60
 
@@ -300,6 +311,33 @@ def test_max_block_norm_lattice():
     assert sol.status is SolveStatus.OPTIMAL
     # parts are forced coordinatewise: max(|(3,0)|, |(0,-4)|) = 4
     assert sol.value == pytest.approx(4.0, abs=1e-7)
+
+
+@pytest.mark.parametrize("d", (2, 3, 5))
+def test_max_block_norm_closed_form_on_l2_lattices(d):
+    # any slack w >= 0 in c = (x+ + w, x- - w) lengthens both parts, so the
+    # minimizer is (x+, x-) and the value max(|x+|_2, |x-|_2).  The longer
+    # part grows only by |w|^2 where w is orthogonal to it, and the sign
+    # constraints there have zero multipliers, so an interior-point answer
+    # with gap 1e-12 pins the point only to about the square root of that
+    cone = DirectSumL1((Orthant(d), Negation(Orthant(d))))
+    objective = BlockNorm(((0, d, NormTag.L2), (d, 2 * d, NormTag.L2)))
+    for x in np.random.default_rng(d).standard_normal((50, d)):
+        plus, minus = np.maximum(x, 0.0), np.minimum(x, 0.0)
+        want = max(np.linalg.norm(plus), np.linalg.norm(minus))
+        sol = solve_max_block_norm(MinNormProblem(np.hstack([np.eye(d)] * 2), x, cone, objective))
+        assert abs(sol.value - want) <= 1e-11 * want, (x, sol.value, want)
+        np.testing.assert_allclose(sol.point, np.concatenate([plus, minus]), rtol=0, atol=1e-5)
+
+
+def test_max_block_norm_mixes_euclidean_and_polyhedral_blocks():
+    objective = BlockNorm(((0, 3, NormTag.L2), (3, 6, NormTag.L1)))
+    cone = DirectSumL1((Orthant(3), Negation(Orthant(3))))
+    for x in np.random.default_rng(7).standard_normal((10, 3)):
+        want = max(np.linalg.norm(np.maximum(x, 0.0)), np.abs(np.minimum(x, 0.0)).sum())
+        sol = solve_max_block_norm(MinNormProblem(np.hstack([np.eye(3)] * 2), x, cone, objective))
+        assert sol.driver == "conic"
+        assert abs(sol.value - want) <= 1e-11 * want, (x, sol.value, want)
 
 
 # -- feasibility and certificates -------------------------------------------
@@ -409,17 +447,16 @@ def test_sweep_warm_start_matches_cold(name, T, cone, norm, monkeypatch, spy):
 @pytest.mark.parametrize("tags", [(NormTag.L2, NormTag.L2), (NormTag.L2, NormTag.L1)],
                          ids=["l2-sum", "l2-l1-mix"])
 def test_euclidean_sweep_starts_phase_one_warm(tags, monkeypatch, spy):
-    # Euclidean and mixed objectives run the active-set QP or IRLS from a
-    # phase-1 vertex, which the sweep takes from its one feasibility LP
+    # a sum of blocks with a Euclidean one is a conic program compiled once
+    # per sweep; each target changes only its right-hand side
     norm = BlockNorm(((0, 2, tags[0]), (2, 4, tags[1])))
     sweep = MinNormSweep(SUMMING, LATTICE, norm)
     xs = np.random.default_rng(5).standard_normal((60, 2))
-    pivots = []
-    spy(LinearProgram, "solve", pivots, lambda out: out[3])
+    built = []
+    spy(conic.ConeProgram, "__init__", built)
     warm = [sweep.value(x) for x in xs]
     monkeypatch.undo()
-    assert len(pivots) == len(xs)
-    assert np.mean(pivots[10:]) < 1.0
+    assert len(built) == 1
     for x, w in zip(xs, warm):
         cold = solve_min_norm(MinNormProblem(SUMMING, x, LATTICE, norm), lexicographic=False)
         assert abs(w - cold.value) <= 1e-10 * max(1.0, cold.value), (x, w, cold.value)
