@@ -35,11 +35,13 @@ def spy(monkeypatch):
 
 @pytest.fixture
 def undecided_dykstra(monkeypatch):
-    """undecided_dykstra(): make projops.dykstra give up unconverged at maxiter."""
+    """undecided_dykstra(stalled): make projops.dykstra give up unconverged,
+    stopping early on a stalled movement when stalled and at maxiter otherwise."""
 
-    def install():
+    def install(stalled):
         def run(projectors, z0, violation, tol=1e-11, maxiter=20000):
-            return projops.DykstraResult(np.asarray(z0, dtype=float), maxiter, 1.0, False)
+            iterations = 1 if stalled else maxiter
+            return projops.DykstraResult(np.asarray(z0, dtype=float), iterations, 1.0, False)
 
         monkeypatch.setattr(projops, "dykstra", run)
 

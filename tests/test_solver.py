@@ -235,9 +235,10 @@ def test_curved_feasibility_fast_yes_runs_no_conic_solve(spy):
     assert runs == []
 
 
-def test_curved_feasibility_asks_the_conic_driver(undecided_dykstra, spy):
-    # an unconverged run is no verdict of its own
-    undecided_dykstra()
+@pytest.mark.parametrize("stalled", (False, True))
+def test_curved_feasibility_asks_the_conic_driver(stalled, undecided_dykstra, spy):
+    # neither an early stop on a stall nor a run to maxiter is a verdict of its own
+    undecided_dykstra(stalled)
     runs = []
     spy(conic.ConeProgram, "solve", runs)
     small_cap = BallConstraint(np.eye(3), NormTag.L2, 1.0)  # |ICE_INSIDE| > 1
@@ -256,8 +257,9 @@ def test_curved_feasibility_asks_the_conic_driver(undecided_dykstra, spy):
             assert certificate_is_valid(np.eye(3), x, SecondOrder(3), rep.certificate.y)
 
 
-def test_curved_feasibility_undecided_raises(undecided_dykstra, undecided_conic):
-    undecided_dykstra()
+@pytest.mark.parametrize("stalled", (False, True))
+def test_curved_feasibility_undecided_raises(stalled, undecided_dykstra, undecided_conic):
+    undecided_dykstra(stalled)
     undecided_conic(False)
     for x in (ICE_INSIDE, ICE_OUTSIDE):
         with pytest.raises(ArithmeticError):
