@@ -102,23 +102,32 @@ class ConeMap:
         return _solver.MinNormSweep(self.matrix, self.cone, self.domain_norm,
                                     gauge=(np.eye(self.domain_dim)[a:b], tag))
 
-    def _max_block_value(self, x: np.ndarray) -> float:
-        problem = _solver.MinNormProblem(self.matrix, np.asarray(x, dtype=float), self.cone,
+    @cached_property
+    def _max_program(self) -> _solver._Program:
+        """The program of max_b |c_b| over the slice, compiled once per map."""
+        problem = _solver.MinNormProblem(self.matrix, np.zeros(self.codomain_dim), self.cone,
                                          self.domain_norm)
-        sol = _solver.solve_max_block_norm(problem)
-        if sol.status is _solver.SolveStatus.INFEASIBLE:
+        return _solver._Program(_solver._canonicalize(problem), "max")
+
+    def _max_block_value(self, x: np.ndarray) -> float:
+        """``solve_max_block_norm``'s value at target x, from the compiled program."""
+        x = np.asarray(x, dtype=float)
+        if not np.any(x):
+            return 0.0
+        status, z, *_ = self._max_program.solve(x)
+        if status is _solver.SolveStatus.INFEASIBLE:
             return math.inf
-        if sol.status is not _solver.SolveStatus.OPTIMAL:
+        if status is not _solver.SolveStatus.OPTIMAL:
             raise ArithmeticError("max decomposition solve hit its iteration limit")
-        return float(sol.value)
+        return _solver._canon_max_value(self._max_program.canon, z)
 
     def _kind_objective(self, kind: str):
         """x -> inf over preimages c of the kind's cost, inf when x is unreachable.
 
         Over a direct-sum domain with blocks c_1, c_2, ...: "openness" and
         "sum" cost sum_b |c_b| (the domain norm, so m itself), "max" costs
-        max_b |c_b| and "plain" |c_1|.  The sum and plain kinds reuse a
-        sweep compiled once per map; the max kind solves each target anew.
+        max_b |c_b| and "plain" |c_1|.  Each kind reuses a sweep or program
+        compiled once per map.
         """
         if kind in ("openness", "sum"):
             return self._sweep.value
@@ -175,18 +184,11 @@ class ConeMap:
 
     def _surjective_dual(self, set_cone: _cones.Cone) -> SurjectivityReport:
         d = self.codomain_dim
-        lp = _solver.LinearProgram()
-        yidx = lp.add_vars(d, nonneg=False)
-        for i in range(d):
-            e = np.zeros(d)
-            e[i] = 1.0
-            lp.add_row(e, "<=", 1.0, at=yidx)
-            lp.add_row(-e, "<=", 1.0, at=yidx)
-        _solver._encode_dual_membership(lp, set_cone, self.matrix.T, yidx)
+        lp = _solver._box_dual_lp(self.matrix, set_cone)
         witnesses = []
         for i in range(d):
             for sgn in (-1.0, 1.0):
-                lp.set_objective({yidx[i]: sgn})  # sgn=-1 maximizes y_i
+                lp.set_objective({i: sgn})  # sgn=-1 maximizes y_i
                 status, z, value, _ = lp.solve()
                 if status is not _solver.SolveStatus.OPTIMAL:
                     raise ArithmeticError("surjectivity LP did not converge")

@@ -232,20 +232,11 @@ def project_l2(cone: Cone, z: np.ndarray) -> np.ndarray:
             out[a:b] = project_l2(p, z[a:b])
         return out
     if isinstance(cone, Halfspaces):
-        rows = cone.rows
-        viol = rows @ z
-        if np.all(viol >= 0.0):
+        if np.all(cone.rows @ z >= 0.0):
             return z.copy()
-        if rows.shape[0] == 1:
-            return projops.project_halfspace(rows[0], 0.0)(z)
-        projs = [projops.project_halfspace(rows[i], 0.0) for i in range(rows.shape[0])]
-
-        def violation(v: np.ndarray) -> float:
-            scale = np.maximum(np.linalg.norm(rows, axis=1), 1.0)
-            return float(np.max(np.maximum(-(rows @ v) / scale, 0.0)))
-
-        res = projops.dykstra(projs, z, violation, tol=1e-12)
-        return res.point
+        # Moreau: z = P_K(z) + P_polar(z), and the polar cone is generated by -rows
+        lam, _ = projops.nonneg_lstsq(-cone.rows.T, z)
+        return z + cone.rows.T @ lam
     if isinstance(cone, Generators):
         lam, _ = projops.nonneg_lstsq(cone.columns, z)
         return cone.columns @ lam

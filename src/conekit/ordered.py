@@ -148,8 +148,8 @@ def kind_objective(space: OrderedSpace, kind: ConormalityKind):
 
     Returns value(x) = inf over decompositions x = p - m of the kind's
     objective, inf when x has none.  Batch callers reuse the callable: the
-    sum and plain kinds each share a sweep compiled once for the space's
-    summing map, and the max kind solves every target afresh.
+    sum and plain kinds each share a sweep, and the max kind a program,
+    compiled once for the space's summing map.
     """
     return space._summing_map._kind_objective(kind)
 

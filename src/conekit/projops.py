@@ -4,7 +4,7 @@ Projection onto an intersection of simple closed convex sets is computed by
 Dykstra's algorithm, which converges to the exact projection (not merely a
 feasible point) whenever the intersection is nonempty.  Curved solves run
 on the conic driver (``conic.py``); Dykstra remains the fast yes of curved
-feasibility tests and the projection onto halfspace cones.
+feasibility tests.
 """
 from __future__ import annotations
 

@@ -9,14 +9,16 @@ Everything in this package eventually reduces to
                 |R_j c| <= beta_j          optional norm-ball constraints
 
 at desk scale (dimensions well below a few hundred).  The kernel is
-self-contained on purpose: a dense simplex (``simplex.py``) handles the
-polyhedral paths and produces Farkas-type infeasibility certificates, an
+self-contained on purpose.  One encoder (``_Program``) writes a canonical
+problem and its objective (a sum or maximum of block norms, a linear cost, a
+distance, or none) as one list of epigraph, equality and inequality rows
+plus second-order blocks.  Rows with no second-order block go to the dense
+simplex of ``simplex.py``, which also yields Farkas-type infeasibility
+certificates; all others (sums and maxima of blocks with a Euclidean one,
+second-order cones, Euclidean and group norm balls, caps with no
+orthonormal rows) go to the interior-point method of ``conic.py``.  An
 active-set method handles a single Euclidean objective on polyhedral data,
-and everything else (sums and maxima of blocks with a Euclidean one,
-second-order cones, Euclidean and group norm balls, caps with no orthonormal
-rows) is encoded once as a conic program over LP x SOC cones and solved by
-the interior-point method of ``conic.py``.  Dykstra projections remain as
-the fast yes of curved feasibility.
+and Dykstra projections remain as the fast yes of curved feasibility.
 """
 from __future__ import annotations
 
@@ -462,39 +464,6 @@ def _canon_violation(canon: _Canon, z: np.ndarray) -> float:
     return max(v, 0.0)
 
 
-class _Phase1:
-    """The zero-objective LP over a canon's polyhedral rows, built once.
-
-    Each solve overrides the equality rows and the inequality rows with a
-    nonzero right-hand side at build time (cone and epigraph rows stay zero
-    at every target and scale), so it starts from the optimal bases of
-    earlier right-hand sides (``LinearProgram``).
-    """
-
-    def __init__(self, canon: _Canon):
-        self.lp = LinearProgram()
-        self.lp.add_vars(canon.n, nonneg=False)
-        for row, rhs in zip(canon.eq_A, canon.eq_b):
-            self.lp.add_row(row, "=", rhs)
-        for row, rhs in zip(canon.in_A, canon.in_b):
-            self.lp.add_row(row, "<=", rhs)
-        self.moving = np.flatnonzero(canon.in_b)
-        self.rows = (canon.eq_A.shape[0] + self.moving).tolist()
-
-    def start(self, eq_b: np.ndarray, in_b: np.ndarray, tol: Tolerances):
-        """(status, vertex, pivots) for the given right-hand sides."""
-        override = dict(enumerate(eq_b.tolist()))
-        override.update(zip(self.rows, in_b[self.moving].tolist()))
-        status, z, _, its = self.lp.solve(tol, rhs_override=override)
-        return status, z, its
-
-
-def _feasible_point(canon: _Canon, tol: Tolerances, phase1: _Phase1 | None = None):
-    """Phase-1 start for the active-set method (simplex vertex), warm when
-    ``phase1`` is the LP of the template the canon was retargeted from."""
-    return (phase1 or _Phase1(canon)).start(canon.eq_b, canon.in_b, tol)
-
-
 def _canon_projectors(canon: _Canon):
     projs = []
     if canon.eq_A.size:
@@ -526,38 +495,46 @@ def _canon_projectors(canon: _Canon):
 
 
 # ---------------------------------------------------------------------------
-# conic encoding of curved canons
+# one encoder, two backends
 
 
-class _ConicForm:
-    """One canon as a ``conic.ConeProgram`` over z and epigraph variables, built once.
+class _Program:
+    """One canon plus an objective as one list of rows, compiled once.
 
-    Equality rows are the canon's.  Nonnegative rows: its <= rows, then the
-    l1 and linf epigraph rows.  Second-order blocks: the cone's index
-    blocks; each curved cap |E z| <= r, flat Euclidean caps directly as
-    (r, E z) (no orthonormal rows needed), group and exotic caps as block
-    epigraphs summed under one <= row; each l2 objective block as (t, E z).
+    Variables: z, then auxiliary epigraph variables in creation order.  Rows
+    (z coefficients, {aux variable: coefficient}, right-hand side at unit
+    scale): the epigraph rows written here, the canon's equality rows and
+    its <= rows.  An l1 or linf block |E z| <= t becomes the rows +-E z <= t
+    (one t per row for l1, one for the block for linf) and an l2 block the
+    second-order block (t, E z).  Caps add second-order blocks too: the
+    cone's index blocks, flat Euclidean caps as (r, E z) (no orthonormal
+    rows needed), group and exotic caps as block epigraphs summed under one
+    <= row.
 
     ``objective`` is "norm" (the sum of the canon's obj_blocks), "max"
-    (their maximum: one epigraph variable t, each l2 block as (t, E z) and
-    each polyhedral block's epigraph summed under one <= t row), "center"
-    (half the squared distance of S z to a point given per solve, as one
-    rotated cone (t + rho/2, t - rho/2, S z - point), which stays away from
-    the apex when the distance is 0), a cost vector over z, or None for a
-    feasibility program.  Every nonzero right-hand side is a target entry,
-    a bound or a radius, so a solve at (x, scale) rebuilds only b and h.
+    (their maximum: one epigraph variable t, each l2 block as (t, E z), each
+    linf row as +-E z <= t and each l1 block's epigraph summed under one
+    <= t row), "center" (half the squared distance of S z to a point given
+    per solve, as one rotated cone (t + rho/2, t - rho/2, S z - point), which
+    stays away from the apex when the distance is 0), a cost vector over z,
+    or None for a feasibility program.  Objective epigraph variables cost 1.
+
+    With no second-order block the rows become a ``LinearProgram`` over free
+    z and nonnegative auxiliaries, its rows the epigraph rows, then the
+    equality rows, then the canon's <= rows; it keeps the optimal bases of
+    earlier right-hand sides.  Otherwise they become a ``conic.ConeProgram``
+    whose nonnegative rows are the canon's <= rows, then the epigraph rows,
+    then -t <= 0 for each auxiliary that no row bounds from below.  Either
+    backend is compiled on the first solve, and ``conic`` is imported only
+    then.  Every nonzero right-hand side is a target entry, a bound or a
+    radius, so a solve at (x, scale) changes only the right-hand side.
     """
 
     def __init__(self, canon: _Canon, objective="norm"):
-        # imported on the first curved program: compiling the interior-point
-        # code is a real share of a cold import, and polyhedral work never needs it
-        from . import conic
-
-        self.n = n = canon.n
+        self.canon, self.n = canon, canon.n
         self._aux = 0
-        # rows: (z coefficients, {aux variable: coefficient}, rhs at unit scale)
-        self._lp = [(row, {}, rhs) for row, rhs in zip(canon.in_A, canon.in_b)]
-        eye = np.eye(n)
+        self._rows: list = []
+        eye = np.eye(self.n)
         self._socs = [[(-eye[j], {}, 0.0) for j in idx] for idx in canon.soc_idx]
         for R, r in canon.l2balls:
             self._cap(R, BlockNorm.flat(R.shape[0], NormTag.L2), r)
@@ -568,44 +545,34 @@ class _ConicForm:
         for ball in canon.exotic:
             self._cap(ball.matrix @ canon.S, ball._block_norm(), ball.bound)
         # on curved data, norm values and feasibility verdicts need no sharper
-        # point than TOL gives; on polyhedral data the objective is the only
-        # curvature, and its values are printed to 12 digits
-        self._target = conic.TARGET if canon.polyhedral else conic.TOL
-        cost, epi = np.zeros(n), []
+        # point than conic.TOL gives; on polyhedral data the objective is the
+        # only curvature, and its values are printed to 12 digits
+        self._sharp = canon.polyhedral
+        self._cost, self._epi = np.zeros(self.n), []
         if isinstance(objective, np.ndarray):
-            self._target, cost = conic.TARGET, objective
+            self._sharp, self._cost = True, objective
         elif objective == "norm":
-            epi = [t for E, tag in canon.obj_blocks for t in self._epigraph(E, tag)]
+            self._epi = [t for E, tag in canon.obj_blocks for t in self._epigraph(E, tag)]
         elif objective == "max":
             t = self._new()
-            epi = [t]
+            self._epi = [t]
             for E, tag in canon.obj_blocks:
                 aux = self._epigraph(E, tag, t)
-                if tag is not NormTag.L2:
-                    self._lp.append((np.zeros(n), {**dict.fromkeys(aux, 1.0), t: -1.0}, 0.0))
+                if tag is NormTag.L1 and aux:
+                    self._rows.append((np.zeros(self.n), {**dict.fromkeys(aux, 1.0), t: -1.0}, 0.0))
         elif objective == "center":
-            self._target, epi = conic.TARGET, [self._new()]
-            self._center = len(self._lp) + sum(map(len, self._socs))
-            self._socs.append([(np.zeros(n), {epi[0]: -1.0}, 0.0)] * 2
+            self._sharp, self._epi = True, [self._new()]
+            self._socs.append([(np.zeros(self.n), {self._epi[0]: -1.0}, 0.0)] * 2
                               + [(-row, {}, 0.0) for row in canon.S])
-        rows = self._lp + [row for blk in self._socs for row in blk]
-        G = np.zeros((len(rows), n + self._aux))
-        for i, (zrow, coefs, _) in enumerate(rows):
-            G[i, :n] = zrow
-            G[i, list(coefs)] = list(coefs.values())
-        self.h = np.array([rhs for *_, rhs in rows])
-        c = np.zeros(n + self._aux)
-        c[:n], c[epi] = cost, 1.0
-        A = np.hstack([canon.eq_A, np.zeros((canon.eq_A.shape[0], self._aux))])
-        self.program = conic.ConeProgram(c, G, len(self._lp), [len(b) for b in self._socs], A)
+        self.driver = "conic" if self._socs else "simplex"
 
     def _new(self) -> int:
         self._aux += 1
         return self.n + self._aux - 1
 
     def _epigraph(self, E, tag: NormTag, t: int | None = None) -> list:
-        """Auxiliary variables whose sum bounds |E z|_tag from above; an l2
-        block is bounded by the variable t when one is given."""
+        """Auxiliary variables whose sum bounds |E z|_tag from above; a linf or
+        l2 block is bounded by the variable t when one is given."""
         zero = np.zeros(self.n)
         if tag is NormTag.L2:
             t = self._new() if t is None else t
@@ -615,10 +582,10 @@ class _ConicForm:
         if tag is NormTag.L1:
             out = ties = [self._new() for _ in rows]
         else:
-            out = [self._new()] if rows else []
+            out = [self._new() if t is None else t]
             ties = out * len(rows)
         for row, t in zip(rows, ties):
-            self._lp += [(row, {t: -1.0}, 0.0), (-row, {t: -1.0}, 0.0)]
+            self._rows += [(row, {t: -1.0}, 0.0), (-row, {t: -1.0}, 0.0)]
         return out
 
     def _cap(self, E, norm: BlockNorm, radius: float):
@@ -627,80 +594,112 @@ class _ConicForm:
             self._socs.append([(np.zeros(self.n), {}, radius)] + [(-row, {}, 0.0) for row in E])
             return
         aux = [t for a, b, tag in norm.blocks for t in self._epigraph(E[a:b], tag)]
-        self._lp.append((np.zeros(self.n), dict.fromkeys(aux, 1.0), radius))
+        self._rows.append((np.zeros(self.n), dict.fromkeys(aux, 1.0), radius))
 
-    def solve(self, x, scale: float = 1.0, center=None):
-        """(status, z, iterations, result) at target x with bounds and radii times scale."""
-        h = self.h * scale
-        if center is not None:
-            k = self._center
-            rho = max(float(np.linalg.norm(x)), float(np.linalg.norm(center))) or 1.0
-            h[k], h[k + 1] = 0.5 * rho, -0.5 * rho
-            h[k + 2:k + 2 + center.shape[0]] = -center
-        res = self.program.solve(x, h, target=self._target)
-        z = res.x[:self.n] if res.status is SolveStatus.OPTIMAL else None
-        return res.status, z, res.iterations, res
+    def _matrix(self, rows) -> np.ndarray:
+        M = np.zeros((len(rows), self.n + self._aux))
+        for i, (zrow, coefs, _) in enumerate(rows):
+            M[i, :self.n] = zrow
+            M[i, list(coefs)] = list(coefs.values())
+        return M
+
+    @cached_property
+    def lp(self) -> LinearProgram:
+        """The simplex backend; also fixes which rows a solve overrides."""
+        canon, lp = self.canon, LinearProgram()
+        lp.add_vars(self.n, nonneg=False, obj=self._cost)
+        cost = np.zeros(self._aux)
+        cost[[t - self.n for t in self._epi]] = 1.0
+        lp.add_vars(self._aux, nonneg=True, obj=cost)
+        for row, (*_, rhs) in zip(self._matrix(self._rows), self._rows):
+            lp.add_row(row, "<=", rhs)
+        for row, rhs in zip(canon.eq_A, canon.eq_b):
+            lp.add_row(row, "=", rhs)
+        for row, rhs in zip(canon.in_A, canon.in_b):
+            lp.add_row(row, "<=", rhs)
+        unit = np.concatenate([[rhs for *_, rhs in self._rows], np.zeros(canon.eq_A.shape[0]),
+                               canon.in_b])
+        moving = np.flatnonzero(unit)
+        self._eq_start, self._moving, self._unit = len(self._rows), moving.tolist(), unit[moving]
+        return lp
+
+    @cached_property
+    def program(self):
+        """The conic backend, with its right-hand side ``h`` at unit scale."""
+        # imported on the first curved program: compiling the interior-point
+        # code is a real share of a cold import, and polyhedral work never needs it
+        from . import conic
+
+        canon = self.canon
+        lp_rows = [(row, {}, rhs) for row, rhs in zip(canon.in_A, canon.in_b)] + self._rows
+        soc_rows = [row for blk in self._socs for row in blk]
+        bounded = {j for _, coefs, _ in lp_rows + soc_rows for j, v in coefs.items() if v < 0}
+        lp_rows += [(np.zeros(self.n), {j: -1.0}, 0.0)
+                    for j in range(self.n, self.n + self._aux) if j not in bounded]
+        rows = lp_rows + soc_rows
+        self.h = np.array([rhs for *_, rhs in rows])
+        self._target = conic.TARGET if self._sharp else conic.TOL
+        c = np.zeros(self.n + self._aux)
+        c[:self.n], c[self._epi] = self._cost, 1.0
+        A = np.hstack([canon.eq_A, np.zeros((canon.eq_A.shape[0], self._aux))])
+        return conic.ConeProgram(c, self._matrix(rows), len(lp_rows), [len(b) for b in self._socs], A)
+
+    def solve(self, x, scale: float = 1.0, tol: Tolerances = DEFAULT_TOL, center=None,
+              lexicographic: bool = False):
+        """(status, z, value, iterations, conic result or None) at target x with
+        bounds and radii times scale.
+
+        ``value`` is the LP's optimal value, None from the conic driver (its
+        epigraph variables only bound their blocks to its tolerance).
+        ``center`` is the point of a "center" objective.  ``lexicographic``
+        asks the LP for the lexicographically smallest optimal point; it
+        leaves the LP changed, so it suits programs solved once.
+        """
+        x = np.asarray(x, dtype=float)
+        if self.driver == "conic":
+            program = self.program
+            h = self.h * scale
+            if center is not None:
+                k = h.shape[0] - 2 - self.canon.S.shape[0]
+                rho = max(float(np.linalg.norm(x)), float(np.linalg.norm(center))) or 1.0
+                h[k], h[k + 1] = 0.5 * rho, -0.5 * rho
+                h[k + 2:] = -center
+            res = program.solve(x, h, target=self._target)
+            z = res.x[:self.n] if res.status is SolveStatus.OPTIMAL else None
+            return res.status, z, None, res.iterations, res
+        lp = self.lp
+        override = dict(enumerate(x.tolist(), self._eq_start))
+        if self._moving:
+            override.update(zip(self._moving, (self._unit * scale).tolist()))
+        status, v, value, its = lp.solve(tol, rhs_override=override)
+        if status is not SolveStatus.OPTIMAL:
+            return status, None, None, its, None
+        if lexicographic:
+            v, its = self._lexicographic(v, value, override, tol, its)
+        return status, v[:self.n], value, its, None
+
+    def _lexicographic(self, v, value, override, tol: Tolerances, its: int):
+        """Minimize the ambient coordinates in turn over the optimal face."""
+        lp = self.lp
+        if self._epi:
+            lp.add_row(np.ones(len(self._epi)), "<=", value + 1e-9 * max(1.0, abs(value)),
+                       at=self._epi)
+        for srow in self.canon.S:
+            nz = np.nonzero(srow)[0]
+            if not nz.size:
+                continue
+            lp.set_objective({int(k): srow[k] for k in nz})
+            st, v2, value2, more = lp.solve(tol, rhs_override=override)
+            its += more
+            if st is not SolveStatus.OPTIMAL:
+                break
+            v = v2
+            lp.add_row(srow[nz], "<=", value2 + 1e-10 * max(1.0, abs(value2)), at=nz.tolist())
+        return v, its
 
 
 # ---------------------------------------------------------------------------
 # objective-specific drivers
-
-
-def _lp_driver(canon: _Canon, tol: Tolerances, lexicographic: bool):
-    lp, zidx, aux_meta, eq_row_ids = _build_lp(canon)
-    status, zfull, value, its = lp.solve(tol)
-    if status is not SolveStatus.OPTIMAL:
-        return status, None, None, its
-    z = zfull[: canon.n]
-    if lexicographic:
-        if aux_meta:
-            lp.add_row(np.ones(len(aux_meta)), "<=", value + 1e-9 * max(1.0, abs(value)), at=aux_meta)
-        for i in range(canon.S.shape[0]):
-            srow = canon.S[i]
-            if not np.any(srow):
-                continue
-            lp.set_objective({zidx[k]: srow[k] for k in np.nonzero(srow)[0]})
-            st2, zf2, v2, it2 = lp.solve(tol)
-            its += it2
-            if st2 is not SolveStatus.OPTIMAL:
-                break
-            z = zf2[: canon.n]
-            lp.add_row(srow[np.nonzero(srow)[0]], "<=", v2 + 1e-10 * max(1.0, abs(v2)),
-                       at=[zidx[k] for k in np.nonzero(srow)[0]])
-    return SolveStatus.OPTIMAL, z, value, its
-
-
-def _build_lp(canon: _Canon):
-    lp = LinearProgram()
-    zidx = lp.add_vars(canon.n, nonneg=False)
-    aux_meta = []
-    for E, tag in canon.obj_blocks:
-        if tag is NormTag.L1:
-            for i in range(E.shape[0]):
-                if not np.any(E[i]):
-                    continue
-                s = lp.add_vars(1, nonneg=True, obj=1.0)[0]
-                nz = np.nonzero(E[i])[0].tolist()
-                lp.add_row(np.concatenate([E[i][nz], [-1.0]]), "<=", 0.0, at=[zidx[k] for k in nz] + [s])
-                lp.add_row(np.concatenate([-E[i][nz], [-1.0]]), "<=", 0.0, at=[zidx[k] for k in nz] + [s])
-                aux_meta.append(s)
-        elif tag is NormTag.LINF:
-            t = lp.add_vars(1, nonneg=True, obj=1.0)[0]
-            for i in range(E.shape[0]):
-                nz = np.nonzero(E[i])[0].tolist()
-                if not nz:
-                    continue
-                lp.add_row(np.concatenate([E[i][nz], [-1.0]]), "<=", 0.0, at=[zidx[k] for k in nz] + [t])
-                lp.add_row(np.concatenate([-E[i][nz], [-1.0]]), "<=", 0.0, at=[zidx[k] for k in nz] + [t])
-            aux_meta.append(t)
-        else:
-            raise ValueError("LP driver got a non-polyhedral block")
-    eq_row_ids = []
-    for row, rhs in zip(canon.eq_A, canon.eq_b):
-        eq_row_ids.append(lp.add_row(row, "=", rhs, at=zidx))
-    for row, rhs in zip(canon.in_A, canon.in_b):
-        lp.add_row(row, "<=", rhs, at=zidx)
-    return lp, zidx, aux_meta, eq_row_ids
 
 
 def _euclidean_hessian(E: np.ndarray) -> np.ndarray:
@@ -708,10 +707,12 @@ def _euclidean_hessian(E: np.ndarray) -> np.ndarray:
     return 2.0 * (E.T @ E) + 1e-12 * np.eye(E.shape[1])
 
 
-def _qp_driver(canon: _Canon, H: np.ndarray, g: np.ndarray, tol: Tolerances,
-               phase1: _Phase1 | None = None):
-    """min .5 z H z + g z over the polyhedral constraints, from a phase-1 vertex."""
-    status, z0, its0 = _feasible_point(canon, tol, phase1)
+def _qp_driver(canon: _Canon, H: np.ndarray, g: np.ndarray, tol: Tolerances, start: _Program,
+               scale: float = 1.0):
+    """min .5 z H z + g z over the polyhedral constraints, from a vertex of
+    ``start``, the feasibility LP of the canon's polyhedral rows at unit scale
+    (warm across targets when it is kept)."""
+    status, z0, _, its0, _ = start.solve(canon.eq_b, scale, tol)
     if status is not SolveStatus.OPTIMAL:
         return status, None, its0
     z, its, st = active_set_qp(H, g, canon.eq_A, canon.eq_b, canon.in_A, canon.in_b, z0, tol)
@@ -731,43 +732,22 @@ def _caps_hold(canon: _Canon, z: np.ndarray) -> bool:
             and all(ball.value(canon.S @ z) <= ball.bound for ball in canon.exotic))
 
 
-def _maxblock_lp(canon: _Canon, tol: Tolerances):
-    """min max_b |E_b z|_tag as one epigraph LP, for polyhedral tags."""
-    lp = LinearProgram()
-    zidx = lp.add_vars(canon.n, nonneg=False)
-    t = lp.add_vars(1, nonneg=True, obj=1.0)[0]
-    for E, tag in canon.obj_blocks:
-        if tag is NormTag.LINF:
-            for i in range(E.shape[0]):
-                nz = np.nonzero(E[i])[0].tolist()
-                if not nz:
-                    continue
-                for sgn in (1.0, -1.0):
-                    lp.add_row(np.concatenate([sgn * E[i][nz], [-1.0]]), "<=", 0.0,
-                               at=[zidx[k] for k in nz] + [t])
-        elif tag is NormTag.L1:
-            saux = []
-            for i in range(E.shape[0]):
-                nz = np.nonzero(E[i])[0].tolist()
-                if not nz:
-                    continue
-                s = lp.add_vars(1, nonneg=True)[0]
-                saux.append(s)
-                for sgn in (1.0, -1.0):
-                    lp.add_row(np.concatenate([sgn * E[i][nz], [-1.0]]), "<=", 0.0,
-                               at=[zidx[k] for k in nz] + [s])
-            if saux:
-                lp.add_row(np.ones(len(saux) + 1).tolist()[:-1] + [-1.0], "<=", 0.0, at=saux + [t])
-        else:
-            raise ValueError("LP max-block path got a Euclidean block")
-    for row, rhs in zip(canon.eq_A, canon.eq_b):
-        lp.add_row(row, "=", rhs, at=zidx)
-    for row, rhs in zip(canon.in_A, canon.in_b):
-        lp.add_row(row, "<=", rhs, at=zidx)
-    status, zfull, value, its = lp.solve(tol)
-    if status is not SolveStatus.OPTIMAL:
-        return status, None, its
-    return status, zfull[: canon.n], its
+def _feasible(program: _Program, x: np.ndarray, tol: Tolerances):
+    """(feasible, z, conic result or None) from a feasibility program at target x.
+
+    On curved data a converged Dykstra run is the fast yes; otherwise the
+    program gives a feasible point or a checked verdict of emptiness, and
+    ArithmeticError when it is undecided.
+    """
+    canon = program.canon
+    if not canon.polyhedral:
+        run = _dykstra_project(canon.at(x), np.zeros(canon.n))
+        if run.converged:
+            return True, run.point, None
+    st, z, _, _, res = program.solve(x, tol=tol)
+    if st is not SolveStatus.OPTIMAL and st is not SolveStatus.INFEASIBLE:
+        raise ArithmeticError(f"feasibility undecided at target {np.asarray(x).tolist()}")
+    return st is SolveStatus.OPTIMAL, z, res
 
 
 # ---------------------------------------------------------------------------
@@ -807,7 +787,7 @@ def _conclude(problem: MinNormProblem, tol: Tolerances, st: SolveStatus, its: in
     """The Solution for a driver's verdict; ``answer()`` gives (point, value) when
     OPTIMAL, and ``res`` is the conic driver's result, if it ran."""
     if st is SolveStatus.INFEASIBLE:
-        sol = _infeasible_solution(problem, tol, res)
+        sol = Solution(st, certificate=_certificate(problem, tol, res))
     elif st is SolveStatus.OPTIMAL:
         c, value = answer()
         sol = Solution(st, c, float(value), _residuals(problem, c))
@@ -817,38 +797,45 @@ def _conclude(problem: MinNormProblem, tol: Tolerances, st: SolveStatus, its: in
     return sol
 
 
-def _solve_canon(canon: _Canon, tol: Tolerances, lexicographic: bool,
-                 phase1: _Phase1 | None = None):
-    """Dispatch one canonical problem to the right driver.
+def _quadratic(canon: _Canon) -> bool:
+    """Whether the objective is one Euclidean block on polyhedral data, which
+    the active-set QP solves."""
+    return (canon.polyhedral and len(canon.obj_blocks) == 1
+            and canon.obj_blocks[0][1] is NormTag.L2)
 
-    Returns (status, z, iterations, driver, conic result or None); the
-    objective is whatever canon's obj_blocks say, which need not be a norm
-    of the full ambient point.  ``phase1`` warm-starts the active-set QP.
+
+def _solve_canon(canon: _Canon, x: np.ndarray, tol: Tolerances, lexicographic: bool,
+                 program: _Program | None = None, start: _Program | None = None):
+    """Solve one canonical problem at target x.
+
+    Returns (status, z, value, iterations, driver, conic result or None),
+    with ``value`` as ``_Program.solve`` gives it (None from the active-set
+    QP).  The objective is whatever canon's obj_blocks say, which need not
+    be a norm of the full ambient point.  ``program`` is the canon's
+    objective program and ``start`` its feasibility program, when the
+    caller keeps them; they are built here otherwise.
     """
-    if _conic_objective(canon):
-        st, z, its, res = _ConicForm(canon).solve(canon.eq_b)
-        return st, z, its, "conic", res
-    if all(tag is not NormTag.L2 for _, tag in canon.obj_blocks):
-        st, z, _, its = _lp_driver(canon, tol, lexicographic)
-        return st, z, its, "simplex", None
-    H = _euclidean_hessian(canon.obj_blocks[0][0])
-    return (*_qp_driver(canon, H, np.zeros(canon.n), tol, phase1), "active-set", None)
-
-
-def _conic_objective(canon: _Canon) -> bool:
-    """Whether the canon's objective runs on the conic driver: on curved data,
-    and on a sum of several blocks one of which is Euclidean."""
-    return not canon.polyhedral or (len(canon.obj_blocks) > 1
-                                    and any(tag is NormTag.L2 for _, tag in canon.obj_blocks))
+    if _quadratic(canon):
+        H = _euclidean_hessian(canon.obj_blocks[0][0])
+        st, z, its = _qp_driver(canon.at(x), H, np.zeros(canon.n), tol,
+                                start or _Program(canon, None))
+        return st, z, None, its, "active-set", None
+    program = program or _Program(canon)
+    st, z, value, its, res = program.solve(x, tol=tol, lexicographic=lexicographic)
+    return st, z, value, its, program.driver, res
 
 
 def _canon_objective_value(canon: _Canon, z: np.ndarray) -> float:
     return float(sum(tag.of(E @ z) for E, tag in canon.obj_blocks))
 
 
+def _canon_max_value(canon: _Canon, z: np.ndarray) -> float:
+    return float(max(tag.of(E @ z) for E, tag in canon.obj_blocks))
+
+
 def _solution_from_canon(problem: MinNormProblem, canon: _Canon, tol: Tolerances,
-                         lexicographic: bool, phase1: _Phase1 | None = None) -> Solution:
-    st, z, its, driver, res = _solve_canon(canon, tol, lexicographic, phase1)
+                         lexicographic: bool) -> Solution:
+    st, z, _, its, driver, res = _solve_canon(canon, canon.eq_b, tol, lexicographic)
     return _conclude(problem, tol, st, its, driver,
                      lambda: (canon.S @ z, _canon_objective_value(canon, z)), res)
 
@@ -921,39 +908,28 @@ def solve_min_linear(
     objective = BlockNorm.flat(cone.ambient_dim, NormTag.L2)  # placeholder, not minimized
     problem = MinNormProblem(map, target, cone, objective, tuple(extra_bounds), tuple(balls))
     canon = _canonicalize(problem)
-    w = canon.S.T @ cost
-    if canon.polyhedral:
-        lp = _Phase1(canon).lp
-        lp.set_objective(dict(enumerate(w.tolist())))
-        st, z, _, its = lp.solve(tol)
-        driver, res = "simplex", None
-    else:
-        st, z, its, res = _ConicForm(canon, w).solve(canon.eq_b)
-        driver = "conic"
+    program = _Program(canon, canon.S.T @ cost)
+    st, z, _, its, res = program.solve(canon.eq_b, tol=tol)
     if st is SolveStatus.UNBOUNDED:
         raise ArithmeticError("linear objective unbounded below; add a norm cap")
-    return _conclude(problem, tol, st, its, driver, lambda: (canon.S @ z, cost @ (canon.S @ z)),
-                     res)
+    return _conclude(problem, tol, st, its, program.driver,
+                     lambda: (canon.S @ z, cost @ (canon.S @ z)), res)
 
 
 def solve_max_block_norm(problem: MinNormProblem, tol: Tolerances = DEFAULT_TOL) -> Solution:
     """Minimize max_b |c_b| over the objective blocks of the problem.
 
-    Polyhedral block tags on polyhedral data become a single epigraph LP;
-    any other mix of tags and cones is one conic program, with an epigraph
-    variable t bounding every block.
+    One epigraph variable t bounds every block: an LP for polyhedral block
+    tags on polyhedral data, a conic program for any other mix of tags and
+    cones.
     """
     if (sol := _trivial_solution(problem)) is not None:
         return sol
     canon = _canonicalize(problem)
-    if canon.polyhedral and all(tag is not NormTag.L2 for _, tag in canon.obj_blocks):
-        st, z, its = _maxblock_lp(canon, tol)
-        driver, res = "simplex", None
-    else:
-        st, z, its, res = _ConicForm(canon, "max").solve(canon.eq_b)
-        driver = "conic"
-    return _conclude(problem, tol, st, its, driver,
-                     lambda: (canon.S @ z, max(tag.of(E @ z) for E, tag in canon.obj_blocks)), res)
+    program = _Program(canon, "max")
+    st, z, _, its, res = program.solve(canon.eq_b, tol=tol)
+    return _conclude(problem, tol, st, its, program.driver,
+                     lambda: (canon.S @ z, _canon_max_value(canon, z)), res)
 
 
 class _SliceTemplate:
@@ -962,15 +938,15 @@ class _SliceTemplate:
     The canon is built once with the bounds at unit scale; a call gives the
     target, the point and a scale for every bound right-hand side and ball
     radius (|x|_X when the caps grow with the target norm).  Templates on a
-    polyhedral cone keep the Euclidean Hessian and one ``_Phase1`` LP, and
-    each call first projects onto the polyhedral relaxation (equality and
-    <= rows, curved caps dropped) with the active-set QP from a warm
-    phase-1 vertex.  A point inside every cap is the exact projection and
-    an empty relaxation means an empty slice.  Only when a cap binds (or the
-    QP is undecided) does the call go to the conic driver, whose program
-    (the squared distance as one rotated cone) is also built once, on first
-    need.  Second-order cones skip the screen and always take the conic
-    driver, unless the point already lies in the slice.
+    polyhedral cone keep the Euclidean Hessian and the feasibility LP of the
+    polyhedral relaxation (equality and <= rows, curved caps dropped), and
+    each call first projects onto that relaxation with the active-set QP
+    from a warm vertex of the LP.  A point inside every cap is the exact
+    projection and an empty relaxation means an empty slice.  Only when a
+    cap binds (or the QP is undecided) does the call go to the conic driver,
+    whose program (the squared distance as one rotated cone) is also built
+    once, on first need.  Second-order cones skip the screen and always take
+    the conic driver, unless the point already lies in the slice.
     """
 
     def __init__(self, map, cone: _cones.Cone, extra_bounds=(), balls=()):
@@ -981,11 +957,11 @@ class _SliceTemplate:
         self.canon = _canonicalize(self.problem)
         if not self.canon.soc_idx:
             self._H = _euclidean_hessian(self.canon.S)
-            self._phase1 = _Phase1(self.canon)
+            self._phase1 = _Program(replace(self.canon, l2balls=[], groupballs=[], exotic=[]), None)
 
     @cached_property
-    def _conic(self) -> _ConicForm:
-        return _ConicForm(self.canon, "center")
+    def _conic(self) -> _Program:
+        return _Program(self.canon, "center")
 
     def project(self, x, point, scale: float = 1.0, tol: Tolerances = DEFAULT_TOL) -> Solution:
         """Projection of ``point`` onto the slice at target x; value is the distance."""
@@ -998,14 +974,14 @@ class _SliceTemplate:
         if not self.canon.soc_idx:
             canon = self.canon.at(problem.target, scale)
             g = -2.0 * (canon.S.T @ point)
-            st, z, its = _qp_driver(canon, self._H, g, tol, self._phase1)
+            st, z, its = _qp_driver(canon, self._H, g, tol, self._phase1, scale)
             if not (canon.polyhedral or st is SolveStatus.INFEASIBLE
                     or (st is SolveStatus.OPTIMAL and _caps_hold(canon, z))):
                 st = None
         if st is None and (sol := _trivial_solution(problem, point)) is not None:
             return sol  # interior points converge slowly to a zero distance
         if st is None:
-            st, z, more, res = self._conic.solve(problem.target, scale, center=point)
+            st, z, _, more, res = self._conic.solve(problem.target, scale, center=point)
             its += more
             driver = "conic"
         S = self.canon.S
@@ -1054,62 +1030,36 @@ def check_feasible(
 
     Polyhedral systems are decided by phase 1.  Curved systems take a
     converged Dykstra run as the fast yes and otherwise the conic driver's
-    feasible point or checked certificate; ArithmeticError when that is
-    undecided too.  An empty slice with no bounds or caps comes with a
-    verified Farkas-type certificate.
+    feasible point or checked certificate.  ArithmeticError when the
+    program is undecided.  An empty slice with no bounds or caps comes with
+    a verified Farkas-type certificate, from the conic driver's verdict when
+    it passes the check and from ``farkas_certificate`` otherwise.
     """
     objective = BlockNorm.flat(cone.ambient_dim, NormTag.L2)
     problem = MinNormProblem(map, target, cone, objective, tuple(extra_bounds), tuple(balls))
     canon = _canonicalize(problem)
-    if canon.polyhedral:
-        st, z, _ = _feasible_point(canon, tol)
-        feasible = st is SolveStatus.OPTIMAL
-    else:
-        feasible, z = _curved_feasible(canon)
+    feasible, z, res = _feasible(_Program(canon, None), canon.eq_b, tol)
     if feasible:
         return FeasibilityReport(True, point=canon.S @ z)
-    cert = None
-    if not extra_bounds and not balls:
-        cert = farkas_certificate(problem.map, problem.target, cone, tol)
-    return FeasibilityReport(False, certificate=cert)
-
-
-def _curved_feasible(canon: _Canon, form: _ConicForm | None = None):
-    """(feasible, z) on a curved canon.
-
-    A converged Dykstra run is the fast yes.  Any other run asks the conic
-    driver (``form``, the canon's feasibility program, built here when not
-    given) for a feasible point or a checked certificate; when that is
-    undecided too, ArithmeticError.
-    """
-    res = _dykstra_project(canon, np.zeros(canon.n))
-    if res.converged:
-        return True, res.point
-    st, z, _, _ = (form or _ConicForm(canon, None)).solve(canon.eq_b)
-    if st is SolveStatus.INFEASIBLE:
-        return False, None
-    if st is not SolveStatus.OPTIMAL:
-        raise ArithmeticError(f"feasibility undecided at target {canon.eq_b.tolist()}")
-    return True, z
+    return FeasibilityReport(False, certificate=_certificate(problem, tol, res))
 
 
 class MinNormSweep:
     """Re-solve one min-norm (or min-gauge) template against many targets.
 
-    Canonicalization and LP standardization happen once; each target only
-    swaps the equality right-hand side.  Infeasible targets report inf.
-    An optional gauge (R, tag) replaces the objective by |R c|_tag.
+    Canonicalization happens once, and so does compiling the objective's
+    ``_Program`` and the feasibility program, each on first need; each
+    target only swaps their right-hand side.  Infeasible targets report
+    inf.  An optional gauge (R, tag) replaces the objective by |R c|_tag.
 
-    On polyhedral templates ``value`` and ``feasible`` keep their LPs for
-    the whole sweep, so the optimal bases of earlier targets carry over:
-    a target inside a known critical region costs one matrix product, and
-    a target next to one costs a few dual simplex pivots (see
-    ``LinearProgram``); ``feasible`` and the phase-1 starts of Euclidean
-    objectives share one ``_Phase1`` LP.  Values agree with a cold solve to
-    rounding.  On curved templates the objective and the feasibility test
-    are conic programs built once, on first need, and so is the objective
-    of a sum of blocks with a Euclidean one; a target changes only their
-    right-hand side.
+    An LP keeps the optimal bases of earlier targets for the whole sweep: a
+    target inside a known critical region costs one matrix product, and a
+    target next to one costs a few dual simplex pivots (see
+    ``LinearProgram``).  Values agree with a cold solve to rounding.  A
+    single Euclidean objective on polyhedral data runs the active-set QP
+    from a warm vertex of the feasibility LP.  Curved programs go to the
+    conic driver, and on curved data ``feasible`` takes a converged Dykstra
+    run as the fast yes.
     """
 
     def __init__(self, map, cone, objective: BlockNorm, tol: Tolerances = DEFAULT_TOL,
@@ -1123,55 +1073,31 @@ class MinNormSweep:
             R, tag = gauge
             R = np.atleast_2d(np.asarray(R, dtype=float))
             self.canon.obj_blocks = [(R @ self.canon.S, tag)]
-        tags = {tag for _, tag in self.canon.obj_blocks}
-        if self.canon.polyhedral and NormTag.L2 not in tags:
-            self._mode = "lp"
-            self._lp, self._zidx, self._aux, self._eq_ids = _build_lp(self.canon)
-        else:
-            self._mode = "general"
 
     @cached_property
-    def _phase1(self) -> _Phase1 | None:
-        """The LP behind ``feasible`` and the active-set QP's starts, on polyhedral data."""
-        return _Phase1(self.canon) if self.canon.polyhedral else None
+    def _objective(self) -> _Program:
+        return _Program(self.canon)
 
     @cached_property
-    def _conic(self) -> _ConicForm:
-        """The objective's conic program, where ``_conic_objective`` asks for one."""
-        return _ConicForm(self.canon)
-
-    @cached_property
-    def _conic_feasibility(self) -> _ConicForm:
-        return _ConicForm(self.canon, None)
+    def _feasibility(self) -> _Program:
+        """The program behind ``feasible`` and the active-set QP's starts."""
+        return _Program(self.canon, None)
 
     def value(self, x: np.ndarray) -> float:
         """Optimal value for target x, or inf when the slice is empty."""
         x = np.asarray(x, dtype=float)
         if not np.any(x) and _trivial_solution(self.problem) is not None:
             return 0.0
-        if self._mode == "lp":
-            override = {rid: float(x[i]) for i, rid in enumerate(self._eq_ids)}
-            st, z, value, _ = self._lp.solve(self.tol, rhs_override=override)
-            if st is SolveStatus.INFEASIBLE:
-                return math.inf
-            if st is not SolveStatus.OPTIMAL:
-                raise ArithmeticError("iteration limit in sweep solve")
-            return float(value)
-        if _conic_objective(self.canon):
-            st, z, _, _ = self._conic.solve(x)
-        else:
-            st, z, *_ = _solve_canon(self.canon.at(x), self.tol, False, self._phase1)
+        st, z, value, *_ = _solve_canon(self.canon, x, self.tol, False, self._objective,
+                                        self._feasibility)
         if st is SolveStatus.INFEASIBLE:
             return math.inf
         if st is not SolveStatus.OPTIMAL:
             raise ArithmeticError("iteration limit in sweep solve")
-        return _canon_objective_value(self.canon, z)
+        return float(value) if value is not None else _canon_objective_value(self.canon, z)
 
     def feasible(self, x: np.ndarray) -> bool:
-        x = np.asarray(x, dtype=float)
-        if self._phase1 is not None:
-            return self._phase1.start(x, self.canon.in_b, self.tol)[0] is SolveStatus.OPTIMAL
-        return _curved_feasible(self.canon.at(x), self._conic_feasibility)[0]
+        return _feasible(self._feasibility, np.asarray(x, dtype=float), self.tol)[0]
 
 
 def _set_level(cone: _cones.Cone) -> _cones.Cone:
@@ -1217,6 +1143,20 @@ def _encode_dual_membership(lp: LinearProgram, cone: _cones.Cone, expr: np.ndarr
     raise ValueError(f"no polyhedral dual encoding for {type(cone).__name__}")
 
 
+def _box_dual_lp(T: np.ndarray, cone: _cones.Cone, cost=0.0) -> LinearProgram:
+    """LP over free y (the first variables, with the given cost) in the box
+    |y_i| <= 1, written as e_i y <= 1 and -e_i y <= 1 in turn, with T^T y
+    in dual(cone)."""
+    d = T.shape[0]
+    lp = LinearProgram()
+    yidx = lp.add_vars(d, nonneg=False, obj=cost)
+    for e in np.eye(d):
+        lp.add_row(e, "<=", 1.0, at=yidx)
+        lp.add_row(-e, "<=", 1.0, at=yidx)
+    _encode_dual_membership(lp, cone, T.T, yidx)
+    return lp
+
+
 def farkas_certificate(
     map: np.ndarray, target: np.ndarray, cone: _cones.Cone, tol: Tolerances = DEFAULT_TOL
 ) -> Certificate | None:
@@ -1231,28 +1171,20 @@ def farkas_certificate(
     cone = _set_level(cone)
     if not _cones.is_polyhedral(cone):
         problem = MinNormProblem(map, target, cone, BlockNorm.flat(cone.ambient_dim, NormTag.L2))
-        res = _ConicForm(_canonicalize(problem), None).solve(problem.target)[3]
+        res = _Program(_canonicalize(problem), None).solve(problem.target)[4]
         if res.status is not SolveStatus.INFEASIBLE:
             return None
         return _conic_certificate(problem, res, tol)
     T = np.atleast_2d(np.asarray(map, dtype=float))
     x = np.asarray(target, dtype=float)
-    d = T.shape[0]
-    lp = LinearProgram()
-    yidx = lp.add_vars(d, nonneg=False, obj=-x)  # minimize -<x, y>
-    for i in range(d):
-        e = np.zeros(d)
-        e[i] = 1.0
-        lp.add_row(e, "<=", 1.0, at=yidx)
-        lp.add_row(-e, "<=", 1.0, at=yidx)
-    _encode_dual_membership(lp, _cones.Negation(cone), T.T, yidx)
+    lp = _box_dual_lp(T, _cones.Negation(cone), -x)  # minimize -<x, y>
     status, z, value, _ = lp.solve(tol)
     if status is not SolveStatus.OPTIMAL or z is None:
         return None
     attained = -float(value)
     if attained <= tol.optimality:
         return None
-    y = z[:d]
+    y = z[:T.shape[0]]
     y = y / np.max(np.abs(y))
     if certificate_is_valid(T, x, cone, y, tol):
         return Certificate(y=y, kind="exact")
@@ -1281,12 +1213,11 @@ def _conic_certificate(problem: MinNormProblem, res, tol: Tolerances) -> Certifi
     return None
 
 
-def _infeasible_solution(problem: MinNormProblem, tol: Tolerances, res=None) -> Solution:
-    """INFEASIBLE, with a checked Farkas certificate when the slice has no bounds
-    or caps: from the conic driver's result ``res`` when it gives one, else
+def _certificate(problem: MinNormProblem, tol: Tolerances, res=None) -> Certificate | None:
+    """A checked Farkas certificate for an empty slice with no bounds or caps:
+    from the conic driver's INFEASIBLE result ``res`` when it gives one, else
     from ``farkas_certificate``."""
-    cert = None
-    if not problem.extra_bounds and not problem.balls:
-        cert = ((res is not None and _conic_certificate(problem, res, tol))
-                or farkas_certificate(problem.map, problem.target, problem.cone, tol))
-    return Solution(SolveStatus.INFEASIBLE, certificate=cert)
+    if problem.extra_bounds or problem.balls:
+        return None
+    return ((res is not None and _conic_certificate(problem, res, tol))
+            or farkas_certificate(problem.map, problem.target, problem.cone, tol))

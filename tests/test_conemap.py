@@ -7,6 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
+from conekit import solver
 from conekit.conemap import ConeMap
 from conekit.cones import DirectSumL1, Generators, Negation, Orthant, SecondOrder
 from conekit.instances import parse_instance, random_polyhedral_instance
@@ -28,6 +29,28 @@ def lattice_map(tag=NormTag.L2):
 @functools.cache
 def lattice_equivalence():
     return lattice_map().norm_equivalence(CFG)
+
+
+@pytest.mark.parametrize("tag", [NormTag.L2, NormTag.L1], ids=["l2", "l1"])
+def test_max_kind_compiles_one_program(tag, monkeypatch, spy):
+    # one program per map serves every target, with solve_max_block_norm's
+    # values: bit for bit on the conic driver, and to rounding where the LP
+    # starts from an earlier target's optimal basis
+    cm = lattice_map(tag)
+    value = ConeMap(cm.matrix, cm.cone, tag, cm.domain_norm)._kind_objective("max")
+    xs = np.random.default_rng(7).standard_normal((60, 2))
+    built = []
+    spy(solver._Program, "__init__", built)
+    got = [value(x) for x in xs]
+    monkeypatch.undo()
+    assert len(built) == 1
+    for x, v in zip(xs, got):
+        one = solver.solve_max_block_norm(solver.MinNormProblem(cm.matrix, x, cm.cone,
+                                                                cm.domain_norm)).value
+        if tag is NormTag.L2:
+            assert v == one, (x, v, one)
+        else:
+            assert abs(v - one) <= 1e-12 * one, (x, v, one)
 
 
 def test_shape_validation():

@@ -126,6 +126,28 @@ def test_project_l2_composite(z):
     np.testing.assert_allclose(p[2:], np.minimum(z[2:], 0.0), atol=1e-12)
 
 
+def halfspace_draws(count=282):
+    """Cones {v : A v >= 0} with n in [2, 6) and m in [2, 9) rows, and points
+    3 N(0, 1)."""
+    rng = np.random.default_rng(0)
+    for _ in range(count):
+        n, m = int(rng.integers(2, 6)), int(rng.integers(2, 9))
+        yield rng.standard_normal((m, n)), 3.0 * rng.standard_normal(n)
+
+
+def test_project_l2_onto_halfspaces_meets_kkt():
+    # p = P_K(z) iff A p >= 0, p - z = A^T lam with lam >= 0, and <p - z, p> = 0.
+    # An unconverged Dykstra point once left the cone (by up to 5e-3) on 4 draws
+    nnls = pytest.importorskip("scipy.optimize").nnls
+    for A, z in halfspace_draws():
+        p = project_l2(Halfspaces(A), z)
+        tol = 1e-9 * max(1.0, float(np.linalg.norm(z)))
+        assert np.min(A @ p) >= -tol, (A, z)
+        _, resid = nnls(A.T, p - z)
+        assert resid <= tol, (A, z)
+        assert abs((p - z) @ p) <= tol * max(1.0, float(np.linalg.norm(z))), (A, z)
+
+
 def test_membership_rejects_wrong_dimension():
     with pytest.raises(ValueError):
         contains(Orthant(2), np.zeros(3))

@@ -78,10 +78,10 @@ def test_lattice_parts_through_the_conic_driver(objective):
     norm = BlockNorm(((0, 3, NormTag.L2), (3, 6, NormTag.L2)))
     problem = MinNormProblem(np.hstack([np.eye(3), np.eye(3)]), np.zeros(3), cone, norm)
     canon = solver._canonicalize(problem)
-    form = solver._ConicForm(canon, objective)
+    form = solver._Program(canon, objective)
     for x in TARGETS:
         center = np.zeros(6) if objective == "center" else None
-        st, z, its, res = form.solve(x, center=center)
+        st, z, _, its, res = form.solve(x, center=center)
         assert st is SolveStatus.OPTIMAL and max(res.pres, res.dres, res.gap) <= TOL
         parts = np.concatenate(oracles.lattice_parts(x))
         if objective == "norm":
@@ -169,8 +169,8 @@ def test_infeasible_slices_carry_checked_certificates():
             cap = BallConstraint(np.eye(6), BlockNorm(((0, 3, NormTag.L2), (3, 6, NormTag.L2))), r)
             problem = MinNormProblem(np.hstack([np.eye(3), np.eye(3)]), x, cone,
                                      BlockNorm.flat(6, NormTag.L2), balls=(cap,))
-            form = solver._ConicForm(solver._canonicalize(problem), None)
-            st, _, _, res = form.solve(x)
+            form = solver._Program(solver._canonicalize(problem), None)
+            st, _, _, _, res = form.solve(x)
             assert st is (SolveStatus.INFEASIBLE if empty else SolveStatus.OPTIMAL), (x, r)
             if empty:
                 assert form.program.certifies_infeasible(x, form.h, res.y, res.z)

@@ -425,7 +425,7 @@ def test_loose_exotic_cap_skips_projected_gradient(spy):
 
 def test_second_order_templates_skip_the_screen(spy):
     built = []
-    spy(solver, "_Phase1", built)
+    spy(solver, "LinearProgram", built)
     ri = gamma(ConeMap(np.eye(3), SecondOrder(3), codomain_norm=NormTag.L2))
     x = np.array([2.0, 1.0, -0.5])
     np.testing.assert_allclose(ri(x), x, atol=1e-9)

@@ -1,3 +1,8 @@
+import os
+import pathlib
+import subprocess
+import sys
+
 import numpy as np
 import pytest
 from hypothesis import given
@@ -257,6 +262,16 @@ def test_curved_feasibility_asks_the_conic_driver(stalled, undecided_dykstra, sp
             assert certificate_is_valid(np.eye(3), x, SecondOrder(3), rep.certificate.y)
 
 
+def test_empty_curved_slice_is_solved_once(spy):
+    # the conic verdict carries the Farkas certificate, so the feasibility
+    # program is not solved a second time to find one
+    runs = []
+    spy(conic.ConeProgram, "solve", runs)
+    rep = check_feasible(np.eye(3), ICE_OUTSIDE, SecondOrder(3))
+    assert not rep.feasible and len(runs) == 1
+    assert certificate_is_valid(np.eye(3), ICE_OUTSIDE, SecondOrder(3), rep.certificate.y)
+
+
 @pytest.mark.parametrize("stalled", (False, True))
 def test_curved_feasibility_undecided_raises(stalled, undecided_dykstra, undecided_conic):
     undecided_dykstra(stalled)
@@ -279,6 +294,11 @@ def test_solutions_name_their_driver():
     assert solve_min_norm(two_l2).driver == "conic"
     assert solve_min_norm(lattice_problem([0.0, 0.0])).driver == "trivial"
     assert solve_max_block_norm(two_l2).driver == "conic"
+    assert solve_max_block_norm(lattice_problem([3.0, -4.0], NormTag.L1)).driver == "simplex"
+    assert solve_max_block_norm(ice).driver == "conic"
+    mass = np.array([1.0, 1.0, 0.0, 0.0])
+    assert solve_min_linear(SUMMING, np.array([1.0, 0.0]), LATTICE, mass).driver == "simplex"
+    assert solve_min_linear(np.eye(3), ICE_INSIDE, SecondOrder(3), np.ones(3)).driver == "conic"
     sol = solve_min_norm(ice)
     assert sol.driver == "conic" and 0 < sol.iterations <= 60
 
@@ -291,6 +311,16 @@ def test_min_gauge_positive_part():
     assert sol.value == pytest.approx(3.0, abs=1e-8)  # |x_plus|_2
     sol = solve_min_gauge(SUMMING, np.array([-1.0, -1.0]), LATTICE, (R, NormTag.L2))
     assert sol.value == pytest.approx(0.0, abs=1e-8)  # negative x needs no plus part
+
+
+@pytest.mark.parametrize("tag", [NormTag.LINF, NormTag.L1])
+def test_zero_gauge_is_zero_on_both_backends(tag):
+    # a linf block whose rows are all zero still gets its epigraph variable,
+    # nonnegative in the LP and held by a sign row in the conic program
+    for cone, driver in ((Orthant(3), "simplex"), (SecondOrder(3), "conic")):
+        sol = solve_min_gauge(np.eye(3)[:2], np.array([2.0, 1.0]), cone, (np.zeros((2, 3)), tag))
+        assert sol.status is SolveStatus.OPTIMAL and sol.driver == driver
+        assert sol.value == 0.0
 
 
 def test_min_linear_on_lattice():
@@ -407,8 +437,7 @@ def sweep_targets(T, rng, count=100):
 
 
 def cold_value(sweep, x):
-    lp, _, _, eq_ids = solver._build_lp(sweep.canon)
-    st, _, value, _ = lp.solve(sweep.tol, rhs_override=dict(zip(eq_ids, x.tolist())))
+    st, _, value, _, _ = solver._Program(sweep.canon).solve(x, tol=sweep.tol)
     return np.inf if st is SolveStatus.INFEASIBLE else value
 
 
@@ -472,3 +501,40 @@ def test_lp_unbounded_status():
     status, z, value, _ = lp.solve()
     assert status is SolveStatus.UNBOUNDED
     assert z is None and value is None
+
+
+# -- numpy-only polyhedral runtime ----------------------------------------------
+
+POLYHEDRAL_CALLS = """
+import sys
+import numpy as np
+from conekit.cones import DirectSumL1, Negation, Orthant
+from conekit.norms import BlockNorm, NormTag
+from conekit.solver import (MinNormProblem, MinNormSweep, check_feasible, solve_max_block_norm,
+                            solve_min_linear, solve_min_norm)
+T, x = np.hstack([np.eye(2), np.eye(2)]), np.array([3.0, -4.0])
+C = DirectSumL1((Orthant(2), Negation(Orthant(2))))
+for tag in (NormTag.L1, NormTag.L2):
+    flat = BlockNorm.flat(4, tag)
+    assert solve_min_norm(MinNormProblem(T, x, C, flat)).value > 0
+    sweep = MinNormSweep(T, C, flat)
+    assert sweep.value(x) > 0 and sweep.feasible(x)
+assert check_feasible(T, x, C).feasible
+assert check_feasible(np.eye(2), x, Orthant(2)).certificate is not None
+l1_lattice = BlockNorm(((0, 2, NormTag.L1), (2, 4, NormTag.L1)))
+assert solve_max_block_norm(MinNormProblem(T, x, C, l1_lattice)).value == 4.0
+assert solve_min_linear(T, x, C, np.array([1.0, 1.0, 0.0, 0.0])).value == 3.0
+print(sorted(m for m in sys.modules if m == "conekit.conic" or m.partition(".")[0] == "scipy"))
+"""
+
+
+def test_polyhedral_calls_import_neither_conic_nor_scipy():
+    # the interior-point code is imported on the first curved program only,
+    # and the runtime is numpy-only
+    src = pathlib.Path(__file__).resolve().parents[1] / "src"
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [str(src), env.get("PYTHONPATH")]))
+    proc = subprocess.run([sys.executable, "-c", POLYHEDRAL_CALLS], env=env,
+                          capture_output=True, text=True, timeout=300)
+    assert proc.returncode == 0, proc.stderr
+    assert proc.stdout.strip() == "[]"
