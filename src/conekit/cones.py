@@ -15,7 +15,7 @@ interior.  Seven representations cover the desk-scale instances:
 
 Membership is exact (up to a caller tolerance) for every representation;
 projection is closed-form where a formula exists and a small nonnegative
-least-squares / halfspace Dykstra solve otherwise.  Duality maps polyhedral
+least-squares solve (through the Moreau split) otherwise.  Duality maps polyhedral
 representations onto each other: dual(Generators(G)) = Halfspaces(G^T) and
 dual(Halfspaces(A)) = Generators(A^T), both instances of the Farkas lemma.
 """

@@ -151,7 +151,8 @@ def kind_objective(space: OrderedSpace, kind: ConormalityKind):
     sum and plain kinds each share a sweep, and the max kind a program,
     compiled once for the space's summing map.
     """
-    return space._summing_map._kind_objective(kind)
+    values = space._summing_map._kind_objective(kind)
+    return lambda x: float(values(x)[0])
 
 
 def decomposition_value(space: OrderedSpace, x: np.ndarray,

@@ -1,10 +1,10 @@
-"""Closed-form Euclidean projectors and Dykstra's alternating scheme.
+"""Closed-form Euclidean projectors, nonnegative least squares and Dykstra's
+alternating scheme.
 
-Projection onto an intersection of simple closed convex sets is computed by
-Dykstra's algorithm, which converges to the exact projection (not merely a
-feasible point) whenever the intersection is nonempty.  Curved solves run
-on the conic driver (``conic.py``); Dykstra remains the fast yes of curved
-feasibility tests.
+The projectors onto the orthant and the second-order cone and the
+nonnegative least squares behind ``cones.project_l2`` live here.  Every curved
+solve runs on the conic driver (``conic.py``); nothing in the package calls
+``dykstra`` any more, which stays importable for outside callers.
 """
 from __future__ import annotations
 
@@ -13,14 +13,9 @@ from typing import Callable, Sequence
 
 import numpy as np
 
-Projector = Callable[[np.ndarray], np.ndarray]
-
 __all__ = [
     "project_orthant",
     "project_soc",
-    "project_halfspace",
-    "affine_projector",
-    "project_group_l1_ball",
     "nonneg_lstsq",
     "dykstra",
     "DykstraResult",
@@ -46,73 +41,6 @@ def project_soc(z: np.ndarray) -> np.ndarray:
     out[0] = a
     out[1:] = (a / s) * y
     return out
-
-
-def project_halfspace(a: np.ndarray, b: float) -> Projector:
-    """Projector onto {z : <a, z> >= b}."""
-    a = np.asarray(a, dtype=float)
-    nn = float(a @ a)
-    if nn == 0.0:
-        raise ValueError("halfspace normal must be nonzero")
-
-    def proj(z: np.ndarray) -> np.ndarray:
-        r = float(a @ z) - b
-        if r >= 0.0:
-            return z
-        return z - (r / nn) * a
-
-    return proj
-
-
-def affine_projector(A: np.ndarray, b: np.ndarray) -> Projector:
-    """Projector onto {z : A z = b}, with the factorization cached.
-
-    Uses the pseudoinverse so rank-deficient (consistent) systems behave.
-    """
-    A = np.atleast_2d(np.asarray(A, dtype=float))
-    b = np.asarray(b, dtype=float)
-    pinv = np.linalg.pinv(A, rcond=1e-13)
-
-    def proj(z: np.ndarray) -> np.ndarray:
-        return z - pinv @ (A @ z - b)
-
-    return proj
-
-
-def project_group_l1_ball(blocks: Sequence, radius: float) -> Projector:
-    """Projector onto {z : sum_b ||z[b]||_2 <= radius}.
-
-    A block is a ``(start, stop)`` pair or an array of indices (blocks
-    picked out of a larger vector need not be contiguous).  Lagrangian form:
-    each block shrinks by a common threshold lam chosen so the shrunk block
-    norms sum to the radius; lam is the root of a piecewise linear
-    decreasing function of the sorted block norms, found exactly.
-    """
-    if radius < 0:
-        raise ValueError("radius must be nonnegative")
-    blocks = [slice(*b) if isinstance(b, tuple) else np.asarray(b, dtype=int) for b in blocks]
-
-    def proj(z: np.ndarray) -> np.ndarray:
-        norms = np.array([np.linalg.norm(z[b]) for b in blocks])
-        if norms.sum() <= radius:
-            return z
-        # find lam > 0 with sum max(norms - lam, 0) = radius
-        s = np.sort(norms)[::-1]
-        csum = np.cumsum(s)
-        lam = None
-        for k in range(1, len(s) + 1):
-            cand = (csum[k - 1] - radius) / k
-            if cand >= (s[k] if k < len(s) else 0.0) - 1e-15 and cand <= s[k - 1] + 1e-15:
-                lam = cand
-                break
-        if lam is None:
-            lam = (csum[-1] - radius) / len(s)
-        out = z.copy()
-        for b, n in zip(blocks, norms):
-            out[b] = 0.0 if n <= lam else z[b] * ((n - lam) / n)
-        return out
-
-    return proj
 
 
 def nonneg_lstsq(A: np.ndarray, b: np.ndarray, tol: float = 1e-11, maxiter: int | None = None):
@@ -164,7 +92,7 @@ class DykstraResult:
 
 
 def dykstra(
-    projectors: Sequence[Projector],
+    projectors: Sequence[Callable[[np.ndarray], np.ndarray]],
     z0: np.ndarray,
     violation: Callable[[np.ndarray], float],
     tol: float = 1e-11,

@@ -122,18 +122,19 @@ class SphereSup:
         return max(upper, self.value)
 
 
-def sphere_sup(value, dim: int, tag: NormTag, config: SamplerConfig,
+def sphere_sup(values, dim: int, tag: NormTag, config: SamplerConfig,
                trust_vertices: bool = True) -> SphereSup:
-    """sup of a convex positively homogeneous ``value`` on the unit ``tag``-sphere.
+    """sup of a convex positively homogeneous function on the unit ``tag``-sphere.
 
-    Evaluates ``value`` on every direction of ``search_grid``.  A vertex
-    grid is the answer as it stands; a sampled grid refines its argmax
-    with ``refine_on_sphere``.  ``trust_vertices=False`` refines on a
-    vertex grid too, for functions that need not be convex.
+    ``values(X)`` gives it at each row of X: once on all of ``search_grid``
+    (one batch for a batched solver), then on single directions.  A vertex
+    grid is the answer as it stands; a sampled grid refines its argmax with
+    ``refine_on_sphere``.  ``trust_vertices=False`` refines on a vertex grid
+    too, for functions that need not be convex.
     """
     dirs, exact = search_grid(dim, tag, config)
     exact = exact and trust_vertices
-    vals = np.array([value(x) for x in dirs], dtype=float)
+    vals = np.asarray(values(dirs), dtype=float)
     unreachable = np.isinf(vals)
     if unreachable.any():
         first = int(np.argmax(unreachable))
@@ -141,7 +142,8 @@ def sphere_sup(value, dim: int, tag: NormTag, config: SamplerConfig,
     best = int(np.argmax(vals))
     top, arg = float(vals[best]), dirs[best]
     if not exact:
-        x, refined = refine_on_sphere(value, arg, tag, steps=config.refine_steps)
+        x, refined = refine_on_sphere(lambda u: float(values(u[None])[0]), arg, tag,
+                                      steps=config.refine_steps)
         if refined > top:
             top, arg = float(refined), x
     return SphereSup(top, arg, dirs, vals, exact, tag, config)

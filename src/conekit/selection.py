@@ -269,7 +269,8 @@ def achievable_alpha(cmap: ConeMap, rho: ConstraintFunctional | None = None,
     def value(x: np.ndarray) -> float:
         return _min_rho_at(cmap, rho, x, balls)
 
-    sup = sphere_sup(value, cmap.codomain_dim, cmap.codomain_norm, config)
+    sup = sphere_sup(lambda X: [value(x) for x in X], cmap.codomain_dim, cmap.codomain_norm,
+                     config)
     if math.isinf(sup.value):
         raise EmptyCorrespondence(sup.argmax)
     return sup.value
@@ -289,8 +290,8 @@ def selection_bound(ri: RightInverse, config: SamplerConfig | None = None) -> fl
     # a plain selection trusts a vertex grid, which is exact on lattices:
     # there |gamma(x)| is the sum-kind gauge, convex and so maximal at a
     # vertex; a constrained selection refines its grid maximum anyway
-    return sphere_sup(value, cmap.codomain_dim, cmap.codomain_norm, config or SamplerConfig(),
-                      trust_vertices=ri.spec is None).value
+    return sphere_sup(lambda X: [value(x) for x in X], cmap.codomain_dim, cmap.codomain_norm,
+                      config or SamplerConfig(), trust_vertices=ri.spec is None).value
 
 
 # -- sphere tables -----------------------------------------------------------

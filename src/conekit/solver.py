@@ -16,9 +16,10 @@ plus second-order blocks.  Rows with no second-order block go to the dense
 simplex of ``simplex.py``, which also yields Farkas-type infeasibility
 certificates; all others (sums and maxima of blocks with a Euclidean one,
 second-order cones, Euclidean and group norm balls, caps with no
-orthonormal rows) go to the interior-point method of ``conic.py``.  An
-active-set method handles a single Euclidean objective on polyhedral data,
-and Dykstra projections remain as the fast yes of curved feasibility.
+orthonormal rows) go to the interior-point method of ``conic.py``, which
+solves a whole batch of targets at once (``MinNormSweep.values`` and
+``feasible_many``).  An active-set method handles a single Euclidean
+objective on polyhedral data.
 """
 from __future__ import annotations
 
@@ -29,7 +30,6 @@ from functools import cached_property
 import numpy as np
 
 from . import cones as _cones
-from . import projops
 from .norms import BlockNorm, NormTag
 from .projops import nonneg_lstsq
 from .simplex import DEFAULT_TOL, LinearProgram, SolveStatus, Tolerances
@@ -249,8 +249,8 @@ class _Canon:
     Linear part: eq rows, <= rows.  Curved part: second-order index blocks,
     Euclidean balls |R z| <= r with orthonormal-row R, and group balls
     sum_b |z[idx_b]| <= r.  ``exotic`` holds the other curved caps (rows
-    that are not orthonormal, mixed block tags); Dykstra has no projector
-    for them, and the conic encoding takes them as they are.
+    that are not orthonormal, mixed block tags), which the conic encoding
+    takes as they are.
     """
 
     S: np.ndarray
@@ -262,7 +262,7 @@ class _Canon:
     l2balls: list  # (R with orthonormal rows, radius)
     groupballs: list  # (list of index arrays, radius)
     obj_blocks: list  # (E over z, tag)
-    exotic: list  # BallConstraint objects without a Dykstra projector
+    exotic: list  # other BallConstraint objects
 
     @property
     def n(self) -> int:
@@ -448,52 +448,6 @@ def _canonicalize(problem: MinNormProblem) -> _Canon:
     )
 
 
-def _canon_violation(canon: _Canon, z: np.ndarray) -> float:
-    v = 0.0
-    if canon.eq_A.size:
-        v = max(v, float(np.max(np.abs(canon.eq_A @ z - canon.eq_b), initial=0.0)))
-    if canon.in_A.size:
-        v = max(v, float(np.max(canon.in_A @ z - canon.in_b, initial=0.0)))
-    for idx in canon.soc_idx:
-        seg = z[idx]
-        v = max(v, float(np.linalg.norm(seg[1:]) - seg[0]))
-    for R, r in canon.l2balls:
-        v = max(v, float(np.linalg.norm(R @ z) - r))
-    for idxs, r in canon.groupballs:
-        v = max(v, sum(float(np.linalg.norm(z[idx])) for idx in idxs) - r)
-    return max(v, 0.0)
-
-
-def _canon_projectors(canon: _Canon):
-    projs = []
-    if canon.eq_A.size:
-        projs.append(projops.affine_projector(canon.eq_A, canon.eq_b))
-    for i in range(canon.in_A.shape[0]):
-        projs.append(projops.project_halfspace(-canon.in_A[i], -canon.in_b[i]))
-    for idx in canon.soc_idx:
-        idx = np.asarray(idx)
-
-        def soc_proj(z, idx=idx):
-            out = z.copy()
-            out[idx] = projops.project_soc(z[idx])
-            return out
-
-        projs.append(soc_proj)
-    for R, r in canon.l2balls:
-
-        def ball_proj(z, R=R, r=r):
-            w = R @ z
-            nn = np.linalg.norm(w)
-            if nn <= r:
-                return z
-            return z + R.T @ (w * (r / nn) - w)
-
-        projs.append(ball_proj)
-    for idxs, r in canon.groupballs:
-        projs.append(projops.project_group_l1_ball(idxs, r))
-    return projs
-
-
 # ---------------------------------------------------------------------------
 # one encoder, two backends
 
@@ -664,9 +618,7 @@ class _Program:
                 rho = max(float(np.linalg.norm(x)), float(np.linalg.norm(center))) or 1.0
                 h[k], h[k + 1] = 0.5 * rho, -0.5 * rho
                 h[k + 2:] = -center
-            res = program.solve(x, h, target=self._target)
-            z = res.x[:self.n] if res.status is SolveStatus.OPTIMAL else None
-            return res.status, z, None, res.iterations, res
+            return self._conic(program.solve(x, h, target=self._target))
         lp = self.lp
         override = dict(enumerate(x.tolist(), self._eq_start))
         if self._moving:
@@ -677,6 +629,19 @@ class _Program:
         if lexicographic:
             v, its = self._lexicographic(v, value, override, tol, its)
         return status, v[:self.n], value, its, None
+
+    def solve_many(self, X, tol: Tolerances = DEFAULT_TOL) -> list:
+        """``solve`` at each row of X at unit scale: one batched call on the
+        conic backend, one target after another on the simplex, whose cached
+        bases carry over."""
+        if self.driver == "simplex":
+            return [self.solve(x, tol=tol) for x in X]
+        program = self.program  # compiled here, which also sets self.h
+        return [self._conic(r) for r in program.solve_many(X, self.h, target=self._target)]
+
+    def _conic(self, res):
+        z = res.x[:self.n] if res.status is SolveStatus.OPTIMAL else None
+        return res.status, z, None, res.iterations, res
 
     def _lexicographic(self, v, value, override, tol: Tolerances, its: int):
         """Minimize the ambient coordinates in turn over the optimal face."""
@@ -719,11 +684,6 @@ def _qp_driver(canon: _Canon, H: np.ndarray, g: np.ndarray, tol: Tolerances, sta
     return st, z, its0 + its
 
 
-def _dykstra_project(canon: _Canon, center_z: np.ndarray):
-    return projops.dykstra(_canon_projectors(canon), center_z,
-                           lambda zz: _canon_violation(canon, zz))
-
-
 def _caps_hold(canon: _Canon, z: np.ndarray) -> bool:
     """Whether z meets every curved cap of the canon, with no tolerance."""
     return (all(np.linalg.norm(R @ z) <= r for R, r in canon.l2balls)
@@ -732,22 +692,12 @@ def _caps_hold(canon: _Canon, z: np.ndarray) -> bool:
             and all(ball.value(canon.S @ z) <= ball.bound for ball in canon.exotic))
 
 
-def _feasible(program: _Program, x: np.ndarray, tol: Tolerances):
-    """(feasible, z, conic result or None) from a feasibility program at target x.
-
-    On curved data a converged Dykstra run is the fast yes; otherwise the
-    program gives a feasible point or a checked verdict of emptiness, and
-    ArithmeticError when it is undecided.
-    """
-    canon = program.canon
-    if not canon.polyhedral:
-        run = _dykstra_project(canon.at(x), np.zeros(canon.n))
-        if run.converged:
-            return True, run.point, None
-    st, z, _, _, res = program.solve(x, tol=tol)
-    if st is not SolveStatus.OPTIMAL and st is not SolveStatus.INFEASIBLE:
+def _decided(status: SolveStatus, x) -> bool:
+    """Whether a feasibility verdict at target x is OPTIMAL (a nonempty slice)
+    rather than INFEASIBLE (certified empty); ArithmeticError for any other."""
+    if status is not SolveStatus.OPTIMAL and status is not SolveStatus.INFEASIBLE:
         raise ArithmeticError(f"feasibility undecided at target {np.asarray(x).tolist()}")
-    return st is SolveStatus.OPTIMAL, z, res
+    return status is SolveStatus.OPTIMAL
 
 
 # ---------------------------------------------------------------------------
@@ -805,24 +755,35 @@ def _quadratic(canon: _Canon) -> bool:
 
 
 def _solve_canon(canon: _Canon, x: np.ndarray, tol: Tolerances, lexicographic: bool,
-                 program: _Program | None = None, start: _Program | None = None):
+                 program: _Program | None = None, start: _Program | None = None, H=None):
     """Solve one canonical problem at target x.
 
     Returns (status, z, value, iterations, driver, conic result or None),
     with ``value`` as ``_Program.solve`` gives it (None from the active-set
     QP).  The objective is whatever canon's obj_blocks say, which need not
     be a norm of the full ambient point.  ``program`` is the canon's
-    objective program and ``start`` its feasibility program, when the
-    caller keeps them; they are built here otherwise.
+    objective program and ``start`` its feasibility program, and H the
+    active-set QP's Hessian, when the caller keeps them; they are built here
+    otherwise.
     """
     if _quadratic(canon):
-        H = _euclidean_hessian(canon.obj_blocks[0][0])
+        H = _euclidean_hessian(canon.obj_blocks[0][0]) if H is None else H
         st, z, its = _qp_driver(canon.at(x), H, np.zeros(canon.n), tol,
                                 start or _Program(canon, None))
         return st, z, None, its, "active-set", None
     program = program or _Program(canon)
     st, z, value, its, res = program.solve(x, tol=tol, lexicographic=lexicographic)
     return st, z, value, its, program.driver, res
+
+
+def _values(out: np.ndarray, rows, sols, value) -> np.ndarray:
+    """out with the value of each solve at its row: the LP's optimal value or
+    value(z), inf for an empty slice; ArithmeticError on an undecided solve."""
+    for i, (st, z, v, *_) in zip(rows.tolist(), sols):
+        if st is not SolveStatus.OPTIMAL and st is not SolveStatus.INFEASIBLE:
+            raise ArithmeticError("iteration limit in sweep solve")
+        out[i] = math.inf if st is SolveStatus.INFEASIBLE else v if v is not None else value(z)
+    return out
 
 
 def _canon_objective_value(canon: _Canon, z: np.ndarray) -> float:
@@ -1028,9 +989,8 @@ def check_feasible(
 ) -> FeasibilityReport:
     """Is {c in C : T c = x, bounds} nonempty?
 
-    Polyhedral systems are decided by phase 1.  Curved systems take a
-    converged Dykstra run as the fast yes and otherwise the conic driver's
-    feasible point or checked certificate.  ArithmeticError when the
+    Polyhedral systems are decided by phase 1, curved ones by the conic
+    driver's feasible point or checked certificate.  ArithmeticError when the
     program is undecided.  An empty slice with no bounds or caps comes with
     a verified Farkas-type certificate, from the conic driver's verdict when
     it passes the check and from ``farkas_certificate`` otherwise.
@@ -1038,8 +998,8 @@ def check_feasible(
     objective = BlockNorm.flat(cone.ambient_dim, NormTag.L2)
     problem = MinNormProblem(map, target, cone, objective, tuple(extra_bounds), tuple(balls))
     canon = _canonicalize(problem)
-    feasible, z, res = _feasible(_Program(canon, None), canon.eq_b, tol)
-    if feasible:
+    st, z, _, _, res = _Program(canon, None).solve(canon.eq_b, tol=tol)
+    if _decided(st, canon.eq_b):
         return FeasibilityReport(True, point=canon.S @ z)
     return FeasibilityReport(False, certificate=_certificate(problem, tol, res))
 
@@ -1049,17 +1009,17 @@ class MinNormSweep:
 
     Canonicalization happens once, and so does compiling the objective's
     ``_Program`` and the feasibility program, each on first need; each
-    target only swaps their right-hand side.  Infeasible targets report
-    inf.  An optional gauge (R, tag) replaces the objective by |R c|_tag.
+    target only swaps their right-hand side.
+    Infeasible targets report inf.  An optional gauge (R, tag) replaces the
+    objective by |R c|_tag.
 
-    An LP keeps the optimal bases of earlier targets for the whole sweep: a
-    target inside a known critical region costs one matrix product, and a
-    target next to one costs a few dual simplex pivots (see
-    ``LinearProgram``).  Values agree with a cold solve to rounding.  A
-    single Euclidean objective on polyhedral data runs the active-set QP
-    from a warm vertex of the feasibility LP.  Curved programs go to the
-    conic driver, and on curved data ``feasible`` takes a converged Dykstra
-    run as the fast yes.
+    ``values`` and ``feasible_many`` take a batch of targets: the conic
+    driver solves the whole batch in one call, and an LP keeps the optimal
+    bases of earlier targets for the whole sweep, so a target inside a known
+    critical region costs one matrix product and a target next to one a few
+    dual simplex pivots (see ``LinearProgram``).  Values agree with a cold
+    solve to rounding.  A single Euclidean objective on polyhedral data runs
+    the active-set QP from a warm vertex of the feasibility LP.
     """
 
     def __init__(self, map, cone, objective: BlockNorm, tol: Tolerances = DEFAULT_TOL,
@@ -1073,6 +1033,8 @@ class MinNormSweep:
             R, tag = gauge
             R = np.atleast_2d(np.asarray(R, dtype=float))
             self.canon.obj_blocks = [(R @ self.canon.S, tag)]
+        if _quadratic(self.canon):  # the active-set QP's Hessian, once per sweep
+            self._hessian = _euclidean_hessian(self.canon.obj_blocks[0][0])
 
     @cached_property
     def _objective(self) -> _Program:
@@ -1083,21 +1045,33 @@ class MinNormSweep:
         """The program behind ``feasible`` and the active-set QP's starts."""
         return _Program(self.canon, None)
 
+    def values(self, X) -> np.ndarray:
+        """Optimal value at each row of X, inf where the slice is empty."""
+        X = np.asarray(X, dtype=float).reshape(-1, self.problem.target.shape[0])
+        rows = X.any(axis=1).nonzero()[0]
+        if len(rows) < len(X) and _trivial_solution(self.problem) is None:
+            rows = np.arange(len(X))  # the zero target needs a solve too
+        live = X if len(rows) == len(X) else X[rows]
+        if _quadratic(self.canon):
+            sols = [_solve_canon(self.canon, x, self.tol, False, start=self._feasibility,
+                                 H=self._hessian) for x in live]
+        else:
+            sols = self._objective.solve_many(live, self.tol)
+        return _values(np.zeros(len(X)), rows, sols, lambda z: _canon_objective_value(self.canon, z))
+
     def value(self, x: np.ndarray) -> float:
         """Optimal value for target x, or inf when the slice is empty."""
-        x = np.asarray(x, dtype=float)
-        if not np.any(x) and _trivial_solution(self.problem) is not None:
-            return 0.0
-        st, z, value, *_ = _solve_canon(self.canon, x, self.tol, False, self._objective,
-                                        self._feasibility)
-        if st is SolveStatus.INFEASIBLE:
-            return math.inf
-        if st is not SolveStatus.OPTIMAL:
-            raise ArithmeticError("iteration limit in sweep solve")
-        return float(value) if value is not None else _canon_objective_value(self.canon, z)
+        return float(self.values(x)[0])
+
+    def feasible_many(self, X) -> list:
+        """(status, conic result or None) of the feasibility program at each
+        row of X, to be read by ``_decided``."""
+        X = np.asarray(X, dtype=float).reshape(-1, self.problem.target.shape[0])
+        return [(st, res) for st, _, _, _, res in self._feasibility.solve_many(X, self.tol)]
 
     def feasible(self, x: np.ndarray) -> bool:
-        return _feasible(self._feasibility, np.asarray(x, dtype=float), self.tol)[0]
+        """Whether the slice at x is nonempty; ArithmeticError when undecided."""
+        return _decided(self.feasible_many(x)[0][0], x)
 
 
 def _set_level(cone: _cones.Cone) -> _cones.Cone:

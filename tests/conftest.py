@@ -2,7 +2,7 @@ import numpy as np
 import pytest
 from hypothesis import HealthCheck, settings
 
-from conekit import conic, projops
+from conekit import conic
 from conekit.simplex import SolveStatus
 
 settings.register_profile(
@@ -34,34 +34,32 @@ def spy(monkeypatch):
 
 
 @pytest.fixture
-def undecided_dykstra(monkeypatch):
-    """undecided_dykstra(stalled): make projops.dykstra give up unconverged,
-    stopping early on a stalled movement when stalled and at maxiter otherwise."""
-
-    def install(stalled):
-        def run(projectors, z0, violation, tol=1e-11, maxiter=20000):
-            iterations = 1 if stalled else maxiter
-            return projops.DykstraResult(np.asarray(z0, dtype=float), iterations, 1.0, False)
-
-        monkeypatch.setattr(projops, "dykstra", run)
-
-    return install
+def conic_runs(spy):
+    """The results of every conic solve, one list per call of the batched
+    core (a lone ``ConeProgram.solve`` is a call with one target)."""
+    runs = []
+    spy(conic.ConeProgram, "solve_many", runs)
+    return runs
 
 
 @pytest.fixture
 def undecided_conic(monkeypatch):
-    """undecided_conic(certified): make every conic solve end without an
-    optimal pair, as INFEASIBLE (a certified empty program, with a dummy
-    certificate that callers still check) when certified and as
-    ITERATION_LIMIT otherwise."""
+    """undecided_conic(certified): make every conic solve, alone or batched,
+    end without an optimal pair, as INFEASIBLE (a certified empty program,
+    with a dummy certificate that callers still check) when certified and as
+    ITERATION_LIMIT otherwise.  ``ConeProgram.solve`` is the one-target case
+    of ``solve_many``, so patching the batched core covers both."""
 
     def install(certified):
-        def run(self, b=None, h=None, **kw):
+        def one(program):
             if certified:
-                return conic.ConicResult(SolveStatus.INFEASIBLE, y=np.ones(self.A.shape[0]),
-                                         z=np.zeros(self.m), iterations=60)
+                return conic.ConicResult(SolveStatus.INFEASIBLE, y=np.ones(program.A.shape[0]),
+                                         z=np.zeros(program.m), iterations=60)
             return conic.ConicResult(SolveStatus.ITERATION_LIMIT, iterations=60)
 
-        monkeypatch.setattr(conic.ConeProgram, "solve", run)
+        def run(self, B, H, target=None):
+            return [one(self) for _ in range(np.shape(B)[0])]
+
+        monkeypatch.setattr(conic.ConeProgram, "solve_many", run)
 
     return install

@@ -107,3 +107,125 @@ def farkas_checks(T, x, y, dual_tol=1e-8):
     y = np.asarray(y, dtype=float)
     u = T.T @ y
     return float(np.asarray(x, dtype=float) @ y), float(np.max(u, initial=0.0))
+
+
+# -- projections and Dykstra's scheme ------------------------------------------
+#
+# The package solves every curved program with its conic driver; these
+# projectors and Dykstra's alternating scheme are an independent route to the
+# same projections.
+
+
+def project_halfspace(a, b: float):
+    """Projector onto {z : <a, z> >= b}."""
+    a = np.asarray(a, dtype=float)
+    nn = float(a @ a)
+    if nn == 0.0:
+        raise ValueError("halfspace normal must be nonzero")
+
+    def proj(z):
+        r = float(a @ z) - b
+        return z if r >= 0.0 else z - (r / nn) * a
+
+    return proj
+
+
+def affine_projector(A, b):
+    """Projector onto {z : A z = b}, through the pseudoinverse, so that
+    consistent rank-deficient systems behave."""
+    A = np.atleast_2d(np.asarray(A, dtype=float))
+    b = np.asarray(b, dtype=float)
+    pinv = np.linalg.pinv(A, rcond=1e-13)
+    return lambda z: z - pinv @ (A @ z - b)
+
+
+def project_group_l1_ball(blocks, radius: float):
+    """Projector onto {z : sum_b |z[b]|_2 <= radius}; a block is a (start,
+    stop) pair or an index array.  Each block shrinks by the common
+    threshold lam with sum max(|z[b]| - lam, 0) = radius."""
+    if radius < 0:
+        raise ValueError("radius must be nonnegative")
+    blocks = [slice(*b) if isinstance(b, tuple) else np.asarray(b, dtype=int) for b in blocks]
+
+    def proj(z):
+        norms = np.array([np.linalg.norm(z[b]) for b in blocks])
+        if norms.sum() <= radius:
+            return z
+        s = np.sort(norms)[::-1]
+        csum = np.cumsum(s)
+        lam = (csum[-1] - radius) / len(s)
+        for k in range(1, len(s) + 1):
+            cand = (csum[k - 1] - radius) / k
+            if (s[k] if k < len(s) else 0.0) - 1e-15 <= cand <= s[k - 1] + 1e-15:
+                lam = cand
+                break
+        out = z.copy()
+        for b, n in zip(blocks, norms):
+            out[b] = 0.0 if n <= lam else z[b] * ((n - lam) / n)
+        return out
+
+    return proj
+
+
+def dykstra(projectors, z0, violation, tol: float = 1e-11, maxiter: int = 20000):
+    """Dykstra's cyclic projections from z0: (point, converged).  The iterate
+    converges to the projection of z0 onto the intersection when it is
+    nonempty; a run counts as converged once it moves and violates the sets
+    by at most tol (10 tol for the violation)."""
+    z = np.asarray(z0, dtype=float).copy()
+    increments = [np.zeros_like(z) for _ in projectors]
+    for _ in range(maxiter):
+        z_prev = z
+        for i, proj in enumerate(projectors):
+            w = z + increments[i]
+            z = proj(w)
+            increments[i] = w - z
+        move = np.linalg.norm(z - z_prev)
+        if move <= tol:
+            if violation(z) <= 10 * tol:
+                return z, True
+            if move <= tol * 1e-3:
+                break
+    return z, violation(z) <= 10 * tol
+
+
+def dykstra_on_canon(canon):
+    """Dykstra's projection of the origin onto a canonical slice (any object
+    with the fields of the package's canonical form: eq_A, eq_b, in_A, in_b,
+    soc_idx, l2balls and groupballs; exotic caps are left out)."""
+    projs = [affine_projector(canon.eq_A, canon.eq_b)] if canon.eq_A.size else []
+    projs += [project_halfspace(-a, -b) for a, b in zip(canon.in_A, canon.in_b)]
+    for idx in canon.soc_idx:
+        def soc(z, idx=np.asarray(idx)):
+            out = z.copy()
+            out[idx] = soc_project(z[idx])
+            return out
+        projs.append(soc)
+    for R, r in canon.l2balls:
+        def ball(z, R=R, r=r):
+            w = R @ z
+            nn = np.linalg.norm(w)
+            return z if nn <= r else z + R.T @ (w * (r / nn) - w)
+        projs.append(ball)
+    projs += [project_group_l1_ball(idxs, r) for idxs, r in canon.groupballs]
+
+    def violation(z):
+        v = [0.0]
+        if canon.eq_A.size:
+            v.append(np.max(np.abs(canon.eq_A @ z - canon.eq_b)))
+        if canon.in_A.size:
+            v.append(np.max(canon.in_A @ z - canon.in_b))
+        v += [np.linalg.norm(z[idx][1:]) - z[idx][0] for idx in canon.soc_idx]
+        v += [np.linalg.norm(R @ z) - r for R, r in canon.l2balls]
+        v += [sum(np.linalg.norm(z[i]) for i in idxs) - r for idxs, r in canon.groupballs]
+        return float(max(v))
+
+    return dykstra(projs, np.zeros(canon.S.shape[1]), violation)
+
+
+def dykstra_reference(spec, x):
+    """(canon, point, converged) for a correspondence spec at target x: its
+    slice template's canonical form retargeted to x (caps at the scale |x|),
+    and Dykstra's projection of the origin onto it."""
+    canon = spec._template.canon.at(x, spec.map.codomain_norm.of(x))
+    return (canon,) + dykstra_on_canon(canon)

@@ -7,12 +7,12 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conekit import solver
+from conekit import conic, solver
 from conekit.conemap import ConeMap
 from conekit.cones import DirectSumL1, Generators, Negation, Orthant, SecondOrder
 from conekit.instances import parse_instance, random_polyhedral_instance
 from conekit.norms import NormTag
-from conekit.sampling import SamplerConfig
+from conekit.sampling import SamplerConfig, sphere_directions
 
 import oracles
 
@@ -34,14 +34,15 @@ def lattice_equivalence():
 @pytest.mark.parametrize("tag", [NormTag.L2, NormTag.L1], ids=["l2", "l1"])
 def test_max_kind_compiles_one_program(tag, monkeypatch, spy):
     # one program per map serves every target, with solve_max_block_norm's
-    # values: bit for bit on the conic driver, and to rounding where the LP
-    # starts from an earlier target's optimal basis
+    # values: bit for bit on the conic driver (which solves the 60 targets in
+    # one batch), and to rounding where the LP starts from an earlier
+    # target's optimal basis
     cm = lattice_map(tag)
-    value = ConeMap(cm.matrix, cm.cone, tag, cm.domain_norm)._kind_objective("max")
+    values = ConeMap(cm.matrix, cm.cone, tag, cm.domain_norm)._kind_objective("max")
     xs = np.random.default_rng(7).standard_normal((60, 2))
     built = []
     spy(solver._Program, "__init__", built)
-    got = [value(x) for x in xs]
+    got = values(xs)
     monkeypatch.undo()
     assert len(built) == 1
     for x, v in zip(xs, got):
@@ -167,3 +168,19 @@ def test_operator_norm_bound_lattice():
         c[:2] = np.abs(c[:2])
         c[2:] = -np.abs(c[2:])
         assert np.linalg.norm(cm.matrix @ c) <= M * cm.domain_norm.of(c) + 1e-9
+
+
+def test_sampled_surjectivity_certificate_comes_from_the_batch(spy):
+    # the identity on the ice-cream cone misses every direction outside it;
+    # the witness is the first such direction in grid order, and its
+    # certificate comes from the verdict the batch already holds
+    cm = ConeMap(np.eye(3), SecondOrder(3))
+    runs = []
+    spy(conic.ConeProgram, "solve_many", runs, pick=len)
+    rep = cm.is_surjective(method="sampled")
+    dirs = sphere_directions(3, NormTag.L2, SamplerConfig())
+    assert runs == [len(dirs)]
+    assert not rep.surjective
+    outside = [x for x in dirs if np.linalg.norm(x[1:]) > x[0]]
+    np.testing.assert_array_equal(rep.unreachable, outside[0])
+    assert solver.certificate_is_valid(np.eye(3), rep.unreachable, SecondOrder(3), rep.functional)

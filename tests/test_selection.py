@@ -301,11 +301,6 @@ def test_phase_one_starts_warm_on_the_lattice(d, spy):
 # before, is the reference here, run on the canon retargeted to x.
 
 
-def dykstra_reference(spec, x):
-    canon = spec._template.canon.at(x, spec.map.codomain_norm.of(x))
-    return canon, solver._dykstra_project(canon, np.zeros(canon.n))
-
-
 def norm_cap(cm, alpha):
     return ConstraintFunctional.seminorm(np.eye(cm.domain_dim), cm.domain_norm), alpha
 
@@ -326,9 +321,9 @@ def test_loose_caps_return_the_relaxed_projection(d, spy):
     got = [ri(x) for x in xs]
     assert runs == []
     for x, c in zip(xs, got):
-        _, ref = dykstra_reference(spec, x)
-        assert ref.converged
-        assert close(c, canon.S @ ref.point, 1e-9), (x, c)
+        _, point, converged = oracles.dykstra_reference(spec, x)
+        assert converged
+        assert close(c, canon.S @ point, 1e-9), (x, c)
         assert close(c, np.concatenate(oracles.lattice_parts(x)), 1e-13)
 
 
@@ -354,7 +349,7 @@ def test_binding_caps_run_dykstra_on_exactly_those_targets(d, spy):
     spec = CorrespondenceSpec(cm, ((rho, alpha), norm_cap(cm, 3.5)), slack=0.01)
     ri = RightInverse(cm, spec)
     runs = []
-    spy(conic.ConeProgram, "solve", runs)
+    spy(conic.ConeProgram, "solve_many", runs)
     binding = 0
     for x in np.random.default_rng(20 + d).standard_normal((100, d)):
         binds = rho.value(np.concatenate(oracles.lattice_parts(x))) > 0.06 * np.linalg.norm(x)
@@ -366,9 +361,9 @@ def test_binding_caps_run_dykstra_on_exactly_those_targets(d, spy):
             assert close(c, np.concatenate(oracles.lattice_parts(x)), 1e-13)
             continue
         assert spec.member(x, c)
-        canon, ref = dykstra_reference(spec, x)
-        if ref.converged:
-            assert close(c, canon.S @ ref.point, 1e-9), (x, c)
+        canon, point, converged = oracles.dykstra_reference(spec, x)
+        if converged:
+            assert close(c, canon.S @ point, 1e-9), (x, c)
     assert 0 < binding < 100
 
 
@@ -413,12 +408,12 @@ def test_loose_exotic_cap_skips_projected_gradient(spy):
     assert len(spec._template.canon.exotic) == 1
     ri = RightInverse(cm, spec)
     runs = []
-    spy(conic.ConeProgram, "solve", runs)
+    spy(conic.ConeProgram, "solve_many", runs)
     for x in np.random.default_rng(40).standard_normal((100, 3)):
         c = ri(x)
-        canon, ref = dykstra_reference(spec, x)
-        assert ref.converged
-        assert close(c, canon.S @ ref.point, 1e-9), (x, c)
+        canon, point, converged = oracles.dykstra_reference(spec, x)
+        assert converged
+        assert close(c, canon.S @ point, 1e-9), (x, c)
         assert spec.member(x, c)
     assert runs == []
 

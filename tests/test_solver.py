@@ -1,3 +1,4 @@
+import math
 import os
 import pathlib
 import subprocess
@@ -10,8 +11,10 @@ from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conekit import conic, parse_instance, random_polyhedral_instance, simplex, solver
+from conekit.conemap import ConeMap
 from conekit.cones import DirectSumL1, Generators, Negation, Orthant, SecondOrder
 from conekit.norms import BlockNorm, NormTag
+from conekit.sampling import SamplerConfig
 from conekit.solver import (BallConstraint, LinearProgram, MinNormProblem, MinNormSweep,
                             SolveStatus, certificate_is_valid, check_feasible,
                             farkas_certificate, project_onto_slice, solve_max_block_norm,
@@ -148,16 +151,14 @@ def test_projection_through_a_non_orthonormal_ball_reports_an_empty_slice():
     assert empty.point is None
 
 
-def test_empty_second_order_slice_takes_one_conic_solve(spy):
+def test_empty_second_order_slice_takes_one_conic_solve(conic_runs):
     # the conic driver's certificate for the min-norm program is the Farkas
     # certificate itself, so no separation program runs after it
-    runs = []
-    spy(conic.ConeProgram, "solve", runs)
     x = np.array([1.0, 2.0, 0.0])
     sol = solve_min_norm(MinNormProblem(np.eye(3), x, SecondOrder(3),
                                         BlockNorm.flat(3, NormTag.L2)))
     assert sol.status is SolveStatus.INFEASIBLE
-    assert len(runs) == 1
+    assert [len(run) for run in conic_runs] == [1]
     assert certificate_is_valid(np.eye(3), x, SecondOrder(3), sol.certificate.y)
 
 
@@ -217,70 +218,84 @@ def test_max_block_start_verdicts_are_honest(certified, verdict, undecided_conic
 
 # -- curved feasibility ----------------------------------------------------------
 #
-# A converged Dykstra run is the fast yes; any other run asks the conic driver
-# for a feasible point or a checked certificate.
+# The conic driver decides every curved feasibility test, with a feasible
+# point or a checked certificate, for one target or for a batch in one call.
 
 ICE_INSIDE, ICE_OUTSIDE = np.array([2.0, 1.0, -0.5]), np.array([1.0, 2.0, 0.0])
 UNIT_CAP = BallConstraint(np.eye(3), NormTag.L2, 3.0)
 
 
-def curved_feasibility(x, **kw):
+def ice_sweep(**kw):
+    return MinNormSweep(np.eye(3), SecondOrder(3), BlockNorm.flat(3, NormTag.L2), **kw)
+
+
+def sweep_verdict(x, batched, **kw):
+    """The sweep's verdict at x, asked alone or as both targets of a batch."""
+    sweep = ice_sweep(**kw)
+    if not batched:
+        return sweep.feasible(x)
+    verdicts = [solver._decided(st, x) for st, _ in sweep.feasible_many(np.array([x, x]))]
+    assert verdicts[0] is verdicts[1]
+    return verdicts[0]
+
+
+def curved_feasibility(x, batched=False, **kw):
     """(sweep verdict, check_feasible report) on SecondOrder(3) under the identity."""
-    sweep = MinNormSweep(np.eye(3), SecondOrder(3), BlockNorm.flat(3, NormTag.L2), **kw)
-    return sweep.feasible(x), check_feasible(np.eye(3), x, SecondOrder(3), **kw)
+    return sweep_verdict(x, batched, **kw), check_feasible(np.eye(3), x, SecondOrder(3), **kw)
 
 
-def test_curved_feasibility_fast_yes_runs_no_conic_solve(spy):
-    runs = []
-    spy(conic.ConeProgram, "solve", runs)
+def test_curved_feasibility_yes_takes_one_conic_solve(conic_runs):
+    # a point inside the slice costs one conic solve per question (a
+    # converged Dykstra run used to answer it with none)
     for kw in ({}, {"balls": (UNIT_CAP,)}):
+        del conic_runs[:]
         fast, rep = curved_feasibility(ICE_INSIDE, **kw)
         assert fast and rep.feasible
         np.testing.assert_allclose(rep.point, ICE_INSIDE, atol=1e-9)
-    assert runs == []
+        assert [len(run) for run in conic_runs] == [1, 1]
+        assert all(run[0].status is SolveStatus.OPTIMAL for run in conic_runs)
 
 
-@pytest.mark.parametrize("stalled", (False, True))
-def test_curved_feasibility_asks_the_conic_driver(stalled, undecided_dykstra, spy):
-    # neither an early stop on a stall nor a run to maxiter is a verdict of its own
-    undecided_dykstra(stalled)
-    runs = []
-    spy(conic.ConeProgram, "solve", runs)
+@pytest.mark.parametrize("batched", (False, True))
+def test_curved_feasibility_asks_the_conic_driver(batched, conic_runs):
+    # every verdict, alone or batched, is a conic feasible point or a
+    # checked certificate
     small_cap = BallConstraint(np.eye(3), NormTag.L2, 1.0)  # |ICE_INSIDE| > 1
     cases = ((ICE_INSIDE, {}, True), (ICE_OUTSIDE, {}, False),
              (ICE_INSIDE, {"balls": (UNIT_CAP,)}, True),
              (ICE_INSIDE, {"balls": (small_cap,)}, False))
     for x, kw, want in cases:
-        del runs[:]
-        fast, rep = curved_feasibility(x, **kw)
+        del conic_runs[:]
+        fast, rep = curved_feasibility(x, batched, **kw)
         assert fast is want and rep.feasible is want, (x, kw)
         status = SolveStatus.OPTIMAL if want else SolveStatus.INFEASIBLE
-        assert len(runs) >= 2 and all(r.status is status for r in runs), (x, kw)
+        assert [len(run) for run in conic_runs] == [2 if batched else 1, 1]
+        assert all(r.status is status for run in conic_runs for r in run), (x, kw)
         if want:
             np.testing.assert_allclose(rep.point, x, atol=1e-8)
         elif not kw:  # an empty slice with no caps has a Farkas certificate
             assert certificate_is_valid(np.eye(3), x, SecondOrder(3), rep.certificate.y)
 
 
-def test_empty_curved_slice_is_solved_once(spy):
+def test_empty_curved_slice_is_solved_once(conic_runs):
     # the conic verdict carries the Farkas certificate, so the feasibility
     # program is not solved a second time to find one
-    runs = []
-    spy(conic.ConeProgram, "solve", runs)
     rep = check_feasible(np.eye(3), ICE_OUTSIDE, SecondOrder(3))
-    assert not rep.feasible and len(runs) == 1
+    assert not rep.feasible and [len(run) for run in conic_runs] == [1]
     assert certificate_is_valid(np.eye(3), ICE_OUTSIDE, SecondOrder(3), rep.certificate.y)
 
 
-@pytest.mark.parametrize("stalled", (False, True))
-def test_curved_feasibility_undecided_raises(stalled, undecided_dykstra, undecided_conic):
-    undecided_dykstra(stalled)
+@pytest.mark.parametrize("batched", (False, True))
+def test_curved_feasibility_undecided_raises(batched, undecided_conic):
     undecided_conic(False)
     for x in (ICE_INSIDE, ICE_OUTSIDE):
         with pytest.raises(ArithmeticError):
-            MinNormSweep(np.eye(3), SecondOrder(3), BlockNorm.flat(3, NormTag.L2)).feasible(x)
+            sweep_verdict(x, batched)
         with pytest.raises(ArithmeticError):
             check_feasible(np.eye(3), x, SecondOrder(3))
+    with pytest.raises(ArithmeticError):
+        ConeMap(np.eye(3), SecondOrder(3)).is_surjective(method="sampled",
+                                                          config=SamplerConfig(directions=16))
 
 
 def test_solutions_name_their_driver():
@@ -510,6 +525,7 @@ import sys
 import numpy as np
 from conekit.cones import DirectSumL1, Negation, Orthant
 from conekit.norms import BlockNorm, NormTag
+from conekit.sampling import SamplerConfig
 from conekit.solver import (MinNormProblem, MinNormSweep, check_feasible, solve_max_block_norm,
                             solve_min_linear, solve_min_norm)
 T, x = np.hstack([np.eye(2), np.eye(2)]), np.array([3.0, -4.0])
@@ -538,3 +554,26 @@ def test_polyhedral_calls_import_neither_conic_nor_scipy():
                           capture_output=True, text=True, timeout=300)
     assert proc.returncode == 0, proc.stderr
     assert proc.stdout.strip() == "[]"
+
+
+def test_sweep_computes_the_hessian_once(spy):
+    # one Euclidean block on polyhedral data runs the active-set QP, whose
+    # Hessian the sweep keeps; the values equal a per-target recompute bit
+    # for bit (a second sweep over the same targets, to carry the same warm
+    # phase-1 bases)
+    m = parse_instance(random_polyhedral_instance(2)).map
+    T, cone = m.matrix, m.cone
+    objective = BlockNorm.flat(cone.ambient_dim, NormTag.L2)
+    xs = np.random.default_rng(3).standard_normal((60, T.shape[0]))
+    again = MinNormSweep(T, cone, objective)
+    calls = []
+    spy(solver, "_euclidean_hessian", calls)
+    got = MinNormSweep(T, cone, objective).values(xs)
+    assert len(calls) == 1
+    want = []
+    for x in xs:
+        st, z, *_ = solver._solve_canon(again.canon, x, again.tol, False, start=again._feasibility)
+        want.append(math.inf if st is SolveStatus.INFEASIBLE
+                    else solver._canon_objective_value(again.canon, z))
+    assert len(calls) == 61
+    np.testing.assert_array_equal(got, want)
