@@ -38,7 +38,7 @@ ITERATION_LIMIT.
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
+from dataclasses import dataclass, replace
 
 import numpy as np
 
@@ -165,6 +165,14 @@ class ConeProgram:
                 if out[i].status is not SolveStatus.INFEASIBLE:
                     out[i] = ConicResult(SolveStatus.ITERATION_LIMIT, iterations=it, pres=pres,
                                          dres=dres, gap=gap)
+        # a ray proves unboundedness only with a feasible point: ask the rows at zero cost
+        rays = [i for i, res in enumerate(out) if res.status is SolveStatus.UNBOUNDED]
+        if rays:
+            zero = ConeProgram(np.zeros(self.n), self.G, self.l, self.soc, self.A)
+            for i, res in zip(rays, zero.solve_many(B[rays], H[rays], TOL)):
+                keep = {SolveStatus.OPTIMAL: out[i], SolveStatus.INFEASIBLE: res}.get(
+                    res.status, ConicResult(SolveStatus.ITERATION_LIMIT))
+                out[i] = replace(keep, iterations=out[i].iterations + res.iterations)
         return out
 
     def certifies_infeasible(self, b, h, y, z) -> bool:

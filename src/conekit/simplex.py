@@ -4,13 +4,15 @@
 solves it in standard form with a two-phase primal simplex on a dense
 tableau.  Programs re-solved with only their right-hand side changed
 restart from the optimal bases of earlier solves and repair them with dual
-simplex pivots; the cold two-phase method remains the fallback.  The
-shared tolerances and solve statuses live here as well.
+simplex pivots; the cold two-phase method remains the fallback.  Ties among
+optima are broken lexicographically by phase 2 on the last answer's optimal
+face.  The shared tolerances and solve statuses live here as well.
 """
 from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import partial
 
 import numpy as np
 
@@ -51,8 +53,9 @@ class _StandardLP:
     Dantzig's rule (lowest index on ties) with a switch to Bland's rule after
     a stall budget guards against cycling.  Desk-scale dense tableau.
     ``solve`` returns (status, v, value, pivots, basis); an optimal basis is
-    the pair (kept rows, basic columns), where phase 1 dropped the rows it
-    found redundant.
+    (kept rows, basic columns, phase-2 tableau), where phase 1 dropped the rows
+    it found redundant and the tableau is B^-1 [A | b] over the kept rows, cost
+    row last: where ``lexmin`` can start, with no artificial column.
     """
 
     def __init__(self, A: np.ndarray, b: np.ndarray, c: np.ndarray, tol: Tolerances = DEFAULT_TOL):
@@ -108,7 +111,30 @@ class _StandardLP:
         v = np.zeros(n)
         for i, bi in enumerate(basis2):
             v[bi] = T2[i, -1]
-        return SolveStatus.OPTIMAL, v, float(-T2[-1, -1]), it1 + it2, (keep_rows, basis2)
+        return SolveStatus.OPTIMAL, v, float(-T2[-1, -1]), it1 + it2, (keep_rows, basis2, T2)
+
+    @classmethod
+    def lexmin(cls, T, basis, c, costs, tol: Tolerances = DEFAULT_TOL):
+        """(v, pivots): from the tableau T (changed in place) of a basis optimal
+        for c, the point of the optimal face minimizing each row of costs in turn.
+        That face is the feasible set with v_j = 0 where the reduced cost d_j > 0
+        (complementary slackness): each cost runs phase 2 from the current basis,
+        then columns with d_j > eps are zeroed.  An unbounded pass or the cap stops."""
+        r, n, eps = len(basis), T.shape[1] - 1, tol.feasibility
+        basis, dead, its = list(basis), np.zeros(n, bool), 0
+        for cost in (c, *costs):
+            cost = np.where(dead, 0.0, cost)
+            T[r, :n] = cost - cost[basis] @ T[:r, :n]
+            got = cls._pivot_loop(T, basis, n, eps, tol.cap(r, n))
+            if got < 0:
+                break
+            its += got
+            dead |= T[r, :n] > eps
+            dead[basis] = False
+            T[:, np.flatnonzero(dead)] = 0.0
+        v = np.zeros(n)
+        v[basis] = T[:r, n]
+        return v, its
 
     @staticmethod
     def _pivot(T, row, col, basis):
@@ -118,32 +144,32 @@ class _StandardLP:
         T -= np.outer(colvals, T[row, :])
         basis[row] = col
 
-    def _pivot_loop(self, T, basis, restrict, eps, cap):
-        m = len(basis)
-        it = 0
+    @classmethod
+    def _pivot_loop(cls, T, basis, restrict, eps, cap):
+        m, it = len(basis), 0
         bland_after = 4 * (m + restrict) + 50
-        while it < cap:
-            costs = T[-1, :restrict]
-            if it < bland_after:
-                j = int(np.argmin(costs))
-                if costs[j] >= -eps:
-                    return it
-            else:
-                below = np.nonzero(costs < -eps)[0]
-                if below.size == 0:
-                    return it
-                j = int(below[0])
-            col = T[:m, j]
-            pos = col > eps
-            if not np.any(pos):
-                return -2
-            with np.errstate(divide="ignore"):
+        with np.errstate(divide="ignore"):
+            while it < cap:
+                costs = T[-1, :restrict]
+                if it < bland_after:
+                    j = int(np.argmin(costs))
+                    if costs[j] >= -eps:
+                        return it
+                else:
+                    below = np.nonzero(costs < -eps)[0]
+                    if below.size == 0:
+                        return it
+                    j = int(below[0])
+                col = T[:m, j]
+                pos = col > eps
+                if not np.any(pos):
+                    return -2
                 ratios = np.where(pos, T[:m, -1] / np.where(pos, col, 1.0), np.inf)
-            best = np.min(ratios)
-            tie = np.nonzero(ratios <= best + 1e-12)[0]
-            row = int(min(tie, key=lambda r: basis[r]))
-            self._pivot(T, row, j, basis)
-            it += 1
+                best = np.min(ratios)
+                tie = np.nonzero(ratios <= best + 1e-12)[0]
+                row = int(tie[0]) if tie.size == 1 else min(tie.tolist(), key=basis.__getitem__)
+                cls._pivot(T, row, j, basis)
+                it += 1
         return -1
 
 
@@ -170,7 +196,9 @@ class _WarmStart:
     Bases are recorded as indices and factorized only when a second solve
     reaches the same LP, so a program solved once pays nothing.  Until some
     right-hand side is feasible there is no basis to start from, and every
-    solve is cold.  Returned pivot counts include abandoned dual pivots.
+    solve is cold.  Returned pivot counts include abandoned dual pivots.  ``last``
+    is the last OPTIMAL answer's basis (cold, cached or repaired) and a function
+    giving a fresh B^-1 [A | b] for it.
     """
 
     def __init__(self, A: np.ndarray, c: np.ndarray):
@@ -181,7 +209,7 @@ class _WarmStart:
 
     def solve(self, b: np.ndarray, tol: Tolerances):
         """(status, v, value, pivots) for right-hand side b."""
-        spent = 0
+        spent, self.last = 0, None
         if self._factorize(tol):
             status, v, value, spent = self._warm(b, tol)
             if status is not None:
@@ -192,7 +220,8 @@ class _WarmStart:
     def _cold(self, b: np.ndarray, tol: Tolerances):
         status, v, value, its, basis = _StandardLP(self.A, b, self.c, tol).solve()
         if basis is not None:
-            self._record(*basis)
+            self._record(*basis[:2])
+            self.last = basis[1], basis[2].copy
         return status, v, value, its
 
     def _record(self, rows, cols, M=None):
@@ -244,7 +273,8 @@ class _WarmStart:
         fits = lows >= -feas
         for k in np.nonzero(fits)[0]:
             cols = self.entries[k][1]
-            out = self._accept(cols, X[self._starts[k] : self._starts[k] + cols.size], b, feas, 0)
+            out = self._accept(self.entries[k], X[self._starts[k] : self._starts[k] + cols.size],
+                               b, feas, 0)
             if out is not None:
                 return out
         # a basis that fits b but fails the residual check cannot be repaired by pivoting
@@ -254,21 +284,28 @@ class _WarmStart:
             return None, None, None, 0
         return self._dual_simplex(k, b, tol, feas)
 
-    def _accept(self, cols, xB, b, feas: float, pivots: int):
+    def _accept(self, entry, xB, b, feas: float, pivots: int):
         v = np.zeros(self.A.shape[1])
-        v[cols] = xB
+        v[entry[1]] = xB
         if np.abs(self.A @ v - b).max(initial=0.0) > feas:
             return None
+        self.last = entry[1], partial(self._tableau, self.A, entry[0], entry[2], b)
         return SolveStatus.OPTIMAL, v, float(self.c @ v), pivots
+
+    @staticmethod
+    def _tableau(A, rows, M, b: np.ndarray):
+        """B^-1 [A | b] over the basis rows, with M b = B^-1 b[rows], and a zero cost row
+        (static, so that ``last`` holds no reference cycle through the cache)."""
+        r, n = M.shape[0], A.shape[1]
+        T = np.zeros((r + 1, n + 1))
+        T[:r, :n] = M[:, rows] @ A[rows]
+        T[:r, n] = M @ b
+        return T
 
     def _dual_simplex(self, k: int, b: np.ndarray, tol: Tolerances, feas: float):
         rows, cols, M = self.entries[k]
-        A = self.A[rows]
-        r, n = A.shape
-        eps = tol.feasibility
-        T = np.zeros((r + 1, n + 1))
-        T[:r, :n] = M[:, rows] @ A
-        T[:r, n] = M @ b
+        T = self._tableau(self.A, rows, M, b)
+        r, n, eps = cols.size, self.A.shape[1], tol.feasibility
         T[r, :n] = self.c - self.c[cols] @ T[:r, :n]
         basis = cols.tolist()
         its = 0
@@ -297,7 +334,7 @@ class _WarmStart:
         xB = M @ b
         if xB.min() < -feas:
             return None
-        out = self._accept(cols, xB, b, feas, pivots)
+        out = self._accept((rows, cols, M), xB, b, feas, pivots)
         if out is not None:
             self._record(rows, cols, M)
         return out
@@ -329,7 +366,7 @@ class LinearProgram:
     overrides right-hand sides first tries those bases and repairs the
     closest one by dual simplex pivots, falling back to the cold two-phase
     simplex when neither gives a checked answer.  The pivot count returned
-    covers every pivot the call made.  Any edit drops both caches.
+    covers every pivot the call made.  Any edit drops both caches; ``lexmin`` edits nothing.
     """
 
     def __init__(self):
@@ -356,10 +393,9 @@ class LinearProgram:
         self.rows.append((packed, sense, float(rhs)))
         return len(self.rows) - 1
 
-    def set_objective(self, coeffs: dict[int, float], reset: bool = True):
+    def set_objective(self, coeffs: dict[int, float]):
         self._cache = None
-        if reset:
-            self.obj = [0.0] * len(self.obj)
+        self.obj = [0.0] * len(self.obj)
         for j, v in coeffs.items():
             self.obj[j] = v
 
@@ -367,30 +403,22 @@ class LinearProgram:
         if self._cache is not None:
             return self._cache
         nr = len(self.rows)
-        col_of = []
-        cols = 0
-        for nonneg in self.var_nonneg:
-            if nonneg:
-                col_of.append((cols, -1))
-                cols += 1
-            else:
-                col_of.append((cols, cols + 1))
-                cols += 2
+        width = 2 - np.array(self.var_nonneg, dtype=int)  # a free variable takes two columns
+        p = np.cumsum(width) - width
+        q = np.where(width == 2, p + 1, -1)
+        col_of, cols = list(zip(p.tolist(), q.tolist())), int(width.sum())
+        split = p, np.flatnonzero(q >= 0), q[q >= 0]  # columns, free variables, their 2nd columns
         slack_cols = sum(1 for _, s, _ in self.rows if s != "=")
         A = np.zeros((nr, cols + slack_cols))
         b = np.zeros(nr)
-        c = np.zeros(cols + slack_cols)
-        for j, (p, q) in enumerate(col_of):
-            c[p] = self.obj[j]
-            if q >= 0:
-                c[q] = -self.obj[j]
+        c = self._split([self.obj], split, A.shape[1])[0]
         s_at = cols
         for i, (row, sense, rhs) in enumerate(self.rows):
             for j in np.nonzero(row)[0]:
-                p, q = col_of[j]
-                A[i, p] = row[j]
-                if q >= 0:
-                    A[i, q] = -row[j]
+                p_j, q_j = col_of[j]
+                A[i, p_j] = row[j]
+                if q_j >= 0:
+                    A[i, q_j] = -row[j]
             b[i] = rhs
             if sense == "<=":
                 A[i, s_at] = 1.0
@@ -400,11 +428,25 @@ class LinearProgram:
                 s_at += 1
             elif sense != "=":
                 raise ValueError(f"bad sense {sense!r}")
-        self._cache = (A, b, c, col_of, _WarmStart(A, c))
+        self._cache = (A, b, c, split, _WarmStart(A, c))
         return self._cache
 
+    @staticmethod
+    def _split(costs, split, width: int) -> np.ndarray:
+        """Rows of costs over the variables as rows over the standard columns."""
+        (p, free, q), costs = split, np.asarray(costs, dtype=float)
+        out = np.zeros((costs.shape[0], width))
+        out[:, p], out[:, q] = costs, -costs[:, free]
+        return out
+
+    @staticmethod
+    def _unsplit(v: np.ndarray, split) -> np.ndarray:
+        z = v[split[0]]
+        z[split[1]] -= v[split[2]]
+        return z
+
     def solve(self, tol: Tolerances = DEFAULT_TOL, rhs_override: dict[int, float] | None = None):
-        A, b, c, col_of, warm = self._standardize()
+        A, b, c, split, warm = self._standardize()
         if rhs_override:
             b = b.copy()
             for i, v in rhs_override.items():
@@ -412,7 +454,11 @@ class LinearProgram:
         status, v, value, its = warm.solve(b, tol)
         if status is not SolveStatus.OPTIMAL:
             return status, None, None, its
-        z = np.empty(len(col_of))
-        for j, (p, q) in enumerate(col_of):
-            z[j] = v[p] - (v[q] if q >= 0 else 0.0)
-        return status, z, value, its
+        return status, self._unsplit(v, split), value, its
+
+    def lexmin(self, costs, tol: Tolerances = DEFAULT_TOL):
+        """(z, pivots) after an OPTIMAL ``solve``: its optimum minimizing each cost row in turn."""
+        _, _, c, split, warm = self._standardize()
+        cols, tableau = warm.last
+        v, its = _StandardLP.lexmin(tableau(), cols, c, self._split(costs, split, c.size), tol)
+        return self._unsplit(v, split), its

@@ -606,8 +606,7 @@ class _Program:
         ``value`` is the LP's optimal value, None from the conic driver (its
         epigraph variables only bound their blocks to its tolerance).
         ``center`` is the point of a "center" objective.  ``lexicographic``
-        asks the LP for the lexicographically smallest optimal point; it
-        leaves the LP changed, so it suits programs solved once.
+        asks for the lexicographically smallest optimal point; the LP stays as it was.
         """
         x = np.asarray(x, dtype=float)
         if self.driver == "conic":
@@ -627,7 +626,8 @@ class _Program:
         if status is not SolveStatus.OPTIMAL:
             return status, None, None, its, None
         if lexicographic:
-            v, its = self._lexicographic(v, value, override, tol, its)
+            v, more = self._lexicographic(tol)
+            its += more
         return status, v[:self.n], value, its, None
 
     def solve_many(self, X, tol: Tolerances = DEFAULT_TOL) -> list:
@@ -643,24 +643,10 @@ class _Program:
         z = res.x[:self.n] if res.status is SolveStatus.OPTIMAL else None
         return res.status, z, None, res.iterations, res
 
-    def _lexicographic(self, v, value, override, tol: Tolerances, its: int):
-        """Minimize the ambient coordinates in turn over the optimal face."""
-        lp = self.lp
-        if self._epi:
-            lp.add_row(np.ones(len(self._epi)), "<=", value + 1e-9 * max(1.0, abs(value)),
-                       at=self._epi)
-        for srow in self.canon.S:
-            nz = np.nonzero(srow)[0]
-            if not nz.size:
-                continue
-            lp.set_objective({int(k): srow[k] for k in nz})
-            st, v2, value2, more = lp.solve(tol, rhs_override=override)
-            its += more
-            if st is not SolveStatus.OPTIMAL:
-                break
-            v = v2
-            lp.add_row(srow[nz], "<=", value2 + 1e-10 * max(1.0, abs(value2)), at=nz.tolist())
-        return v, its
+    def _lexicographic(self, tol: Tolerances):
+        """(v, pivots) minimizing S z in turn over the LP's exact optimal face; no row is added."""
+        S = self.canon.S
+        return self.lp.lexmin(np.hstack([S, np.zeros((S.shape[0], self._aux))]), tol)
 
 
 # ---------------------------------------------------------------------------

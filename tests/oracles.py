@@ -4,6 +4,8 @@ Every expected number in the test suite either comes from one of these
 helpers or is a hand calculation recorded next to its assert.  Nothing here
 imports conekit; the only dependency is numpy.
 """
+import itertools
+
 import numpy as np
 
 
@@ -229,3 +231,45 @@ def dykstra_reference(spec, x):
     and Dykstra's projection of the origin onto it."""
     canon = spec._template.canon.at(x, spec.map.codomain_norm.of(x))
     return (canon,) + dykstra_on_canon(canon)
+
+
+# -- lexicographic minima by vertex enumeration -----------------------------------
+
+
+def lexmin_by_vertices(T, x, G, tag: str, tol: float = 1e-9):
+    """(value, c): the smallest tag-norm (l1 or linf) of c = G lam, lam >= 0,
+    with T c = x, and the lexicographically smallest such c; None when the
+    slice is empty.
+
+    The program is lifted to w = (lam, t) with t bounding |c_i| (l1, one t
+    per coordinate) or |c|_inf (one t), a pointed polyhedron whose optimal
+    face is a polytope.  The lexicographic minimum of c over that face is
+    attained at one of its vertices, so it is read off the list of every
+    vertex: each choice of inequalities that, active with the equalities,
+    pins w down.  Desk sizes only (a handful of variables).
+    """
+    T, x, G = (np.atleast_2d(np.asarray(a, dtype=float)) for a in (T, x, G))
+    x = x.ravel()
+    n, k = G.shape
+    aux = n if tag == "l1" else 1
+    width = k + aux
+    tie = np.eye(aux)[np.arange(n) if tag == "l1" else np.zeros(n, int)]
+    A_in = np.vstack([np.hstack([G, -tie]), np.hstack([-G, -tie]),
+                      np.hstack([-np.eye(k), np.zeros((k, aux))])])
+    A_eq = np.hstack([T @ G, np.zeros((T.shape[0], aux))])
+    free = width - A_eq.shape[0]
+    combos = np.array(list(itertools.combinations(range(A_in.shape[0]), free)))
+    M = np.concatenate([np.broadcast_to(A_eq, (len(combos),) + A_eq.shape), A_in[combos]], axis=1)
+    M = M[np.linalg.cond(M) < 1e10]
+    rhs = np.broadcast_to(np.concatenate([x, np.zeros(free)]), M.shape[:2])
+    W = np.linalg.solve(M, rhs[..., None])[..., 0]
+    scale = max(1.0, float(np.abs(W).max(initial=0.0)))
+    W = W[(W @ A_in.T).max(axis=1) <= tol * scale]
+    if not len(W):
+        return None
+    values = W[:, k:].sum(axis=1)
+    best = values.min()
+    C = W[values <= best + tol * max(1.0, abs(best)), :k] @ G.T
+    for i in range(n):
+        C = C[C[:, i] <= C[:, i].min() + tol * scale]
+    return float(best), C[0]

@@ -334,6 +334,9 @@ def test_solve_many_matches_solve_target_by_target(build, verdicts):
     batch = program.solve_many(B, H)
     for b, h, one, many in zip(B, H, alone, batch):
         assert same_result(many, one), (b, h, one.status, many.status)
+        if build is ray_cone_program and b[0] > h[0]:
+            # x1 = b1 > h0 leaves no feasible point, whatever ray the cost has
+            assert many.status is SolveStatus.INFEASIBLE, (b, h, many.status)
         if many.status is SolveStatus.INFEASIBLE:
             assert program.certifies_infeasible(b, h, many.y, many.z)
         elif many.status is SolveStatus.UNBOUNDED:

@@ -1,8 +1,10 @@
+import gc
 import math
 import os
 import pathlib
 import subprocess
 import sys
+import weakref
 
 import numpy as np
 import pytest
@@ -111,6 +113,105 @@ def test_lattice_lexicographic_tie_break():
     sol = solve_min_norm(lattice_problem([3.0, -4.0], NormTag.L1))
     np.testing.assert_allclose(sol.point, [3.0, 0.0, 0.0, -4.0], atol=1e-7)
     assert sol.value == pytest.approx(7.0, abs=1e-9)
+
+
+def lexicographic_cases(count=120, seed=7):
+    """Random integer instances whose map is not injective: T is d x n with
+    d < n, the cone an orthant or a generated cone, the norm l1 or linf, and
+    the target the image of an integer cone point.  Yields (T, x, G, cone, tag)
+    with G the cone's generators."""
+    rng = np.random.default_rng(seed)
+    made = 0
+    while made < count:
+        n = int(rng.integers(3, 5))
+        d = int(rng.integers(1, n))
+        T = rng.integers(-3, 4, (d, n)).astype(float)
+        if rng.random() < 0.5:
+            G, cone = np.eye(n), Orthant(n)
+        else:
+            G = rng.integers(0, 4, (n, int(rng.integers(n, n + 3)))).astype(float)
+            G[:, ~G.any(axis=0)] = 1.0
+            cone = Generators(G)
+        tag = NormTag.L1 if rng.random() < 0.5 else NormTag.LINF
+        x = T @ G @ rng.integers(0, 3, G.shape[1]).astype(float)
+        if np.linalg.matrix_rank(T @ G) < d or not x.any():
+            continue
+        made += 1
+        yield T, x, G, cone, tag
+
+
+LEXICOGRAPHIC_CASES = list(lexicographic_cases())
+
+
+def test_lexicographic_point_is_the_exact_lexmin():
+    # the optimum of an l1 or linf norm over a slice is a face; the point
+    # returned is its lexicographically smallest one, to rounding
+    worst = 0.0
+    for T, x, G, cone, tag in LEXICOGRAPHIC_CASES:
+        value, want = oracles.lexmin_by_vertices(T, x, G, tag.value)
+        sol = solve_min_norm(MinNormProblem(T, x, cone, BlockNorm.flat(T.shape[1], tag)))
+        assert sol.status is SolveStatus.OPTIMAL
+        worst = max(worst, np.abs(sol.point - want).max() / max(1.0, np.abs(want).max()))
+        assert abs(sol.value - value) <= 1e-12 * max(1.0, value)
+    assert worst <= 1e-12
+
+
+def test_lexicographic_value_is_the_optimal_value():
+    # the tie-break moves along the optimal face only, so the norm of the
+    # point it picks is the optimal value
+    for T, x, G, cone, tag in LEXICOGRAPHIC_CASES:
+        problem = MinNormProblem(T, x, cone, BlockNorm.flat(T.shape[1], tag))
+        lex = solve_min_norm(problem).value
+        plain = solve_min_norm(problem, lexicographic=False).value
+        assert abs(lex - plain) <= 1e-12 * max(1.0, plain), (T, x, tag, lex, plain)
+
+
+def test_lexicographic_passes_run_no_cold_solve(spy):
+    # the passes continue on the optimal tableau of the main solve: one
+    # two-phase solve per program, however many coordinates are tied
+    cold = []
+    spy(simplex._StandardLP, "solve", cold, lambda out: out[0])
+    for T, x, G, cone, tag in LEXICOGRAPHIC_CASES[:20]:
+        cold.clear()
+        solve_min_norm(MinNormProblem(T, x, cone, BlockNorm.flat(T.shape[1], tag)))
+        assert cold == [SolveStatus.OPTIMAL]
+    cold.clear()
+    solve_min_norm(lattice_problem([3.0, -4.0], NormTag.L1))
+    assert cold == [SolveStatus.OPTIMAL]
+
+
+def test_lexicographic_solve_leaves_the_program_reusable():
+    # the LP is not edited, so a second lexicographic solve (warm, from the
+    # cached basis) and a plain one agree with the first
+    for T, x, G, cone, tag in LEXICOGRAPHIC_CASES[:40]:
+        program = solver._Program(solver._canonicalize(
+            MinNormProblem(T, x, cone, BlockNorm.flat(T.shape[1], tag))))
+        first = program.solve(x, lexicographic=True)
+        rows = len(program.lp.rows)
+        again = program.solve(x, lexicographic=True)
+        plain = program.solve(x)
+        assert len(program.lp.rows) == rows
+        assert again[0] is first[0] is plain[0] is SolveStatus.OPTIMAL
+        point, value = G @ first[1], first[2]
+        assert np.abs(G @ again[1] - point).max() <= 1e-12 * max(1.0, np.abs(point).max())
+        assert max(abs(again[2] - value), abs(plain[2] - value)) <= 1e-12 * max(1.0, value)
+
+
+def test_solved_lp_is_freed_without_the_cycle_collector():
+    # the basis an LP keeps for the lexicographic passes makes no reference
+    # cycle, so its tableaus and cached inverses go with its last reference
+    T, x, G, cone, tag = LEXICOGRAPHIC_CASES[0]
+    gc.disable()
+    try:
+        program = solver._Program(solver._canonicalize(
+            MinNormProblem(T, x, cone, BlockNorm.flat(T.shape[1], tag))))
+        for target in (x, 2.0 * x, x):  # cold, then from the cached basis
+            assert program.solve(target, lexicographic=True)[0] is SolveStatus.OPTIMAL
+        warm = weakref.ref(program.lp._standardize()[-1])
+        del program
+        assert warm() is None
+    finally:
+        gc.enable()
 
 
 @given(arrays(np.float64, (2,), elements=st.floats(-10, 10)))
