@@ -3,7 +3,8 @@
 Generates polyhedral cone maps, splits them by surjectivity, and reports
 how tightly the interior radius inverts the openness constant on the
 surjective half.  Non-surjective instances must show an infinite constant
-and a zero radius.
+and a zero radius.  Exits 1 when an instance is inconsistent or when
+|rK - 1| exceeds 1e-6 on some surjective one.
 """
 
 import argparse
@@ -13,6 +14,8 @@ import time
 import numpy as np
 
 from conekit.instances import parse_instance, random_polyhedral_instance
+
+MAX_DEVIATION = 1e-6  # the largest |rK - 1| accepted on a surjective instance
 
 
 def main() -> int:
@@ -43,10 +46,14 @@ def main() -> int:
 
     print(f"{args.count} instances in {dt:.1f}s: "
           f"{onto} surjective, {flat} not, {inconsistent} inconsistent")
+    misses = 0
     if devs:
         devs = np.array(devs)
         print(f"|rK - 1|: median {np.median(devs):.2e}  max {devs.max():.2e}")
-    return 1 if inconsistent else 0
+        misses = int((devs > MAX_DEVIATION).sum())
+        if misses:
+            print(f"{misses} instances miss r * K = 1 by more than {MAX_DEVIATION:g}")
+    return 1 if inconsistent or misses else 0
 
 
 if __name__ == "__main__":

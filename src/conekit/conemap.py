@@ -28,6 +28,12 @@ from .sampling import SamplerConfig, refine_on_sphere, search_grid, sphere_direc
 
 __all__ = ["ConeMap", "SurjectivityReport"]
 
+# relative half-width of the bracket that the gauge opens around a critical
+# scale: ball-feasibility verdicts resolve scales to about 1.4e-9 relative,
+# so at 4e-10 both ends read reachable, while 1e-8 holds and leaves about
+# five bisection steps to the 1e-9 stop rule
+_BRACKET = 1e-8
+
 
 @dataclass
 class SurjectivityReport:
@@ -180,7 +186,12 @@ class ConeMap:
 
     def _surjective_dual(self, set_cone: _cones.Cone) -> SurjectivityReport:
         d = self.codomain_dim
-        lp = _solver._box_dual_lp(self.matrix, set_cone)
+        # the witness sums optimal vertices that need not be unique; phase 1
+        # from artificials alone keeps the vertices, and so the printed
+        # witness, that this test has always reached.  Temporary: a witness
+        # that does not depend on the pivot path (the lexicographic optimum
+        # of each box LP) would let crash=False go
+        lp = _solver._box_dual_lp(self.matrix, set_cone, crash=False)
         witnesses = []
         for i in range(d):
             for sgn in (-1.0, 1.0):
@@ -236,65 +247,92 @@ class ConeMap:
 
         Works direction by direction: the reachability of t x from the unit
         ball of the cone is monotone in t, so each direction has a critical
-        scale found by bisection on ball-constrained feasibility.  The radius
-        is the smallest critical scale.  Directions already reachable at the
-        running minimum are skipped after a single feasibility check.  A
-        curved feasibility test that cannot decide a scale puts that scale
-        at the critical one, to the solver's resolution.
+        scale, bisected to 1e-9 relative on ball-constrained feasibility;
+        the radius is the smallest.  The gauge only seeds the search: the
+        critical scale of x is 1/m(x), so directions go in order of
+        decreasing m, and two verdicts certify the bracket (1 -+ δ)/m before
+        bisecting inside it (a failed end falls back on doubling and
+        bisection).  The other directions are checked at once at the
+        certified lower end, and any that fail are bracketed in turn.  An
+        unreachable direction (m = inf, a certified verdict) gives 0, and an
+        undecided gauge seeds nothing.  A curved feasibility test that cannot
+        decide a scale puts that scale at the critical one, to the solver's
+        resolution.
         """
         config = config or SamplerConfig()
         dirs, exact = search_grid(self.codomain_dim, self.codomain_norm, config)
         ball = _solver.BallConstraint(np.eye(self.domain_dim), self.domain_norm, 1.0)
         sweep = _solver.MinNormSweep(self.matrix, self.cone, self.domain_norm, balls=(ball,))
+        try:
+            m = self._sweep.values(dirs)
+        except ArithmeticError:
+            m = np.full(len(dirs), np.nan)
+        if np.isinf(m).any():
+            return 0.0  # a whole ray misses the image
 
-        def reachable(t: float, x) -> bool | None:
-            """Whether t x lies in T(C ∩ B_Y); None when the solver cannot
-            tell, which puts t at the critical scale to its resolution."""
-            try:
-                return sweep.feasible(t * x)
-            except ArithmeticError:
-                return None
+        def reachable(X) -> list:
+            """Whether each row of X lies in T(C ∩ B_Y), in one batch; None
+            where the solver cannot tell, which puts that scale at the
+            critical one to its resolution."""
+            out = []
+            for x, (status, _) in zip(X, sweep.feasible_many(X)):
+                try:
+                    out.append(_solver._decided(status, x))
+                except ArithmeticError:
+                    out.append(None)
+            return out
 
-        def critical(x, hi_guess: float) -> float:
-            if not self._sweep.feasible(x):
-                return 0.0  # the whole ray misses the image
-            lo, hi = 0.0, max(hi_guess, 1e-8)
-            inside = reachable(hi, x)
+        def critical(x, m_x: float, guess: float) -> tuple[float, float]:
+            """(lo, hi) around the critical scale of x, lo reachable."""
+            lo, hi = 0.0, max(guess, 1e-8)
+            if 0.0 < m_x < math.inf:
+                a, b = (1.0 - _BRACKET) / m_x, (1.0 + _BRACKET) / m_x
+                below, above = reachable([a * x, b * x])
+                if below is None:
+                    return a, a
+                lo, hi, inside = (a, b, above) if below else (0.0, a, False)
+            else:
+                if not self._sweep.feasible(x):
+                    return 0.0, 0.0  # the whole ray misses the image
+                inside = reachable([hi * x])[0]
             if inside is None:
-                return hi
+                return hi, hi
             if inside:
                 for _ in range(60):
-                    hi *= 2.0
-                    inside = reachable(hi, x)
+                    lo, hi = hi, 2.0 * hi
+                    inside = reachable([hi * x])[0]
                     if inside is None:
-                        return hi
+                        return hi, hi
                     if not inside:
-                        lo = hi / 2.0
                         break
                 else:
-                    return math.inf
+                    return math.inf, math.inf
             for _ in range(80):
                 if hi - lo <= 1e-9 * max(hi, 1e-6):
                     break
                 mid = 0.5 * (lo + hi)
-                inside = reachable(mid, x)
+                inside = reachable([mid * x])[0]
                 if inside is None:
-                    return mid
-                if inside:
-                    lo = mid
-                else:
-                    hi = mid
-            return 0.5 * (lo + hi)
+                    return mid, mid
+                lo, hi = (mid, hi) if inside else (lo, mid)
+            return lo, hi
 
-        running = math.inf
+        lo = running = math.inf
         argmin_dir = None
-        for x in dirs:
-            if math.isfinite(running) and reachable(running, x):
-                continue  # critical scale of x exceeds the running minimum
-            running = critical(x, running if math.isfinite(running) else 1.0)
-            argmin_dir = x
-            if running <= 0.0:
-                return 0.0
+        # largest gauge first, the smallest critical scale; with an undecided
+        # gauge m is all NaN and the grid keeps its order
+        pending = np.argsort(-m, kind="stable")
+        while pending.size:
+            i, pending = pending[0], pending[1:]
+            a, b = critical(dirs[i], m[i], lo if math.isfinite(lo) else 1.0)
+            if 0.5 * (a + b) < running:
+                lo, running, argmin_dir = a, 0.5 * (a + b), dirs[i]
+                if running <= 0.0:
+                    return 0.0
+                if math.isfinite(lo) and pending.size:
+                    # a direction reachable at lo has its critical scale above
+                    # it; those that are not were last checked at a larger lo
+                    pending = pending[[v is not True for v in reachable(lo * dirs[pending])]]
         if not exact and argmin_dir is not None and math.isfinite(running):
             # polish: minimizing the critical scale = maximizing m over the sphere
             _, worst_m = refine_on_sphere(self._sweep.value, argmin_dir, self.codomain_norm,

@@ -58,11 +58,13 @@ class _StandardLP:
     row last: where ``lexmin`` can start, with no artificial column.
     """
 
-    def __init__(self, A: np.ndarray, b: np.ndarray, c: np.ndarray, tol: Tolerances = DEFAULT_TOL):
+    def __init__(self, A: np.ndarray, b: np.ndarray, c: np.ndarray, tol: Tolerances = DEFAULT_TOL,
+                 crash: bool = True):
         self.A = np.atleast_2d(np.asarray(A, dtype=float))
         self.b = np.asarray(b, dtype=float)
         self.c = np.asarray(c, dtype=float)
         self.tol = tol
+        self.crash = crash
 
     def solve(self):
         A, b, c = self.A.copy(), self.b.copy(), self.c.copy()
@@ -73,15 +75,24 @@ class _StandardLP:
         eps = self.tol.feasibility
         cap = self.tol.cap(m, n)
 
-        # phase 1: columns [original | artificial | rhs]
-        T = np.zeros((m + 1, n + m + 1))
+        # phase 1: columns [original | artificial | rhs], from a slack crash
+        # basis (Bixby 2002) unless crash is off: a row owning a +1 unit
+        # column (the slack of a <= row with b >= 0) starts with that column
+        # basic, and only the other rows get artificials
+        owner = {}
+        unit = ((A == 0.0).sum(axis=0) == m - 1) & (A.sum(axis=0) == 1.0) & self.crash
+        for j in np.flatnonzero(unit):
+            owner.setdefault(int(np.argmax(A[:, j])), int(j))
+        art = [i for i in range(m) if i not in owner]
+        owner.update((i, n + k) for k, i in enumerate(art))
+        T = np.zeros((m + 1, n + len(art) + 1))
         T[:m, :n] = A
-        T[:m, n : n + m] = np.eye(m)
+        T[art, n + np.arange(len(art))] = 1.0
         T[:m, -1] = b
-        basis = list(range(n, n + m))
-        T[m, :n] = -A.sum(axis=0)
-        T[m, -1] = -b.sum()
-        it1 = self._pivot_loop(T, basis, restrict=n + m, eps=eps, cap=cap)
+        basis = [owner[i] for i in range(m)]
+        T[m, :n] = -A[art].sum(axis=0)
+        T[m, -1] = -b[art].sum()
+        it1 = self._pivot_loop(T, basis, restrict=n + len(art), eps=eps, cap=cap)
         if it1 == -1:
             return SolveStatus.ITERATION_LIMIT, None, None, cap, None
         if -T[m, -1] > 1e-9 * max(1.0, float(np.abs(b).max(initial=0.0))):
@@ -119,10 +130,13 @@ class _StandardLP:
         for c, the point of the optimal face minimizing each row of costs in turn.
         That face is the feasible set with v_j = 0 where the reduced cost d_j > 0
         (complementary slackness): each cost runs phase 2 from the current basis,
-        then columns with d_j > eps are zeroed.  An unbounded pass or the cap stops."""
+        then columns with d_j > eps are zeroed.  An unbounded pass or the cap stops,
+        and so does a pass after which no cost row left has a reduced cost below
+        -eps on a live nonbasic column, so that no later pass could pivot: the
+        face is one point, or the costs left are constant on it."""
         r, n, eps = len(basis), T.shape[1] - 1, tol.feasibility
         basis, dead, its = list(basis), np.zeros(n, bool), 0
-        for cost in (c, *costs):
+        for k, cost in enumerate((c, *costs)):
             cost = np.where(dead, 0.0, cost)
             T[r, :n] = cost - cost[basis] @ T[:r, :n]
             got = cls._pivot_loop(T, basis, n, eps, tol.cap(r, n))
@@ -132,6 +146,10 @@ class _StandardLP:
             dead |= T[r, :n] > eps
             dead[basis] = False
             T[:, np.flatnonzero(dead)] = 0.0
+            rest, live = costs[k:], ~dead
+            live[basis] = False
+            if (rest[:, live] - rest[:, basis] @ T[:r, :n][:, live] >= -eps).all():
+                break
         v = np.zeros(n)
         v[basis] = T[:r, n]
         return v, its
@@ -201,8 +219,8 @@ class _WarmStart:
     giving a fresh B^-1 [A | b] for it.
     """
 
-    def __init__(self, A: np.ndarray, c: np.ndarray):
-        self.A, self.c = A, c
+    def __init__(self, A: np.ndarray, c: np.ndarray, crash: bool = True):
+        self.A, self.c, self.crash = A, c, crash
         self.entries: list = []  # [rows, cols, M or None], oldest first; M b = B^-1 b[rows]
         self._stack = None  # every entry's M stacked, rebuilt after a change
         self._starts = None
@@ -218,7 +236,7 @@ class _WarmStart:
         return status, v, value, spent + its
 
     def _cold(self, b: np.ndarray, tol: Tolerances):
-        status, v, value, its, basis = _StandardLP(self.A, b, self.c, tol).solve()
+        status, v, value, its, basis = _StandardLP(self.A, b, self.c, tol, self.crash).solve()
         if basis is not None:
             self._record(*basis[:2])
             self.last = basis[1], basis[2].copy
@@ -367,9 +385,13 @@ class LinearProgram:
     closest one by dual simplex pivots, falling back to the cold two-phase
     simplex when neither gives a checked answer.  The pivot count returned
     covers every pivot the call made.  Any edit drops both caches; ``lexmin`` edits nothing.
+    ``crash=False`` starts every cold phase 1 from artificials alone, where the
+    slack crash basis would reach a different one of several optimal vertices;
+    it is temporary, kept only for the witness of ``ConeMap._surjective_dual``.
     """
 
-    def __init__(self):
+    def __init__(self, crash: bool = True):
+        self.crash = crash
         self.var_nonneg: list[bool] = []
         self.obj: list[float] = []
         self.rows: list[tuple[np.ndarray, str, float]] = []
@@ -428,7 +450,7 @@ class LinearProgram:
                 s_at += 1
             elif sense != "=":
                 raise ValueError(f"bad sense {sense!r}")
-        self._cache = (A, b, c, split, _WarmStart(A, c))
+        self._cache = (A, b, c, split, _WarmStart(A, c, self.crash))
         return self._cache
 
     @staticmethod

@@ -1103,12 +1103,12 @@ def _encode_dual_membership(lp: LinearProgram, cone: _cones.Cone, expr: np.ndarr
     raise ValueError(f"no polyhedral dual encoding for {type(cone).__name__}")
 
 
-def _box_dual_lp(T: np.ndarray, cone: _cones.Cone, cost=0.0) -> LinearProgram:
+def _box_dual_lp(T: np.ndarray, cone: _cones.Cone, cost=0.0, crash: bool = True) -> LinearProgram:
     """LP over free y (the first variables, with the given cost) in the box
     |y_i| <= 1, written as e_i y <= 1 and -e_i y <= 1 in turn, with T^T y
-    in dual(cone)."""
+    in dual(cone); ``crash`` as in ``LinearProgram``."""
     d = T.shape[0]
-    lp = LinearProgram()
+    lp = LinearProgram(crash)
     yidx = lp.add_vars(d, nonneg=False, obj=cost)
     for e in np.eye(d):
         lp.add_row(e, "<=", 1.0, at=yidx)

@@ -12,7 +12,8 @@ from conekit.conemap import ConeMap
 from conekit.cones import DirectSumL1, Generators, Negation, Orthant, SecondOrder
 from conekit.instances import parse_instance, random_polyhedral_instance
 from conekit.norms import NormTag
-from conekit.sampling import SamplerConfig, sphere_directions
+from conekit.ordered import OrderedSpace, summing_map
+from conekit.sampling import SamplerConfig, search_grid, sphere_directions
 
 import oracles
 
@@ -158,6 +159,48 @@ def test_interior_radius_inverts_openness(seed):
         assert r == 0.0
 
 
+@pytest.mark.parametrize("seed", range(0, 24, 2))
+def test_interior_radius_takes_a_grid_of_solves(seed, spy):
+    # the gauge brackets the smallest critical scale, so one direction is
+    # bisected inside its bracket and the rest take one batched check each
+    inst = parse_instance(random_polyhedral_instance(seed))
+    inst.map.openness_constant(inst.sampler)
+    targets = []
+    spy(solver.MinNormSweep, "feasible_many", targets, pick=len)
+    assert inst.map.interior_radius(inst.sampler) > 0.0
+    grid = search_grid(inst.map.codomain_dim, inst.map.codomain_norm, inst.sampler)[0]
+    assert sum(targets) <= len(grid) + 8, (sum(targets), len(grid))
+
+
+def undecided(X):
+    raise ArithmeticError("iteration limit in sweep solve")
+
+
+@pytest.mark.parametrize("stub", [lambda values: lambda X: 2.0 * values(X),
+                                  lambda values: lambda X: 0.5 * values(X),
+                                  lambda values: undecided], ids=["x2", "x0.5", "undecided"])
+@pytest.mark.parametrize("seed", [0, 4, 10])
+def test_interior_radius_survives_a_wrong_gauge(seed, stub, monkeypatch):
+    # the gauge only seeds the brackets: a gauge off by a factor fails a
+    # bracket end and falls back on doubling and bisection, and an undecided
+    # one seeds nothing, to the same radius
+    want = parse_instance(random_polyhedral_instance(seed)).map.interior_radius()
+    cm = parse_instance(random_polyhedral_instance(seed)).map
+    monkeypatch.setattr(cm._sweep, "values", stub(cm._sweep.values))
+    got = cm.interior_radius()
+    assert abs(got - want) <= 1e-9 * want, (got, want)
+
+
+def test_interior_radius_of_the_planar_l2_lattice():
+    # a sampled grid, polished on the sphere: r = 1 / sqrt(2)
+    assert abs(lattice_map().interior_radius(CFG) * math.sqrt(2.0) - 1.0) <= 1e-9
+
+
+def test_interior_radius_inverts_openness_on_the_ice_cream_lattice():
+    ice = summing_map(OrderedSpace(SecondOrder(3), NormTag.L2))
+    assert ice.interior_radius() * ice.openness_constant() == pytest.approx(1.0, abs=1e-6)
+
+
 def test_operator_norm_bound_lattice():
     cm = lattice_map()
     M = cm.operator_norm_bound()
@@ -168,6 +211,18 @@ def test_operator_norm_bound_lattice():
         c[:2] = np.abs(c[:2])
         c[2:] = -np.abs(c[2:])
         assert np.linalg.norm(cm.matrix @ c) <= M * cm.domain_norm.of(c) + 1e-9
+
+
+@pytest.mark.parametrize("seed,witness", [
+    (1, [-1.0, -0.3165647626911506, 0.3090574810988471]),
+    (3, [1.0, 0.5514716194431396, 0.8287317786031799, 0.5656113110062428]),
+])
+def test_exact_surjectivity_witness_is_frozen(seed, witness):
+    # the box LPs have many optimal vertices; the witness that the CLI
+    # prints comes from the ones reached from an all-artificial phase 1
+    rep = parse_instance(random_polyhedral_instance(seed)).map.is_surjective(method="exact")
+    assert not rep.surjective
+    np.testing.assert_allclose(rep.unreachable, witness, rtol=1e-12, atol=1e-12)
 
 
 def test_sampled_surjectivity_certificate_comes_from_the_batch(spy):

@@ -6,6 +6,8 @@ import sys
 
 import pytest
 
+from conekit.conemap import ConeMap
+
 SCRIPTS = pathlib.Path(__file__).resolve().parents[1] / "scripts"
 SRC = SCRIPTS.parent / "src"
 
@@ -30,3 +32,18 @@ def test_lattice_script_fails_on_a_missed_closed_form(monkeypatch, capsys):
         monkeypatch.setattr(sys, "argv", ["run_lattice_constants.py", "--dim", dim])
         assert script.main() == 1
         assert "9 constants miss their closed form" in capsys.readouterr().out
+
+
+def test_open_mapping_script_fails_on_a_missed_identity(monkeypatch, capsys):
+    spec = importlib.util.spec_from_file_location("run_open_mapping_suite",
+                                                  SCRIPTS / "run_open_mapping_suite.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    radius = ConeMap.interior_radius
+    monkeypatch.setattr(ConeMap, "interior_radius",
+                        lambda self, config=None: (1.0 + 2e-6) * radius(self, config))
+    monkeypatch.setattr(sys, "argv", ["run_open_mapping_suite.py", "--count", "4"])
+    assert script.main() == 1
+    out = capsys.readouterr().out
+    assert "0 inconsistent" in out
+    assert "2 instances miss r * K = 1 by more than 1e-06" in out

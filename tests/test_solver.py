@@ -619,6 +619,70 @@ def test_lp_unbounded_status():
     assert z is None and value is None
 
 
+@pytest.fixture
+def pivot_loops(monkeypatch):
+    """The pivot count of every ``_StandardLP._pivot_loop`` run, in call order."""
+    runs, inner = [], simplex._StandardLP._pivot_loop
+
+    def wrapped(cls, *args, **kw):
+        runs.append(inner(*args, **kw))
+        return runs[-1]
+
+    monkeypatch.setattr(simplex._StandardLP, "_pivot_loop", classmethod(wrapped))
+    return runs
+
+
+def test_cold_lp_of_slack_rows_takes_no_phase_one_pivot(pivot_loops):
+    # every <= row with b >= 0 owns its slack, so the slack crash basis is
+    # feasible and phase 1 has no artificial to drive out
+    linprog = pytest.importorskip("scipy.optimize").linprog
+    rng = np.random.default_rng(3)
+    for _ in range(20):
+        m, n = rng.integers(1, 7, size=2)
+        A, b, c = rng.normal(size=(m, n)), rng.uniform(0.0, 2.0, size=m), rng.normal(size=n)
+        lp = LinearProgram()
+        idx = lp.add_vars(n, nonneg=True, obj=c)
+        for row, rhs in zip(np.vstack([A, np.eye(n)]), np.concatenate([b, np.ones(n)])):
+            lp.add_row(row, "<=", rhs, at=idx)
+        pivot_loops.clear()
+        status, z, value, _ = lp.solve()
+        assert status is SolveStatus.OPTIMAL
+        assert pivot_loops[0] == 0
+        want = linprog(c, A_ub=np.vstack([A, np.eye(n)]), b_ub=np.concatenate([b, np.ones(n)]))
+        assert abs(value - want.fun) <= 1e-9 * max(1.0, abs(want.fun))
+
+
+def test_lexmin_stops_once_no_pass_can_pivot(pivot_loops):
+    def passes(lp, costs):
+        assert lp.solve()[0] is SolveStatus.OPTIMAL
+        pivot_loops.clear()
+        z, _ = lp.lexmin(np.asarray(costs, dtype=float))
+        return z, len(pivot_loops)
+
+    # z = (2, 1) is the only feasible point: one pass, not three
+    lp = LinearProgram()
+    idx = lp.add_vars(2, nonneg=False)
+    lp.add_row([1.0, 1.0], "=", 3.0, at=idx)
+    lp.add_row([1.0, -1.0], "=", 1.0, at=idx)
+    z, count = passes(lp, np.eye(2))
+    np.testing.assert_allclose(z, [2.0, 1.0], atol=1e-12)
+    assert count == 1
+    # the face is the line z1 + z2 = 1, on which the one cost is constant
+    lp = LinearProgram()
+    idx = lp.add_vars(2, nonneg=False)
+    lp.add_row([1.0, 1.0], "=", 1.0, at=idx)
+    z, count = passes(lp, [[1.0, 1.0]])
+    assert abs(z.sum() - 1.0) <= 1e-12 and count == 1
+    # min y1 + y2 over y1 + y2 >= 1 ties along a segment: the y1 pass pivots
+    # to (0, 1), a point, and the y2 pass is skipped
+    lp = LinearProgram()
+    idx = lp.add_vars(2, nonneg=True, obj=[1.0, 1.0])
+    lp.add_row([1.0, 1.0], ">=", 1.0, at=idx)
+    z, count = passes(lp, np.eye(2))
+    np.testing.assert_allclose(z, [0.0, 1.0], atol=1e-12)
+    assert count == 2
+
+
 # -- numpy-only polyhedral runtime ----------------------------------------------
 
 POLYHEDRAL_CALLS = """
