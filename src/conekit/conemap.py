@@ -94,49 +94,25 @@ class ConeMap:
 
     @cached_property
     def _sweep(self) -> _solver.MinNormSweep:
+        """The map's one compiled slice: gauges, kinds, feasibility, projections."""
         return _solver.MinNormSweep(self.matrix, self.cone, self.domain_norm)
-
-    @cached_property
-    def _slice(self) -> _solver._SliceTemplate:
-        """Projections onto {c in C : T c = x}, compiled once for the plain selection."""
-        return _solver._SliceTemplate(self.matrix, self.cone)
-
-    @cached_property
-    def _plain_sweep(self) -> _solver.MinNormSweep:
-        """Sweep of the gauge |c_1|, the norm of the first domain block alone."""
-        a, b, tag = self.domain_norm.blocks[0]
-        return _solver.MinNormSweep(self.matrix, self.cone, self.domain_norm,
-                                    gauge=(np.eye(self.domain_dim)[a:b], tag))
-
-    @cached_property
-    def _max_program(self) -> _solver._Program:
-        """The program of max_b |c_b| over the slice, compiled once per map."""
-        problem = _solver.MinNormProblem(self.matrix, np.zeros(self.codomain_dim), self.cone,
-                                         self.domain_norm)
-        return _solver._Program(_solver._canonicalize(problem), "max")
-
-    def _max_block_values(self, X) -> np.ndarray:
-        """``solve_max_block_norm``'s value at each row of X, from the compiled
-        program in one batched solve."""
-        X, program = np.asarray(X, dtype=float).reshape(-1, self.codomain_dim), self._max_program
-        rows = X.any(axis=1).nonzero()[0]
-        return _solver._values(np.zeros(X.shape[0]), rows, program.solve_many(X[rows]),
-                               lambda z: _solver._canon_max_value(program.canon, z))
 
     def _kind_objective(self, kind: str):
         """X -> per row x, inf over preimages c of the kind's cost (inf if none).
 
         Over a direct-sum domain with blocks c_1, c_2, ...: "openness" and
         "sum" cost sum_b |c_b| (the domain norm, so m itself), "max" costs
-        max_b |c_b| and "plain" |c_1|.  Each kind reuses a sweep or program
-        compiled once per map, and the conic driver solves all rows at once.
+        max_b |c_b| and "plain" |c_1|.  Every kind is a program of the map's
+        one compiled slice, and the conic driver solves all rows at once.
         """
         if kind in ("openness", "sum"):
             return self._sweep.values
         if kind == "plain":
-            return self._plain_sweep.values
+            a, b, tag = self.domain_norm.blocks[0]
+            gauge = (np.eye(self.domain_dim)[a:b], tag)
+            return lambda X: self._sweep.values(X, gauge)
         if kind == "max":
-            return self._max_block_values
+            return lambda X: self._sweep.values(X, "max")
         raise ValueError(f"unknown decomposition kind {kind!r}")
 
     def min_preimage(self, x: np.ndarray, tol: _solver.Tolerances = _solver.DEFAULT_TOL) -> _solver.Solution:
@@ -223,8 +199,7 @@ class ConeMap:
         dirs = sphere_directions(self.codomain_dim, self.codomain_norm, config)
         for x, (status, res) in zip(dirs, self._sweep.feasible_many(dirs)):
             if not _solver._decided(status, x):
-                cert = _solver._certificate(_solver.MinNormProblem(
-                    self.matrix, x, self.cone, self.domain_norm), _solver.DEFAULT_TOL, res)
+                cert = self._sweep._certificate(x, res)
                 y = cert.y if cert is not None else None
                 return SurjectivityReport(False, "sampled", functional=y, unreachable=x.copy(),
                                           note=f"direction outside the image among {len(dirs)} samples")

@@ -105,7 +105,7 @@ class CorrespondenceSpec:
     The right-hand sides scale with the target norm, which keeps F
     positively homogeneous; on the unit sphere the bounds read
     alpha_j + slack exactly.  ``constraints`` pairs each functional with
-    its alpha.  F is compiled once into a slice template at unit caps;
+    its alpha.  F is compiled once into a ``MinNormSweep`` at unit caps;
     each target rescales the caps and starts phase 1 warm.  On polyhedral
     cones the projection onto F(x) first solves the polyhedral relaxation
     (curved caps dropped) with the active-set QP; the slack usually leaves
@@ -124,7 +124,7 @@ class CorrespondenceSpec:
             raise ValueError("slack must be nonnegative")
 
     @cached_property
-    def _template(self) -> _solver._SliceTemplate:
+    def _sweep(self) -> _solver.MinNormSweep:
         """F compiled at |x|_X = 1, where every cap reads alpha_j + slack."""
         bounds = []
         balls = []
@@ -133,7 +133,8 @@ class CorrespondenceSpec:
                 bounds.append((f.matrix[0], alpha + self.slack))
             else:
                 balls.append(_solver.BallConstraint(f.matrix, f.norm, alpha + self.slack))
-        return _solver._SliceTemplate(self.map.matrix, self.map.cone, bounds, balls)
+        return _solver.MinNormSweep(self.map.matrix, self.map.cone, balls=balls,
+                                    extra_bounds=bounds)
 
     def member(self, x: np.ndarray, c: np.ndarray, tol: float = 1e-7) -> bool:
         x = np.asarray(x, dtype=float)
@@ -152,7 +153,7 @@ class CorrespondenceSpec:
     def project(self, x: np.ndarray, point: np.ndarray) -> _solver.Solution:
         """Euclidean projection of ``point`` onto F(x); value is the distance."""
         x = np.asarray(x, dtype=float)
-        return self._template.project(x, point, scale=self.map.codomain_norm.of(x))
+        return self._sweep.project(x, point, scale=self.map.codomain_norm.of(x))
 
 
 def correspondence_value(spec: CorrespondenceSpec, x: np.ndarray) -> _solver.Solution:
@@ -172,8 +173,8 @@ class RightInverse:
     correspondence.  Either way the map is positively homogeneous and, for
     achievable constants, continuous (unique parametric minimizer).
 
-    Each call projects through the slice template compiled once by the map
-    (plain) or the spec (constrained), starting phase 1 warm.  A constrained
+    Each call projects through the slice compiled once by the map (plain)
+    or the spec (constrained), starting phase 1 warm.  A constrained
     call on a polyhedral cone solves the polyhedral relaxation first and
     returns its exact point when every curved cap holds there; the conic
     driver runs only when a cap binds, and on second-order cones always.
@@ -190,7 +191,7 @@ class RightInverse:
 
     def solve(self, x: np.ndarray) -> _solver.Solution:
         if self.spec is None:
-            return self.map._slice.project(x, np.zeros(self.map.domain_dim))
+            return self.map._sweep.project(x, np.zeros(self.map.domain_dim))
         return correspondence_value(self.spec, x)
 
     def __call__(self, x: np.ndarray) -> np.ndarray:
@@ -219,8 +220,8 @@ def gamma_constrained(cmap: ConeMap,
     correspondence nonempty off the attaining directions.  That slack
     usually keeps the caps loose at the minimal preimage; each call then
     costs one warm QP on the polyhedral relaxation, and a target where a
-    cap binds costs one interior-point solve of the conic program the spec
-    compiles once.
+    cap binds costs one interior-point solve of the distance program on the
+    slice that the spec compiles once.
     """
     return RightInverse(cmap, CorrespondenceSpec(cmap, constraints, slack))
 

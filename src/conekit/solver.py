@@ -9,17 +9,20 @@ Everything in this package eventually reduces to
                 |R_j c| <= beta_j          optional norm-ball constraints
 
 at desk scale (dimensions well below a few hundred).  The kernel is
-self-contained on purpose.  One encoder (``_Program``) writes a canonical
-problem and its objective (a sum or maximum of block norms, a linear cost, a
-distance, or none) as one list of epigraph, equality and inequality rows
-plus second-order blocks.  Rows with no second-order block go to the dense
-simplex of ``simplex.py``, which also yields Farkas-type infeasibility
-certificates; all others (sums and maxima of blocks with a Euclidean one,
-second-order cones, Euclidean and group norm balls, caps with no
-orthonormal rows) go to the interior-point method of ``conic.py``, which
-solves a whole batch of targets at once (``MinNormSweep.values`` and
+self-contained on purpose.  ``MinNormSweep`` compiles one slice, with its
+bounds and caps, to canonical form once; every entry point, one-shot or
+many-target, solves at a target from it.  One encoder (``_Program``) writes
+the canonical problem and an objective (a sum or maximum of block norms, a
+gauge, a linear cost, a distance, or none) as one list of epigraph,
+equality and inequality rows plus second-order blocks.  Rows with no
+second-order block go to the dense simplex of ``simplex.py``, which also
+yields Farkas-type infeasibility certificates; all others (sums and maxima
+of blocks with a Euclidean one, second-order cones, caps with a Euclidean
+block) go to the interior-point method of ``conic.py``, which solves a
+whole batch of targets at once (``MinNormSweep.values`` and
 ``feasible_many``).  An active-set method handles a single Euclidean
-objective on polyhedral data.
+objective on polyhedral data, and projections onto the polyhedral
+relaxation of a capped slice.
 """
 from __future__ import annotations
 
@@ -221,36 +224,15 @@ def active_set_qp(
 # canonical constraint assembly
 
 
-def _signed_selector(E: np.ndarray):
-    """Index array when the rows of E are distinct signed unit basis vectors."""
-    idx = []
-    for row in E:
-        nz = np.nonzero(np.abs(row) > 0)[0]
-        if nz.size != 1 or abs(abs(row[nz[0]]) - 1.0) > 1e-12:
-            return None
-        idx.append(int(nz[0]))
-    if len(set(idx)) != len(idx):
-        return None
-    return np.array(idx, dtype=int)
-
-
-def _orthonormal_rows(E: np.ndarray) -> bool:
-    if E.shape[0] > E.shape[1]:
-        return False
-    G = E @ E.T
-    return bool(np.allclose(G, np.eye(E.shape[0]), atol=1e-11))
-
-
 @dataclass
 class _Canon:
     """Solver-variable form of one MinNormProblem.
 
     Ambient point c = S z (plus zero columns for auxiliary variables).
-    Linear part: eq rows, <= rows.  Curved part: second-order index blocks,
-    Euclidean balls |R z| <= r with orthonormal-row R, and group balls
-    sum_b |z[idx_b]| <= r.  ``exotic`` holds the other curved caps (rows
-    that are not orthonormal, mixed block tags), which the conic encoding
-    takes as they are.
+    Linear part: eq rows, <= rows (l1 and linf caps among them, expanded
+    exactly).  Curved part: second-order index blocks, and the caps
+    norm(E z) <= r of every ball with a Euclidean block, E the ball's matrix
+    times S.
     """
 
     S: np.ndarray
@@ -259,10 +241,8 @@ class _Canon:
     in_A: np.ndarray
     in_b: np.ndarray
     soc_idx: list
-    l2balls: list  # (R with orthonormal rows, radius)
-    groupballs: list  # (list of index arrays, radius)
+    caps: list  # (E over z, BlockNorm, radius)
     obj_blocks: list  # (E over z, tag)
-    exotic: list  # other BallConstraint objects
 
     @property
     def n(self) -> int:
@@ -270,15 +250,7 @@ class _Canon:
 
     @property
     def polyhedral(self) -> bool:
-        return not self.soc_idx and not self.l2balls and not self.groupballs and not self.exotic
-
-    def at(self, x: np.ndarray, scale: float = 1.0) -> "_Canon":
-        """This canon at target x, every bound right-hand side and radius times
-        scale (cone and epigraph rows have right-hand side zero)."""
-        return replace(self, eq_b=x, in_b=self.in_b * scale,
-                       l2balls=[(R, r * scale) for R, r in self.l2balls],
-                       groupballs=[(idxs, r * scale) for idxs, r in self.groupballs],
-                       exotic=[replace(b, bound=b.bound * scale) for b in self.exotic])
+        return not self.soc_idx and not self.caps
 
 
 def _cone_structure(cone: _cones.Cone):
@@ -339,39 +311,24 @@ def _canonicalize(problem: MinNormProblem) -> _Canon:
         in_rows.append((a @ S0).reshape(1, -1))
         in_rhs.append(np.array([bnd]))
 
-    l2balls: list = []
-    groupballs: list = []
-    exotic: list = []
+    curved: list = []  # balls with a Euclidean block, kept as caps
     aux_specs: list = []  # (E rows in z0 coords, per-aux row groups, bound) for l1-style expansion
 
     for ball in problem.balls:
         E = ball.matrix @ S0
         bn = ball._block_norm()
         tags = {tag for _, _, tag in bn.blocks}
-        if tags <= {NormTag.L1, NormTag.LINF}:
-            # exact polyhedral expansion; linf blocks need no aux, l1 blocks do
-            if tags == {NormTag.LINF} and bn.is_flat:
-                in_rows.append(E)
-                in_rhs.append(np.full(E.shape[0], ball.bound))
-                in_rows.append(-E)
-                in_rhs.append(np.full(E.shape[0], ball.bound))
-            else:
-                aux_specs.append((E, bn, ball.bound))
-        elif tags == {NormTag.L2}:
-            if bn.is_flat:
-                if _orthonormal_rows(E):
-                    l2balls.append((E, ball.bound))
-                else:
-                    exotic.append(ball)
-            else:
-                sel = _signed_selector(E)
-                if sel is None:
-                    exotic.append(ball)
-                else:
-                    idxs = [sel[a:b] for a, b, _ in bn.blocks]
-                    groupballs.append((idxs, ball.bound))
+        # l1 and linf balls expand exactly into <= rows: a flat linf ball
+        # needs no aux, l1 blocks and linf blocks of a block norm do
+        if NormTag.L2 in tags:
+            curved.append(ball)
+        elif tags == {NormTag.LINF} and bn.is_flat:
+            in_rows.append(E)
+            in_rhs.append(np.full(E.shape[0], ball.bound))
+            in_rows.append(-E)
+            in_rhs.append(np.full(E.shape[0], ball.bound))
         else:
-            exotic.append(ball)
+            aux_specs.append((E, bn, ball.bound))
 
     # count auxiliary variables for the polyhedral ball expansions
     extra = 0
@@ -408,26 +365,17 @@ def _canonicalize(problem: MinNormProblem) -> _Canon:
     for E, per_block, bound in aux_layout:
         sum_row = np.zeros(total_n)
         for a, b, tag, ids in per_block:
-            if tag is NormTag.L1:
-                for k, i in enumerate(range(a, b)):
-                    for sgn in (1.0, -1.0):
-                        r = np.zeros(total_n)
-                        r[: E.shape[1]] = sgn * E[i]
-                        r[n0 + ids[k]] = -1.0
-                        rows2.append(r)
-                        rhs2.append(0.0)
-                sum_row[[n0 + i for i in ids]] = 1.0
-            else:  # LINF block
-                for i in range(a, b):
-                    for sgn in (1.0, -1.0):
-                        r = np.zeros(total_n)
-                        r[: E.shape[1]] = sgn * E[i]
-                        r[n0 + ids[0]] = -1.0
-                        rows2.append(r)
-                        rhs2.append(0.0)
-                sum_row[n0 + ids[0]] = 1.0
-        r = sum_row.copy()
-        rows2.append(r)
+            # an l1 block ties each row to its own aux, a linf block all to one
+            ties = ids if tag is NormTag.L1 else ids * (b - a)
+            for i, t in zip(range(a, b), ties):
+                for sgn in (1.0, -1.0):
+                    r = np.zeros(total_n)
+                    r[: E.shape[1]] = sgn * E[i]
+                    r[n0 + t] = -1.0
+                    rows2.append(r)
+                    rhs2.append(0.0)
+            sum_row[[n0 + i for i in ids]] = 1.0
+        rows2.append(sum_row)
         rhs2.append(bound)
     if rows2:
         in_A = np.vstack([in_A, np.array(rows2)])
@@ -441,10 +389,8 @@ def _canonicalize(problem: MinNormProblem) -> _Canon:
         in_A=in_A,
         in_b=in_b,
         soc_idx=list(socs),
-        l2balls=l2balls,
-        groupballs=groupballs,
+        caps=[(ball.matrix @ S, ball._block_norm(), ball.bound) for ball in curved],
         obj_blocks=obj_blocks,
-        exotic=exotic,
     )
 
 
@@ -460,10 +406,9 @@ class _Program:
     scale): the epigraph rows written here, the canon's equality rows and
     its <= rows.  An l1 or linf block |E z| <= t becomes the rows +-E z <= t
     (one t per row for l1, one for the block for linf) and an l2 block the
-    second-order block (t, E z).  Caps add second-order blocks too: the
-    cone's index blocks, flat Euclidean caps as (r, E z) (no orthonormal
-    rows needed), group and exotic caps as block epigraphs summed under one
-    <= row.
+    second-order block (t, E z).  The cone's index blocks are second-order
+    blocks too, and so are the caps: a flat Euclidean cap as (r, E z), any
+    other as its block epigraphs summed under one <= row.
 
     ``objective`` is "norm" (the sum of the canon's obj_blocks), "max"
     (their maximum: one epigraph variable t, each l2 block as (t, E z), each
@@ -472,6 +417,9 @@ class _Program:
     per solve, as one rotated cone (t + rho/2, t - rho/2, S z - point), which
     stays away from the apex when the distance is 0), a cost vector over z,
     or None for a feasibility program.  Objective epigraph variables cost 1.
+    A "norm" objective of one Euclidean block on polyhedral data is
+    ``quadratic``: the active-set QP solves it with ``hessian``, from a
+    vertex of the feasibility program, and its own rows are never compiled.
 
     With no second-order block the rows become a ``LinearProgram`` over free
     z and nonnegative auxiliaries, its rows the epigraph rows, then the
@@ -490,22 +438,20 @@ class _Program:
         self._rows: list = []
         eye = np.eye(self.n)
         self._socs = [[(-eye[j], {}, 0.0) for j in idx] for idx in canon.soc_idx]
-        for R, r in canon.l2balls:
-            self._cap(R, BlockNorm.flat(R.shape[0], NormTag.L2), r)
-        for idxs, r in canon.groupballs:
-            stops = np.cumsum([len(i) for i in idxs]).tolist()
-            blocks = tuple((a, b, NormTag.L2) for a, b in zip([0] + stops[:-1], stops))
-            self._cap(eye[np.concatenate(idxs)], BlockNorm(blocks), r)
-        for ball in canon.exotic:
-            self._cap(ball.matrix @ canon.S, ball._block_norm(), ball.bound)
+        for E, norm, r in canon.caps:
+            self._cap(E, norm, r)
         # on curved data, norm values and feasibility verdicts need no sharper
         # point than conic.TOL gives; on polyhedral data the objective is the
         # only curvature, and its values are printed to 12 digits
         self._sharp = canon.polyhedral
+        self.objective, self.quadratic = objective, False
         self._cost, self._epi = np.zeros(self.n), []
         if isinstance(objective, np.ndarray):
             self._sharp, self._cost = True, objective
         elif objective == "norm":
+            # one Euclidean block on polyhedral data is the active-set QP's
+            self.quadratic = (canon.polyhedral and len(canon.obj_blocks) == 1
+                              and canon.obj_blocks[0][1] is NormTag.L2)
             self._epi = [t for E, tag in canon.obj_blocks for t in self._epigraph(E, tag)]
         elif objective == "max":
             t = self._new()
@@ -648,34 +594,24 @@ class _Program:
         S = self.canon.S
         return self.lp.lexmin(np.hstack([S, np.zeros((S.shape[0], self._aux))]), tol)
 
+    def value(self, z: np.ndarray) -> float:
+        """The objective at z: the cost, or the sum (the maximum, for "max")
+        of the block norms."""
+        if isinstance(self.objective, np.ndarray):
+            return float(self._cost @ z)
+        parts = [tag.of(E @ z) for E, tag in self.canon.obj_blocks]
+        return float(max(parts) if self.objective == "max" else sum(parts))
 
-# ---------------------------------------------------------------------------
-# objective-specific drivers
+    @cached_property
+    def hessian(self) -> np.ndarray:
+        """The active-set QP's Hessian: of the one Euclidean block of a
+        quadratic objective, of |S z - point|^2 for "center"."""
+        return _euclidean_hessian(self.canon.obj_blocks[0][0] if self.quadratic else self.canon.S)
 
 
 def _euclidean_hessian(E: np.ndarray) -> np.ndarray:
     """Hessian of |E z - center|_2^2, with a hair of regularization."""
     return 2.0 * (E.T @ E) + 1e-12 * np.eye(E.shape[1])
-
-
-def _qp_driver(canon: _Canon, H: np.ndarray, g: np.ndarray, tol: Tolerances, start: _Program,
-               scale: float = 1.0):
-    """min .5 z H z + g z over the polyhedral constraints, from a vertex of
-    ``start``, the feasibility LP of the canon's polyhedral rows at unit scale
-    (warm across targets when it is kept)."""
-    status, z0, _, its0, _ = start.solve(canon.eq_b, scale, tol)
-    if status is not SolveStatus.OPTIMAL:
-        return status, None, its0
-    z, its, st = active_set_qp(H, g, canon.eq_A, canon.eq_b, canon.in_A, canon.in_b, z0, tol)
-    return st, z, its0 + its
-
-
-def _caps_hold(canon: _Canon, z: np.ndarray) -> bool:
-    """Whether z meets every curved cap of the canon, with no tolerance."""
-    return (all(np.linalg.norm(R @ z) <= r for R, r in canon.l2balls)
-            and all(sum(np.linalg.norm(z[idx]) for idx in idxs) <= r
-                    for idxs, r in canon.groupballs)
-            and all(ball.value(canon.S @ z) <= ball.bound for ball in canon.exotic))
 
 
 def _decided(status: SolveStatus, x) -> bool:
@@ -687,104 +623,228 @@ def _decided(status: SolveStatus, x) -> bool:
 
 
 # ---------------------------------------------------------------------------
-# public entry points
+# the compiled slice
 
 
-def _residuals(problem: MinNormProblem, c: np.ndarray, cone_tol: float | None = None) -> dict:
-    eq = float(np.max(np.abs(problem.map @ c - problem.target), initial=0.0))
-    if cone_tol is None:
-        cone_tol = 1e-7 * max(1.0, float(np.linalg.norm(c)))
-    cone_ok = _cones.contains(problem.cone, c, tol=cone_tol)
-    bounds = 0.0
-    for a, b in problem.extra_bounds:
-        bounds = max(bounds, float(a @ c - b))
-    for ball in problem.balls:
-        bounds = max(bounds, ball.value(c) - ball.bound)
-    return {"eq": eq, "cone": 0.0 if cone_ok else 1.0, "bounds": max(bounds, 0.0)}
+class MinNormSweep:
+    """One slice {c in C : T c = x} plus bounds and caps, compiled once and
+    solved at many targets.
 
+    The canon is built once, with the target zero and every bound and cap at
+    unit scale.  Each objective's ``_Program`` is compiled on first need and
+    kept: "norm" (the sweep's own ``objective``, the Euclidean norm by
+    default), "max" (the largest block norm), "center" (the distance to a
+    point), a gauge (R, tag) that replaces the objective by |R c|_tag, a
+    cost vector over c, and None for feasibility.  A target only swaps their
+    right-hand side.
 
-def _trivial_solution(problem: MinNormProblem, c: np.ndarray | None = None) -> Solution | None:
-    """c (the zero point by default) as the answer at value 0, when it meets
-    every constraint to rounding: the zero point of a min-norm problem at
-    target 0, or a point that is its own projection."""
-    if c is None:
-        if np.any(problem.target):
-            return None
-        c = np.zeros(problem.cone.ambient_dim)
-    tol = 1e-12 * max(float(np.linalg.norm(c)), float(np.linalg.norm(problem.target)))
-    strict = _residuals(problem, c, cone_tol=tol)
-    if strict["cone"] or max(strict["eq"], strict["bounds"]) > tol:
-        return None
-    return Solution(SolveStatus.OPTIMAL, c.copy(), 0.0, _residuals(problem, c), driver="trivial")
+    ``values`` and ``feasible_many`` take a batch of targets: the conic
+    driver solves the whole batch in one call, and an LP keeps the optimal
+    bases of earlier targets for the whole sweep, so a target inside a known
+    critical region costs one matrix product and a target next to one a few
+    dual simplex pivots (see ``LinearProgram``).  Values agree with a cold
+    solve to rounding; infeasible targets report inf.  ``solve`` gives one
+    target's ``Solution`` and ``project`` one Euclidean projection, with
+    bounds and caps times a scale.
 
-
-def _conclude(problem: MinNormProblem, tol: Tolerances, st: SolveStatus, its: int, driver: str,
-              answer, res=None) -> Solution:
-    """The Solution for a driver's verdict; ``answer()`` gives (point, value) when
-    OPTIMAL, and ``res`` is the conic driver's result, if it ran."""
-    if st is SolveStatus.INFEASIBLE:
-        sol = Solution(st, certificate=_certificate(problem, tol, res))
-    elif st is SolveStatus.OPTIMAL:
-        c, value = answer()
-        sol = Solution(st, c, float(value), _residuals(problem, c))
-    else:
-        sol = Solution(st)
-    sol.iterations, sol.driver = its, driver
-    return sol
-
-
-def _quadratic(canon: _Canon) -> bool:
-    """Whether the objective is one Euclidean block on polyhedral data, which
-    the active-set QP solves."""
-    return (canon.polyhedral and len(canon.obj_blocks) == 1
-            and canon.obj_blocks[0][1] is NormTag.L2)
-
-
-def _solve_canon(canon: _Canon, x: np.ndarray, tol: Tolerances, lexicographic: bool,
-                 program: _Program | None = None, start: _Program | None = None, H=None):
-    """Solve one canonical problem at target x.
-
-    Returns (status, z, value, iterations, driver, conic result or None),
-    with ``value`` as ``_Program.solve`` gives it (None from the active-set
-    QP).  The objective is whatever canon's obj_blocks say, which need not
-    be a norm of the full ambient point.  ``program`` is the canon's
-    objective program and ``start`` its feasibility program, and H the
-    active-set QP's Hessian, when the caller keeps them; they are built here
-    otherwise.
+    A single Euclidean objective on polyhedral data, and a projection on
+    data with no second-order cone, run the active-set QP from a warm
+    vertex of the feasibility program of the polyhedral relaxation (the
+    caps dropped).  A projection that lands inside every cap is exact and
+    an empty relaxation means an empty slice; only when a cap binds (or the
+    QP is undecided) does the projection go on to the conic program of the
+    squared distance.
     """
-    if _quadratic(canon):
-        H = _euclidean_hessian(canon.obj_blocks[0][0]) if H is None else H
-        st, z, its = _qp_driver(canon.at(x), H, np.zeros(canon.n), tol,
-                                start or _Program(canon, None))
-        return st, z, None, its, "active-set", None
-    program = program or _Program(canon)
-    st, z, value, its, res = program.solve(x, tol=tol, lexicographic=lexicographic)
-    return st, z, value, its, program.driver, res
+
+    def __init__(self, map, cone, objective: BlockNorm | None = None,
+                 tol: Tolerances = DEFAULT_TOL, balls=(), extra_bounds=()):
+        d = np.atleast_2d(np.asarray(map, dtype=float)).shape[0]
+        objective = objective or BlockNorm.flat(cone.ambient_dim, NormTag.L2)
+        self.problem = MinNormProblem(map, np.zeros(d), cone, objective,
+                                      tuple(extra_bounds), tuple(balls))
+        self.tol = tol
+        self.canon = _canonicalize(self.problem)
+        self._programs: dict = {}
+
+    def _program(self, objective="norm") -> _Program:
+        """The compiled program of an objective (see the class docstring)."""
+        key = objective
+        if isinstance(objective, tuple):
+            R = np.atleast_2d(np.asarray(objective[0], dtype=float))
+            key = (R.tobytes(), objective[1])
+        elif isinstance(objective, np.ndarray):
+            key = objective.tobytes()
+        if key not in self._programs:
+            canon = self.canon
+            if isinstance(objective, tuple):
+                canon, objective = replace(canon, obj_blocks=[(R @ canon.S, key[1])]), "norm"
+            elif isinstance(objective, np.ndarray):
+                objective = canon.S.T @ objective
+            self._programs[key] = _Program(canon, objective)
+        return self._programs[key]
+
+    @cached_property
+    def _start(self) -> _Program:
+        """The feasibility program of the polyhedral relaxation, which starts
+        the active-set QP."""
+        if not self.canon.caps:
+            return self._program(None)
+        return _Program(replace(self.canon, caps=[]), None)
+
+    def _qp(self, x, H: np.ndarray, g: np.ndarray, scale: float = 1.0):
+        """min .5 z H z + g z over the polyhedral relaxation at target x, bounds
+        times scale, from a warm vertex of ``_start``; as ``_Program.solve``."""
+        status, z0, _, its0, _ = self._start.solve(x, scale, self.tol)
+        if status is not SolveStatus.OPTIMAL:
+            return status, None, None, its0, None
+        canon = self.canon
+        z, its, st = active_set_qp(H, g, canon.eq_A, x, canon.in_A, canon.in_b * scale, z0,
+                                   self.tol)
+        return st, z, None, its0 + its, None
+
+    def values(self, X, objective="norm") -> np.ndarray:
+        """Optimal value at each row of X, inf where the slice is empty;
+        ``objective`` is "norm", "max" or a gauge (R, tag)."""
+        X = np.asarray(X, dtype=float).reshape(-1, self.problem.target.shape[0])
+        rows = X.any(axis=1).nonzero()[0]
+        if len(rows) < len(X) and self._trivial(self.problem.target) is None:
+            rows = np.arange(len(X))  # the zero target needs a solve too
+        live = X if len(rows) == len(X) else X[rows]
+        program = self._program(objective)
+        if program.quadratic:
+            g = np.zeros(self.canon.n)
+            sols = [self._qp(x, program.hessian, g) for x in live]
+        else:
+            sols = program.solve_many(live, self.tol)
+        out = np.zeros(len(X))
+        for i, (st, z, v, *_) in zip(rows.tolist(), sols):  # v: an LP's optimal value
+            if st is not SolveStatus.OPTIMAL and st is not SolveStatus.INFEASIBLE:
+                raise ArithmeticError("iteration limit in sweep solve")
+            out[i] = (math.inf if st is SolveStatus.INFEASIBLE
+                      else v if v is not None else program.value(z))
+        return out
+
+    def value(self, x: np.ndarray) -> float:
+        """Optimal value for target x, or inf when the slice is empty."""
+        return float(self.values(x)[0])
+
+    def feasible_many(self, X) -> list:
+        """(status, conic result or None) of the feasibility program at each
+        row of X, to be read by ``_decided``."""
+        X = np.asarray(X, dtype=float).reshape(-1, self.problem.target.shape[0])
+        return [(st, res) for st, _, _, _, res in self._program(None).solve_many(X, self.tol)]
+
+    def feasible(self, x: np.ndarray) -> bool:
+        """Whether the slice at x is nonempty; ArithmeticError when undecided."""
+        return _decided(self.feasible_many(x)[0][0], x)
+
+    def solve(self, x, objective="norm", lexicographic: bool = False) -> Solution:
+        """One target's Solution for an objective as in the class docstring: the
+        point, the objective's value, residuals, and for an empty slice with
+        no bounds or caps a checked certificate.  ``lexicographic`` asks an
+        LP for its lexicographically smallest optimum.  Cost vectors may go
+        negative, so only the others answer the zero target with no solve."""
+        x = self._target(x)
+        if not isinstance(objective, np.ndarray) and (sol := self._trivial(x)) is not None:
+            return sol
+        program = self._program(objective)
+        if program.quadratic:
+            st, z, _, its, res = self._qp(x, program.hessian, np.zeros(self.canon.n))
+        else:
+            st, z, _, its, res = program.solve(x, tol=self.tol, lexicographic=lexicographic)
+        driver = "active-set" if program.quadratic else program.driver
+        return self._conclude(x, 1.0, st, its, driver,
+                              lambda: (self.canon.S @ z, program.value(z)), res)
+
+    def project(self, x, point, scale: float = 1.0) -> Solution:
+        """Euclidean projection of ``point`` onto the slice at target x, every
+        bound and cap times scale (|x|_X when the caps grow with the target
+        norm); value is the distance."""
+        x, point = self._target(x), np.asarray(point, dtype=float)
+        st, its, driver, res = None, 0, "active-set", None
+        canon, center = self.canon, self._program("center")
+        if not canon.soc_idx:
+            st, z, _, its, _ = self._qp(x, center.hessian, -2.0 * (canon.S.T @ point), scale)
+            if not (canon.polyhedral or st is SolveStatus.INFEASIBLE
+                    or (st is SolveStatus.OPTIMAL
+                        and all(norm.of(E @ z) <= r * scale for E, norm, r in canon.caps))):
+                st = None
+        if st is None and (sol := self._trivial(x, scale, point)) is not None:
+            return sol  # interior points converge slowly to a zero distance
+        if st is None:
+            st, z, _, more, res = center.solve(x, scale, center=point)
+            its += more
+            driver = "conic"
+        S = canon.S
+        return self._conclude(x, scale, st, its, driver,
+                              lambda: (S @ z, np.linalg.norm(S @ z - point)), res)
+
+    # -- checks and certificates at one target --------------------------------
+
+    def _target(self, x) -> np.ndarray:
+        x = np.atleast_1d(np.asarray(x, dtype=float))
+        if x.shape != self.problem.target.shape:
+            raise ValueError(f"target dim {x.shape[0]} does not match the map's "
+                             f"{self.problem.target.shape[0]} rows")
+        return x
+
+    def _residuals(self, c: np.ndarray, x, scale: float = 1.0,
+                   cone_tol: float | None = None) -> dict:
+        p = self.problem
+        eq = float(np.max(np.abs(p.map @ c - x), initial=0.0))
+        if cone_tol is None:
+            cone_tol = 1e-7 * max(1.0, float(np.linalg.norm(c)))
+        cone_ok = _cones.contains(p.cone, c, tol=cone_tol)
+        bounds = 0.0
+        for a, b in p.extra_bounds:
+            bounds = max(bounds, float(a @ c - b * scale))
+        for ball in p.balls:
+            bounds = max(bounds, ball.value(c) - ball.bound * scale)
+        return {"eq": eq, "cone": 0.0 if cone_ok else 1.0, "bounds": max(bounds, 0.0)}
+
+    def _trivial(self, x, scale: float = 1.0, c: np.ndarray | None = None) -> Solution | None:
+        """c (the zero point by default) as the answer at value 0, when it
+        meets every constraint to rounding: the zero point of a min-norm
+        problem at target 0, or a point that is its own projection."""
+        if c is None:
+            if np.any(x):
+                return None
+            c = np.zeros(self.problem.cone.ambient_dim)
+        tol = 1e-12 * max(float(np.linalg.norm(c)), float(np.linalg.norm(x)))
+        strict = self._residuals(c, x, scale, cone_tol=tol)
+        if strict["cone"] or max(strict["eq"], strict["bounds"]) > tol:
+            return None
+        return Solution(SolveStatus.OPTIMAL, c.copy(), 0.0, self._residuals(c, x, scale),
+                        driver="trivial")
+
+    def _conclude(self, x, scale: float, st: SolveStatus, its: int, driver: str, answer,
+                  res=None) -> Solution:
+        """The Solution for a driver's verdict at target x; ``answer()`` gives
+        (point, value) when OPTIMAL, and ``res`` is the conic driver's result,
+        if it ran."""
+        if st is SolveStatus.INFEASIBLE:
+            sol = Solution(st, certificate=self._certificate(x, res))
+        elif st is SolveStatus.OPTIMAL:
+            c, value = answer()
+            sol = Solution(st, c, float(value), self._residuals(c, x, scale))
+        else:
+            sol = Solution(st)
+        sol.iterations, sol.driver = its, driver
+        return sol
+
+    def _certificate(self, x, res=None) -> Certificate | None:
+        """A checked Farkas certificate for the empty slice at target x when
+        there are no bounds or caps: from the conic driver's INFEASIBLE result
+        ``res`` when it gives one, else from ``farkas_certificate``."""
+        p = self.problem
+        if p.extra_bounds or p.balls:
+            return None
+        return ((res is not None and _conic_certificate(p.map, x, p.cone, res, self.tol))
+                or farkas_certificate(p.map, x, p.cone, self.tol))
 
 
-def _values(out: np.ndarray, rows, sols, value) -> np.ndarray:
-    """out with the value of each solve at its row: the LP's optimal value or
-    value(z), inf for an empty slice; ArithmeticError on an undecided solve."""
-    for i, (st, z, v, *_) in zip(rows.tolist(), sols):
-        if st is not SolveStatus.OPTIMAL and st is not SolveStatus.INFEASIBLE:
-            raise ArithmeticError("iteration limit in sweep solve")
-        out[i] = math.inf if st is SolveStatus.INFEASIBLE else v if v is not None else value(z)
-    return out
-
-
-def _canon_objective_value(canon: _Canon, z: np.ndarray) -> float:
-    return float(sum(tag.of(E @ z) for E, tag in canon.obj_blocks))
-
-
-def _canon_max_value(canon: _Canon, z: np.ndarray) -> float:
-    return float(max(tag.of(E @ z) for E, tag in canon.obj_blocks))
-
-
-def _solution_from_canon(problem: MinNormProblem, canon: _Canon, tol: Tolerances,
-                         lexicographic: bool) -> Solution:
-    st, z, _, its, driver, res = _solve_canon(canon, canon.eq_b, tol, lexicographic)
-    return _conclude(problem, tol, st, its, driver,
-                     lambda: (canon.S @ z, _canon_objective_value(canon, z)), res)
+# ---------------------------------------------------------------------------
+# one-shot entry points: compile, then solve at the target
 
 
 def solve_min_norm(
@@ -800,10 +860,9 @@ def solve_min_norm(
     returned point is the lexicographically smallest optimum (disable with
     ``lexicographic=False`` when only the value matters).
     """
-    if (sol := _trivial_solution(problem)) is not None:
-        return sol
-    canon = _canonicalize(problem)
-    return _solution_from_canon(problem, canon, tol, lexicographic)
+    sweep = MinNormSweep(problem.map, problem.cone, problem.objective, tol, problem.balls,
+                         problem.extra_bounds)
+    return sweep.solve(problem.target, lexicographic=lexicographic)
 
 
 def solve_min_gauge(
@@ -815,7 +874,6 @@ def solve_min_gauge(
     extra_bounds=(),
     balls=(),
     tol: Tolerances = DEFAULT_TOL,
-    lexicographic: bool = False,
 ) -> Solution:
     """Minimize |R c|_tag over the slice, for a possibly degenerate gauge.
 
@@ -823,15 +881,8 @@ def solve_min_gauge(
     (R is any matrix), so it is a sublinear gauge rather than a norm.
     Solution.value is the gauge value of the minimizer.
     """
-    R, tag = gauge
-    R = np.atleast_2d(np.asarray(R, dtype=float))
-    objective = BlockNorm.flat(cone.ambient_dim, NormTag.L2)  # placeholder for residual checks
-    problem = MinNormProblem(map, target, cone, objective, tuple(extra_bounds), tuple(balls))
-    if (sol := _trivial_solution(problem)) is not None:
-        return sol
-    canon = _canonicalize(problem)
-    canon.obj_blocks = [(R @ canon.S, tag)]
-    return _solution_from_canon(problem, canon, tol, lexicographic)
+    sweep = MinNormSweep(map, cone, tol=tol, balls=balls, extra_bounds=extra_bounds)
+    return sweep.solve(target, gauge)
 
 
 def solve_min_linear(
@@ -851,16 +902,11 @@ def solve_min_linear(
     Polyhedral instances solve exactly with the simplex; curved ones with
     the conic driver, to its residual and gap tolerance.
     """
-    cost = np.asarray(cost, dtype=float)
-    objective = BlockNorm.flat(cone.ambient_dim, NormTag.L2)  # placeholder, not minimized
-    problem = MinNormProblem(map, target, cone, objective, tuple(extra_bounds), tuple(balls))
-    canon = _canonicalize(problem)
-    program = _Program(canon, canon.S.T @ cost)
-    st, z, _, its, res = program.solve(canon.eq_b, tol=tol)
-    if st is SolveStatus.UNBOUNDED:
+    sweep = MinNormSweep(map, cone, tol=tol, balls=balls, extra_bounds=extra_bounds)
+    sol = sweep.solve(target, np.asarray(cost, dtype=float))
+    if sol.status is SolveStatus.UNBOUNDED:
         raise ArithmeticError("linear objective unbounded below; add a norm cap")
-    return _conclude(problem, tol, st, its, program.driver,
-                     lambda: (canon.S @ z, cost @ (canon.S @ z)), res)
+    return sol
 
 
 def solve_max_block_norm(problem: MinNormProblem, tol: Tolerances = DEFAULT_TOL) -> Solution:
@@ -870,70 +916,9 @@ def solve_max_block_norm(problem: MinNormProblem, tol: Tolerances = DEFAULT_TOL)
     tags on polyhedral data, a conic program for any other mix of tags and
     cones.
     """
-    if (sol := _trivial_solution(problem)) is not None:
-        return sol
-    canon = _canonicalize(problem)
-    program = _Program(canon, "max")
-    st, z, _, its, res = program.solve(canon.eq_b, tol=tol)
-    return _conclude(problem, tol, st, its, program.driver,
-                     lambda: (canon.S @ z, _canon_max_value(canon, z)), res)
-
-
-class _SliceTemplate:
-    """Euclidean projections onto {c in C : T c = x} plus bounds, compiled once.
-
-    The canon is built once with the bounds at unit scale; a call gives the
-    target, the point and a scale for every bound right-hand side and ball
-    radius (|x|_X when the caps grow with the target norm).  Templates on a
-    polyhedral cone keep the Euclidean Hessian and the feasibility LP of the
-    polyhedral relaxation (equality and <= rows, curved caps dropped), and
-    each call first projects onto that relaxation with the active-set QP
-    from a warm vertex of the LP.  A point inside every cap is the exact
-    projection and an empty relaxation means an empty slice.  Only when a
-    cap binds (or the QP is undecided) does the call go to the conic driver,
-    whose program (the squared distance as one rotated cone) is also built
-    once, on first need.  Second-order cones skip the screen and always take
-    the conic driver, unless the point already lies in the slice.
-    """
-
-    def __init__(self, map, cone: _cones.Cone, extra_bounds=(), balls=()):
-        d = np.atleast_2d(np.asarray(map, dtype=float)).shape[0]
-        objective = BlockNorm.flat(cone.ambient_dim, NormTag.L2)
-        self.problem = MinNormProblem(map, np.zeros(d), cone, objective, tuple(extra_bounds),
-                                      tuple(balls))
-        self.canon = _canonicalize(self.problem)
-        if not self.canon.soc_idx:
-            self._H = _euclidean_hessian(self.canon.S)
-            self._phase1 = _Program(replace(self.canon, l2balls=[], groupballs=[], exotic=[]), None)
-
-    @cached_property
-    def _conic(self) -> _Program:
-        return _Program(self.canon, "center")
-
-    def project(self, x, point, scale: float = 1.0, tol: Tolerances = DEFAULT_TOL) -> Solution:
-        """Projection of ``point`` onto the slice at target x; value is the distance."""
-        p = self.problem
-        problem = replace(p, target=x,
-                          extra_bounds=tuple((a, b * scale) for a, b in p.extra_bounds),
-                          balls=tuple(replace(b, bound=b.bound * scale) for b in p.balls))
-        point = np.asarray(point, dtype=float)
-        st, its, driver, res = None, 0, "active-set", None
-        if not self.canon.soc_idx:
-            canon = self.canon.at(problem.target, scale)
-            g = -2.0 * (canon.S.T @ point)
-            st, z, its = _qp_driver(canon, self._H, g, tol, self._phase1, scale)
-            if not (canon.polyhedral or st is SolveStatus.INFEASIBLE
-                    or (st is SolveStatus.OPTIMAL and _caps_hold(canon, z))):
-                st = None
-        if st is None and (sol := _trivial_solution(problem, point)) is not None:
-            return sol  # interior points converge slowly to a zero distance
-        if st is None:
-            st, z, _, more, res = self._conic.solve(problem.target, scale, center=point)
-            its += more
-            driver = "conic"
-        S = self.canon.S
-        return _conclude(problem, tol, st, its, driver,
-                         lambda: (S @ z, np.linalg.norm(S @ z - point)), res)
+    sweep = MinNormSweep(problem.map, problem.cone, problem.objective, tol, problem.balls,
+                         problem.extra_bounds)
+    return sweep.solve(problem.target, "max")
 
 
 def project_onto_slice(
@@ -949,11 +934,12 @@ def project_onto_slice(
     """Euclidean projection of ``point`` onto {c in C : T c = x} plus bounds.
 
     The projection is unique by strict convexity; Infeasible when the slice
-    is empty.  Solution.value is the distance.  A one-shot slice template;
-    ``ConeMap`` and ``CorrespondenceSpec`` keep theirs for many targets.
+    is empty.  Solution.value is the distance.  A one-shot
+    ``MinNormSweep.project``; ``ConeMap`` and ``CorrespondenceSpec`` keep
+    their compiled slice for many targets.
     """
-    template = _SliceTemplate(map, cone, extra_bounds, balls)
-    return template.project(target, point, tol=tol)
+    sweep = MinNormSweep(map, cone, tol=tol, balls=balls, extra_bounds=extra_bounds)
+    return sweep.project(target, point)
 
 
 @dataclass
@@ -981,83 +967,12 @@ def check_feasible(
     a verified Farkas-type certificate, from the conic driver's verdict when
     it passes the check and from ``farkas_certificate`` otherwise.
     """
-    objective = BlockNorm.flat(cone.ambient_dim, NormTag.L2)
-    problem = MinNormProblem(map, target, cone, objective, tuple(extra_bounds), tuple(balls))
-    canon = _canonicalize(problem)
-    st, z, _, _, res = _Program(canon, None).solve(canon.eq_b, tol=tol)
-    if _decided(st, canon.eq_b):
-        return FeasibilityReport(True, point=canon.S @ z)
-    return FeasibilityReport(False, certificate=_certificate(problem, tol, res))
-
-
-class MinNormSweep:
-    """Re-solve one min-norm (or min-gauge) template against many targets.
-
-    Canonicalization happens once, and so does compiling the objective's
-    ``_Program`` and the feasibility program, each on first need; each
-    target only swaps their right-hand side.
-    Infeasible targets report inf.  An optional gauge (R, tag) replaces the
-    objective by |R c|_tag.
-
-    ``values`` and ``feasible_many`` take a batch of targets: the conic
-    driver solves the whole batch in one call, and an LP keeps the optimal
-    bases of earlier targets for the whole sweep, so a target inside a known
-    critical region costs one matrix product and a target next to one a few
-    dual simplex pivots (see ``LinearProgram``).  Values agree with a cold
-    solve to rounding.  A single Euclidean objective on polyhedral data runs
-    the active-set QP from a warm vertex of the feasibility LP.
-    """
-
-    def __init__(self, map, cone, objective: BlockNorm, tol: Tolerances = DEFAULT_TOL,
-                 balls=(), extra_bounds=(), gauge: tuple | None = None):
-        d = np.atleast_2d(np.asarray(map, dtype=float)).shape[0]
-        self.problem = MinNormProblem(map, np.zeros(d), cone, objective,
-                                      tuple(extra_bounds), tuple(balls))
-        self.tol = tol
-        self.canon = _canonicalize(self.problem)
-        if gauge is not None:
-            R, tag = gauge
-            R = np.atleast_2d(np.asarray(R, dtype=float))
-            self.canon.obj_blocks = [(R @ self.canon.S, tag)]
-        if _quadratic(self.canon):  # the active-set QP's Hessian, once per sweep
-            self._hessian = _euclidean_hessian(self.canon.obj_blocks[0][0])
-
-    @cached_property
-    def _objective(self) -> _Program:
-        return _Program(self.canon)
-
-    @cached_property
-    def _feasibility(self) -> _Program:
-        """The program behind ``feasible`` and the active-set QP's starts."""
-        return _Program(self.canon, None)
-
-    def values(self, X) -> np.ndarray:
-        """Optimal value at each row of X, inf where the slice is empty."""
-        X = np.asarray(X, dtype=float).reshape(-1, self.problem.target.shape[0])
-        rows = X.any(axis=1).nonzero()[0]
-        if len(rows) < len(X) and _trivial_solution(self.problem) is None:
-            rows = np.arange(len(X))  # the zero target needs a solve too
-        live = X if len(rows) == len(X) else X[rows]
-        if _quadratic(self.canon):
-            sols = [_solve_canon(self.canon, x, self.tol, False, start=self._feasibility,
-                                 H=self._hessian) for x in live]
-        else:
-            sols = self._objective.solve_many(live, self.tol)
-        return _values(np.zeros(len(X)), rows, sols, lambda z: _canon_objective_value(self.canon, z))
-
-    def value(self, x: np.ndarray) -> float:
-        """Optimal value for target x, or inf when the slice is empty."""
-        return float(self.values(x)[0])
-
-    def feasible_many(self, X) -> list:
-        """(status, conic result or None) of the feasibility program at each
-        row of X, to be read by ``_decided``."""
-        X = np.asarray(X, dtype=float).reshape(-1, self.problem.target.shape[0])
-        return [(st, res) for st, _, _, _, res in self._feasibility.solve_many(X, self.tol)]
-
-    def feasible(self, x: np.ndarray) -> bool:
-        """Whether the slice at x is nonempty; ArithmeticError when undecided."""
-        return _decided(self.feasible_many(x)[0][0], x)
+    sweep = MinNormSweep(map, cone, tol=tol, balls=balls, extra_bounds=extra_bounds)
+    x = sweep._target(target)
+    st, z, _, _, res = sweep._program(None).solve(x, tol=tol)
+    if _decided(st, x):
+        return FeasibilityReport(True, point=sweep.canon.S @ z)
+    return FeasibilityReport(False, certificate=sweep._certificate(x, res))
 
 
 def _set_level(cone: _cones.Cone) -> _cones.Cone:
@@ -1130,11 +1045,12 @@ def farkas_certificate(
     """
     cone = _set_level(cone)
     if not _cones.is_polyhedral(cone):
-        problem = MinNormProblem(map, target, cone, BlockNorm.flat(cone.ambient_dim, NormTag.L2))
-        res = _Program(_canonicalize(problem), None).solve(problem.target)[4]
+        sweep = MinNormSweep(map, cone)
+        x = sweep._target(target)
+        res = sweep._program(None).solve(x)[4]
         if res.status is not SolveStatus.INFEASIBLE:
             return None
-        return _conic_certificate(problem, res, tol)
+        return _conic_certificate(map, x, cone, res, tol)
     T = np.atleast_2d(np.asarray(map, dtype=float))
     x = np.asarray(target, dtype=float)
     lp = _box_dual_lp(T, _cones.Negation(cone), -x)  # minimize -<x, y>
@@ -1163,21 +1079,11 @@ def certificate_is_valid(map, target, cone, y, tol: Tolerances = DEFAULT_TOL) ->
     return _cones.contains(dual_cone, u, tol=1e-8 * max(1.0, float(np.linalg.norm(u))))
 
 
-def _conic_certificate(problem: MinNormProblem, res, tol: Tolerances) -> Certificate | None:
+def _conic_certificate(map, target, cone, res, tol: Tolerances) -> Certificate | None:
     """The Farkas certificate in the equality multipliers of the conic driver's
-    INFEASIBLE result ``res`` on the problem's slice, when it passes
+    INFEASIBLE result ``res`` on the slice at target, when it passes
     ``certificate_is_valid``."""
     y = -res.y / np.max(np.abs(res.y))
-    if certificate_is_valid(problem.map, problem.target, problem.cone, y, tol):
+    if certificate_is_valid(map, target, cone, y, tol):
         return Certificate(y=y, note="conic")
     return None
-
-
-def _certificate(problem: MinNormProblem, tol: Tolerances, res=None) -> Certificate | None:
-    """A checked Farkas certificate for an empty slice with no bounds or caps:
-    from the conic driver's INFEASIBLE result ``res`` when it gives one, else
-    from ``farkas_certificate``."""
-    if problem.extra_bounds or problem.balls:
-        return None
-    return ((res is not None and _conic_certificate(problem, res, tol))
-            or farkas_certificate(problem.map, problem.target, problem.cone, tol))

@@ -4,6 +4,7 @@ Every expected number in the test suite either comes from one of these
 helpers or is a hand calculation recorded next to its assert.  Nothing here
 imports conekit; the only dependency is numpy.
 """
+import dataclasses
 import itertools
 
 import numpy as np
@@ -191,10 +192,41 @@ def dykstra(projectors, z0, violation, tol: float = 1e-11, maxiter: int = 20000)
     return z, violation(z) <= 10 * tol
 
 
+def signed_selector(E):
+    """Column index of each row of E when the rows are distinct signed unit
+    vectors, else None."""
+    nz = np.abs(E) > 0
+    if not np.all(nz.sum(axis=1) == 1):
+        return None
+    idx = nz.argmax(axis=1)
+    if np.abs(np.abs(E[np.arange(E.shape[0]), idx]) - 1.0).max(initial=0.0) > 1e-12:
+        return None
+    return idx if len(set(idx.tolist())) == len(idx) else None
+
+
+def projectable_caps(caps):
+    """(l2 balls, group balls) among canonical caps (E, block norm, r) that
+    have a closed-form projector: a flat l2 cap whose rows of E are
+    orthonormal, as (E, r), and an l1-sum of l2 blocks whose rows are
+    distinct signed unit vectors, as (index array per block, r).  Other caps
+    are left out."""
+    balls, groups = [], []
+    for E, bn, r in caps:
+        if any(tag != "l2" for _, _, tag in bn.blocks):
+            continue
+        if len(bn.blocks) == 1:
+            if E.shape[0] <= E.shape[1] and np.allclose(E @ E.T, np.eye(E.shape[0]), atol=1e-11):
+                balls.append((E, r))
+        elif (sel := signed_selector(E)) is not None:
+            groups.append(([sel[a:b] for a, b, _ in bn.blocks], r))
+    return balls, groups
+
+
 def dykstra_on_canon(canon):
     """Dykstra's projection of the origin onto a canonical slice (any object
     with the fields of the package's canonical form: eq_A, eq_b, in_A, in_b,
-    soc_idx, l2balls and groupballs; exotic caps are left out)."""
+    soc_idx and caps; caps with no projector are left out)."""
+    l2balls, groupballs = projectable_caps(canon.caps)
     projs = [affine_projector(canon.eq_A, canon.eq_b)] if canon.eq_A.size else []
     projs += [project_halfspace(-a, -b) for a, b in zip(canon.in_A, canon.in_b)]
     for idx in canon.soc_idx:
@@ -203,13 +235,13 @@ def dykstra_on_canon(canon):
             out[idx] = soc_project(z[idx])
             return out
         projs.append(soc)
-    for R, r in canon.l2balls:
+    for R, r in l2balls:
         def ball(z, R=R, r=r):
             w = R @ z
             nn = np.linalg.norm(w)
             return z if nn <= r else z + R.T @ (w * (r / nn) - w)
         projs.append(ball)
-    projs += [project_group_l1_ball(idxs, r) for idxs, r in canon.groupballs]
+    projs += [project_group_l1_ball(idxs, r) for idxs, r in groupballs]
 
     def violation(z):
         v = [0.0]
@@ -218,8 +250,8 @@ def dykstra_on_canon(canon):
         if canon.in_A.size:
             v.append(np.max(canon.in_A @ z - canon.in_b))
         v += [np.linalg.norm(z[idx][1:]) - z[idx][0] for idx in canon.soc_idx]
-        v += [np.linalg.norm(R @ z) - r for R, r in canon.l2balls]
-        v += [sum(np.linalg.norm(z[i]) for i in idxs) - r for idxs, r in canon.groupballs]
+        v += [np.linalg.norm(R @ z) - r for R, r in l2balls]
+        v += [sum(np.linalg.norm(z[i]) for i in idxs) - r for idxs, r in groupballs]
         return float(max(v))
 
     return dykstra(projs, np.zeros(canon.S.shape[1]), violation)
@@ -227,9 +259,11 @@ def dykstra_on_canon(canon):
 
 def dykstra_reference(spec, x):
     """(canon, point, converged) for a correspondence spec at target x: its
-    slice template's canonical form retargeted to x (caps at the scale |x|),
-    and Dykstra's projection of the origin onto it."""
-    canon = spec._template.canon.at(x, spec.map.codomain_norm.of(x))
+    compiled canonical form retargeted to x (bounds and caps at the scale
+    |x|), and Dykstra's projection of the origin onto it."""
+    canon, s = spec._sweep.canon, spec.map.codomain_norm.of(x)
+    canon = dataclasses.replace(canon, eq_b=x, in_b=canon.in_b * s,
+                                caps=[(E, bn, r * s) for E, bn, r in canon.caps])
     return (canon,) + dykstra_on_canon(canon)
 
 

@@ -115,7 +115,7 @@ def test_constant_plain_and_report_csv(tmp_path, capsys):
     assert len(lines) == 96 + 1  # search grid rows, header included
 
 
-@pytest.mark.parametrize("kind,driver", [("max", "conic"), ("plain", "_qp_driver")])
+@pytest.mark.parametrize("kind,driver", [("max", "conic"), ("plain", "active_set_qp")])
 def test_constant_reports_an_undecided_solve(tmp_path, capsys, monkeypatch, undecided_conic,
                                              kind, driver):
     # a kind objective whose solve hits its iteration limit has no value:
@@ -124,7 +124,7 @@ def test_constant_reports_an_undecided_solve(tmp_path, capsys, monkeypatch, unde
         undecided_conic(False)
     else:
         monkeypatch.setattr(solver, driver,
-                            lambda *args, **kw: (solver.SolveStatus.ITERATION_LIMIT, None, 0))
+                            lambda *args, **kw: (None, 0, solver.SolveStatus.ITERATION_LIMIT))
     inst = write_instance(tmp_path, LATTICE)
     code, out, err = run(capsys, ["constant", inst, "--kind", kind])
     assert code == 1

@@ -227,10 +227,10 @@ def test_points_in_the_slice_are_their_own_projection():
     ri = gamma(cm)
     for x in TARGETS[:10]:
         c = ri(x)
-        sol = ri.map._slice.project(x, c)
+        sol = ri.map._sweep.project(x, c)
         assert sol.driver == "trivial" and sol.value == 0.0
         np.testing.assert_array_equal(sol.point, c)
-        moved = ri.map._slice.project(x, c + 0.1)
+        moved = ri.map._sweep.project(x, c + 0.1)
         assert moved.driver == "conic" and moved.value > 0.0
 
 
@@ -361,7 +361,7 @@ def test_solve_many_on_the_package_programs():
                       DirectSumL1((Orthant(3), Negation(Orthant(3)))), NormTag.L2,
                       BlockNorm(((0, 3, NormTag.L2), (3, 6, NormTag.L2))))
     xs = np.vstack([TARGETS, 1e-5 * TARGETS[:5], 1e5 * TARGETS[:5]])
-    for form in (ice._sweep._objective, ice._sweep._feasibility, lattice._max_program,
+    for form in (ice._sweep._program(), ice._sweep._program(None), lattice._sweep._program("max"),
                  solver._Program(solver._canonicalize(MinNormProblem(
                      np.eye(3)[:2], np.zeros(2), SecondOrder(3),
                      BlockNorm.flat(3, NormTag.L2))), None)):

@@ -10,7 +10,7 @@ from hypothesis.extra.numpy import arrays
 from conekit import conic, parse_instance, projops, random_polyhedral_instance, solver
 from conekit.conemap import ConeMap
 from conekit.cones import DirectSumL1, Generators, Negation, Orthant, SecondOrder
-from conekit.norms import NormTag
+from conekit.norms import BlockNorm, NormTag
 from conekit.sampling import SamplerConfig
 from conekit.selection import (ConstraintFunctional, CorrespondenceSpec,
                                EmptyCorrespondence, RightInverse, achievable_alpha,
@@ -276,6 +276,13 @@ def test_canonicalization_runs_once_per_map_and_spec(spy):
     for x in xs:
         ri(x)
     assert len(calls) == 1
+    # every gauge, kind and constant of the map is a program of the same slice
+    cm, cfg = ri.map, SamplerConfig(directions=16, search_directions=8, refine_steps=2)
+    assert cm.openness_constant(cfg) > 0
+    for kind in ("openness", "sum", "plain", "max"):
+        assert np.all(np.isfinite(cm._kind_objective(kind)(xs[:5])))
+    assert cm.gauge_norm(xs[0]) > 0
+    assert len(calls) == 1
     spec = polyhedral_spec(lattice(3), 2.5)
     for x in xs:
         RightInverse(spec.map, spec)(x)
@@ -312,8 +319,9 @@ def test_loose_caps_return_the_relaxed_projection(d, spy):
     cm = lattice(d)
     pos = ConstraintFunctional.seminorm(np.hstack([np.eye(d), np.zeros((d, d))]), NormTag.L2)
     spec = CorrespondenceSpec(cm, (norm_cap(cm, math.sqrt(2.0)), (pos, 1.0)), slack=0.01)
-    canon = spec._template.canon
-    assert len(canon.l2balls) == 1 and len(canon.groupballs) == 1
+    canon = spec._sweep.canon
+    assert len(canon.caps) == 2
+    assert [len(caps) for caps in oracles.projectable_caps(canon.caps)] == [1, 1]
     ri = RightInverse(cm, spec)
     xs = np.random.default_rng(10 + d).standard_normal((100, d))
     runs = []
@@ -397,15 +405,33 @@ def test_empty_relaxation_raises_without_dykstra(d, spy):
     assert runs == []
 
 
+@pytest.mark.parametrize("polyhedral", [
+    ConstraintFunctional.seminorm(np.eye(4), NormTag.L1),
+    ConstraintFunctional.seminorm(np.eye(4), BlockNorm(((0, 2, NormTag.LINF),
+                                                        (2, 4, NormTag.LINF))))],
+    ids=["l1", "linf-blocks"])
+def test_euclidean_cap_beside_an_expanded_polyhedral_cap(polyhedral):
+    # the l1 cap (and the linf cap with blocks) adds auxiliary variables to
+    # the canon; a Euclidean cap beside it must act on the widened point.
+    # Both caps are loose at (x+, x-), which is then the selection
+    cm = lattice(2)
+    ri = gamma_constrained(cm, ((polyhedral, 3.0), (pos_part(), 1.0)), slack=0.01)
+    x = np.array([3.0, -4.0])
+    np.testing.assert_array_equal(ri(x), [3.0, 0.0, 0.0, -4.0])
+    for y in np.random.default_rng(50).standard_normal((20, 2)):
+        assert close(ri(y), np.concatenate(oracles.lattice_parts(y)), 1e-13), y
+
+
 def test_loose_exotic_cap_skips_projected_gradient(spy):
-    # |2 p|_2 has no orthonormal encoding and lands among the exotic balls;
-    # Dykstra on the canon leaves exotic balls out, so it is the relaxation.
+    # |2 p|_2 has no orthonormal rows, so Dykstra on the canon has no
+    # projector for it and leaves it out: it solves the relaxation.
     # The cap never binds, so the conic driver never runs
     cm = lattice(3)
     rho = ConstraintFunctional.seminorm(2.0 * np.hstack([np.eye(3), np.zeros((3, 3))]),
                                         NormTag.L2)
     spec = CorrespondenceSpec(cm, ((rho, 2.0),), slack=0.01)
-    assert len(spec._template.canon.exotic) == 1
+    caps = spec._sweep.canon.caps
+    assert len(caps) == 1 and oracles.projectable_caps(caps) == ([], [])
     ri = RightInverse(cm, spec)
     runs = []
     spy(conic.ConeProgram, "solve_many", runs)
@@ -425,7 +451,7 @@ def test_second_order_templates_skip_the_screen(spy):
     x = np.array([2.0, 1.0, -0.5])
     np.testing.assert_allclose(ri(x), x, atol=1e-9)
     assert built == []
-    assert not hasattr(ri.map._slice, "_phase1")
+    assert "_start" not in vars(ri.map._sweep)
 
 
 def test_dykstra_at_maxiter_is_not_an_empty_correspondence(undecided_conic):

@@ -238,6 +238,30 @@ def test_ball_constraints_bind_and_exclude():
     assert sol.status is SolveStatus.INFEASIBLE  # sum can reach at most 1.6
 
 
+def test_euclidean_ball_beside_an_l1_ball():
+    # the l1 ball adds auxiliary variables; the orthonormal Euclidean ball on
+    # the positive part acts on the widened point too.  Loose radii leave
+    # (x+, x-) optimal, tight ones empty the slice (|x+| = 3, |x|_1 = 7)
+    x, parts = np.array([3.0, -4.0]), np.array([3.0, 0.0, 0.0, -4.0])
+    pos = np.hstack([np.eye(2), np.zeros((2, 2))])
+
+    def balls(l1, l2):
+        return (BallConstraint(np.eye(4), NormTag.L1, l1), BallConstraint(pos, NormTag.L2, l2))
+
+    sol = solve_min_norm(MinNormProblem(SUMMING, x, LATTICE, BlockNorm.flat(4, NormTag.L2),
+                                        balls=balls(10.0, 5.0)))
+    assert sol.status is SolveStatus.OPTIMAL and sol.driver == "conic"
+    np.testing.assert_allclose(sol.point, parts, atol=1e-7)
+    proj = project_onto_slice(SUMMING, x, LATTICE, np.zeros(4), balls=balls(10.0, 5.0))
+    assert proj.driver == "active-set"
+    np.testing.assert_array_equal(proj.point, parts)
+    assert check_feasible(SUMMING, x, LATTICE, balls=balls(10.0, 5.0)).feasible
+    for l1, l2 in ((6.9, 5.0), (10.0, 2.9)):
+        assert not check_feasible(SUMMING, x, LATTICE, balls=balls(l1, l2)).feasible
+        assert project_onto_slice(SUMMING, x, LATTICE, np.zeros(4),
+                                  balls=balls(l1, l2)).status is SolveStatus.INFEASIBLE
+
+
 def test_projection_through_a_non_orthonormal_ball_reports_an_empty_slice():
     # |(2 c1, 3 c2)|_2 <= r has no exact encoding, so the projection takes the
     # projected-gradient fallback; on c1 + c2 = 1, c >= 0 it needs r >= 6/sqrt(13)
@@ -736,9 +760,10 @@ def test_sweep_computes_the_hessian_once(spy):
     got = MinNormSweep(T, cone, objective).values(xs)
     assert len(calls) == 1
     want = []
+    program = again._program()
     for x in xs:
-        st, z, *_ = solver._solve_canon(again.canon, x, again.tol, False, start=again._feasibility)
-        want.append(math.inf if st is SolveStatus.INFEASIBLE
-                    else solver._canon_objective_value(again.canon, z))
+        H = solver._euclidean_hessian(program.canon.obj_blocks[0][0])
+        st, z, *_ = again._qp(x, H, np.zeros(again.canon.n))
+        want.append(math.inf if st is SolveStatus.INFEASIBLE else program.value(z))
     assert len(calls) == 61
     np.testing.assert_array_equal(got, want)
