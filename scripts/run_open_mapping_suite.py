@@ -2,9 +2,11 @@
 
 Generates polyhedral cone maps, splits them by surjectivity, and reports
 how tightly the interior radius inverts the openness constant on the
-surjective half.  Non-surjective instances must show an infinite constant
-and a zero radius.  Exits 1 when an instance is inconsistent or when
-|rK - 1| exceeds 1e-6 on some surjective one.
+surjective half.  The generator makes the map onto exactly at even seeds,
+so the verdict must follow the seed parity; non-surjective instances must
+show an infinite constant, a zero radius and an unreachable witness.  Exits
+1 when an instance is inconsistent or when |rK - 1| exceeds 1e-6 on some
+surjective one.
 """
 
 import argparse
@@ -14,6 +16,7 @@ import time
 import numpy as np
 
 from conekit.instances import parse_instance, random_polyhedral_instance
+from conekit.solver import check_feasible
 
 MAX_DEVIATION = 1e-6  # the largest |rK - 1| accepted on a surjective instance
 
@@ -33,9 +36,13 @@ def main() -> int:
         rep = inst.map.is_surjective(config=cfg)
         K = inst.map.openness_constant(cfg)
         r = inst.map.interior_radius(cfg)
-        if rep.surjective != math.isfinite(K) or rep.surjective != (r > 0.0):
+        reached = not rep.surjective and check_feasible(inst.map.matrix, rep.unreachable,
+                                                        inst.map.cone).feasible
+        if (rep.surjective != (seed % 2 == 0) or reached
+                or rep.surjective != math.isfinite(K) or rep.surjective != (r > 0.0)):
             inconsistent += 1
-            print(f"seed {seed}: surjective={rep.surjective} K={K} r={r}")
+            print(f"seed {seed}: surjective={rep.surjective} K={K} r={r}"
+                  + (" witness reachable" if reached else ""))
             continue
         if rep.surjective:
             onto += 1

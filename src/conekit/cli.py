@@ -75,7 +75,7 @@ def _selection(inst: Instance, epsilon: float) -> RightInverse:
 
 def cmd_check_surjective(inst: Instance, sampler: SamplerConfig, args) -> int:
     rep = inst.map.is_surjective(config=sampler)
-    print(f"mode: {'exact' if rep.method == 'dual-cone' else 'sampled'}")
+    print(f"mode: {rep.method}")
     print(f"surjective: {'yes' if rep.surjective else 'no'}")
     if not rep.surjective and rep.unreachable is not None:
         print(f"witness: {_fmt_vec(rep.unreachable)}")

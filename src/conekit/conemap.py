@@ -37,10 +37,16 @@ _BRACKET = 1e-8
 
 @dataclass
 class SurjectivityReport:
+    """The verdict of ``ConeMap.is_surjective`` and the method, "exact" or
+    "sampled", that reached it.  When T(C) is not the codomain, ``functional``
+    is an f with <f, T c> >= 0 on C and ``unreachable`` a point that T(C)
+    misses: -f for the exact method, the first missed direction for the
+    sampled one (whose f may be None when no certificate checks)."""
+
     surjective: bool
-    method: str  # "dual-cone" | "sampled"
-    functional: np.ndarray | None = None  # y with <y, T c> >= 0 on C when not surjective
-    unreachable: np.ndarray | None = None  # a point missed by T(C)
+    method: str
+    functional: np.ndarray | None = None
+    unreachable: np.ndarray | None = None
     note: str = ""
 
 
@@ -144,10 +150,15 @@ class ConeMap:
     def is_surjective(self, method: str = "auto", config: SamplerConfig | None = None) -> SurjectivityReport:
         """Does T map the cone onto the whole codomain?
 
-        The dual-cone method is exact for polyhedral cones: T(C) fills the
-        codomain iff the only y with T^T y in dual(C) is zero, which reduces
-        to 2 d bounded linear programs.  Non-polyhedral cones are probed by
-        sampled feasibility, honest about being a sample.
+        T(C) is a convex cone, so it fills the codomain iff it reaches every
+        direction of a grid whose conic hull is the codomain.  The "exact"
+        method, for polyhedral cones, tests the 2 d signed axes; "sampled"
+        tests the sampled sphere directions and says so.  Both decide the
+        whole grid with one batched feasibility call on the map's compiled
+        slice.  A missed direction x comes with a checked Farkas y (<y, x> > 0
+        and <y, T c> <= 0 on C): the sampled witness is the first such x with
+        -y; the exact one sums -y over every missed axis (the first alone
+        when the sum vanishes) and scales it to max-abs 1.
         """
         set_cone = _solver._set_level(self.cone)
         if method == "auto":
@@ -155,55 +166,33 @@ class ConeMap:
         if method == "exact":
             if not _cones.is_polyhedral(set_cone):
                 raise ValueError("exact surjectivity test needs a polyhedral cone")
-            return self._surjective_dual(set_cone)
-        if method == "sampled":
-            return self._surjective_sampled(config or SamplerConfig())
-        raise ValueError(f"unknown method {method!r}")
-
-    def _surjective_dual(self, set_cone: _cones.Cone) -> SurjectivityReport:
-        d = self.codomain_dim
-        # the witness sums optimal vertices that need not be unique; phase 1
-        # from artificials alone keeps the vertices, and so the printed
-        # witness, that this test has always reached.  Temporary: a witness
-        # that does not depend on the pivot path (the lexicographic optimum
-        # of each box LP) would let crash=False go
-        lp = _solver._box_dual_lp(self.matrix, set_cone, crash=False)
-        witnesses = []
-        for i in range(d):
-            for sgn in (-1.0, 1.0):
-                lp.set_objective({i: sgn})  # sgn=-1 maximizes y_i
-                status, z, value, _ = lp.solve()
-                if status is not _solver.SolveStatus.OPTIMAL:
-                    raise ArithmeticError("surjectivity LP did not converge")
-                # y = 0 is always feasible, so a nonzero extreme shows up as a
-                # strictly negative optimum of sgn * y_i
-                if value < -1e-8 and z is not None:
-                    witnesses.append(z[:d].copy())
-        if not witnesses:
-            return SurjectivityReport(True, "dual-cone")
-        agg = np.sum(witnesses, axis=0)
-        if np.linalg.norm(agg) <= 1e-9:
-            agg = witnesses[0]
-        agg = agg / np.max(np.abs(agg))
-        return SurjectivityReport(
-            False,
-            "dual-cone",
-            functional=agg,
-            unreachable=-agg,
-            note="functional is nonnegative on the image; its negative is unreachable",
-        )
-
-    def _surjective_sampled(self, config: SamplerConfig) -> SurjectivityReport:
-        """One batched feasibility solve; the witness is the first unreachable
-        direction, with its verdict's certificate (undecided before it: raise)."""
-        dirs = sphere_directions(self.codomain_dim, self.codomain_norm, config)
+            dirs = np.vstack([np.eye(self.codomain_dim), -np.eye(self.codomain_dim)])
+        elif method == "sampled":
+            dirs = sphere_directions(self.codomain_dim, self.codomain_norm,
+                                     config or SamplerConfig())
+        else:
+            raise ValueError(f"unknown method {method!r}")
+        missed = []
         for x, (status, res) in zip(dirs, self._sweep.feasible_many(dirs)):
-            if not _solver._decided(status, x):
-                cert = self._sweep._certificate(x, res)
-                y = cert.y if cert is not None else None
-                return SurjectivityReport(False, "sampled", functional=y, unreachable=x.copy(),
-                                          note=f"direction outside the image among {len(dirs)} samples")
-        return SurjectivityReport(True, "sampled", note=f"all {len(dirs)} sampled directions reachable")
+            if _solver._decided(status, x):
+                continue
+            cert = self._sweep._certificate(x, res)
+            if method == "sampled":  # an undecided direction before this one has raised
+                note = f"direction outside the image among {len(dirs)} samples"
+                return SurjectivityReport(False, method, unreachable=x.copy(), note=note,
+                                          functional=None if cert is None else -cert.y)
+            if cert is None:
+                raise ArithmeticError(f"no Farkas certificate at the missed axis {x.tolist()}")
+            missed.append(-cert.y)
+        if not missed:
+            note = "" if method == "exact" else f"all {len(dirs)} sampled directions reachable"
+            return SurjectivityReport(True, method, note=note)
+        f = np.sum(missed, axis=0)
+        if np.linalg.norm(f) <= 1e-9:
+            f = missed[0]
+        f = f / np.max(np.abs(f))
+        note = "functional is nonnegative on the image; its negative is unreachable"
+        return SurjectivityReport(False, method, functional=f, unreachable=-f, note=note)
 
     # -- openness constant and interior radius ------------------------------
 

@@ -226,26 +226,6 @@ def gamma_constrained(cmap: ConeMap,
     return RightInverse(cmap, CorrespondenceSpec(cmap, constraints, slack))
 
 
-def _min_rho_at(cmap: ConeMap, rho: ConstraintFunctional, x: np.ndarray, balls) -> float:
-    if rho.is_linear:
-        sol = _solver.solve_min_linear(cmap.matrix, x, cmap.cone, rho.matrix[0], balls=balls)
-    elif isinstance(rho.norm, BlockNorm):
-        # block-structured objectives are only supported over the raw point
-        if rho.matrix.shape[0] != rho.matrix.shape[1] or not np.array_equal(
-                rho.matrix, np.eye(rho.matrix.shape[0])):
-            raise ValueError("block seminorms are supported only with an identity matrix")
-        problem = _solver.MinNormProblem(cmap.matrix, x, cmap.cone, rho.norm, balls=tuple(balls))
-        sol = _solver.solve_min_norm(problem, lexicographic=False)
-    else:
-        sol = _solver.solve_min_gauge(cmap.matrix, x, cmap.cone, (rho.matrix, rho.norm),
-                                      balls=balls)
-    if sol.status is _solver.SolveStatus.INFEASIBLE:
-        return math.inf
-    if sol.status is not _solver.SolveStatus.OPTIMAL:
-        raise ArithmeticError("iteration limit while minimizing the functional")
-    return float(rho.value(sol.point)) if rho.is_linear else float(sol.value)
-
-
 def achievable_alpha(cmap: ConeMap, rho: ConstraintFunctional | None = None,
                      cap: float | None = None,
                      config: SamplerConfig | None = None) -> float:
@@ -256,7 +236,8 @@ def achievable_alpha(cmap: ConeMap, rho: ConstraintFunctional | None = None,
     is the openness constant.  The cap keeps the minimization bounded for
     functionals that decay along recession directions; it must be at least
     the openness constant or some direction has no admissible preimage at
-    all, which raises EmptyCorrespondence with that direction.
+    all, which raises EmptyCorrespondence with that direction.  The slice
+    with its cap is compiled once, and rho is its objective at every target.
     """
     config = config or SamplerConfig()
     if rho is None and cap is None:
@@ -266,11 +247,16 @@ def achievable_alpha(cmap: ConeMap, rho: ConstraintFunctional | None = None,
         balls = (_solver.BallConstraint(np.eye(cmap.domain_dim), cmap.domain_norm, cap),)
     if rho is None:
         rho = ConstraintFunctional(np.eye(cmap.domain_dim), cmap.domain_norm)
-
-    def value(x: np.ndarray) -> float:
-        return _min_rho_at(cmap, rho, x, balls)
-
-    sup = sphere_sup(lambda X: [value(x) for x in X], cmap.codomain_dim, cmap.codomain_norm,
+    norm, objective = None, (rho.matrix, rho.norm)
+    if rho.is_linear:
+        objective = rho.matrix[0]
+    elif isinstance(rho.norm, BlockNorm):
+        # block-structured objectives are only supported over the raw point
+        if not np.array_equal(rho.matrix, np.eye(cmap.domain_dim)):
+            raise ValueError("block seminorms are supported only with an identity matrix")
+        norm, objective = rho.norm, "norm"
+    sweep = _solver.MinNormSweep(cmap.matrix, cmap.cone, norm, balls=balls)
+    sup = sphere_sup(lambda X: sweep.values(X, objective), cmap.codomain_dim, cmap.codomain_norm,
                      config)
     if math.isinf(sup.value):
         raise EmptyCorrespondence(sup.argmax)

@@ -58,13 +58,11 @@ class _StandardLP:
     row last: where ``lexmin`` can start, with no artificial column.
     """
 
-    def __init__(self, A: np.ndarray, b: np.ndarray, c: np.ndarray, tol: Tolerances = DEFAULT_TOL,
-                 crash: bool = True):
+    def __init__(self, A: np.ndarray, b: np.ndarray, c: np.ndarray, tol: Tolerances = DEFAULT_TOL):
         self.A = np.atleast_2d(np.asarray(A, dtype=float))
         self.b = np.asarray(b, dtype=float)
         self.c = np.asarray(c, dtype=float)
         self.tol = tol
-        self.crash = crash
 
     def solve(self):
         A, b, c = self.A.copy(), self.b.copy(), self.c.copy()
@@ -75,12 +73,12 @@ class _StandardLP:
         eps = self.tol.feasibility
         cap = self.tol.cap(m, n)
 
-        # phase 1: columns [original | artificial | rhs], from a slack crash
-        # basis (Bixby 2002) unless crash is off: a row owning a +1 unit
-        # column (the slack of a <= row with b >= 0) starts with that column
-        # basic, and only the other rows get artificials
+        # phase 1: columns [original | artificial | rhs], from a slack basis
+        # (Bixby 2002): a row owning a +1 unit column (the slack of a
+        # <= row with b >= 0) starts with that column basic, and only the
+        # other rows get artificials
         owner = {}
-        unit = ((A == 0.0).sum(axis=0) == m - 1) & (A.sum(axis=0) == 1.0) & self.crash
+        unit = ((A == 0.0).sum(axis=0) == m - 1) & (A.sum(axis=0) == 1.0)
         for j in np.flatnonzero(unit):
             owner.setdefault(int(np.argmax(A[:, j])), int(j))
         art = [i for i in range(m) if i not in owner]
@@ -219,8 +217,8 @@ class _WarmStart:
     giving a fresh B^-1 [A | b] for it.
     """
 
-    def __init__(self, A: np.ndarray, c: np.ndarray, crash: bool = True):
-        self.A, self.c, self.crash = A, c, crash
+    def __init__(self, A: np.ndarray, c: np.ndarray):
+        self.A, self.c = A, c
         self.entries: list = []  # [rows, cols, M or None], oldest first; M b = B^-1 b[rows]
         self._stack = None  # every entry's M stacked, rebuilt after a change
         self._starts = None
@@ -236,7 +234,7 @@ class _WarmStart:
         return status, v, value, spent + its
 
     def _cold(self, b: np.ndarray, tol: Tolerances):
-        status, v, value, its, basis = _StandardLP(self.A, b, self.c, tol, self.crash).solve()
+        status, v, value, its, basis = _StandardLP(self.A, b, self.c, tol).solve()
         if basis is not None:
             self._record(*basis[:2])
             self.last = basis[1], basis[2].copy
@@ -304,7 +302,7 @@ class _WarmStart:
 
     def _accept(self, entry, xB, b, feas: float, pivots: int):
         v = np.zeros(self.A.shape[1])
-        v[entry[1]] = xB
+        v[entry[1]] = np.maximum(xB, 0.0)  # a value rounded into (-feas, 0) leaves the cone
         if np.abs(self.A @ v - b).max(initial=0.0) > feas:
             return None
         self.last = entry[1], partial(self._tableau, self.A, entry[0], entry[2], b)
@@ -385,13 +383,10 @@ class LinearProgram:
     closest one by dual simplex pivots, falling back to the cold two-phase
     simplex when neither gives a checked answer.  The pivot count returned
     covers every pivot the call made.  Any edit drops both caches; ``lexmin`` edits nothing.
-    ``crash=False`` starts every cold phase 1 from artificials alone, where the
-    slack crash basis would reach a different one of several optimal vertices;
-    it is temporary, kept only for the witness of ``ConeMap._surjective_dual``.
+    A cold phase 1 starts from the slack basis of ``_StandardLP``.
     """
 
-    def __init__(self, crash: bool = True):
-        self.crash = crash
+    def __init__(self):
         self.var_nonneg: list[bool] = []
         self.obj: list[float] = []
         self.rows: list[tuple[np.ndarray, str, float]] = []
@@ -414,12 +409,6 @@ class LinearProgram:
         packed[at] = coeffs
         self.rows.append((packed, sense, float(rhs)))
         return len(self.rows) - 1
-
-    def set_objective(self, coeffs: dict[int, float]):
-        self._cache = None
-        self.obj = [0.0] * len(self.obj)
-        for j, v in coeffs.items():
-            self.obj[j] = v
 
     def _standardize(self):
         if self._cache is not None:
@@ -450,7 +439,7 @@ class LinearProgram:
                 s_at += 1
             elif sense != "=":
                 raise ValueError(f"bad sense {sense!r}")
-        self._cache = (A, b, c, split, _WarmStart(A, c, self.crash))
+        self._cache = (A, b, c, split, _WarmStart(A, c))
         return self._cache
 
     @staticmethod

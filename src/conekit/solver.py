@@ -704,11 +704,14 @@ class MinNormSweep:
 
     def values(self, X, objective="norm") -> np.ndarray:
         """Optimal value at each row of X, inf where the slice is empty;
-        ``objective`` is "norm", "max" or a gauge (R, tag)."""
+        ``objective`` is "norm", "max", a gauge (R, tag) or a cost vector
+        over c.  Any verdict but OPTIMAL or INFEASIBLE raises ArithmeticError
+        naming it."""
         X = np.asarray(X, dtype=float).reshape(-1, self.problem.target.shape[0])
         rows = X.any(axis=1).nonzero()[0]
-        if len(rows) < len(X) and self._trivial(self.problem.target) is None:
-            rows = np.arange(len(X))  # the zero target needs a solve too
+        if len(rows) < len(X) and (isinstance(objective, np.ndarray)
+                                   or self._trivial(self.problem.target) is None):
+            rows = np.arange(len(X))  # the zero target needs a solve (a cost may go negative)
         live = X if len(rows) == len(X) else X[rows]
         program = self._program(objective)
         if program.quadratic:
@@ -719,7 +722,7 @@ class MinNormSweep:
         out = np.zeros(len(X))
         for i, (st, z, v, *_) in zip(rows.tolist(), sols):  # v: an LP's optimal value
             if st is not SolveStatus.OPTIMAL and st is not SolveStatus.INFEASIBLE:
-                raise ArithmeticError("iteration limit in sweep solve")
+                raise ArithmeticError(f"sweep solve ended {st.value}")
             out[i] = (math.inf if st is SolveStatus.INFEASIBLE
                       else v if v is not None else program.value(z))
         return out
@@ -1018,12 +1021,12 @@ def _encode_dual_membership(lp: LinearProgram, cone: _cones.Cone, expr: np.ndarr
     raise ValueError(f"no polyhedral dual encoding for {type(cone).__name__}")
 
 
-def _box_dual_lp(T: np.ndarray, cone: _cones.Cone, cost=0.0, crash: bool = True) -> LinearProgram:
+def _box_dual_lp(T: np.ndarray, cone: _cones.Cone, cost=0.0) -> LinearProgram:
     """LP over free y (the first variables, with the given cost) in the box
     |y_i| <= 1, written as e_i y <= 1 and -e_i y <= 1 in turn, with T^T y
-    in dual(cone); ``crash`` as in ``LinearProgram``."""
+    in dual(cone): the separation program of ``farkas_certificate``."""
     d = T.shape[0]
-    lp = LinearProgram(crash)
+    lp = LinearProgram()
     yidx = lp.add_vars(d, nonneg=False, obj=cost)
     for e in np.eye(d):
         lp.add_row(e, "<=", 1.0, at=yidx)

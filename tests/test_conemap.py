@@ -9,7 +9,7 @@ from hypothesis.extra.numpy import arrays
 
 from conekit import conic, solver
 from conekit.conemap import ConeMap
-from conekit.cones import DirectSumL1, Generators, Negation, Orthant, SecondOrder
+from conekit.cones import DirectSumL1, Generators, Halfspaces, Negation, Orthant, SecondOrder
 from conekit.instances import parse_instance, random_polyhedral_instance
 from conekit.norms import NormTag
 from conekit.ordered import OrderedSpace, summing_map
@@ -114,7 +114,7 @@ def test_gauge_norm_sandwich(x):
 def test_surjectivity_exact_positive_and_negative():
     assert lattice_map().is_surjective().surjective
     rep = ConeMap(np.eye(2), Orthant(2)).is_surjective()
-    assert not rep.surjective and rep.method == "dual-cone"
+    assert not rep.surjective and rep.method == "exact"
     # witness direction misses the image: both coordinates strictly negative
     assert np.all(rep.unreachable < 0)
     assert rep.functional is not None
@@ -213,18 +213,6 @@ def test_operator_norm_bound_lattice():
         assert np.linalg.norm(cm.matrix @ c) <= M * cm.domain_norm.of(c) + 1e-9
 
 
-@pytest.mark.parametrize("seed,witness", [
-    (1, [-1.0, -0.3165647626911506, 0.3090574810988471]),
-    (3, [1.0, 0.5514716194431396, 0.8287317786031799, 0.5656113110062428]),
-])
-def test_exact_surjectivity_witness_is_frozen(seed, witness):
-    # the box LPs have many optimal vertices; the witness that the CLI
-    # prints comes from the ones reached from an all-artificial phase 1
-    rep = parse_instance(random_polyhedral_instance(seed)).map.is_surjective(method="exact")
-    assert not rep.surjective
-    np.testing.assert_allclose(rep.unreachable, witness, rtol=1e-12, atol=1e-12)
-
-
 def test_sampled_surjectivity_certificate_comes_from_the_batch(spy):
     # the identity on the ice-cream cone misses every direction outside it;
     # the witness is the first such direction in grid order, and its
@@ -238,4 +226,89 @@ def test_sampled_surjectivity_certificate_comes_from_the_batch(spy):
     assert not rep.surjective
     outside = [x for x in dirs if np.linalg.norm(x[1:]) > x[0]]
     np.testing.assert_array_equal(rep.unreachable, outside[0])
-    assert solver.certificate_is_valid(np.eye(3), rep.unreachable, SecondOrder(3), rep.functional)
+    assert solver.certificate_is_valid(np.eye(3), rep.unreachable, SecondOrder(3), -rep.functional)
+
+
+ICE_RIM = np.vstack([np.ones(64), np.cos(np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False)),
+                     np.sin(np.linspace(0.0, 2.0 * np.pi, 64, endpoint=False))])
+RANK_ONE = np.outer([1.0, -2.0], [1.0, 0.5, 2.0])
+
+
+@pytest.mark.parametrize("cmap,points,method", [
+    (ConeMap(np.eye(3), SecondOrder(3)), ICE_RIM, "sampled"),
+    (ConeMap(np.eye(3), Orthant(3)), np.eye(3), "exact"),
+    (ConeMap(np.eye(3), Orthant(3)), np.eye(3), "sampled"),
+    (ConeMap(RANK_ONE, Orthant(3)), np.eye(3), "exact"),
+    (ConeMap(RANK_ONE, Orthant(3)), np.eye(3), "sampled"),
+], ids=["ice-sampled", "orthant-exact", "orthant-sampled", "rank-one-exact", "rank-one-sampled"])
+def test_surjectivity_functional_is_nonnegative_on_the_image(cmap, points, method):
+    # both methods report f with <f, T c> >= 0 on the cone (checked on its
+    # generators, or on the rim of the ice-cream cone), so -f misses the image
+    rep = cmap.is_surjective(method=method)
+    assert not rep.surjective and rep.method == method
+    f = rep.functional
+    assert np.abs(f).max() > 0.0
+    assert (f @ cmap.matrix @ points).min() >= -1e-7
+    assert cmap.min_preimage(-f).status is solver.SolveStatus.INFEASIBLE
+
+
+def assert_exact_witness(cmap, generators, rep):
+    """f != 0, nonnegative on T times the cone's generators, and -f unreachable."""
+    f = rep.functional
+    assert np.abs(f).max() == 1.0
+    assert (f @ cmap.matrix @ generators).min() >= -1e-8
+    np.testing.assert_array_equal(rep.unreachable, -f)
+    assert cmap.min_preimage(rep.unreachable).status is solver.SolveStatus.INFEASIBLE
+
+
+def test_exact_surjectivity_follows_the_instance_generator():
+    # random_polyhedral_instance makes every signed axis a generator at even
+    # seeds, and keeps every generator in a closed halfspace at odd ones
+    for seed in range(60):
+        doc = random_polyhedral_instance(seed)
+        cmap = parse_instance(doc).map
+        rep = cmap.is_surjective(method="exact")
+        assert rep.surjective == (seed % 2 == 0), seed
+        if not rep.surjective:
+            assert_exact_witness(cmap, np.array(doc["cones"][0]["generators"]).T, rep)
+
+
+AXES2 = np.array([[1.0, -1.0, 0.0, 0.0], [0.0, 0.0, 1.0, -1.0]])
+REPEATS = np.array([[1.0, 1.0, 0.0, -1.0, 0.0, 0.0], [0.0, 0.0, 0.0, 0.0, 1.0, -1.0]])
+HALF = np.array([[1.0, 1.0, 0.0, 0.0, 0.0], [0.0, 0.0, 0.0, 1.0, -1.0]])  # x1 >= 0
+LINE = np.array([[1.0, -1.0], [0.0, 0.0]])
+
+
+@pytest.mark.parametrize("matrix,cone,generators,onto", [
+    ([[1.0, -1.0], [0.0, 0.0]], Orthant(2), np.eye(2), False),
+    (np.outer([1.0, 2.0], [1.0, -1.0]), Orthant(2), np.eye(2), False),
+    (np.eye(2), Generators(REPEATS), REPEATS, True),
+    (np.eye(2), Generators(HALF), HALF, False),
+    (1e6 * np.eye(2), Generators(AXES2), AXES2, True),
+    (1e-6 * np.eye(2), Generators(AXES2), AXES2, True),
+    (1e6 * np.eye(2), Orthant(2), np.eye(2), False),
+    (1e-6 * np.eye(2), Orthant(2), np.eye(2), False),
+    (np.eye(2), Halfspaces([[1.0, 0.0]]), HALF[:, 1:], False),
+    ([[0.0, 1.0]], Halfspaces([[1.0, 0.0]]), HALF[:, 1:], True),
+    (np.eye(2), Generators(LINE), LINE, False),
+    ([[1.0, 0.0]], Generators(LINE), LINE, True),
+], ids=["zero-row", "rank-one", "repeated-onto", "repeated-half", "scaled-up-onto",
+        "scaled-down-onto", "scaled-up-orthant", "scaled-down-orthant", "halfspace",
+        "halfspace-onto", "line", "line-onto"])
+def test_exact_surjectivity_on_degenerate_maps(matrix, cone, generators, onto):
+    cmap = ConeMap(np.asarray(matrix, dtype=float), cone)
+    rep = cmap.is_surjective(method="exact")
+    assert rep.surjective == onto
+    if not onto:
+        assert_exact_witness(cmap, generators, rep)
+
+
+def test_exact_surjectivity_of_an_onto_map_is_one_batch(spy):
+    # the 2 d signed axes go to the compiled slice in one call, and a map that
+    # reaches all of them needs no certificate
+    cmap = parse_instance(random_polyhedral_instance(0)).map
+    batches, farkas = [], []
+    spy(solver.MinNormSweep, "feasible_many", batches, pick=len)
+    spy(solver, "farkas_certificate", farkas)
+    assert cmap.is_surjective(method="exact").surjective
+    assert batches == [2 * cmap.codomain_dim] and farkas == []

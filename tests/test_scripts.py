@@ -47,3 +47,24 @@ def test_open_mapping_script_fails_on_a_missed_identity(monkeypatch, capsys):
     out = capsys.readouterr().out
     assert "0 inconsistent" in out
     assert "2 instances miss r * K = 1 by more than 1e-06" in out
+
+
+def test_open_mapping_script_fails_on_a_reachable_witness(monkeypatch, capsys):
+    spec = importlib.util.spec_from_file_location("run_open_mapping_suite",
+                                                  SCRIPTS / "run_open_mapping_suite.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    verdict = ConeMap.is_surjective
+
+    def reachable_witness(self, *args, **kw):
+        rep = verdict(self, *args, **kw)
+        if not rep.surjective:  # the image of the cone's first generator
+            rep.unreachable = self.matrix @ self.cone.columns[:, 0]
+        return rep
+
+    monkeypatch.setattr(ConeMap, "is_surjective", reachable_witness)
+    monkeypatch.setattr(sys, "argv", ["run_open_mapping_suite.py", "--count", "4"])
+    assert script.main() == 1
+    out = capsys.readouterr().out
+    assert "2 surjective, 0 not, 2 inconsistent" in out
+    assert out.count("witness reachable") == 2

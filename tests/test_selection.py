@@ -124,6 +124,21 @@ def test_achievable_alpha_frozen_values():
     assert a == pytest.approx(1.0, abs=1e-6)
 
 
+def test_achievable_alpha_compiles_the_slice_once(spy):
+    # one compiled slice serves the whole grid and every refine step
+    canons = []
+    spy(solver, "_canonicalize", canons)
+    a = achievable_alpha(lattice_map(), rho=pos_part(), cap=math.sqrt(2.0),
+                         config=SamplerConfig(search_directions=16, refine_steps=4))
+    assert len(canons) == 1
+    assert a == pytest.approx(1.0, abs=1e-6)
+
+
+def test_achievable_alpha_names_an_unbounded_program():
+    with pytest.raises(ArithmeticError, match="unbounded"):
+        achievable_alpha(lattice_map(), rho=ConstraintFunctional.linear([-1.0, 0.0, 0.0, 0.0]))
+
+
 def test_achievable_alpha_impossible_cap():
     with pytest.raises(EmptyCorrespondence):
         achievable_alpha(lattice_map(), rho=pos_part(), cap=0.5, config=CFG)
