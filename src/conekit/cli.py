@@ -59,9 +59,12 @@ def _read_rows(path, what: str) -> list[list[str]]:
 
 def _floats(cells: list[str], what: str) -> list[float]:
     try:
-        return [float(c) for c in cells]
+        out = [float(c) for c in cells]
+        if not all(map(math.isfinite, out)):
+            raise ValueError("values must be finite")
     except ValueError as e:
         raise InstanceError(what, str(e)) from None
+    return out
 
 
 def _selection(inst: Instance, epsilon: float) -> RightInverse:

@@ -173,10 +173,10 @@ class ConeMap:
         else:
             raise ValueError(f"unknown method {method!r}")
         missed = []
-        for x, (status, res) in zip(dirs, self._sweep.feasible_many(dirs)):
+        for x, (status, y) in zip(dirs, self._sweep.feasible_many(dirs)):
             if _solver._decided(status, x):
                 continue
-            cert = self._sweep._certificate(x, res)
+            cert = self._sweep._certificate(x, y)
             if method == "sampled":  # an undecided direction before this one has raised
                 note = f"direction outside the image among {len(dirs)} samples"
                 return SurjectivityReport(False, method, unreachable=x.copy(), note=note,

@@ -21,12 +21,13 @@ with "combine": "direct_sum").  The domain norm is always the cone's block
 norm built from the codomain tag.
 
 Generators are written one generator per JSON row; they become matrix
-columns.  Matrices are lists of rows.  Every parse error names the field
-that caused it.
+columns.  Matrices are lists of rows.  Every number must be finite (Python's
+json reads NaN and Infinity).  Every parse error names the field that caused it.
 """
 from __future__ import annotations
 
 import json
+import math
 from dataclasses import dataclass, field
 
 import numpy as np
@@ -84,8 +85,8 @@ def _matrix(obj, field: str) -> np.ndarray:
         elif len(row) != width:
             raise InstanceError(f"{field}[{i}]", f"row length {len(row)} != {width}")
         for j, v in enumerate(row):
-            if isinstance(v, bool) or not isinstance(v, (int, float)):
-                raise InstanceError(f"{field}[{i}][{j}]", "entries must be numbers")
+            if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+                raise InstanceError(f"{field}[{i}][{j}]", "entries must be finite numbers")
         out.append([float(v) for v in row])
     if width == 0:
         raise InstanceError(field, "rows are empty")
@@ -97,8 +98,8 @@ def _vector(obj, field: str) -> np.ndarray:
     if not vals:
         raise InstanceError(field, "vector is empty")
     for j, v in enumerate(vals):
-        if isinstance(v, bool) or not isinstance(v, (int, float)):
-            raise InstanceError(f"{field}[{j}]", "entries must be numbers")
+        if isinstance(v, bool) or not isinstance(v, (int, float)) or not math.isfinite(v):
+            raise InstanceError(f"{field}[{j}]", "entries must be finite numbers")
     return np.array([float(v) for v in vals])
 
 
@@ -162,8 +163,8 @@ def _parse_functional(obj, field: str, dim: int) -> tuple[ConstraintFunctional, 
     if "bound" not in obj:
         raise InstanceError(f"{field}.bound", "every functional needs a bound")
     bound = obj["bound"]
-    if isinstance(bound, bool) or not isinstance(bound, (int, float)):
-        raise InstanceError(f"{field}.bound", "must be a number")
+    if isinstance(bound, bool) or not isinstance(bound, (int, float)) or not math.isfinite(bound):
+        raise InstanceError(f"{field}.bound", "must be a finite number")
     keys = set(obj) - {"bound"}
     if keys == {"vector"}:
         vec = _vector(obj["vector"], f"{field}.vector")

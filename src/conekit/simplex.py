@@ -4,12 +4,14 @@
 solves it in standard form with a two-phase primal simplex on a dense
 tableau.  Programs re-solved with only their right-hand side changed
 restart from the optimal bases of earlier solves and repair them with dual
-simplex pivots; the cold two-phase method remains the fallback.  Ties among
+simplex pivots; the cold two-phase method remains the fallback.  Every
+verdict is checked on the original data, or is ITERATION_LIMIT.  Ties among
 optima are broken lexicographically by phase 2 on the last answer's optimal
 face.  The shared tolerances and solve statuses live here as well.
 """
 from __future__ import annotations
 
+import math
 from dataclasses import dataclass
 from enum import Enum
 from functools import partial
@@ -52,10 +54,11 @@ class _StandardLP:
 
     Dantzig's rule (lowest index on ties) with a switch to Bland's rule after
     a stall budget guards against cycling.  Desk-scale dense tableau.
-    ``solve`` returns (status, v, value, pivots, basis); an optimal basis is
-    (kept rows, basic columns, phase-2 tableau), where phase 1 dropped the rows
-    it found redundant and the tableau is B^-1 [A | b] over the kept rows, cost
-    row last: where ``lexmin`` can start, with no artificial column.
+    ``solve`` returns (status, v, value, pivots, proof) for ``_WarmStart._cold``
+    to check.  OPTIMAL's proof is its basis (kept rows, basic columns, phase-2
+    tableau), where phase 1 dropped the rows it found redundant and the tableau
+    is B^-1 [A | b] over the kept rows, cost row last: where ``lexmin`` can
+    start.  INFEASIBLE's is the phase-1 dual, UNBOUNDED's a ray d >= 0.
     """
 
     def __init__(self, A: np.ndarray, b: np.ndarray, c: np.ndarray, tol: Tolerances = DEFAULT_TOL):
@@ -93,8 +96,13 @@ class _StandardLP:
         it1 = self._pivot_loop(T, basis, restrict=n + len(art), eps=eps, cap=cap)
         if it1 == -1:
             return SolveStatus.ITERATION_LIMIT, None, None, cap, None
-        if -T[m, -1] > 1e-9 * max(1.0, float(np.abs(b).max(initial=0.0))):
-            return SolveStatus.INFEASIBLE, None, None, max(it1, 0), None
+        if -T[m, -1] > 1e-9 * _scale(b):
+            # the phase-1 dual: a starting column owner(i) is the unit vector
+            # e_i at phase-1 cost [artificial], so its reduced cost is that cost - y_i
+            start = np.array([owner[i] for i in range(m)], dtype=int)
+            y = (start >= n) - T[m, start]
+            y[neg] *= -1.0
+            return SolveStatus.INFEASIBLE, None, None, max(it1, 0), y
         keep_rows = []
         for i in range(m):
             if basis[i] >= n:
@@ -113,8 +121,11 @@ class _StandardLP:
             if c[bi] != 0.0:
                 T2[-1, :] -= c[bi] * T2[i, :]
         it2 = self._pivot_loop(T2, basis2, restrict=n, eps=eps, cap=cap)
-        if it2 == -2:
-            return SolveStatus.UNBOUNDED, None, None, it1, None
+        if it2 == -2:  # a column with negative reduced cost and no positive entry
+            j = np.flatnonzero((T2[-1, :n] < -eps) & (T2[:-1, :n] <= eps).all(axis=0))[0]
+            d = np.zeros(n)
+            d[basis2], d[j] = np.maximum(-T2[:-1, j], 0.0), 1.0
+            return SolveStatus.UNBOUNDED, None, None, it1, d
         if it2 == -1:
             return SolveStatus.ITERATION_LIMIT, None, None, cap, None
         v = np.zeros(n)
@@ -189,6 +200,26 @@ class _StandardLP:
         return -1
 
 
+def _scale(v: np.ndarray) -> float:
+    return max(1.0, float(np.abs(v).max(initial=0.0)))
+
+
+def _farkas_ray(A, b, y, eps: float):
+    """y scaled to max-abs 1 when it proves {A v = b, v >= 0} empty, with
+    y A <= 0 < y b within eps times the data's scale; else None."""
+    top = float(np.abs(y).max(initial=0.0))
+    if not 0.0 < top < math.inf:
+        return None
+    y = y / top
+    return y if (y @ A).max(initial=0.0) <= eps * _scale(A) and y @ b > eps * _scale(b) else None
+
+
+def _power_scale(top: float) -> float:
+    """The power of two that brings top, a largest entry in size, into [1, 2)
+    when it is below 1, else 1: dividing by it and multiplying back are exact."""
+    return math.ldexp(1.0, math.frexp(top)[1] - 1) if 0.0 < top < 1.0 else 1.0
+
+
 # optimal bases kept per standardized LP; the oldest is evicted first.  A
 # sweep LP of the poly_sweep benchmark meets 5 distinct optimal bases at the
 # median, 16 at the 90th percentile and at most 36-39 (seeds 1 and 7); 16
@@ -204,41 +235,70 @@ class _WarmStart:
     critical regions of multiparametric LP (Gal & Nedoma 1972).  A new b is
     tested against every cached optimal basis with one stacked product; when
     none fits, the dual simplex (Lemke 1954) repairs the least infeasible
-    one.  A warm OPTIMAL has passed a residual check on the full A, and a
-    warm INFEASIBLE carries a dual ray y with y A >= 0 > y b checked on the
-    original data.  Anything else is settled by the cold two-phase simplex,
-    whose optimal bases feed the cache.
-
-    Bases are recorded as indices and factorized only when a second solve
-    reaches the same LP, so a program solved once pays nothing.  Until some
-    right-hand side is feasible there is no basis to start from, and every
-    solve is cold.  Returned pivot counts include abandoned dual pivots.  ``last``
-    is the last OPTIMAL answer's basis (cold, cached or repaired) and a function
-    giving a fresh B^-1 [A | b] for it.
+    one; the cold two-phase simplex settles anything else.  An OPTIMAL basis
+    is dual feasible and its point passes a residual check on the full A; an
+    INFEASIBLE verdict has a Farkas ray (``_farkas_ray``), minus a row of
+    B^-1 after dual pivots or the phase-1 dual.  Bases are recorded as
+    indices and factorized only when a second solve reaches the same LP, and
+    until some right-hand side is feasible every solve is cold.  Pivot
+    counts include abandoned dual pivots.  Thresholds on b and c are relative
+    to max(1, their largest entry), so a b or c with every entry below 1 in
+    size is divided by ``_power_scale`` (``b_scale``, ``c_scale``) and the
+    answer multiplied back.  ``last`` is the last OPTIMAL answer's basis and a
+    function giving a fresh B^-1 [A | b / b_scale] for it; ``ray`` is the last
+    INFEASIBLE answer's Farkas ray y (else None).
     """
 
     def __init__(self, A: np.ndarray, c: np.ndarray):
-        self.A, self.c = A, c
+        self.c_scale = _power_scale(float(np.abs(c).max(initial=0.0)))
+        self.A, self.c = A, c / self.c_scale
+        self.c_top = _scale(self.c)
         self.entries: list = []  # [rows, cols, M or None], oldest first; M b = B^-1 b[rows]
         self._stack = None  # every entry's M stacked, rebuilt after a change
         self._starts = None
 
     def solve(self, b: np.ndarray, tol: Tolerances):
         """(status, v, value, pivots) for right-hand side b."""
-        spent, self.last = 0, None
+        spent, self.last, self.ray, status = 0, None, None, None
+        top = float(np.abs(b).max(initial=0.0))
+        self.b_scale = _power_scale(top)
+        b, feas = b / self.b_scale, tol.feasibility * max(1.0, top / self.b_scale)
         if self._factorize(tol):
-            status, v, value, spent = self._warm(b, tol)
-            if status is not None:
-                return status, v, value, spent
-        status, v, value, its = self._cold(b, tol)
-        return status, v, value, spent + its
+            status, v, value, spent = self._warm(b, tol, feas)
+        if status is None:
+            status, v, value, its = self._cold(b, tol, feas)
+            spent += its
+        if status is SolveStatus.OPTIMAL and self.b_scale * self.c_scale != 1.0:
+            v, value = v * self.b_scale, value * self.b_scale * self.c_scale
+        return status, v, value, spent
 
-    def _cold(self, b: np.ndarray, tol: Tolerances):
-        status, v, value, its, basis = _StandardLP(self.A, b, self.c, tol).solve()
-        if basis is not None:
-            self._record(*basis[:2])
-            self.last = basis[1], basis[2].copy
-        return status, v, value, its
+    def _cold(self, b: np.ndarray, tol: Tolerances, feas: float):
+        """The two-phase simplex, its verdict checked (ITERATION_LIMIT when the
+        check fails): a primal ray d >= 0 needs A d = 0 > c d."""
+        status, v, value, its, proof = _StandardLP(self.A, b, self.c, tol).solve()
+        eps = tol.feasibility
+        if status is SolveStatus.OPTIMAL:
+            rows, cols, T = proof
+            A = self.A if len(rows) == b.size else self.A[rows]
+            try:  # dual feasibility of y = B^-T c_B over the kept rows
+                reduced = self.c - np.linalg.solve(A[:, cols].T, self.c[cols]) @ A
+            except np.linalg.LinAlgError:
+                reduced = -np.inf
+            if (np.min(reduced) >= -eps * self.c_top and v.min(initial=0.0) >= -feas
+                    and np.abs(self.A @ v - b).max(initial=0.0) <= feas):
+                self._record(rows, cols)
+                self.last = cols, T.copy
+                return status, v, value, its
+        elif status is SolveStatus.INFEASIBLE:
+            self.ray = _farkas_ray(self.A, b, proof, eps)
+            if self.ray is not None:
+                return status, None, None, its
+        elif status is SolveStatus.UNBOUNDED:
+            d = proof / proof.max()
+            if (np.abs(self.A @ d).max(initial=0.0) <= eps * _scale(self.A)
+                    and self.c @ d < -eps * self.c_top):
+                return status, None, None, its
+        return SolveStatus.ITERATION_LIMIT, None, None, its
 
     def _record(self, rows, cols, M=None):
         rows, cols = np.asarray(rows, dtype=int), np.asarray(cols, dtype=int)
@@ -274,16 +334,14 @@ class _WarmStart:
             return None
         if np.abs(Binv @ B - np.eye(cols.size)).max() > 1e-8:
             return None
-        reduced = self.c - (self.c[cols] @ Binv) @ A
-        if reduced.min() < -tol.feasibility * max(1.0, float(np.abs(self.c).max(initial=0.0))):
+        if (self.c - (self.c[cols] @ Binv) @ A).min() < -tol.feasibility * self.c_top:
             return None
         M = np.zeros((rows.size, self.A.shape[0]))
         M[:, rows] = Binv
         return M
 
-    def _warm(self, b: np.ndarray, tol: Tolerances):
+    def _warm(self, b: np.ndarray, tol: Tolerances, feas: float):
         """A checked answer from the cache, or status None after the pivots spent."""
-        feas = tol.feasibility * max(1.0, float(np.abs(b).max(initial=0.0)))
         X = self._stack @ b
         lows = np.minimum.reduceat(X, self._starts)
         fits = lows >= -feas
@@ -356,20 +414,18 @@ class _WarmStart:
         return out
 
     def _ray(self, rows, cols, p: int, b, tol: Tolerances, pivots: int):
-        """INFEASIBLE when row p of B^-1 is a dual ray on the original data."""
+        """INFEASIBLE, with ``ray`` set, when minus row p of B^-1 is a Farkas
+        ray on the original data."""
         e = np.zeros(rows.size)
-        e[p] = 1.0
+        e[p] = -1.0
         try:
             yr = np.linalg.solve(self.A[np.ix_(rows, cols)].T, e)
         except np.linalg.LinAlgError:
             return None
         y = np.zeros(self.A.shape[0])
-        y[rows] = yr / np.abs(yr).max()
-        eps = tol.feasibility
-        if (float((y @ self.A).min()) >= -eps * max(1.0, float(np.abs(self.A).max()))
-                and float(y @ b) < -eps * max(1.0, float(np.abs(b).max(initial=0.0)))):
-            return SolveStatus.INFEASIBLE, None, None, pivots
-        return None
+        y[rows] = yr
+        self.ray = _farkas_ray(self.A, b, y, tol.feasibility)
+        return None if self.ray is None else (SolveStatus.INFEASIBLE, None, None, pivots)
 
 
 class LinearProgram:
@@ -384,6 +440,9 @@ class LinearProgram:
     simplex when neither gives a checked answer.  The pivot count returned
     covers every pivot the call made.  Any edit drops both caches; ``lexmin`` edits nothing.
     A cold phase 1 starts from the slack basis of ``_StandardLP``.
+
+    After an INFEASIBLE ``solve``, ``ray`` is its checked Farkas ray, one
+    multiplier per row: y A <= 0 < y b on the standard form (else None).
     """
 
     def __init__(self):
@@ -391,6 +450,7 @@ class LinearProgram:
         self.obj: list[float] = []
         self.rows: list[tuple[np.ndarray, str, float]] = []
         self._cache = None
+        self.ray = None
 
     def add_vars(self, k: int, nonneg: bool, obj: float | np.ndarray = 0.0) -> list[int]:
         self._cache = None
@@ -463,6 +523,7 @@ class LinearProgram:
             for i, v in rhs_override.items():
                 b[i] = v
         status, v, value, its = warm.solve(b, tol)
+        self.ray = warm.ray
         if status is not SolveStatus.OPTIMAL:
             return status, None, None, its
         return status, self._unsplit(v, split), value, its
@@ -471,5 +532,5 @@ class LinearProgram:
         """(z, pivots) after an OPTIMAL ``solve``: its optimum minimizing each cost row in turn."""
         _, _, c, split, warm = self._standardize()
         cols, tableau = warm.last
-        v, its = _StandardLP.lexmin(tableau(), cols, c, self._split(costs, split, c.size), tol)
-        return self._unsplit(v, split), its
+        v, its = _StandardLP.lexmin(tableau(), cols, warm.c, self._split(costs, split, c.size), tol)
+        return self._unsplit(v * warm.b_scale, split), its

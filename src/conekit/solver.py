@@ -15,12 +15,13 @@ many-target, solves at a target from it.  One encoder (``_Program``) writes
 the canonical problem and an objective (a sum or maximum of block norms, a
 gauge, a linear cost, a distance, or none) as one list of epigraph,
 equality and inequality rows plus second-order blocks.  Rows with no
-second-order block go to the dense simplex of ``simplex.py``, which also
-yields Farkas-type infeasibility certificates; all others (sums and maxima
-of blocks with a Euclidean one, second-order cones, caps with a Euclidean
-block) go to the interior-point method of ``conic.py``, which solves a
-whole batch of targets at once (``MinNormSweep.values`` and
-``feasible_many``).  An active-set method handles a single Euclidean
+second-order block go to the dense simplex of ``simplex.py``; all others
+(sums and maxima of blocks with a Euclidean one, second-order cones, caps
+with a Euclidean block) go to the interior-point method of ``conic.py``,
+which solves a whole batch of targets at once (``MinNormSweep.values`` and
+``feasible_many``).  Both prove an empty slice with a Farkas ray, whose
+equality-row part is the slice's certificate: no separation program runs.
+An active-set method handles a single Euclidean
 objective on polyhedral data, and projections onto the polyhedral
 relaxation of a capped slice.
 """
@@ -63,9 +64,9 @@ class Certificate:
     """Separating functional for an infeasible slice.
 
     Farkas evidence: ``<y, x> > 0`` while ``T^T y`` lies in the dual cone
-    of ``-C``, so no ``c in C`` can satisfy ``T c = x``.  Polyhedral cones
-    get it from a separation LP, curved ones from the conic driver's
-    certificate; either way it has passed ``certificate_is_valid``.
+    of ``-C``, so no ``c in C`` can satisfy ``T c = x``: the equality-row
+    part of the simplex's or the conic driver's ray that proved the slice
+    empty, once it has passed ``certificate_is_valid``.
     """
 
     y: np.ndarray
@@ -546,11 +547,12 @@ class _Program:
 
     def solve(self, x, scale: float = 1.0, tol: Tolerances = DEFAULT_TOL, center=None,
               lexicographic: bool = False):
-        """(status, z, value, iterations, conic result or None) at target x with
-        bounds and radii times scale.
+        """(status, z, value, iterations, y) at target x with bounds and radii
+        times scale.
 
         ``value`` is the LP's optimal value, None from the conic driver (its
-        epigraph variables only bound their blocks to its tolerance).
+        epigraph variables only bound their blocks to its tolerance).  ``y`` is
+        an INFEASIBLE program's Farkas ray on the equality rows, <y, x> > 0.
         ``center`` is the point of a "center" objective.  ``lexicographic``
         asks for the lexicographically smallest optimal point; the LP stays as it was.
         """
@@ -570,7 +572,8 @@ class _Program:
             override.update(zip(self._moving, (self._unit * scale).tolist()))
         status, v, value, its = lp.solve(tol, rhs_override=override)
         if status is not SolveStatus.OPTIMAL:
-            return status, None, None, its, None
+            y = None if lp.ray is None else lp.ray[self._eq_start:self._eq_start + x.shape[0]]
+            return status, None, None, its, y
         if lexicographic:
             v, more = self._lexicographic(tol)
             its += more
@@ -587,7 +590,8 @@ class _Program:
 
     def _conic(self, res):
         z = res.x[:self.n] if res.status is SolveStatus.OPTIMAL else None
-        return res.status, z, None, res.iterations, res
+        y = -res.y if res.status is SolveStatus.INFEASIBLE else None
+        return res.status, z, None, res.iterations, y
 
     def _lexicographic(self, tol: Tolerances):
         """(v, pivots) minimizing S z in turn over the LP's exact optimal face; no row is added."""
@@ -694,9 +698,9 @@ class MinNormSweep:
     def _qp(self, x, H: np.ndarray, g: np.ndarray, scale: float = 1.0):
         """min .5 z H z + g z over the polyhedral relaxation at target x, bounds
         times scale, from a warm vertex of ``_start``; as ``_Program.solve``."""
-        status, z0, _, its0, _ = self._start.solve(x, scale, self.tol)
+        status, z0, _, its0, y = self._start.solve(x, scale, self.tol)
         if status is not SolveStatus.OPTIMAL:
-            return status, None, None, its0, None
+            return status, None, None, its0, y
         canon = self.canon
         z, its, st = active_set_qp(H, g, canon.eq_A, x, canon.in_A, canon.in_b * scale, z0,
                                    self.tol)
@@ -732,10 +736,10 @@ class MinNormSweep:
         return float(self.values(x)[0])
 
     def feasible_many(self, X) -> list:
-        """(status, conic result or None) of the feasibility program at each
-        row of X, to be read by ``_decided``."""
+        """(status, Farkas y or None) of the feasibility program at each row of
+        X, to be read by ``_decided`` and ``_certificate``."""
         X = np.asarray(X, dtype=float).reshape(-1, self.problem.target.shape[0])
-        return [(st, res) for st, _, _, _, res in self._program(None).solve_many(X, self.tol)]
+        return [(st, y) for st, _, _, _, y in self._program(None).solve_many(X, self.tol)]
 
     def feasible(self, x: np.ndarray) -> bool:
         """Whether the slice at x is nonempty; ArithmeticError when undecided."""
@@ -752,22 +756,22 @@ class MinNormSweep:
             return sol
         program = self._program(objective)
         if program.quadratic:
-            st, z, _, its, res = self._qp(x, program.hessian, np.zeros(self.canon.n))
+            st, z, _, its, y = self._qp(x, program.hessian, np.zeros(self.canon.n))
         else:
-            st, z, _, its, res = program.solve(x, tol=self.tol, lexicographic=lexicographic)
+            st, z, _, its, y = program.solve(x, tol=self.tol, lexicographic=lexicographic)
         driver = "active-set" if program.quadratic else program.driver
         return self._conclude(x, 1.0, st, its, driver,
-                              lambda: (self.canon.S @ z, program.value(z)), res)
+                              lambda: (self.canon.S @ z, program.value(z)), y)
 
     def project(self, x, point, scale: float = 1.0) -> Solution:
         """Euclidean projection of ``point`` onto the slice at target x, every
         bound and cap times scale (|x|_X when the caps grow with the target
         norm); value is the distance."""
         x, point = self._target(x), np.asarray(point, dtype=float)
-        st, its, driver, res = None, 0, "active-set", None
+        st, its, driver, y = None, 0, "active-set", None
         canon, center = self.canon, self._program("center")
         if not canon.soc_idx:
-            st, z, _, its, _ = self._qp(x, center.hessian, -2.0 * (canon.S.T @ point), scale)
+            st, z, _, its, y = self._qp(x, center.hessian, -2.0 * (canon.S.T @ point), scale)
             if not (canon.polyhedral or st is SolveStatus.INFEASIBLE
                     or (st is SolveStatus.OPTIMAL
                         and all(norm.of(E @ z) <= r * scale for E, norm, r in canon.caps))):
@@ -775,12 +779,12 @@ class MinNormSweep:
         if st is None and (sol := self._trivial(x, scale, point)) is not None:
             return sol  # interior points converge slowly to a zero distance
         if st is None:
-            st, z, _, more, res = center.solve(x, scale, center=point)
+            st, z, _, more, y = center.solve(x, scale, center=point)
             its += more
             driver = "conic"
         S = canon.S
         return self._conclude(x, scale, st, its, driver,
-                              lambda: (S @ z, np.linalg.norm(S @ z - point)), res)
+                              lambda: (S @ z, np.linalg.norm(S @ z - point)), y)
 
     # -- checks and certificates at one target --------------------------------
 
@@ -821,12 +825,12 @@ class MinNormSweep:
                         driver="trivial")
 
     def _conclude(self, x, scale: float, st: SolveStatus, its: int, driver: str, answer,
-                  res=None) -> Solution:
+                  y=None) -> Solution:
         """The Solution for a driver's verdict at target x; ``answer()`` gives
-        (point, value) when OPTIMAL, and ``res`` is the conic driver's result,
-        if it ran."""
+        (point, value) when OPTIMAL, and ``y`` is the Farkas ray of an
+        INFEASIBLE verdict (see ``_Program.solve``)."""
         if st is SolveStatus.INFEASIBLE:
-            sol = Solution(st, certificate=self._certificate(x, res))
+            sol = Solution(st, certificate=self._certificate(x, y))
         elif st is SolveStatus.OPTIMAL:
             c, value = answer()
             sol = Solution(st, c, float(value), self._residuals(c, x, scale))
@@ -835,15 +839,11 @@ class MinNormSweep:
         sol.iterations, sol.driver = its, driver
         return sol
 
-    def _certificate(self, x, res=None) -> Certificate | None:
-        """A checked Farkas certificate for the empty slice at target x when
-        there are no bounds or caps: from the conic driver's INFEASIBLE result
-        ``res`` when it gives one, else from ``farkas_certificate``."""
+    def _certificate(self, x, y) -> Certificate | None:
+        """The checked Farkas certificate in the ray y of the verdict that found
+        the slice at target x empty, when no bound or cap takes part in it."""
         p = self.problem
-        if p.extra_bounds or p.balls:
-            return None
-        return ((res is not None and _conic_certificate(p.map, x, p.cone, res, self.tol))
-                or farkas_certificate(p.map, x, p.cone, self.tol))
+        return None if p.extra_bounds or p.balls else _ray_certificate(p.map, x, p.cone, y, self.tol)
 
 
 # ---------------------------------------------------------------------------
@@ -965,17 +965,17 @@ def check_feasible(
     """Is {c in C : T c = x, bounds} nonempty?
 
     Polyhedral systems are decided by phase 1, curved ones by the conic
-    driver's feasible point or checked certificate.  ArithmeticError when the
-    program is undecided.  An empty slice with no bounds or caps comes with
-    a verified Farkas-type certificate, from the conic driver's verdict when
-    it passes the check and from ``farkas_certificate`` otherwise.
+    driver's feasible point or checked certificate: one solve either way.
+    ArithmeticError when the program is undecided.  An empty slice with no
+    bounds or caps comes with a verified Farkas-type certificate, read off
+    the ray of that same verdict.
     """
     sweep = MinNormSweep(map, cone, tol=tol, balls=balls, extra_bounds=extra_bounds)
     x = sweep._target(target)
-    st, z, _, _, res = sweep._program(None).solve(x, tol=tol)
+    st, z, _, _, y = sweep._program(None).solve(x, tol=tol)
     if _decided(st, x):
         return FeasibilityReport(True, point=sweep.canon.S @ z)
-    return FeasibilityReport(False, certificate=sweep._certificate(x, res))
+    return FeasibilityReport(False, certificate=sweep._certificate(x, y))
 
 
 def _set_level(cone: _cones.Cone) -> _cones.Cone:
@@ -987,87 +987,20 @@ def _set_level(cone: _cones.Cone) -> _cones.Cone:
     return cone
 
 
-def _encode_dual_membership(lp: LinearProgram, cone: _cones.Cone, expr: np.ndarray, yidx: list[int]):
-    """Add rows forcing expr @ y to lie in dual(cone).
-
-    expr is a matrix whose rows are linear forms in the y variables; the
-    vector u = expr @ y must satisfy u in dual(cone).
-    """
-    if isinstance(cone, _cones.Orthant):
-        for i in range(expr.shape[0]):
-            lp.add_row(expr[i], ">=", 0.0, at=yidx)
-        return
-    if isinstance(cone, _cones.Generators):
-        rows = cone.columns.T @ expr
-        for i in range(rows.shape[0]):
-            lp.add_row(rows[i], ">=", 0.0, at=yidx)
-        return
-    if isinstance(cone, _cones.Halfspaces):
-        k = cone.rows.shape[0]
-        mu = lp.add_vars(k, nonneg=True)
-        At = cone.rows.T
-        for i in range(expr.shape[0]):
-            lp.add_row(np.concatenate([expr[i], -At[i]]), "=", 0.0, at=yidx + mu)
-        return
-    if isinstance(cone, _cones.Negation):
-        _encode_dual_membership(lp, cone.inner, -expr, yidx)
-        return
-    if isinstance(cone, _cones.Product):
-        at = 0
-        for p in cone.parts:
-            _encode_dual_membership(lp, p, expr[at : at + p.ambient_dim], yidx)
-            at += p.ambient_dim
-        return
-    raise ValueError(f"no polyhedral dual encoding for {type(cone).__name__}")
-
-
-def _box_dual_lp(T: np.ndarray, cone: _cones.Cone, cost=0.0) -> LinearProgram:
-    """LP over free y (the first variables, with the given cost) in the box
-    |y_i| <= 1, written as e_i y <= 1 and -e_i y <= 1 in turn, with T^T y
-    in dual(cone): the separation program of ``farkas_certificate``."""
-    d = T.shape[0]
-    lp = LinearProgram()
-    yidx = lp.add_vars(d, nonneg=False, obj=cost)
-    for e in np.eye(d):
-        lp.add_row(e, "<=", 1.0, at=yidx)
-        lp.add_row(-e, "<=", 1.0, at=yidx)
-    _encode_dual_membership(lp, cone, T.T, yidx)
-    return lp
-
-
 def farkas_certificate(
     map: np.ndarray, target: np.ndarray, cone: _cones.Cone, tol: Tolerances = DEFAULT_TOL
 ) -> Certificate | None:
     """Separating y with <y, x> > 0 and T^T y in dual(-C), if one exists.
 
-    Polyhedral cones solve the explicit separation program max <y, x> over
-    that dual cone with a box bound.  Curved cones take the equality
-    multipliers of the conic driver's certificate for the empty slice; their
-    images need not be closed, so a target on the boundary of the closure
-    may have none.
+    One solve of the slice's feasibility program: an INFEASIBLE verdict
+    carries its Farkas ray (the simplex's on polyhedral cones, the conic
+    driver's on curved ones), whose equality-row part is returned once it
+    passes ``certificate_is_valid``.  Images of curved cones need not be
+    closed, so a target on the boundary of the closure may have none.
     """
-    cone = _set_level(cone)
-    if not _cones.is_polyhedral(cone):
-        sweep = MinNormSweep(map, cone)
-        x = sweep._target(target)
-        res = sweep._program(None).solve(x)[4]
-        if res.status is not SolveStatus.INFEASIBLE:
-            return None
-        return _conic_certificate(map, x, cone, res, tol)
-    T = np.atleast_2d(np.asarray(map, dtype=float))
-    x = np.asarray(target, dtype=float)
-    lp = _box_dual_lp(T, _cones.Negation(cone), -x)  # minimize -<x, y>
-    status, z, value, _ = lp.solve(tol)
-    if status is not SolveStatus.OPTIMAL or z is None:
-        return None
-    attained = -float(value)
-    if attained <= tol.optimality:
-        return None
-    y = z[:T.shape[0]]
-    y = y / np.max(np.abs(y))
-    if certificate_is_valid(T, x, cone, y, tol):
-        return Certificate(y=y, kind="exact")
-    return None
+    sweep = MinNormSweep(map, cone, tol=tol)
+    x = sweep._target(target)
+    return sweep._certificate(x, sweep._program(None).solve(x, tol=tol)[4])
 
 
 def certificate_is_valid(map, target, cone, y, tol: Tolerances = DEFAULT_TOL) -> bool:
@@ -1082,11 +1015,11 @@ def certificate_is_valid(map, target, cone, y, tol: Tolerances = DEFAULT_TOL) ->
     return _cones.contains(dual_cone, u, tol=1e-8 * max(1.0, float(np.linalg.norm(u))))
 
 
-def _conic_certificate(map, target, cone, res, tol: Tolerances) -> Certificate | None:
-    """The Farkas certificate in the equality multipliers of the conic driver's
-    INFEASIBLE result ``res`` on the slice at target, when it passes
-    ``certificate_is_valid``."""
-    y = -res.y / np.max(np.abs(res.y))
-    if certificate_is_valid(map, target, cone, y, tol):
-        return Certificate(y=y, note="conic")
-    return None
+def _ray_certificate(map, target, cone, y, tol: Tolerances = DEFAULT_TOL) -> Certificate | None:
+    """y, scaled to max-abs 1, as the certificate of the empty slice at target
+    when it passes ``certificate_is_valid``; y is the equality-row part of the
+    Farkas ray of an INFEASIBLE verdict (see ``_Program.solve``), or None."""
+    if y is None or not np.abs(y).max(initial=0.0) > 0.0:
+        return None
+    y = y / np.abs(y).max()
+    return Certificate(y=y) if certificate_is_valid(map, target, cone, y, tol) else None

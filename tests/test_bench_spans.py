@@ -44,3 +44,20 @@ def test_tracer_installs_and_restores_every_binding():
     finally:
         tracer.uninstall()
     assert all(owner.__dict__[attr] is fn for owner, attr, fn in originals)
+
+
+def test_lp_reader_takes_the_four_values_of_a_solve():
+    # the tracer unpacks every ``LinearProgram.solve`` result as (status,
+    # point, value, pivots); a fifth value would fail every traced op
+    from conekit.simplex import LinearProgram, SolveStatus
+
+    spans = load_spans()
+    flags = dict.fromkeys(spans.FLAG_NAMES, 0)
+    for rhs, status in ((1.0, SolveStatus.OPTIMAL), (-1.0, SolveStatus.INFEASIBLE)):
+        lp = LinearProgram()
+        idx = lp.add_vars(2, nonneg=True, obj=[1.0, 1.0])
+        lp.add_row([1.0, 1.0], "=", rhs, at=idx)
+        out = lp.solve()
+        assert len(out) == 4 and out[0] is status
+        assert spans._lp_result(out, flags) == out[3]
+    assert flags["solver.lp.infeasible"] == 1 and flags["solver.lp.iter_limit"] == 0

@@ -225,6 +225,36 @@ def test_parse_errors_exit_one_and_name_the_field(tmp_path, capsys):
     assert err.startswith("error: norm:")
 
 
+@pytest.mark.parametrize("token", ["NaN", "Infinity", "-Infinity"])
+def test_non_finite_input_exits_one_and_names_the_field(tmp_path, capsys, token):
+    doc = json.dumps(RAY).replace("[[1.0, 0.0]]", f"[[1.0, {token}]]", 1)
+    p = tmp_path / "bad.json"
+    p.write_text(doc, encoding="utf-8")
+    code, out, err = run(capsys, ["check-surjective", str(p)])
+    assert code == 1 and out == ""
+    assert err.startswith("error: cones[0].generators[0][1]:")
+    pts = tmp_path / "pts.csv"
+    pts.write_text(f"x1,x2\n1,2\n{token.lower()},0\n", encoding="utf-8")
+    code, _, err = run(capsys, ["decompose", write_instance(tmp_path, LATTICE), "--points",
+                                str(pts)])
+    assert code == 1 and err.startswith("error: points row 2:")
+
+
+def test_check_surjective_witnesses_are_unreachable(tmp_path, capsys):
+    # a map that is not onto prints -f for a functional f != 0 that is
+    # nonnegative on every generator, and -f has no preimage
+    from conekit.instances import parse_instance, random_polyhedral_instance
+    for seed in range(40):
+        doc = random_polyhedral_instance(seed, surjective=False)
+        code, out, _ = run(capsys, ["check-surjective", write_instance(tmp_path, doc)])
+        line = next(ln for ln in out.splitlines() if ln.startswith("witness: "))
+        f = -np.array([float(v) for v in line[len("witness: "):].split(",")])
+        assert code == 2 and np.abs(f).max() > 0.0, seed
+        assert (np.array(doc["cones"][0]["generators"]) @ f).min() >= -1e-8, seed
+        sol = parse_instance(doc).map.min_preimage(-f)
+        assert sol.status is solver.SolveStatus.INFEASIBLE, seed
+
+
 def test_missing_instance_file(tmp_path, capsys):
     code, _, err = run(capsys, ["check-surjective", str(tmp_path / "nope.json")])
     assert code == 1

@@ -312,3 +312,20 @@ def test_exact_surjectivity_of_an_onto_map_is_one_batch(spy):
     spy(solver, "farkas_certificate", farkas)
     assert cmap.is_surjective(method="exact").surjective
     assert batches == [2 * cmap.codomain_dim] and farkas == []
+
+
+@pytest.mark.parametrize("seed", [1, 3, 5, 7])
+def test_exact_surjectivity_of_a_map_not_onto_is_one_batch(spy, seed):
+    # every missed axis is certified by the ray of its own verdict in the
+    # batch: no LP runs outside it, and no separation LP at all
+    doc = random_polyhedral_instance(seed)
+    cmap = parse_instance(doc).map
+    batches, solves, farkas = [], [], []
+    spy(solver.MinNormSweep, "feasible_many", batches, pick=len)
+    spy(solver.LinearProgram, "solve", solves, pick=lambda out: out[0])
+    spy(solver, "farkas_certificate", farkas)
+    rep = cmap.is_surjective(method="exact")
+    assert not rep.surjective
+    assert batches == [2 * cmap.codomain_dim] and len(solves) == 2 * cmap.codomain_dim
+    assert solver.SolveStatus.INFEASIBLE in solves and farkas == []
+    assert_exact_witness(cmap, np.array(doc["cones"][0]["generators"]).T, rep)

@@ -71,7 +71,7 @@ def test_ice_cream_gamma_is_the_spectral_split():
 
 
 @pytest.mark.parametrize("objective", ["norm", "center"])
-def test_lattice_parts_through_the_conic_driver(objective):
+def test_lattice_parts_through_the_conic_driver(objective, conic_runs):
     # a polyhedral canon forced through the conic encoding: the sum of block
     # l2 norms and the distance to 0 are both smallest at (x+, x-).  A norm
     # objective stops at TOL, which fixes its value; a projection iterates
@@ -83,7 +83,8 @@ def test_lattice_parts_through_the_conic_driver(objective):
     form = solver._Program(canon, objective)
     for x in TARGETS:
         center = np.zeros(6) if objective == "center" else None
-        st, z, _, its, res = form.solve(x, center=center)
+        st, z, _, its, _ = form.solve(x, center=center)
+        res = conic_runs[-1][0]
         assert st is SolveStatus.OPTIMAL and max(res.pres, res.dres, res.gap) <= TOL
         parts = np.concatenate(oracles.lattice_parts(x))
         if objective == "norm":
@@ -160,7 +161,7 @@ def hand_checked(program, b, h, y, z):
     assert np.abs(resid).max() <= 1e-8 * abs(b @ y + h @ z)
 
 
-def test_infeasible_slices_carry_checked_certificates():
+def test_infeasible_slices_carry_checked_certificates(conic_runs):
     rng = np.random.default_rng(3)
     cone = DirectSumL1((SecondOrder(3), Negation(SecondOrder(3))))
     # |p| + |q| <= r on the summing map needs r >= the l2 gauge of x
@@ -172,11 +173,14 @@ def test_infeasible_slices_carry_checked_certificates():
             problem = MinNormProblem(np.hstack([np.eye(3), np.eye(3)]), x, cone,
                                      BlockNorm.flat(6, NormTag.L2), balls=(cap,))
             form = solver._Program(solver._canonicalize(problem), None)
-            st, _, _, _, res = form.solve(x)
+            st, _, _, _, y = form.solve(x)
+            res = conic_runs[-1][0]
             assert st is (SolveStatus.INFEASIBLE if empty else SolveStatus.OPTIMAL), (x, r)
             if empty:
                 assert form.program.certifies_infeasible(x, form.h, res.y, res.z)
                 hand_checked(form.program, x, form.h, res.y, res.z)
+                # the program hands on the multipliers of its equality rows, signed
+                np.testing.assert_array_equal(y, -res.y)
     # a target outside a second-order slice, with no caps at all
     program = ConeProgram(np.zeros(3), -np.eye(3), 0, (3,), np.eye(3)[:2])
     res = program.solve(np.array([1.0, 2.0]), np.zeros(3))
@@ -353,7 +357,7 @@ def test_solve_many_matches_solve_target_by_target(build, verdicts):
     assert all(same_result(a, b) for a, b in zip(split, batch))
 
 
-def test_solve_many_on_the_package_programs():
+def test_solve_many_on_the_package_programs(conic_runs):
     # the sweep programs behind the ice-cream gauges and feasibility tests
     # and the lattice maxima: one batch against one solve per target
     ice = ice_cream(NormTag.L2)
@@ -367,9 +371,11 @@ def test_solve_many_on_the_package_programs():
                      BlockNorm.flat(3, NormTag.L2))), None)):
         X = xs[:, :form.canon.eq_A.shape[0]]
         batch = form.solve_many(X)
-        for x, (st, z, _, its, res) in zip(X, batch):
+        for x, (st, z, _, its, y), res in zip(X, batch, conic_runs[-1]):
             one = form.solve(x)
-            assert same_result(res, one[4]) and st is one[0] and its == one[3]
+            alone = conic_runs[-1][0]
+            assert same_result(res, alone) and st is one[0] and its == one[3]
+            assert (y is None) == (one[4] is None) and (y is None or np.array_equal(y, -res.y))
         if form.canon.eq_A.shape[0] == 2:
             assert {st for st, *_ in batch} == {SolveStatus.OPTIMAL, SolveStatus.INFEASIBLE}
 

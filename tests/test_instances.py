@@ -1,4 +1,5 @@
 import json
+import math
 
 import numpy as np
 import pytest
@@ -87,6 +88,28 @@ def test_errors_name_the_offending_field(patch, field):
     with pytest.raises(InstanceError) as exc:
         parse_instance(doc)
     assert field in exc.value.field
+
+
+NON_FINITE = [math.nan, math.inf, -math.inf]
+
+
+@pytest.mark.parametrize("value", NON_FINITE, ids=["nan", "inf", "-inf"])
+@pytest.mark.parametrize("patch,field", [
+    (lambda v: {"map": [[1.0, 0.0, 1.0, 0.0], [0.0, v, 0.0, 1.0]]}, "map[1][1]"),
+    (lambda v: {"cones": [{"variant": "generators", "generators": [[1.0, 0.0], [v, 1.0]]}],
+                "map": [[1.0, 0.0], [0.0, 1.0]]}, "cones[0].generators[1][0]"),
+    (lambda v: {"functionals": [{"vector": [1.0, 0.0, v, 0.0], "bound": 1.0}]},
+     "functionals[0].vector[2]"),
+    (lambda v: {"functionals": [{"vector": [1.0, 0.0, 0.0, 0.0], "bound": v}]},
+     "functionals[0].bound"),
+], ids=["map", "generators", "vector", "bound"])
+def test_non_finite_numbers_are_refused(patch, field, value):
+    # Python's json reads NaN, Infinity and -Infinity; a solve on them would
+    # give a wrong number, so the parser names the entry instead
+    doc = json.loads(json.dumps({**LATTICE, **patch(value)}))
+    with pytest.raises(InstanceError) as exc:
+        parse_instance(doc)
+    assert exc.value.field == field and "finite" in exc.value.message
 
 
 def test_missing_required_keys():

@@ -521,6 +521,18 @@ def test_check_feasible_both_ways():
     assert not rep.feasible
 
 
+def test_check_feasible_at_an_unreachable_target_is_one_lp(spy):
+    # the certificate is the equality-row part of the phase-1 Farkas ray
+    G = np.array([[1.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
+    solves = []
+    spy(LinearProgram, "solve", solves, pick=lambda out: out[0])
+    rep = check_feasible(np.eye(2), np.array([-1.0, 0.5]), Generators(G))
+    assert not rep.feasible and solves == [SolveStatus.INFEASIBLE]
+    assert certificate_is_valid(np.eye(2), [-1.0, 0.5], Generators(G), rep.certificate.y)
+    pairing, dual_defect = oracles.farkas_checks(G, [-1.0, 0.5], rep.certificate.y)
+    assert pairing > 1e-9 and dual_defect <= 1e-8
+
+
 def test_farkas_certificate_validity():
     T = np.array([[1.0, 0.0]])
     x = np.array([-1.0])
