@@ -1,10 +1,11 @@
 """Dense simplex kernel: the linear programs under every polyhedral path.
 
-``LinearProgram`` builds a program over free and nonnegative variables and
-solves it in standard form with a two-phase primal simplex on a dense
-tableau.  Programs re-solved with only their right-hand side changed
-restart from the optimal bases of earlier solves and repair them with dual
-simplex pivots; the cold two-phase method remains the fallback.  Every
+``LinearProgram(c, A, eq, free)`` is a program over free and nonnegative
+variables with = and <= rows, put in standard form once when it is built;
+``solve(b)`` solves it at a whole right-hand side b with a two-phase primal
+simplex on a dense tableau.  A program re-solved at another b restarts from
+the optimal bases of earlier solves and repairs them with dual simplex
+pivots; the cold two-phase method remains the fallback.  Every
 verdict is checked on the original data, or is ITERATION_LIMIT.  Ties among
 optima are broken lexicographically by phase 2 on the last answer's optimal
 face.  The shared tolerances and solve statuses live here as well.
@@ -131,7 +132,8 @@ class _StandardLP:
         v = np.zeros(n)
         for i, bi in enumerate(basis2):
             v[bi] = T2[i, -1]
-        return SolveStatus.OPTIMAL, v, float(-T2[-1, -1]), it1 + it2, (keep_rows, basis2, T2)
+        proof = np.array(keep_rows, dtype=int), np.array(basis2, dtype=int), T2
+        return SolveStatus.OPTIMAL, v, float(-T2[-1, -1]), it1 + it2, proof
 
     @classmethod
     def lexmin(cls, T, basis, c, costs, tol: Tolerances = DEFAULT_TOL):
@@ -238,9 +240,9 @@ class _WarmStart:
     one; the cold two-phase simplex settles anything else.  An OPTIMAL basis
     is dual feasible and its point passes a residual check on the full A; an
     INFEASIBLE verdict has a Farkas ray (``_farkas_ray``), minus a row of
-    B^-1 after dual pivots or the phase-1 dual.  Bases are recorded as
-    indices and factorized only when a second solve reaches the same LP, and
-    until some right-hand side is feasible every solve is cold.  Pivot
+    B^-1 after dual pivots or the phase-1 dual.  A basis is recorded with
+    the inverse its dual-feasibility check computed, and until some
+    right-hand side is feasible every solve is cold.  Pivot
     counts include abandoned dual pivots.  Thresholds on b and c are relative
     to max(1, their largest entry), so a b or c with every entry below 1 in
     size is divided by ``_power_scale`` (``b_scale``, ``c_scale``) and the
@@ -253,7 +255,7 @@ class _WarmStart:
         self.c_scale = _power_scale(float(np.abs(c).max(initial=0.0)))
         self.A, self.c = A, c / self.c_scale
         self.c_top = _scale(self.c)
-        self.entries: list = []  # [rows, cols, M or None], oldest first; M b = B^-1 b[rows]
+        self.entries: list = []  # [rows, cols, M], oldest first; M b = B^-1 b[rows]
         self._stack = None  # every entry's M stacked, rebuilt after a change
         self._starts = None
 
@@ -263,7 +265,7 @@ class _WarmStart:
         top = float(np.abs(b).max(initial=0.0))
         self.b_scale = _power_scale(top)
         b, feas = b / self.b_scale, tol.feasibility * max(1.0, top / self.b_scale)
-        if self._factorize(tol):
+        if self._stack_entries():
             status, v, value, spent = self._warm(b, tol, feas)
         if status is None:
             status, v, value, its = self._cold(b, tol, feas)
@@ -279,14 +281,10 @@ class _WarmStart:
         eps = tol.feasibility
         if status is SolveStatus.OPTIMAL:
             rows, cols, T = proof
-            A = self.A if len(rows) == b.size else self.A[rows]
-            try:  # dual feasibility of y = B^-T c_B over the kept rows
-                reduced = self.c - np.linalg.solve(A[:, cols].T, self.c[cols]) @ A
-            except np.linalg.LinAlgError:
-                reduced = -np.inf
-            if (np.min(reduced) >= -eps * self.c_top and v.min(initial=0.0) >= -feas
+            M = self._inverse(rows, cols, tol)
+            if (M is not None and v.min(initial=0.0) >= -feas
                     and np.abs(self.A @ v - b).max(initial=0.0) <= feas):
-                self._record(rows, cols)
+                self._record(rows, cols, M)
                 self.last = cols, T.copy
                 return status, v, value, its
         elif status is SolveStatus.INFEASIBLE:
@@ -300,8 +298,7 @@ class _WarmStart:
                 return status, None, None, its
         return SolveStatus.ITERATION_LIMIT, None, None, its
 
-    def _record(self, rows, cols, M=None):
-        rows, cols = np.asarray(rows, dtype=int), np.asarray(cols, dtype=int)
+    def _record(self, rows, cols, M):
         if cols.size == 0:
             return
         for r, c, _ in self.entries:
@@ -312,20 +309,19 @@ class _WarmStart:
         self.entries.append([rows, cols, M])
         self._stack = None
 
-    def _factorize(self, tol: Tolerances) -> bool:
+    def _stack_entries(self) -> bool:
         if self._stack is None and self.entries:
-            entries = [[r, c, M if M is not None else self._inverse(r, c, tol)]
-                       for r, c, M in self.entries]
-            self.entries = [e for e in entries if e[2] is not None]
-            if self.entries:
-                self._stack = np.vstack([M for _, _, M in self.entries])
-                self._starts = np.cumsum([0] + [c.size for _, c, _ in self.entries[:-1]])
-                for e, start in zip(self.entries, self._starts):  # one copy of each inverse
-                    e[2] = self._stack[start : start + e[1].size]
+            self._stack = np.vstack([M for _, _, M in self.entries])
+            self._starts = np.cumsum([0] + [c.size for _, c, _ in self.entries[:-1]])
+            for e, start in zip(self.entries, self._starts):  # one copy of each inverse
+                e[2] = self._stack[start : start + e[1].size]
         return self._stack is not None
 
     def _inverse(self, rows, cols, tol: Tolerances):
         """M with M b = B^-1 b[rows], or None for a singular or dual infeasible B."""
+        if cols.size == 0:  # phase 1 found every row redundant: y = 0
+            dual = self.c.min(initial=0.0) >= -tol.feasibility * self.c_top
+            return np.zeros((0, self.A.shape[0])) if dual else None
         A = self.A[rows]
         B = A[:, cols]
         try:
@@ -429,108 +425,64 @@ class _WarmStart:
 
 
 class LinearProgram:
-    """Row/column builder over free and nonnegative variables.
+    """min c z s.t. A z = b on the rows where ``eq`` holds, A z <= b on the
+    others, z_j >= 0 unless ``free`` holds for j; built once from its data.
 
-    Free variables are split into positive and negative parts at
-    standardization; <= and >= rows get slack columns.  The standardized
-    matrix is cached so right-hand-side sweeps only reassemble b, and the
-    optimal bases found so far are cached with it: a later solve that only
-    overrides right-hand sides first tries those bases and repairs the
-    closest one by dual simplex pivots, falling back to the cold two-phase
-    simplex when neither gives a checked answer.  The pivot count returned
-    covers every pivot the call made.  Any edit drops both caches; ``lexmin`` edits nothing.
-    A cold phase 1 starts from the slack basis of ``_StandardLP``.
+    Standard form: each free variable takes two adjacent columns, z+ then
+    -z- (``_split``), and each <= row one +1 slack column, in row order.
+    ``solve`` takes a whole right-hand side b, and a program re-solved at
+    another b first tries the optimal bases of earlier solves and repairs
+    the closest one by dual simplex pivots, falling back to the cold
+    two-phase simplex, whose phase 1 starts from the slack basis of
+    ``_StandardLP``, when neither gives a checked answer.  The pivot count
+    returned covers every pivot the call made.
 
     After an INFEASIBLE ``solve``, ``ray`` is its checked Farkas ray, one
     multiplier per row: y A <= 0 < y b on the standard form (else None).
     """
 
-    def __init__(self):
-        self.var_nonneg: list[bool] = []
-        self.obj: list[float] = []
-        self.rows: list[tuple[np.ndarray, str, float]] = []
-        self._cache = None
+    def __init__(self, c, A, eq, free):
+        A, c = np.asarray(A, dtype=float), np.asarray(c, dtype=float)
+        eq, free = np.asarray(eq, dtype=bool), np.asarray(free, dtype=bool)
+        if A.ndim != 2 or c.shape != (A.shape[1],) or free.shape != c.shape or eq.shape != A.shape[:1]:
+            raise ValueError(f"LinearProgram needs A (m, n), c (n,), eq (m,) and free (n,): "
+                             f"got A {A.shape}, c {c.shape}, eq {eq.shape}, free {free.shape}")
+        width = 1 + free  # a free variable takes two columns
+        p = np.cumsum(width) - width
+        self._split = p, np.flatnonzero(free), p[free] + 1  # columns, free variables, 2nd columns
+        slack = np.flatnonzero(~eq)
+        self.A = np.zeros((A.shape[0], int(width.sum()) + slack.size))
+        # + 0.0 turns an entry -0.0 into the 0.0 of the zero fill
+        self.A[:, p], self.A[:, self._split[2]] = A + 0.0, -A[:, free] + 0.0
+        self.A[slack, self.A.shape[1] - slack.size + np.arange(slack.size)] = 1.0
+        self.c = self._costs(c[None])[0]
+        self._warm = _WarmStart(self.A, self.c)
         self.ray = None
 
-    def add_vars(self, k: int, nonneg: bool, obj: float | np.ndarray = 0.0) -> list[int]:
-        self._cache = None
-        idx = list(range(len(self.var_nonneg), len(self.var_nonneg) + k))
-        self.var_nonneg.extend([nonneg] * k)
-        o = np.broadcast_to(np.asarray(obj, dtype=float), (k,))
-        self.obj.extend(o.tolist())
-        return idx
-
-    def add_row(self, coeffs, sense: str, rhs: float, at: list[int] | None = None) -> int:
-        self._cache = None
-        coeffs = np.asarray(coeffs, dtype=float)
-        if at is None:
-            at = list(range(coeffs.shape[0]))
-        packed = np.zeros(len(self.var_nonneg))
-        packed[at] = coeffs
-        self.rows.append((packed, sense, float(rhs)))
-        return len(self.rows) - 1
-
-    def _standardize(self):
-        if self._cache is not None:
-            return self._cache
-        nr = len(self.rows)
-        width = 2 - np.array(self.var_nonneg, dtype=int)  # a free variable takes two columns
-        p = np.cumsum(width) - width
-        q = np.where(width == 2, p + 1, -1)
-        col_of, cols = list(zip(p.tolist(), q.tolist())), int(width.sum())
-        split = p, np.flatnonzero(q >= 0), q[q >= 0]  # columns, free variables, their 2nd columns
-        slack_cols = sum(1 for _, s, _ in self.rows if s != "=")
-        A = np.zeros((nr, cols + slack_cols))
-        b = np.zeros(nr)
-        c = self._split([self.obj], split, A.shape[1])[0]
-        s_at = cols
-        for i, (row, sense, rhs) in enumerate(self.rows):
-            for j in np.nonzero(row)[0]:
-                p_j, q_j = col_of[j]
-                A[i, p_j] = row[j]
-                if q_j >= 0:
-                    A[i, q_j] = -row[j]
-            b[i] = rhs
-            if sense == "<=":
-                A[i, s_at] = 1.0
-                s_at += 1
-            elif sense == ">=":
-                A[i, s_at] = -1.0
-                s_at += 1
-            elif sense != "=":
-                raise ValueError(f"bad sense {sense!r}")
-        self._cache = (A, b, c, split, _WarmStart(A, c))
-        return self._cache
-
-    @staticmethod
-    def _split(costs, split, width: int) -> np.ndarray:
+    def _costs(self, costs) -> np.ndarray:
         """Rows of costs over the variables as rows over the standard columns."""
-        (p, free, q), costs = split, np.asarray(costs, dtype=float)
-        out = np.zeros((costs.shape[0], width))
+        (p, free, q), costs = self._split, np.asarray(costs, dtype=float)
+        out = np.zeros((costs.shape[0], self.A.shape[1]))
         out[:, p], out[:, q] = costs, -costs[:, free]
         return out
 
-    @staticmethod
-    def _unsplit(v: np.ndarray, split) -> np.ndarray:
-        z = v[split[0]]
-        z[split[1]] -= v[split[2]]
+    def _unsplit(self, v: np.ndarray) -> np.ndarray:
+        p, free, q = self._split
+        z = v[p]
+        z[free] -= v[q]
         return z
 
-    def solve(self, tol: Tolerances = DEFAULT_TOL, rhs_override: dict[int, float] | None = None):
-        A, b, c, split, warm = self._standardize()
-        if rhs_override:
-            b = b.copy()
-            for i, v in rhs_override.items():
-                b[i] = v
-        status, v, value, its = warm.solve(b, tol)
-        self.ray = warm.ray
+    def solve(self, b, tol: Tolerances = DEFAULT_TOL):
+        """(status, z, value, pivots) at right-hand side b."""
+        status, v, value, its = self._warm.solve(np.asarray(b, dtype=float), tol)
+        self.ray = self._warm.ray
         if status is not SolveStatus.OPTIMAL:
             return status, None, None, its
-        return status, self._unsplit(v, split), value, its
+        return status, self._unsplit(v), value, its
 
     def lexmin(self, costs, tol: Tolerances = DEFAULT_TOL):
         """(z, pivots) after an OPTIMAL ``solve``: its optimum minimizing each cost row in turn."""
-        _, _, c, split, warm = self._standardize()
+        warm = self._warm
         cols, tableau = warm.last
-        v, its = _StandardLP.lexmin(tableau(), cols, warm.c, self._split(costs, split, c.size), tol)
-        return self._unsplit(v * warm.b_scale, split), its
+        v, its = _StandardLP.lexmin(tableau(), cols, warm.c, self._costs(costs), tol)
+        return self._unsplit(v * warm.b_scale), its

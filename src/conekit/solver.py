@@ -422,15 +422,17 @@ class _Program:
     ``quadratic``: the active-set QP solves it with ``hessian``, from a
     vertex of the feasibility program, and its own rows are never compiled.
 
-    With no second-order block the rows become a ``LinearProgram`` over free
-    z and nonnegative auxiliaries, its rows the epigraph rows, then the
-    equality rows, then the canon's <= rows; it keeps the optimal bases of
-    earlier right-hand sides.  Otherwise they become a ``conic.ConeProgram``
-    whose nonnegative rows are the canon's <= rows, then the epigraph rows,
-    then -t <= 0 for each auxiliary that no row bounds from below.  Either
-    backend is compiled on the first solve, and ``conic`` is imported only
-    then.  Every nonzero right-hand side is a target entry, a bound or a
-    radius, so a solve at (x, scale) changes only the right-hand side.
+    With no second-order block the rows become one ``LinearProgram`` over
+    free z and nonnegative auxiliaries, built from the stacked matrix of the
+    epigraph rows, then the equality rows, then the canon's <= rows; a solve
+    writes x into the equality rows of the right-hand side, and the program
+    keeps the optimal bases of earlier right-hand sides.  Otherwise they
+    become a ``conic.ConeProgram`` whose nonnegative rows are the canon's <=
+    rows, then the epigraph rows, then -t <= 0 for each auxiliary that no
+    row bounds from below.  Either backend is compiled on the first solve,
+    and ``conic`` is imported only then.  Every nonzero right-hand side is a
+    target entry, a bound or a radius, so a solve at (x, scale) changes only
+    the right-hand side.
     """
 
     def __init__(self, canon: _Canon, objective="norm"):
@@ -506,23 +508,17 @@ class _Program:
 
     @cached_property
     def lp(self) -> LinearProgram:
-        """The simplex backend; also fixes which rows a solve overrides."""
-        canon, lp = self.canon, LinearProgram()
-        lp.add_vars(self.n, nonneg=False, obj=self._cost)
-        cost = np.zeros(self._aux)
-        cost[[t - self.n for t in self._epi]] = 1.0
-        lp.add_vars(self._aux, nonneg=True, obj=cost)
-        for row, (*_, rhs) in zip(self._matrix(self._rows), self._rows):
-            lp.add_row(row, "<=", rhs)
-        for row, rhs in zip(canon.eq_A, canon.eq_b):
-            lp.add_row(row, "=", rhs)
-        for row, rhs in zip(canon.in_A, canon.in_b):
-            lp.add_row(row, "<=", rhs)
-        unit = np.concatenate([[rhs for *_, rhs in self._rows], np.zeros(canon.eq_A.shape[0]),
-                               canon.in_b])
-        moving = np.flatnonzero(unit)
-        self._eq_start, self._moving, self._unit = len(self._rows), moving.tolist(), unit[moving]
-        return lp
+        """The simplex backend, with its right-hand side ``_unit`` at unit scale
+        (zero on the equality rows)."""
+        canon = self.canon
+        sizes = [len(self._rows), canon.eq_A.shape[0], canon.in_A.shape[0]]
+        c = np.zeros(self.n + self._aux)
+        c[:self.n], c[self._epi] = self._cost, 1.0
+        A = np.vstack([self._matrix(self._rows),
+                       np.pad(np.vstack([canon.eq_A, canon.in_A]), ((0, 0), (0, self._aux)))])
+        self._unit = np.concatenate([[r for *_, r in self._rows], np.zeros(sizes[1]), canon.in_b])
+        eq = np.repeat([False, True, False], sizes)
+        return LinearProgram(c, A, eq, np.arange(c.size) < self.n)
 
     @cached_property
     def program(self):
@@ -566,13 +562,12 @@ class _Program:
                 h[k], h[k + 1] = 0.5 * rho, -0.5 * rho
                 h[k + 2:] = -center
             return self._conic(program.solve(x, h, target=self._target))
-        lp = self.lp
-        override = dict(enumerate(x.tolist(), self._eq_start))
-        if self._moving:
-            override.update(zip(self._moving, (self._unit * scale).tolist()))
-        status, v, value, its = lp.solve(tol, rhs_override=override)
+        lp, eq = self.lp, slice(len(self._rows), len(self._rows) + x.shape[0])  # after the epigraphs
+        b = self._unit * scale
+        b[eq] = x
+        status, v, value, its = lp.solve(b, tol)
         if status is not SolveStatus.OPTIMAL:
-            y = None if lp.ray is None else lp.ray[self._eq_start:self._eq_start + x.shape[0]]
+            y = None if lp.ray is None else lp.ray[eq]
             return status, None, None, its, y
         if lexicographic:
             v, more = self._lexicographic(tol)

@@ -112,6 +112,31 @@ def farkas_checks(T, x, y, dual_tol=1e-8):
     return float(np.asarray(x, dtype=float) @ y), float(np.max(u, initial=0.0))
 
 
+def standard_form_by_rows(costs, free, rows):
+    """(A, c) of min costs z over rows (coefficients, "=" or "<="), with
+    z_j >= 0 unless free[j], in standard form, written one row and one
+    nonzero at a time: a free variable takes two adjacent columns, z+ then
+    -z-, and each <= row one +1 slack column, in row order."""
+    columns, width = [], 0
+    for f in free:
+        columns.append((width, width + 1) if f else (width,))
+        width += len(columns[-1])
+    A = np.zeros((len(rows), width + sum(sense == "<=" for _, sense in rows)))
+    c = np.zeros(A.shape[1])
+    for j, cols in enumerate(columns):
+        for sign, k in zip((1.0, -1.0), cols):
+            c[k] = sign * costs[j]
+    slack = width
+    for i, (row, sense) in enumerate(rows):
+        for j in np.flatnonzero(row):
+            for sign, k in zip((1.0, -1.0), columns[j]):
+                A[i, k] = sign * row[j]
+        if sense == "<=":
+            A[i, slack] = 1.0
+            slack += 1
+    return A, c
+
+
 # -- projections and Dykstra's scheme ------------------------------------------
 #
 # The package solves every curved program with its conic driver; these

@@ -54,10 +54,8 @@ def test_lp_reader_takes_the_four_values_of_a_solve():
     spans = load_spans()
     flags = dict.fromkeys(spans.FLAG_NAMES, 0)
     for rhs, status in ((1.0, SolveStatus.OPTIMAL), (-1.0, SolveStatus.INFEASIBLE)):
-        lp = LinearProgram()
-        idx = lp.add_vars(2, nonneg=True, obj=[1.0, 1.0])
-        lp.add_row([1.0, 1.0], "=", rhs, at=idx)
-        out = lp.solve()
+        lp = LinearProgram([1.0, 1.0], [[1.0, 1.0]], [True], [False, False])
+        out = lp.solve([rhs])
         assert len(out) == 4 and out[0] is status
         assert spans._lp_result(out, flags) == out[3]
     assert flags["solver.lp.infeasible"] == 1 and flags["solver.lp.iter_limit"] == 0

@@ -66,20 +66,22 @@ def degenerate(seed: int, how: str):
     return c, A, senses, b, nonneg
 
 
-def build(c, A, senses, b, nonneg) -> LinearProgram:
-    lp = LinearProgram()
-    idx = [lp.add_vars(1, nonneg=bool(nn), obj=float(cj))[0] for cj, nn in zip(c, nonneg)]
-    for row, sense, rhs in zip(A, senses, b):
-        lp.add_row(row, sense, float(rhs), at=idx)
-    return lp
+def signs(senses) -> np.ndarray:
+    """-1 on the >= rows, which enter ``LinearProgram`` negated as <= rows."""
+    return np.where(np.array(senses) == ">=", -1.0, 1.0)
+
+
+def build(c, A, senses, nonneg) -> LinearProgram:
+    return LinearProgram(c, signs(senses)[:, None] * A, np.array(senses) == "=", ~nonneg)
 
 
 def solve_ours(c, A, senses, b, nonneg, lp=None):
-    """(status, z, value, Farkas ray) of a fresh LP, or of lp re-solved at b."""
+    """(status, z, value, Farkas ray) of a fresh LP, or of lp re-solved at b;
+    the ray is mapped back to the rows as given."""
     if lp is None:
-        lp = build(c, A, senses, b, nonneg)
-    status, z, value, _ = lp.solve(rhs_override=dict(enumerate(b.tolist())))
-    return status, z, value, lp.ray
+        lp = build(c, A, senses, nonneg)
+    status, z, value, _ = lp.solve(signs(senses) * b)
+    return status, z, value, None if lp.ray is None else signs(senses) * lp.ray
 
 
 def highs(c, A, senses, b, nonneg):
@@ -167,7 +169,7 @@ def test_right_hand_side_sweeps_agree_with_highs(seed):
     # simplex repairs and their Farkas rays, and cold solves in between
     rng = np.random.default_rng(seed)
     c, A, senses, b, nonneg = random_lp(seed)
-    built = build(c, A, senses, b, nonneg)
+    built = build(c, A, senses, nonneg)
     for k in range(6):
         if k:
             b = b + rng.normal(scale=0.5, size=b.shape) if k % 2 else A @ np.where(
@@ -182,3 +184,15 @@ def test_small_lps_are_all_decided():
                  if solve_ours(*(degenerate(seed, how) if how else random_lp(seed)))[0]
                  is SolveStatus.ITERATION_LIMIT]
     assert undecided == []
+
+
+def test_standard_form_matches_a_row_by_row_build():
+    # each free variable's two columns stay adjacent, z+ then -z-, and the
+    # slacks follow the <= rows in order
+    for seed in range(40):
+        c, A, senses, _, nonneg = random_lp(seed)
+        lp = build(c, A, senses, nonneg)
+        rows = [(row, "=" if s == "=" else "<=")
+                for row, s in zip(signs(senses)[:, None] * A, senses)]
+        want_A, want_c = oracles.standard_form_by_rows(c, ~nonneg, rows)
+        assert np.array_equal(lp.A, want_A) and np.array_equal(lp.c, want_c), seed

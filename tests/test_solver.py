@@ -2,6 +2,7 @@ import gc
 import math
 import os
 import pathlib
+import re
 import subprocess
 import sys
 import weakref
@@ -37,32 +38,67 @@ def lattice_problem(x, tag=NormTag.L2):
 
 def test_lp_hand_case():
     # max x + y st x + 2y <= 4, x <= 2, x, y >= 0 -> (2, 1), value 3
-    lp = LinearProgram()
-    idx = lp.add_vars(2, nonneg=True, obj=[-1.0, -1.0])
-    lp.add_row([1.0, 2.0], "<=", 4.0, at=idx)
-    lp.add_row([1.0, 0.0], "<=", 2.0, at=idx)
-    status, z, value, _ = lp.solve()
+    lp = LinearProgram([-1.0, -1.0], [[1.0, 2.0], [1.0, 0.0]], [False, False], [False, False])
+    status, z, value, _ = lp.solve([4.0, 2.0])
     assert status is SolveStatus.OPTIMAL
     np.testing.assert_allclose(z[:2], [2.0, 1.0], atol=1e-9)
     assert value == pytest.approx(-3.0)
 
 
 def test_lp_infeasible():
-    lp = LinearProgram()
-    idx = lp.add_vars(1, nonneg=True)
-    lp.add_row([1.0], "<=", -1.0, at=idx)
-    status, *_ = lp.solve()
+    lp = LinearProgram([0.0], [[1.0]], [False], [False])
+    status, *_ = lp.solve([-1.0])
     assert status is SolveStatus.INFEASIBLE
 
 
 def test_lp_equality_and_free_vars():
     # free variable y: minimize y st y = -3
-    lp = LinearProgram()
-    idx = lp.add_vars(1, nonneg=False, obj=[1.0])
-    lp.add_row([1.0], "=", -3.0, at=idx)
-    status, z, value, _ = lp.solve()
+    lp = LinearProgram([1.0], [[1.0]], [True], [True])
+    status, z, value, _ = lp.solve([-3.0])
     assert status is SolveStatus.OPTIMAL
     assert z[0] == pytest.approx(-3.0)
+
+
+def test_lp_whose_rows_are_all_redundant(spy):
+    # 0 z = 0 leaves phase 2 no row: the empty basis is optimal at z = 0,
+    # and its inverse maps the one row to nothing
+    inverses = []
+    spy(simplex._WarmStart, "_inverse", inverses, pick=lambda M: None if M is None else M.shape)
+    lp = LinearProgram([1.0, 2.0], [[0.0, 0.0]], [True], [False, False])
+    status, z, value, _ = lp.solve([0.0])
+    assert status is SolveStatus.OPTIMAL and value == 0.0 and inverses == [(0, 1)]
+    np.testing.assert_array_equal(z, [0.0, 0.0])
+
+
+@pytest.mark.parametrize("c,A,eq,free,named", [
+    ([1.0, 1.0], [[1.0, 1.0]], [True, False], [False, False], "eq (2,)"),
+    ([1.0, 1.0], [[1.0, 1.0]], [True], [False], "free (1,)"),
+    ([1.0], [[1.0, 1.0]], [True], [False, False], "c (1,)"),
+    ([1.0, 1.0], [1.0, 1.0], [True], [False, False], "A (2,)"),
+], ids=["eq", "free", "c", "A"])
+def test_lp_rejects_mismatched_shapes(c, A, eq, free, named):
+    # a wrong-length mask would put slacks on the wrong rows or misplace
+    # the split columns of free variables
+    with pytest.raises(ValueError, match=re.escape(named)):
+        LinearProgram(c, A, eq, free)
+
+
+def test_program_lp_matches_a_row_by_row_build():
+    # the epigraph rows, then the equality rows, then the canon's <= rows,
+    # over free z and nonnegative auxiliaries
+    for seed in range(40):
+        m = parse_instance(random_polyhedral_instance(seed)).map
+        objective = ("norm", "max", None)[seed % 3]
+        program = MinNormSweep(m.matrix, m.cone, m.domain_norm)._program(objective)
+        canon, aux = program.canon, np.zeros(program._aux)
+        rows = ([(row, "<=") for row in program._matrix(program._rows)]
+                + [(np.concatenate([row, aux]), "=") for row in canon.eq_A]
+                + [(np.concatenate([row, aux]), "<=") for row in canon.in_A])
+        costs = np.concatenate([program._cost, aux])
+        costs[program._epi] = 1.0
+        free = np.arange(costs.size) < program.n
+        want_A, want_c = oracles.standard_form_by_rows(costs, free, rows)
+        assert np.array_equal(program.lp.A, want_A) and np.array_equal(program.lp.c, want_c), seed
 
 
 # -- min norm -------------------------------------------------------------
@@ -187,10 +223,10 @@ def test_lexicographic_solve_leaves_the_program_reusable():
         program = solver._Program(solver._canonicalize(
             MinNormProblem(T, x, cone, BlockNorm.flat(T.shape[1], tag))))
         first = program.solve(x, lexicographic=True)
-        rows = len(program.lp.rows)
+        lp, A = program.lp, program.lp.A
         again = program.solve(x, lexicographic=True)
         plain = program.solve(x)
-        assert len(program.lp.rows) == rows
+        assert program.lp is lp and program.lp.A is A
         assert again[0] is first[0] is plain[0] is SolveStatus.OPTIMAL
         point, value = G @ first[1], first[2]
         assert np.abs(G @ again[1] - point).max() <= 1e-12 * max(1.0, np.abs(point).max())
@@ -207,7 +243,7 @@ def test_solved_lp_is_freed_without_the_cycle_collector():
             MinNormProblem(T, x, cone, BlockNorm.flat(T.shape[1], tag))))
         for target in (x, 2.0 * x, x):  # cold, then from the cached basis
             assert program.solve(target, lexicographic=True)[0] is SolveStatus.OPTIMAL
-        warm = weakref.ref(program.lp._standardize()[-1])
+        warm = weakref.ref(program.lp._warm)
         del program
         assert warm() is None
     finally:
@@ -647,10 +683,8 @@ def test_euclidean_sweep_starts_phase_one_warm(tags, monkeypatch, spy):
 
 def test_lp_unbounded_status():
     # min -x st x - y <= 1, x, y >= 0: x = y + 1 grows without bound
-    lp = LinearProgram()
-    idx = lp.add_vars(2, nonneg=True, obj=[-1.0, 0.0])
-    lp.add_row([1.0, -1.0], "<=", 1.0, at=idx)
-    status, z, value, _ = lp.solve()
+    lp = LinearProgram([-1.0, 0.0], [[1.0, -1.0]], [False], [False, False])
+    status, z, value, _ = lp.solve([1.0])
     assert status is SolveStatus.UNBOUNDED
     assert z is None and value is None
 
@@ -676,12 +710,9 @@ def test_cold_lp_of_slack_rows_takes_no_phase_one_pivot(pivot_loops):
     for _ in range(20):
         m, n = rng.integers(1, 7, size=2)
         A, b, c = rng.normal(size=(m, n)), rng.uniform(0.0, 2.0, size=m), rng.normal(size=n)
-        lp = LinearProgram()
-        idx = lp.add_vars(n, nonneg=True, obj=c)
-        for row, rhs in zip(np.vstack([A, np.eye(n)]), np.concatenate([b, np.ones(n)])):
-            lp.add_row(row, "<=", rhs, at=idx)
+        lp = LinearProgram(c, np.vstack([A, np.eye(n)]), np.zeros(m + n, bool), np.zeros(n, bool))
         pivot_loops.clear()
-        status, z, value, _ = lp.solve()
+        status, z, value, _ = lp.solve(np.concatenate([b, np.ones(n)]))
         assert status is SolveStatus.OPTIMAL
         assert pivot_loops[0] == 0
         want = linprog(c, A_ub=np.vstack([A, np.eye(n)]), b_ub=np.concatenate([b, np.ones(n)]))
@@ -689,32 +720,25 @@ def test_cold_lp_of_slack_rows_takes_no_phase_one_pivot(pivot_loops):
 
 
 def test_lexmin_stops_once_no_pass_can_pivot(pivot_loops):
-    def passes(lp, costs):
-        assert lp.solve()[0] is SolveStatus.OPTIMAL
+    def passes(lp, b, costs):
+        assert lp.solve(b)[0] is SolveStatus.OPTIMAL
         pivot_loops.clear()
         z, _ = lp.lexmin(np.asarray(costs, dtype=float))
         return z, len(pivot_loops)
 
     # z = (2, 1) is the only feasible point: one pass, not three
-    lp = LinearProgram()
-    idx = lp.add_vars(2, nonneg=False)
-    lp.add_row([1.0, 1.0], "=", 3.0, at=idx)
-    lp.add_row([1.0, -1.0], "=", 1.0, at=idx)
-    z, count = passes(lp, np.eye(2))
+    lp = LinearProgram(np.zeros(2), [[1.0, 1.0], [1.0, -1.0]], [True, True], [True, True])
+    z, count = passes(lp, [3.0, 1.0], np.eye(2))
     np.testing.assert_allclose(z, [2.0, 1.0], atol=1e-12)
     assert count == 1
     # the face is the line z1 + z2 = 1, on which the one cost is constant
-    lp = LinearProgram()
-    idx = lp.add_vars(2, nonneg=False)
-    lp.add_row([1.0, 1.0], "=", 1.0, at=idx)
-    z, count = passes(lp, [[1.0, 1.0]])
+    lp = LinearProgram(np.zeros(2), [[1.0, 1.0]], [True], [True, True])
+    z, count = passes(lp, [1.0], [[1.0, 1.0]])
     assert abs(z.sum() - 1.0) <= 1e-12 and count == 1
-    # min y1 + y2 over y1 + y2 >= 1 ties along a segment: the y1 pass pivots
-    # to (0, 1), a point, and the y2 pass is skipped
-    lp = LinearProgram()
-    idx = lp.add_vars(2, nonneg=True, obj=[1.0, 1.0])
-    lp.add_row([1.0, 1.0], ">=", 1.0, at=idx)
-    z, count = passes(lp, np.eye(2))
+    # min y1 + y2 over y1 + y2 >= 1 (the row -y1 - y2 <= -1) ties along a
+    # segment: the y1 pass pivots to (0, 1), a point, and the y2 pass is skipped
+    lp = LinearProgram([1.0, 1.0], [[-1.0, -1.0]], [False], [False, False])
+    z, count = passes(lp, [-1.0], np.eye(2))
     np.testing.assert_allclose(z, [0.0, 1.0], atol=1e-12)
     assert count == 2
 
