@@ -12,18 +12,20 @@ at desk scale (dimensions well below a few hundred).  The kernel is
 self-contained on purpose.  ``MinNormSweep`` compiles one slice, with its
 bounds and caps, to canonical form once; every entry point, one-shot or
 many-target, solves at a target from it.  One encoder (``_Program``) writes
-the canonical problem and an objective (a sum or maximum of block norms, a
-gauge, a linear cost, a distance, or none) as one list of epigraph,
-equality and inequality rows plus second-order blocks.  Rows with no
+the canonical problem, every cap and an objective (a sum or maximum of
+block norms, a gauge, a linear cost, a distance, or none) as one list of
+equality, inequality, cap and epigraph rows plus second-order blocks; a
+flat linf cap is the rows +-R c <= beta with no auxiliary variable, and
+the cap rows follow the canonical inequality rows.  Rows with no
 second-order block go to the dense simplex of ``simplex.py``; all others
 (sums and maxima of blocks with a Euclidean one, second-order cones, caps
 with a Euclidean block) go to the interior-point method of ``conic.py``,
 which solves a whole batch of targets at once (``MinNormSweep.values`` and
 ``feasible_many``).  Both prove an empty slice with a Farkas ray, whose
 equality-row part is the slice's certificate: no separation program runs.
-An active-set method handles a single Euclidean
-objective on polyhedral data, and projections onto the polyhedral
-relaxation of a capped slice.
+An active-set method handles a single Euclidean objective on polyhedral
+data, and projections onto the polyhedral relaxation of a capped slice:
+its curved caps dropped, its polyhedral caps kept as rows.
 """
 from __future__ import annotations
 
@@ -167,8 +169,6 @@ def active_set_qp(
     regularization keeps degenerate reduced Hessians solvable.
     """
     n = z0.shape[0]
-    eq_A = eq_A.reshape(-1, n) if eq_A.size else np.zeros((0, n))
-    in_A = in_A.reshape(-1, n) if in_A.size else np.zeros((0, n))
     z = np.asarray(z0, dtype=float).copy()
     eps = tol.feasibility
     scale = max(1.0, float(np.linalg.norm(z)))
@@ -229,11 +229,12 @@ def active_set_qp(
 class _Canon:
     """Solver-variable form of one MinNormProblem.
 
-    Ambient point c = S z (plus zero columns for auxiliary variables).
-    Linear part: eq rows, <= rows (l1 and linf caps among them, expanded
-    exactly).  Curved part: second-order index blocks, and the caps
-    norm(E z) <= r of every ball with a Euclidean block, E the ball's matrix
-    times S.
+    Ambient point c = S z, S from the cone's structure alone.  Linear part:
+    eq rows, and <= rows for the cone's halfspaces and sign constraints and
+    the extra bounds.  Curved part: second-order index blocks.  Caps: one
+    norm(E z) <= r per ball, E the ball's matrix times S.  ``_Program._cap``
+    writes each into rows after the <= rows (a flat linf cap as +-E z <= r);
+    the polyhedral relaxation drops the curved ones, those with an l2 block.
     """
 
     S: np.ndarray
@@ -251,7 +252,7 @@ class _Canon:
 
     @property
     def polyhedral(self) -> bool:
-        return not self.soc_idx and not self.caps
+        return not self.soc_idx and all(norm.is_polyhedral for _, norm, _ in self.caps)
 
 
 def _cone_structure(cone: _cones.Cone):
@@ -293,105 +294,19 @@ def _cone_structure(cone: _cones.Cone):
 
 
 def _canonicalize(problem: MinNormProblem) -> _Canon:
-    T, x = problem.map, problem.target
-    S0, nonneg, hrows, socs = _cone_structure(problem.cone)
-    n0 = S0.shape[1]
-
-    eq_rows = [T @ S0]
-    eq_rhs = [x.copy()]
-    in_rows: list[np.ndarray] = []
-    in_rhs: list[np.ndarray] = []
-    if hrows.shape[0]:
-        in_rows.append(-hrows)
-        in_rhs.append(np.zeros(hrows.shape[0]))
-    if nonneg.any():
-        neg = -np.eye(n0)[nonneg]
-        in_rows.append(neg)
-        in_rhs.append(np.zeros(neg.shape[0]))
-    for a, bnd in problem.extra_bounds:
-        in_rows.append((a @ S0).reshape(1, -1))
-        in_rhs.append(np.array([bnd]))
-
-    curved: list = []  # balls with a Euclidean block, kept as caps
-    aux_specs: list = []  # (E rows in z0 coords, per-aux row groups, bound) for l1-style expansion
-
-    for ball in problem.balls:
-        E = ball.matrix @ S0
-        bn = ball._block_norm()
-        tags = {tag for _, _, tag in bn.blocks}
-        # l1 and linf balls expand exactly into <= rows: a flat linf ball
-        # needs no aux, l1 blocks and linf blocks of a block norm do
-        if NormTag.L2 in tags:
-            curved.append(ball)
-        elif tags == {NormTag.LINF} and bn.is_flat:
-            in_rows.append(E)
-            in_rhs.append(np.full(E.shape[0], ball.bound))
-            in_rows.append(-E)
-            in_rhs.append(np.full(E.shape[0], ball.bound))
-        else:
-            aux_specs.append((E, bn, ball.bound))
-
-    # count auxiliary variables for the polyhedral ball expansions
-    extra = 0
-    aux_layout = []
-    for E, bn, bound in aux_specs:
-        per_block = []
-        for a, b, tag in bn.blocks:
-            if tag is NormTag.L1:
-                ids = list(range(extra, extra + (b - a)))
-                extra += b - a
-            else:
-                ids = [extra]
-                extra += 1
-            per_block.append((a, b, tag, ids))
-        aux_layout.append((E, per_block, bound))
-
-    total_n = n0 + extra
-    S = np.zeros((S0.shape[0], total_n))
-    S[:, :n0] = S0
-
-    def widen(M: np.ndarray) -> np.ndarray:
-        if M.size == 0:
-            return np.zeros((0, total_n))
-        out = np.zeros((M.shape[0], total_n))
-        out[:, : M.shape[1]] = M
-        return out
-
-    eq_A = widen(np.vstack(eq_rows))
-    eq_b = np.concatenate(eq_rhs)
-    in_A = widen(np.vstack(in_rows)) if in_rows else np.zeros((0, total_n))
-    in_b = np.concatenate(in_rhs) if in_rhs else np.zeros(0)
-
-    rows2, rhs2 = [], []
-    for E, per_block, bound in aux_layout:
-        sum_row = np.zeros(total_n)
-        for a, b, tag, ids in per_block:
-            # an l1 block ties each row to its own aux, a linf block all to one
-            ties = ids if tag is NormTag.L1 else ids * (b - a)
-            for i, t in zip(range(a, b), ties):
-                for sgn in (1.0, -1.0):
-                    r = np.zeros(total_n)
-                    r[: E.shape[1]] = sgn * E[i]
-                    r[n0 + t] = -1.0
-                    rows2.append(r)
-                    rhs2.append(0.0)
-            sum_row[[n0 + i for i in ids]] = 1.0
-        rows2.append(sum_row)
-        rhs2.append(bound)
-    if rows2:
-        in_A = np.vstack([in_A, np.array(rows2)])
-        in_b = np.concatenate([in_b, np.array(rhs2)])
-
-    obj_blocks = [(S[a:b, :], tag) for a, b, tag in problem.objective.blocks]
+    S, nonneg, hrows, socs = _cone_structure(problem.cone)
+    bounds = problem.extra_bounds
+    in_A = np.vstack([-hrows, -np.eye(S.shape[1])[nonneg]] + [a @ S for a, _ in bounds])
+    in_b = np.concatenate([np.zeros(in_A.shape[0] - len(bounds)), [b for _, b in bounds]])
     return _Canon(
         S=S,
-        eq_A=eq_A,
-        eq_b=eq_b,
+        eq_A=problem.map @ S,
+        eq_b=problem.target.copy(),
         in_A=in_A,
         in_b=in_b,
         soc_idx=list(socs),
-        caps=[(ball.matrix @ S, ball._block_norm(), ball.bound) for ball in curved],
-        obj_blocks=obj_blocks,
+        caps=[(ball.matrix @ S, ball._block_norm(), ball.bound) for ball in problem.balls],
+        obj_blocks=[(S[a:b, :], tag) for a, b, tag in problem.objective.blocks],
     )
 
 
@@ -402,14 +317,18 @@ def _canonicalize(problem: MinNormProblem) -> _Canon:
 class _Program:
     """One canon plus an objective as one list of rows, compiled once.
 
-    Variables: z, then auxiliary epigraph variables in creation order.  Rows
-    (z coefficients, {aux variable: coefficient}, right-hand side at unit
-    scale): the epigraph rows written here, the canon's equality rows and
-    its <= rows.  An l1 or linf block |E z| <= t becomes the rows +-E z <= t
-    (one t per row for l1, one for the block for linf) and an l2 block the
-    second-order block (t, E z).  The cone's index blocks are second-order
-    blocks too, and so are the caps: a flat Euclidean cap as (r, E z), any
-    other as its block epigraphs summed under one <= row.
+    Variables: z, then auxiliary epigraph variables in creation order (those
+    of the caps first).  Rows (z coefficients, {aux variable: coefficient},
+    right-hand side at unit scale): the canon's equality rows and <= rows,
+    and the cap rows and objective epigraph rows written here.  An l1 or
+    linf block |E z| <= t becomes the rows +-E z <= t (one t per row for l1,
+    one for the block for linf) and an l2 block the second-order block
+    (t, E z).  The cone's index blocks are second-order blocks too.  Every
+    cap is written here (``_cap``), whether polyhedral or curved: a flat
+    linf cap as the rows +E z <= r, then -E z <= r, with no auxiliary, a
+    flat Euclidean cap as the second-order block (r, E z), and any other as
+    its block epigraphs summed under one <= row.  The polyhedral relaxation
+    (``MinNormSweep._start``) drops the curved caps.
 
     ``objective`` is "norm" (the sum of the canon's obj_blocks), "max"
     (their maximum: one epigraph variable t, each l2 block as (t, E z), each
@@ -419,17 +338,19 @@ class _Program:
     stays away from the apex when the distance is 0), a cost vector over z,
     or None for a feasibility program.  Objective epigraph variables cost 1.
     A "norm" objective of one Euclidean block on polyhedral data is
-    ``quadratic``: the active-set QP solves it with ``hessian``, from a
-    vertex of the feasibility program, and its own rows are never compiled.
+    ``quadratic``: the active-set QP solves it (see ``MinNormSweep._qp``),
+    from a vertex of the feasibility program, and its own rows are never
+    compiled.
 
     With no second-order block the rows become one ``LinearProgram`` over
     free z and nonnegative auxiliaries, built from the stacked matrix of the
-    epigraph rows, then the equality rows, then the canon's <= rows; a solve
-    writes x into the equality rows of the right-hand side, and the program
-    keeps the optimal bases of earlier right-hand sides.  Otherwise they
-    become a ``conic.ConeProgram`` whose nonnegative rows are the canon's <=
-    rows, then the epigraph rows, then -t <= 0 for each auxiliary that no
-    row bounds from below.  Either backend is compiled on the first solve,
+    objective epigraph rows, then the equality rows, then the canon's <=
+    rows, then the cap rows; a solve writes x into the equality rows of the
+    right-hand side, and the program keeps the optimal bases of earlier
+    right-hand sides.  Otherwise they become a ``conic.ConeProgram`` whose
+    nonnegative rows are the canon's <= rows, then the cap rows, then the
+    objective epigraph rows, then -t <= 0 for each auxiliary that no row
+    bounds from below.  Either backend is compiled on the first solve,
     and ``conic`` is imported only then.  Every nonzero right-hand side is a
     target entry, a bound or a radius, so a solve at (x, scale) changes only
     the right-hand side.
@@ -443,6 +364,7 @@ class _Program:
         self._socs = [[(-eye[j], {}, 0.0) for j in idx] for idx in canon.soc_idx]
         for E, norm, r in canon.caps:
             self._cap(E, norm, r)
+        self._caprows, self._rows = self._rows, []
         # on curved data, norm values and feasibility verdicts need no sharper
         # point than conic.TOL gives; on polyhedral data the objective is the
         # only curvature, and its values are printed to 12 digits
@@ -493,11 +415,14 @@ class _Program:
 
     def _cap(self, E, norm: BlockNorm, radius: float):
         """Rows for norm(E z) <= radius."""
-        if norm.is_flat and norm.blocks[0][2] is NormTag.L2:
+        tag = norm.blocks[0][2] if norm.is_flat else None
+        if tag is NormTag.L2:
             self._socs.append([(np.zeros(self.n), {}, radius)] + [(-row, {}, 0.0) for row in E])
-            return
-        aux = [t for a, b, tag in norm.blocks for t in self._epigraph(E[a:b], tag)]
-        self._rows.append((np.zeros(self.n), dict.fromkeys(aux, 1.0), radius))
+        elif tag is NormTag.LINF:
+            self._rows += [(row, {}, radius) for row in np.vstack([E, -E])]
+        else:
+            aux = [t for a, b, tag in norm.blocks for t in self._epigraph(E[a:b], tag)]
+            self._rows.append((np.zeros(self.n), dict.fromkeys(aux, 1.0), radius))
 
     def _matrix(self, rows) -> np.ndarray:
         M = np.zeros((len(rows), self.n + self._aux))
@@ -506,17 +431,29 @@ class _Program:
             M[i, list(coefs)] = list(coefs.values())
         return M
 
+    def _pad(self, M: np.ndarray) -> np.ndarray:
+        """M over z, with zero columns for the auxiliaries."""
+        return np.hstack([M, np.zeros((M.shape[0], self._aux))])
+
+    @cached_property
+    def constraints(self) -> tuple:
+        """(equality rows, <= rows, right-hand side of the <= rows at unit
+        scale) over z and the auxiliaries: the canon's <= rows, then the cap
+        rows.  The active-set QP reads its rows from here."""
+        canon, caps = self.canon, self._caprows
+        return (self._pad(canon.eq_A), np.vstack([self._pad(canon.in_A), self._matrix(caps)]),
+                np.concatenate([canon.in_b, [r for *_, r in caps]]))
+
     @cached_property
     def lp(self) -> LinearProgram:
         """The simplex backend, with its right-hand side ``_unit`` at unit scale
         (zero on the equality rows)."""
-        canon = self.canon
-        sizes = [len(self._rows), canon.eq_A.shape[0], canon.in_A.shape[0]]
+        eq_A, in_A, in_b = self.constraints
+        sizes = [len(self._rows), eq_A.shape[0], in_b.size]
         c = np.zeros(self.n + self._aux)
         c[:self.n], c[self._epi] = self._cost, 1.0
-        A = np.vstack([self._matrix(self._rows),
-                       np.pad(np.vstack([canon.eq_A, canon.in_A]), ((0, 0), (0, self._aux)))])
-        self._unit = np.concatenate([[r for *_, r in self._rows], np.zeros(sizes[1]), canon.in_b])
+        A = np.vstack([self._matrix(self._rows), eq_A, in_A])
+        self._unit = np.concatenate([[r for *_, r in self._rows], np.zeros(sizes[1]), in_b])
         eq = np.repeat([False, True, False], sizes)
         return LinearProgram(c, A, eq, np.arange(c.size) < self.n)
 
@@ -528,7 +465,8 @@ class _Program:
         from . import conic
 
         canon = self.canon
-        lp_rows = [(row, {}, rhs) for row, rhs in zip(canon.in_A, canon.in_b)] + self._rows
+        lp_rows = ([(row, {}, rhs) for row, rhs in zip(canon.in_A, canon.in_b)]
+                   + self._caprows + self._rows)
         soc_rows = [row for blk in self._socs for row in blk]
         bounded = {j for _, coefs, _ in lp_rows + soc_rows for j, v in coefs.items() if v < 0}
         lp_rows += [(np.zeros(self.n), {j: -1.0}, 0.0)
@@ -538,11 +476,11 @@ class _Program:
         self._target = conic.TARGET if self._sharp else conic.TOL
         c = np.zeros(self.n + self._aux)
         c[:self.n], c[self._epi] = self._cost, 1.0
-        A = np.hstack([canon.eq_A, np.zeros((canon.eq_A.shape[0], self._aux))])
-        return conic.ConeProgram(c, self._matrix(rows), len(lp_rows), [len(b) for b in self._socs], A)
+        return conic.ConeProgram(c, self._matrix(rows), len(lp_rows), [len(b) for b in self._socs],
+                                 self._pad(canon.eq_A))
 
     def solve(self, x, scale: float = 1.0, tol: Tolerances = DEFAULT_TOL, center=None,
-              lexicographic: bool = False):
+              lexicographic: bool = False, whole: bool = False):
         """(status, z, value, iterations, y) at target x with bounds and radii
         times scale.
 
@@ -551,7 +489,7 @@ class _Program:
         an INFEASIBLE program's Farkas ray on the equality rows, <y, x> > 0.
         ``center`` is the point of a "center" objective.  ``lexicographic``
         asks for the lexicographically smallest optimal point; the LP stays as it was.
-        """
+        ``whole`` keeps the LP's auxiliaries after z."""
         x = np.asarray(x, dtype=float)
         if self.driver == "conic":
             program = self.program
@@ -572,7 +510,7 @@ class _Program:
         if lexicographic:
             v, more = self._lexicographic(tol)
             its += more
-        return status, v[:self.n], value, its, None
+        return status, v if whole else v[:self.n], value, its, None
 
     def solve_many(self, X, tol: Tolerances = DEFAULT_TOL) -> list:
         """``solve`` at each row of X at unit scale: one batched call on the
@@ -590,8 +528,7 @@ class _Program:
 
     def _lexicographic(self, tol: Tolerances):
         """(v, pivots) minimizing S z in turn over the LP's exact optimal face; no row is added."""
-        S = self.canon.S
-        return self.lp.lexmin(np.hstack([S, np.zeros((S.shape[0], self._aux))]), tol)
+        return self.lp.lexmin(self._pad(self.canon.S), tol)
 
     def value(self, z: np.ndarray) -> float:
         """The objective at z: the cost, or the sum (the maximum, for "max")
@@ -600,12 +537,6 @@ class _Program:
             return float(self._cost @ z)
         parts = [tag.of(E @ z) for E, tag in self.canon.obj_blocks]
         return float(max(parts) if self.objective == "max" else sum(parts))
-
-    @cached_property
-    def hessian(self) -> np.ndarray:
-        """The active-set QP's Hessian: of the one Euclidean block of a
-        quadratic objective, of |S z - point|^2 for "center"."""
-        return _euclidean_hessian(self.canon.obj_blocks[0][0] if self.quadratic else self.canon.S)
 
 
 def _euclidean_hessian(E: np.ndarray) -> np.ndarray:
@@ -647,12 +578,15 @@ class MinNormSweep:
     bounds and caps times a scale.
 
     A single Euclidean objective on polyhedral data, and a projection on
-    data with no second-order cone, run the active-set QP from a warm
-    vertex of the feasibility program of the polyhedral relaxation (the
-    caps dropped).  A projection that lands inside every cap is exact and
-    an empty relaxation means an empty slice; only when a cap binds (or the
-    QP is undecided) does the projection go on to the conic program of the
-    squared distance.
+    data with no second-order cone, run the active-set QP on the polyhedral
+    relaxation: the slice with its curved caps dropped and its polyhedral
+    caps kept as rows after its <= rows (a flat linf cap as +-E z <= r, any
+    other through auxiliaries).  The QP reads its rows from the relaxation's
+    compiled feasibility program (``_start``), once per sweep, and starts
+    from that program's warm vertex.  A projection that lands inside every
+    curved cap is exact and an empty relaxation means an empty slice; only
+    when a curved cap binds (or the QP is undecided) does the projection go
+    on to the conic program of the squared distance.
     """
 
     def __init__(self, map, cone, objective: BlockNorm | None = None,
@@ -663,7 +597,9 @@ class MinNormSweep:
                                       tuple(extra_bounds), tuple(balls))
         self.tol = tol
         self.canon = _canonicalize(self.problem)
+        self._curved = [cap for cap in self.canon.caps if not cap[1].is_polyhedral]
         self._programs: dict = {}
+        self._hessians: dict = {}
 
     def _program(self, objective="norm") -> _Program:
         """The compiled program of an objective (see the class docstring)."""
@@ -684,22 +620,32 @@ class MinNormSweep:
 
     @cached_property
     def _start(self) -> _Program:
-        """The feasibility program of the polyhedral relaxation, which starts
-        the active-set QP."""
-        if not self.canon.caps:
-            return self._program(None)
-        return _Program(replace(self.canon, caps=[]), None)
+        """The feasibility program of the polyhedral relaxation (the curved
+        caps dropped), which gives the active-set QP its rows and its start."""
+        caps = [cap for cap in self.canon.caps if cap[1].is_polyhedral]
+        return _Program(replace(self.canon, caps=caps), None) if self._curved else self._program(None)
+
+    def _hessian(self, program: _Program) -> np.ndarray:
+        """The active-set QP's Hessian, over z and ``_start``'s cap auxiliaries,
+        of a quadratic program's Euclidean block or of "center"'s |S z - point|^2."""
+        if program not in self._hessians:
+            E = program.canon.obj_blocks[0][0] if program.quadratic else self.canon.S
+            self._hessians[program] = _euclidean_hessian(self._start._pad(E))
+        return self._hessians[program]
 
     def _qp(self, x, H: np.ndarray, g: np.ndarray, scale: float = 1.0):
-        """min .5 z H z + g z over the polyhedral relaxation at target x, bounds
-        times scale, from a warm vertex of ``_start``; as ``_Program.solve``."""
-        status, z0, _, its0, y = self._start.solve(x, scale, self.tol)
+        """min .5 v H v + g z over the polyhedral relaxation at target x,
+        bounds and caps times scale, v being z and ``_start``'s cap
+        auxiliaries, from a warm vertex of ``_start``; as ``_Program.solve``."""
+        start = self._start
+        status, v0, _, its0, y = start.solve(x, scale, self.tol, whole=True)
         if status is not SolveStatus.OPTIMAL:
             return status, None, None, its0, y
-        canon = self.canon
-        z, its, st = active_set_qp(H, g, canon.eq_A, x, canon.in_A, canon.in_b * scale, z0,
-                                   self.tol)
-        return st, z, None, its0 + its, None
+        eq_A, in_A, in_b = start.constraints
+        if start._aux:  # g has no part on the cap auxiliaries
+            g = np.concatenate([g, np.zeros(start._aux)])
+        v, its, st = active_set_qp(H, g, eq_A, x, in_A, in_b * scale, v0, self.tol)
+        return st, None if v is None else v[:self.canon.n], None, its0 + its, None
 
     def values(self, X, objective="norm") -> np.ndarray:
         """Optimal value at each row of X, inf where the slice is empty;
@@ -714,8 +660,8 @@ class MinNormSweep:
         live = X if len(rows) == len(X) else X[rows]
         program = self._program(objective)
         if program.quadratic:
-            g = np.zeros(self.canon.n)
-            sols = [self._qp(x, program.hessian, g) for x in live]
+            H, g = self._hessian(program), np.zeros(self.canon.n)
+            sols = [self._qp(x, H, g) for x in live]
         else:
             sols = program.solve_many(live, self.tol)
         out = np.zeros(len(X))
@@ -751,7 +697,7 @@ class MinNormSweep:
             return sol
         program = self._program(objective)
         if program.quadratic:
-            st, z, _, its, y = self._qp(x, program.hessian, np.zeros(self.canon.n))
+            st, z, _, its, y = self._qp(x, self._hessian(program), np.zeros(self.canon.n))
         else:
             st, z, _, its, y = program.solve(x, tol=self.tol, lexicographic=lexicographic)
         driver = "active-set" if program.quadratic else program.driver
@@ -766,10 +712,13 @@ class MinNormSweep:
         st, its, driver, y = None, 0, "active-set", None
         canon, center = self.canon, self._program("center")
         if not canon.soc_idx:
-            st, z, _, its, y = self._qp(x, center.hessian, -2.0 * (canon.S.T @ point), scale)
+            st, z, _, its, y = self._qp(x, self._hessian(center), -2.0 * (canon.S.T @ point),
+                                        scale)
+            # the polyhedral caps are rows of the QP: an exact test on them
+            # could send a binding cap, off by rounding, to the conic driver
             if not (canon.polyhedral or st is SolveStatus.INFEASIBLE
                     or (st is SolveStatus.OPTIMAL
-                        and all(norm.of(E @ z) <= r * scale for E, norm, r in canon.caps))):
+                        and all(norm.of(E @ z) <= r * scale for E, norm, r in self._curved))):
                 st = None
         if st is None and (sol := self._trivial(x, scale, point)) is not None:
             return sol  # interior points converge slowly to a zero distance

@@ -137,6 +137,33 @@ def standard_form_by_rows(costs, free, rows):
     return A, c
 
 
+def polyhedral_cap_rows(E, blocks, radius: float):
+    """(rows, right-hand sides) of the polyhedral cap norm(E z) <= radius,
+    blocks given as (start, stop, "l1" or "linf"), written one row at a time
+    over z and then the cap's own auxiliaries t: a flat linf cap as
+    +E z <= radius, then -E z <= radius, with no t; otherwise each nonzero
+    row e of an l1 block gives e z - t <= 0 and -e z - t <= 0 with a t of
+    its own, the nonzero rows of a linf block the same pairs with one t for
+    the block, and the sum of every t <= radius closes the cap."""
+    n = E.shape[1]
+    if len(blocks) == 1 and blocks[0][2] == "linf":
+        return [sign * e for sign in (1.0, -1.0) for e in E], [radius] * (2 * len(E))
+    ties, count = [], 0
+    for a, b, tag in blocks:
+        rows = [e for e in E[a:b] if np.any(e)]
+        ties += [(e, count + i if tag == "l1" else count) for i, e in enumerate(rows)]
+        count += len(rows) if tag == "l1" else 1
+    out = []
+    for e, t in ties:
+        for sign in (1.0, -1.0):
+            row = np.zeros(n + count)
+            row[:n], row[n + t] = sign * e, -1.0
+            out.append(row)
+    total = np.zeros(n + count)
+    total[n:] = 1.0
+    return out + [total], [0.0] * len(out) + [radius]
+
+
 # -- projections and Dykstra's scheme ------------------------------------------
 #
 # The package solves every curved program with its conic driver; these
@@ -195,6 +222,39 @@ def project_group_l1_ball(blocks, radius: float):
     return proj
 
 
+def project_l1_ball(idx, radius: float):
+    """Projector onto {z : sum_i |z[idx_i]| <= radius}: the entries at idx
+    shrink by the threshold of the sort-based method of Duchi,
+    Shalev-Shwartz, Singer and Chandra (ICML 2008), the others stay."""
+    if radius < 0:
+        raise ValueError("radius must be nonnegative")
+
+    def proj(z):
+        w = z[idx]
+        a = np.abs(w)
+        if a.sum() <= radius:
+            return z
+        u = np.sort(a)[::-1]
+        css = np.cumsum(u)
+        k = np.nonzero(u * np.arange(1, u.size + 1) > css - radius)[0]
+        lam = (css[k[-1]] - radius) / (k[-1] + 1) if k.size else u[0]
+        out = z.copy()
+        out[idx] = np.sign(w) * np.maximum(a - lam, 0.0)
+        return out
+
+    return proj
+
+
+def project_linf_ball(idx, radius: float):
+    """Projector onto {z : |z[idx_i]| <= radius for each i}, by clipping."""
+    def proj(z):
+        out = z.copy()
+        out[idx] = np.clip(z[idx], -radius, radius)
+        return out
+
+    return proj
+
+
 def dykstra(projectors, z0, violation, tol: float = 1e-11, maxiter: int = 20000):
     """Dykstra's cyclic projections from z0: (point, converged).  The iterate
     converges to the projection of z0 onto the intersection when it is
@@ -247,11 +307,33 @@ def projectable_caps(caps):
     return balls, groups
 
 
+def polyhedral_caps(caps):
+    """(projector, excess) of each polyhedral cap (E, block norm, r) among
+    canonical caps, excess(z) = norm(E z) - r.  The rows of E must be
+    distinct signed unit vectors, and the norm l1 (flat, or an l1-sum of l1
+    blocks) or a flat linf: the l1 ball has its sort-based projector and the
+    linf ball its clipping.  Any other polyhedral cap raises ValueError,
+    since leaving it out would project onto a larger set."""
+    out = []
+    for E, bn, r in caps:
+        tags = [tag for _, _, tag in bn.blocks]
+        if "l2" in tags:
+            continue
+        idx, tag = signed_selector(E), "linf" if tags == ["linf"] else "l1"
+        if idx is None or not all(t == tag for t in tags):
+            raise ValueError(f"no projector for the polyhedral cap {bn} on rows {E.tolist()}")
+        project = project_l1_ball if tag == "l1" else project_linf_ball
+        out.append((project(idx, r), lambda z, idx=idx, r=r, tag=tag: norm(z[idx], tag) - r))
+    return out
+
+
 def dykstra_on_canon(canon):
     """Dykstra's projection of the origin onto a canonical slice (any object
     with the fields of the package's canonical form: eq_A, eq_b, in_A, in_b,
-    soc_idx and caps; caps with no projector are left out)."""
+    soc_idx and caps).  Curved caps with no projector are left out, and a
+    polyhedral cap with none raises (see ``polyhedral_caps``)."""
     l2balls, groupballs = projectable_caps(canon.caps)
+    polys = polyhedral_caps(canon.caps)
     projs = [affine_projector(canon.eq_A, canon.eq_b)] if canon.eq_A.size else []
     projs += [project_halfspace(-a, -b) for a, b in zip(canon.in_A, canon.in_b)]
     for idx in canon.soc_idx:
@@ -267,6 +349,7 @@ def dykstra_on_canon(canon):
             return z if nn <= r else z + R.T @ (w * (r / nn) - w)
         projs.append(ball)
     projs += [project_group_l1_ball(idxs, r) for idxs, r in groupballs]
+    projs += [proj for proj, _ in polys]
 
     def violation(z):
         v = [0.0]
@@ -277,6 +360,7 @@ def dykstra_on_canon(canon):
         v += [np.linalg.norm(z[idx][1:]) - z[idx][0] for idx in canon.soc_idx]
         v += [np.linalg.norm(R @ z) - r for R, r in l2balls]
         v += [sum(np.linalg.norm(z[i]) for i in idxs) - r for idxs, r in groupballs]
+        v += [excess(z) for _, excess in polys]
         return float(max(v))
 
     return dykstra(projs, np.zeros(canon.S.shape[1]), violation)

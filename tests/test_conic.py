@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from conekit import conic, projops, sampling, solver
+from conekit import conic, sampling, solver
 from conekit.conemap import ConeMap
 from conekit.conic import TOL, ConeProgram
 from conekit.cones import DirectSumL1, Negation, Orthant, Product, SecondOrder
@@ -388,9 +388,8 @@ def test_solve_many_on_the_package_programs(conic_runs):
 
 @pytest.mark.parametrize("kind", [ConormalityKind.SUM, ConormalityKind.MAX])
 def test_lattice_constant_batches_its_grid(kind, spy, monkeypatch):
-    sizes, dykstra, evaluations = [], [], []
+    sizes, evaluations = [], []
     spy(conic.ConeProgram, "solve_many", sizes, pick=len)
-    spy(projops, "dykstra", dykstra)
     refine = sampling.refine_on_sphere
 
     def counted(f, *args, **kw):
@@ -405,16 +404,13 @@ def test_lattice_constant_batches_its_grid(kind, spy, monkeypatch):
                                   abs=1e-9)
     assert sizes[0] == SamplerConfig().search_directions == 192
     assert len(evaluations) > 0 and sizes[1:] == [1] * len(evaluations)
-    assert dykstra == []
 
 
 def test_sampled_surjectivity_probes_in_one_batch(spy):
-    sizes, dykstra = [], []
+    sizes = []
     spy(conic.ConeProgram, "solve_many", sizes, pick=len)
-    spy(projops, "dykstra", dykstra)
     config = SamplerConfig(directions=128)
     rep = ice_cream(NormTag.L2).is_surjective(method="sampled", config=config)
     assert rep.surjective
     # 128 sampled directions and the 6 signed axes
     assert sizes == [len(sphere_directions(3, NormTag.L2, config))] == [134]
-    assert dykstra == []

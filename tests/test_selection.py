@@ -7,7 +7,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conekit import conic, parse_instance, projops, random_polyhedral_instance, solver
+from conekit import conic, parse_instance, random_polyhedral_instance, solver
 from conekit.conemap import ConeMap
 from conekit.cones import DirectSumL1, Generators, Negation, Orthant, SecondOrder
 from conekit.norms import BlockNorm, NormTag
@@ -330,7 +330,7 @@ def norm_cap(cm, alpha):
 @pytest.mark.parametrize("d", (2, 3, 5))
 def test_loose_caps_return_the_relaxed_projection(d, spy):
     # (x+, x-) meets |p| <= |x| and |p| + |q| <= sqrt(2) |x|; the slack
-    # leaves both caps loose, so no target needs Dykstra
+    # leaves both caps loose, so no target needs the conic driver
     cm = lattice(d)
     pos = ConstraintFunctional.seminorm(np.hstack([np.eye(d), np.zeros((d, d))]), NormTag.L2)
     spec = CorrespondenceSpec(cm, (norm_cap(cm, math.sqrt(2.0)), (pos, 1.0)), slack=0.01)
@@ -340,7 +340,7 @@ def test_loose_caps_return_the_relaxed_projection(d, spy):
     ri = RightInverse(cm, spec)
     xs = np.random.default_rng(10 + d).standard_normal((100, d))
     runs = []
-    spy(projops, "dykstra", runs)
+    spy(conic.ConeProgram, "solve_many", runs)
     got = [ri(x) for x in xs]
     assert runs == []
     for x, c in zip(xs, got):
@@ -406,13 +406,14 @@ def test_binding_caps_get_the_right_verdict(d):
 
 @pytest.mark.parametrize("d", (2, 3, 5))
 def test_empty_relaxation_raises_without_dykstra(d, spy):
-    # sum(p) <= (-1 + slack) |x| leaves no p >= 0 for any target
+    # sum(p) <= (-1 + slack) |x| leaves no p >= 0 for any target: the
+    # empty relaxation is the verdict, and the conic driver never runs
     cm = lattice(d)
     lin = ConstraintFunctional.linear(np.concatenate([np.ones(d), np.zeros(d)]))
     spec = CorrespondenceSpec(cm, (norm_cap(cm, math.sqrt(2.0)), (lin, -1.0)), slack=0.01)
     ri = RightInverse(cm, spec)
     runs = []
-    spy(projops, "dykstra", runs)
+    spy(conic.ConeProgram, "solve_many", runs)
     for x in np.random.default_rng(30 + d).standard_normal((10, d)):
         with pytest.raises(EmptyCorrespondence) as exc:
             ri(x)
@@ -426,15 +427,81 @@ def test_empty_relaxation_raises_without_dykstra(d, spy):
                                                         (2, 4, NormTag.LINF))))],
     ids=["l1", "linf-blocks"])
 def test_euclidean_cap_beside_an_expanded_polyhedral_cap(polyhedral):
-    # the l1 cap (and the linf cap with blocks) adds auxiliary variables to
-    # the canon; a Euclidean cap beside it must act on the widened point.
-    # Both caps are loose at (x+, x-), which is then the selection
+    # the l1 cap (and the linf cap with blocks) brings auxiliary variables
+    # to every program of the slice; a Euclidean cap beside it must act on
+    # z alone.  Both caps are loose at (x+, x-), which is then the selection
     cm = lattice(2)
     ri = gamma_constrained(cm, ((polyhedral, 3.0), (pos_part(), 1.0)), slack=0.01)
     x = np.array([3.0, -4.0])
     np.testing.assert_array_equal(ri(x), [3.0, 0.0, 0.0, -4.0])
     for y in np.random.default_rng(50).standard_normal((20, 2)):
         assert close(ri(y), np.concatenate(oracles.lattice_parts(y)), 1e-13), y
+
+
+def l1_lattice(d):
+    cone = DirectSumL1((Orthant(d), Negation(Orthant(d))))
+    return ConeMap(np.hstack([np.eye(d), np.eye(d)]), cone, codomain_norm=NormTag.L1,
+                   domain_norm=NormTag.L1)
+
+
+@pytest.mark.parametrize("d", (2, 3))
+def test_polyhedral_norm_cap_beside_a_binding_curved_cap(d):
+    # the norm cap |c|_1 <= 2.01 |x|_1 of an l1 lattice, an l1-sum of l1
+    # blocks, is a row cap of the QP and a cap of Dykstra's reference, which
+    # projects onto its l1 ball.  Meeting the curved cap raises p, which
+    # costs l1 norm, so some targets have no member: Dykstra must not
+    # converge there either
+    cm = l1_lattice(d)
+    rho, alpha = binding_cap(cm)
+    spec = CorrespondenceSpec(cm, ((rho, alpha), norm_cap(cm, 2.0)), slack=0.01)
+    assert len(oracles.polyhedral_caps(spec._sweep.canon.caps)) == 1
+    ri = RightInverse(cm, spec)
+    binding = empty = 0
+    for x in np.random.default_rng(60 + d).standard_normal((100, d)):
+        canon, point, converged = oracles.dykstra_reference(spec, x)
+        try:
+            c = ri(x)
+        except EmptyCorrespondence as exc:
+            assert exc.solution.status is SolveStatus.INFEASIBLE and not converged, x
+            empty += 1
+            continue
+        assert spec.member(x, c)
+        binding += rho.value(c) > (alpha + 0.01) * np.abs(x).sum() - 1e-9
+        if converged:
+            assert close(c, canon.S @ point, 1e-9), (x, c)
+    assert binding > 0 and 0 < empty < 50
+
+
+def test_dykstra_reference_refuses_polyhedral_caps_it_cannot_project():
+    # leaving such a cap out would project onto a larger set
+    l1 = oracles.project_l1_ball(np.arange(2), 2.0)
+    assert l1(np.array([3.0, 1.0])).tolist() == [2.0, 0.0]
+    assert l1(np.array([1.5, -1.0])).tolist() == [1.25, -0.75]
+    assert oracles.project_linf_ball([1], 1.0)(np.array([3.0, -2.0])).tolist() == [3.0, -1.0]
+    linf_blocks = BlockNorm(((0, 1, NormTag.LINF), (1, 2, NormTag.LINF)))
+    for E, norm in ((2.0 * np.eye(2), BlockNorm.flat(2, NormTag.L1)), (np.eye(2), linf_blocks),
+                    (np.ones((1, 2)), BlockNorm.flat(1, NormTag.LINF))):
+        with pytest.raises(ValueError, match="no projector"):
+            oracles.polyhedral_caps([(E, norm, 1.0)])
+
+
+def test_qp_rows_are_built_once(spy):
+    # the active-set QP reads its rows and Hessian from programs compiled
+    # for the first target: no later target builds a program, stacks rows
+    # or forms a Hessian
+    cm = l1_lattice(3)
+    ri = gamma_constrained(cm, (norm_cap(cm, 1.5),), slack=0.01)
+    xs = np.random.default_rng(70).standard_normal((100, 3))
+    assert ri.solve(xs[0]).driver == "active-set"
+    built, stacked, hessians = [], [], []
+    spy(solver._Program, "__init__", built)
+    spy(solver._Program, "_matrix", stacked)
+    spy(solver, "_euclidean_hessian", hessians)
+    for x in xs[1:]:
+        sol = ri.solve(x)
+        assert sol.driver == "active-set"
+        assert close(sol.point, np.concatenate(oracles.lattice_parts(x)))
+    assert built == stacked == hessians == []
 
 
 def test_loose_exotic_cap_skips_projected_gradient(spy):
@@ -469,7 +536,7 @@ def test_second_order_templates_skip_the_screen(spy):
     assert "_start" not in vars(ri.map._sweep)
 
 
-def test_dykstra_at_maxiter_is_not_an_empty_correspondence(undecided_conic):
+def test_undecided_conic_selection_is_not_an_empty_correspondence(undecided_conic):
     # a second-order template and a binding cap both end in the conic
     # driver; an undecided solve raises ArithmeticError, and only a
     # certified empty program raises EmptyCorrespondence

@@ -85,20 +85,37 @@ def test_lp_rejects_mismatched_shapes(c, A, eq, free, named):
 
 def test_program_lp_matches_a_row_by_row_build():
     # the epigraph rows, then the equality rows, then the canon's <= rows,
-    # over free z and nonnegative auxiliaries
+    # then the cap rows, over free z and nonnegative auxiliaries, those of
+    # the cap first.  The ball programs are interior_radius's, with a flat
+    # l1 or linf cap, and with the same norm split into an l1-sum of blocks
     for seed in range(40):
         m = parse_instance(random_polyhedral_instance(seed)).map
-        objective = ("norm", "max", None)[seed % 3]
-        program = MinNormSweep(m.matrix, m.cone, m.domain_norm)._program(objective)
-        canon, aux = program.canon, np.zeros(program._aux)
-        rows = ([(row, "<=") for row in program._matrix(program._rows)]
-                + [(np.concatenate([row, aux]), "=") for row in canon.eq_A]
-                + [(np.concatenate([row, aux]), "<=") for row in canon.in_A])
-        costs = np.concatenate([program._cost, aux])
-        costs[program._epi] = 1.0
-        free = np.arange(costs.size) < program.n
-        want_A, want_c = oracles.standard_form_by_rows(costs, free, rows)
-        assert np.array_equal(program.lp.A, want_A) and np.array_equal(program.lp.c, want_c), seed
+        d, tag = m.domain_dim, m.domain_norm.blocks[0][2]
+        split = BlockNorm(((0, d // 2, tag), (d // 2, d, tag)))
+        balls = [BallConstraint(np.eye(d), norm, 1.0) for norm in (m.domain_norm, split)]
+        cases = [(None, ("norm", "max", None)[seed % 3])] + [(b, None) for b in balls]
+        for ball, objective in cases:
+            sweep = MinNormSweep(m.matrix, m.cone, m.domain_norm, balls=(ball,) if ball else ())
+            program = sweep._program(objective)
+            canon, aux = program.canon, np.zeros(program._aux)
+            caps, unit = [], []
+            for E, norm, r in canon.caps:
+                blocks = [(a, b, t.value) for a, b, t in norm.blocks]
+                caps, unit = oracles.polyhedral_cap_rows(E, blocks, r)
+            width = program.n + program._aux
+            rows = ([(row, "<=") for row in program._matrix(program._rows)]
+                    + [(np.concatenate([row, aux]), "=") for row in canon.eq_A]
+                    + [(np.concatenate([row, aux]), "<=") for row in canon.in_A]
+                    + [(np.concatenate([row, np.zeros(width - row.size)]), "<=") for row in caps])
+            costs = np.concatenate([program._cost, aux])
+            costs[program._epi] = 1.0
+            free = np.arange(costs.size) < program.n
+            want_A, want_c = oracles.standard_form_by_rows(costs, free, rows)
+            assert np.array_equal(program.lp.A, want_A), (seed, ball)
+            assert np.array_equal(program.lp.c, want_c), (seed, ball)
+            want_b = np.concatenate([np.zeros(len(program._rows) + canon.eq_A.shape[0]),
+                                     canon.in_b, unit])
+            assert np.array_equal(program._unit, want_b), (seed, ball)
 
 
 # -- min norm -------------------------------------------------------------
@@ -339,7 +356,7 @@ def test_second_order_slice():
 
 @pytest.mark.parametrize("certified,verdict", [(False, SolveStatus.ITERATION_LIMIT),
                                                (True, SolveStatus.INFEASIBLE)])
-def test_dykstra_verdicts_are_honest(certified, verdict, undecided_conic):
+def test_conic_min_norm_verdicts_are_honest(certified, verdict, undecided_conic):
     # min |c|_2 over a second-order slice is one conic solve; an undecided
     # run stays undecided, and only a certified one reads as infeasible
     undecided_conic(certified)
