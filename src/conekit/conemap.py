@@ -282,7 +282,7 @@ class ConeMap:
             return lo, hi
 
         lo = running = math.inf
-        argmin_dir = None
+        argmin = None
         # largest gauge first, the smallest critical scale; with an undecided
         # gauge m is all NaN and the grid keeps its order
         pending = np.argsort(-m, kind="stable")
@@ -290,17 +290,19 @@ class ConeMap:
             i, pending = pending[0], pending[1:]
             a, b = critical(dirs[i], m[i], lo if math.isfinite(lo) else 1.0)
             if 0.5 * (a + b) < running:
-                lo, running, argmin_dir = a, 0.5 * (a + b), dirs[i]
+                lo, running, argmin = a, 0.5 * (a + b), i
                 if running <= 0.0:
                     return 0.0
                 if math.isfinite(lo) and pending.size:
                     # a direction reachable at lo has its critical scale above
                     # it; those that are not were last checked at a larger lo
                     pending = pending[[v is not True for v in reachable(lo * dirs[pending])]]
-        if not exact and argmin_dir is not None and math.isfinite(running):
-            # polish: minimizing the critical scale = maximizing m over the sphere
-            _, worst_m = refine_on_sphere(self._sweep.value, argmin_dir, self.codomain_norm,
-                                          steps=config.refine_steps)
+        if (not exact and argmin is not None and math.isfinite(running)
+                and math.isfinite(m[argmin])):
+            # polish: minimizing the critical scale = maximizing m over the
+            # sphere, from the gauge at the incumbent (an undecided one has none)
+            _, worst_m = refine_on_sphere(self._sweep.values, dirs[argmin], m[argmin],
+                                          self.codomain_norm, steps=config.refine_steps)
             if worst_m > 0 and math.isfinite(worst_m):
                 running = min(running, 1.0 / worst_m)
         return float(running)

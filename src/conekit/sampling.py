@@ -3,7 +3,9 @@
 Openness constants are suprema of convex positively homogeneous functions
 over a unit sphere.  For polyhedral norms the supremum is attained at a ball
 vertex, so the vertex set is an exact search grid.  Euclidean spheres get a
-seeded quasi-uniform sample plus local refinement around the incumbent.
+seeded quasi-uniform sample, and its argmax is refined by a compass search
+whose steps are batches: one call of the function per step, stopped once the
+step is below what the conic solver resolves.
 """
 from __future__ import annotations
 
@@ -23,7 +25,8 @@ class SamplerConfig:
     """Knobs for sphere sampling; identical seeds give identical grids.
 
     ``directions`` sizes coverage grids (surjectivity probes); optimization
-    searches use the cheaper ``search_directions`` grid plus refinement.
+    searches use the cheaper ``search_directions`` grid plus refinement, at
+    most ``refine_steps`` batched steps of ``refine_on_sphere``.
     """
 
     directions: int = 2048
@@ -127,10 +130,11 @@ def sphere_sup(values, dim: int, tag: NormTag, config: SamplerConfig,
     """sup of a convex positively homogeneous function on the unit ``tag``-sphere.
 
     ``values(X)`` gives it at each row of X: once on all of ``search_grid``
-    (one batch for a batched solver), then on single directions.  A vertex
-    grid is the answer as it stands; a sampled grid refines its argmax with
-    ``refine_on_sphere``.  ``trust_vertices=False`` refines on a vertex grid
-    too, for functions that need not be convex.
+    (one batch for a batched solver), then once per refine step on that
+    step's probes.  A vertex grid is the answer as it stands; a sampled grid
+    refines its argmax with ``refine_on_sphere``, from the grid value there.
+    ``trust_vertices=False`` refines on a vertex grid too, for functions that
+    need not be convex.
     """
     dirs, exact = search_grid(dim, tag, config)
     exact = exact and trust_vertices
@@ -142,46 +146,50 @@ def sphere_sup(values, dim: int, tag: NormTag, config: SamplerConfig,
     best = int(np.argmax(vals))
     top, arg = float(vals[best]), dirs[best]
     if not exact:
-        x, refined = refine_on_sphere(lambda u: float(values(u[None])[0]), arg, tag,
-                                      steps=config.refine_steps)
-        if refined > top:
-            top, arg = float(refined), x
+        arg, top = refine_on_sphere(values, arg, top, tag, steps=config.refine_steps)
     return SphereSup(top, arg, dirs, vals, exact, tag, config)
 
 
-def refine_on_sphere(f, x0: np.ndarray, tag: NormTag, steps: int = 48) -> tuple[np.ndarray, float]:
-    """Local maximization of f on the unit ``tag``-sphere from x0.
+def refine_on_sphere(values, x0: np.ndarray, v0: float, tag: NormTag,
+                     steps: int = 48) -> tuple[np.ndarray, float]:
+    """Batched compass search for a local maximum on the unit ``tag``-sphere.
 
-    In the plane this is a golden-section sweep on the angle; otherwise a
-    shrinking coordinate pattern search with renormalization.  f is assumed
-    continuous; only local improvement is attempted.
+    ``values(X)`` gives one value per row and ``v0`` is its value at the
+    unit direction x0, which is not evaluated again.  Each step sends all
+    its probes in one call: the angle theta +- h in the Euclidean plane, else
+    the 2*dim coordinate probes x +- h e_j scaled back to the sphere.  The
+    search moves to the best probe (the first on ties) that beats the
+    incumbent by more than 1e-15, and shrinks h by 0.35 when none does.  It
+    stops after ``steps`` steps or once h falls below the square root of the
+    conic solver's resolution ``conic.TARGET``: near a smooth maximum the
+    value moves by O(h^2).  Returns the incumbent and its value, one that
+    ``values`` returned or v0.
     """
-    dim = x0.shape[0]
-    x0 = x0 / tag.of(x0)
-    if dim == 2 and tag is NormTag.L2:
-        return _golden_angle(f, x0, steps)
-    best_x = x0.copy()
-    best_v = f(best_x)
-    h = 0.5
+    from .conic import TARGET  # on use: importing sampling loads no interior-point code
+
+    x, best = np.asarray(x0, dtype=float), float(v0)
+    planar = x.shape[0] == 2 and tag is NormTag.L2
+    h = 0.05 * math.pi if planar else 0.5
+    theta = math.atan2(x[1], x[0]) if planar else 0.0
+    eye = np.eye(x.shape[0])
     for _ in range(steps):
-        improved = False
-        for j in range(dim):
-            for sgn in (1.0, -1.0):
-                cand = best_x.copy()
-                cand[j] += sgn * h
-                nv = tag.of(cand)
-                if nv <= 1e-12:
-                    continue
-                cand /= nv
-                val = f(cand)
-                if val > best_v + 1e-15:
-                    best_x, best_v = cand, val
-                    improved = True
-        if not improved:
+        if h < math.sqrt(TARGET):
+            break
+        if planar:
+            angles = theta + np.array([h, -h])
+            probes = np.column_stack([np.cos(angles), np.sin(angles)])
+        else:  # x + h e_0, x - h e_0, x + h e_1, ...
+            probes = (x + h * np.stack([eye, -eye], axis=1)).reshape(-1, x.shape[0])
+            probes /= np.array([tag.of(p) for p in probes])[:, None]
+        vals = np.asarray(values(probes), dtype=float)
+        i = int(np.argmax(vals))
+        if vals[i] > best + 1e-15:
+            x, best = probes[i], float(vals[i])
+            if planar:
+                theta = float(angles[i])
+        else:
             h *= 0.35
-            if h < 1e-10:
-                break
-    return best_x, best_v
+    return x, best
 
 
 def covering_radius(points: np.ndarray, tag: NormTag, config: SamplerConfig | None = None) -> float:
@@ -218,34 +226,3 @@ def covering_radius(points: np.ndarray, tag: NormTag, config: SamplerConfig | No
             dists = np.max(np.abs(diffs), axis=2)
         worst = max(worst, float(np.max(np.min(dists, axis=1))))
     return 1.5 * worst
-
-
-def _golden_angle(f, x0, steps):
-    theta0 = math.atan2(x0[1], x0[0])
-    width = 0.05 * math.pi
-
-    def g(t):
-        return f(np.array([math.cos(t), math.sin(t)]))
-
-    a, b = theta0 - width, theta0 + width
-    phi = (math.sqrt(5.0) - 1.0) / 2.0
-    c = b - phi * (b - a)
-    d = a + phi * (b - a)
-    fc, fd = g(c), g(d)
-    for _ in range(steps):
-        if fc > fd:
-            b, d, fd = d, c, fc
-            c = b - phi * (b - a)
-            fc = g(c)
-        else:
-            a, c, fc = c, d, fd
-            d = a + phi * (b - a)
-            fd = g(d)
-    t = 0.5 * (a + b)
-    x = np.array([math.cos(t), math.sin(t)])
-    val = f(x)
-    if val >= max(fc, fd):
-        return x, val
-    t = c if fc >= fd else d
-    x = np.array([math.cos(t), math.sin(t)])
-    return x, g(t)

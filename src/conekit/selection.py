@@ -367,12 +367,17 @@ def hemicontinuity_schedule(spec: CorrespondenceSpec, x: np.ndarray,
                             seed: int = 0) -> np.ndarray:
     """Probe ratios dist(y, F(x'))/|x - x'| along shrinking steps.
 
-    x' walks toward x on the unit sphere with step sizes base * 2^-k,
-    k = 0..steps-1, along a fixed tangent; returns an array of rows
-    (step, ratio).  Bounded ratios across the schedule are the empirical
-    signature of lower hemicontinuity; blow-up flags a discontinuity.
+    x' walks toward x on the sphere of radius r = |x| (the codomain norm)
+    with step sizes r * base * 2^-k, k = 0..steps-1, along a fixed tangent;
+    returns an array of rows (step, ratio).  Bounded ratios across the
+    schedule are the empirical signature of lower hemicontinuity; blow-up
+    flags a discontinuity.  The zero target has no sphere and is refused.
     """
     x = np.asarray(x, dtype=float)
+    norm = spec.map.codomain_norm
+    radius = norm.of(x)
+    if radius <= 0.0:
+        raise ValueError("hemicontinuity_schedule needs a nonzero target, got the zero target")
     base_sol = correspondence_value(spec, x)
     if base_sol.status is not _solver.SolveStatus.OPTIMAL:
         raise EmptyCorrespondence(x, base_sol)
@@ -385,15 +390,14 @@ def hemicontinuity_schedule(spec: CorrespondenceSpec, x: np.ndarray,
         t = np.zeros_like(x)
     else:
         t /= nt
-    norm = spec.map.codomain_norm
     out = np.empty((steps, 2))
     for k in range(steps):
         theta = base * 2.0 ** (-k)
-        xp = x + theta * t
-        xp = xp / norm.of(xp)
+        xp = x + (theta * radius) * t
+        xp = xp / (norm.of(xp) / radius)
         gap = float(np.linalg.norm(x - xp))
-        if gap < 1e-15:
-            out[k] = (theta, 0.0)
+        if gap < 1e-15 * radius:
+            out[k] = (theta * radius, 0.0)
             continue
         out[k] = (gap, hemicontinuity_probe(spec, x, xp, y) / gap)
     return out

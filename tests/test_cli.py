@@ -312,7 +312,10 @@ def test_decompose_repeat_runs_are_byte_identical(tmp_path, capsys):
 # |x+| = 1.22464679915e-16 of the compiled gauge sweep, where the per-target
 # cold solve printed 0.  The max outputs were captured again when the conic
 # driver replaced a level-set bisection that stopped about 1e-10 below the
-# closed form, which the test after the golden one checks
+# closed form, which the test after the golden one checks.  The d = 3
+# openness, sum and lift constants (and the tail-decay slack that the lift
+# constant sets) were captured again when the refinement became a batched
+# compass search, whose 8 steps end 4.5e-9 below sqrt 2 instead of 7.2e-8
 GOLDEN = pathlib.Path(__file__).with_name("cli_golden.json")
 
 GOLDEN_DIMS = (2, 3, 5)

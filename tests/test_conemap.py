@@ -191,6 +191,15 @@ def test_interior_radius_survives_a_wrong_gauge(seed, stub, monkeypatch):
     assert abs(got - want) <= 1e-9 * want, (got, want)
 
 
+def test_interior_radius_survives_an_undecided_gauge_on_a_sampled_grid(monkeypatch):
+    # the refinement of a sampled grid starts from the gauge at the incumbent;
+    # an undecided gauge gives it nothing to start from, and the smallest
+    # bisected critical scale on the grid stands, just above r = 1 / sqrt(2)
+    cm = lattice_map()
+    monkeypatch.setattr(cm._sweep, "values", undecided)
+    assert 1.0 - 1e-9 <= cm.interior_radius(CFG) * math.sqrt(2.0) <= 1.001
+
+
 def test_interior_radius_of_the_planar_l2_lattice():
     # a sampled grid, polished on the sphere: r = 1 / sqrt(2)
     assert abs(lattice_map().interior_radius(CFG) * math.sqrt(2.0) - 1.0) <= 1e-9

@@ -9,7 +9,7 @@ import math
 import numpy as np
 import pytest
 
-from conekit import conic, sampling, solver
+from conekit import conic, solver
 from conekit.conemap import ConeMap
 from conekit.conic import TOL, ConeProgram
 from conekit.cones import DirectSumL1, Negation, Orthant, Product, SecondOrder
@@ -382,28 +382,32 @@ def test_solve_many_on_the_package_programs(conic_runs):
 
 # -- batching, counted --------------------------------------------------------------
 #
-# Counts, not times: the grid of a sphere search and the probes of a sampled
-# surjectivity test each reach the conic driver as one batched call.
+# Counts, not times: the grid of a sphere search, each step of its refinement
+# and the probes of a sampled surjectivity test each reach the conic core as
+# one batched call.
 
 
 @pytest.mark.parametrize("kind", [ConormalityKind.SUM, ConormalityKind.MAX])
-def test_lattice_constant_batches_its_grid(kind, spy, monkeypatch):
-    sizes, evaluations = [], []
+def test_lattice_constant_batches_its_grid(kind, spy):
+    sizes = []
     spy(conic.ConeProgram, "solve_many", sizes, pick=len)
-    refine = sampling.refine_on_sphere
-
-    def counted(f, *args, **kw):
-        def g(x):
-            evaluations.append(x)
-            return f(x)
-        return refine(g, *args, **kw)
-
-    monkeypatch.setattr(sampling, "refine_on_sphere", counted)
     value = conormality_constant(OrderedSpace(Orthant(2), NormTag.L2), kind)
     assert value == pytest.approx(math.sqrt(2.0) if kind is ConormalityKind.SUM else 1.0,
                                   abs=1e-9)
+    # the grid, then one batch of the two angle probes per refine step; the
+    # grid maximum is already within 1e-12 of the constant, so the refinement
+    # only shrinks its step from 0.05 pi to below sqrt(conic.TARGET)
     assert sizes[0] == SamplerConfig().search_directions == 192
-    assert len(evaluations) > 0 and sizes[1:] == [1] * len(evaluations)
+    assert 1 < len(sizes) <= 15 and sizes[1:] == [2] * (len(sizes) - 1)
+
+
+def test_ice_cream_openness_stops_refining_at_the_solver_resolution(spy):
+    # the 6 coordinate probes of the 3-d sphere go in one batch per step, and
+    # the step shrinks from 0.5 to below sqrt(conic.TARGET) in 13 steps
+    sizes = []
+    spy(conic.ConeProgram, "solve_many", sizes, pick=len)
+    assert ice_cream(NormTag.L2).openness_constant() == pytest.approx(math.sqrt(2.0), rel=1e-9)
+    assert 1 < len(sizes) <= 15 and sizes[1:] == [6] * (len(sizes) - 1)
 
 
 def test_sampled_surjectivity_probes_in_one_batch(spy):

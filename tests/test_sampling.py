@@ -8,7 +8,8 @@ import pytest
 
 from conekit import (ConormalityKind, ConstraintFunctional, NormTag, OrderedSpace, Orthant,
                      achievable_alpha, conormality_constant, gamma, gamma_constrained,
-                     positive_part_functional, sampling, selection_bound, summing_map)
+                     conic, positive_part_functional, sampling, selection_bound,
+                     summing_map)
 from conekit.cli import main
 from conekit.sampling import SamplerConfig, covering_radius, sphere_sup
 
@@ -72,6 +73,84 @@ def test_an_unreachable_direction_gives_inf(spy):
     assert sup.value == math.inf
     np.testing.assert_array_equal(sup.argmax, sup.directions[first])
     assert calls == []
+
+
+# -- the batched refinement --------------------------------------------------
+
+
+def logged(f, log):
+    """f in sphere_sup's batched form, logging every batch it is given."""
+    def values(X):
+        X = np.array(X)
+        log.append(X)
+        return [f(x) for x in X]
+    return values
+
+
+def smooth_peak(x):
+    # a smooth maximum at a direction off every grid point
+    u = np.array([math.cos(0.3), math.sin(0.3), 0.0, 0.0, 0.0])[:x.shape[0]]
+    return float(u @ x + 1.0)
+
+
+@pytest.mark.parametrize("dim,tag", [(2, NormTag.L2), (3, NormTag.L2), (5, NormTag.L2),
+                                     (2, NormTag.L1), (3, NormTag.LINF)])
+def test_each_refine_step_is_one_batch(dim, tag):
+    # the angle +- h in the Euclidean plane, else the 2 dim coordinate probes
+    batches = []
+    sphere_sup(logged(smooth_peak, batches), dim, tag, CFG, trust_vertices=False)
+    grid = sampling.search_grid(dim, tag, CFG)[0]
+    np.testing.assert_array_equal(batches[0], grid)
+    probes = 2 if (dim, tag) == (2, NormTag.L2) else 2 * dim
+    assert len(batches) > 1 and [len(X) for X in batches[1:]] == [probes] * (len(batches) - 1)
+    for X in batches[1:]:
+        np.testing.assert_allclose([tag.of(x) for x in X], 1.0, atol=1e-15)
+
+
+@pytest.mark.parametrize("dim,h", [(2, 0.05 * math.pi), (3, 0.5)])
+def test_refine_stops_at_the_solver_resolution(dim, h):
+    # on a smooth peak the search stops once its step h, shrunk by 0.35 on
+    # every step that does not move, falls below sqrt(conic.TARGET), long
+    # before the step budget runs out
+    batches = []
+    config = SamplerConfig(search_directions=24, seed=3, refine_steps=500)
+    sup = sphere_sup(logged(smooth_peak, batches), dim, NormTag.L2, config)
+    assert sup.value == pytest.approx(2.0, abs=1e-12)
+    assert len(batches) - 1 < 100
+    shrinks, best = 0, float(np.max(sup.values))
+    for X in batches[1:]:
+        top = max(smooth_peak(x) for x in X)
+        if top > best + 1e-15:
+            best = top
+        else:
+            shrinks += 1
+    want = 0
+    while h >= math.sqrt(conic.TARGET):
+        h, want = 0.35 * h, want + 1
+    assert shrinks == want
+
+
+@pytest.mark.parametrize("dim,tag", [(2, NormTag.L2), (3, NormTag.L2), (2, NormTag.L1)])
+def test_refined_value_is_one_the_function_returned(dim, tag):
+    returned = []
+
+    def values(X):
+        out = [smooth_peak(x) + 1e-3 * math.sin(7.0 * x[0]) for x in X]
+        returned.extend(out)
+        return out
+
+    sup = sphere_sup(values, dim, tag, CFG, trust_vertices=False)
+    assert sup.value in returned
+    assert sup.value >= float(np.max(sup.values))
+    assert values([sup.argmax])[0] == sup.value
+
+
+def test_no_refine_steps_make_no_call():
+    batches = []
+    sup = sphere_sup(logged(smooth_peak, batches), 3, NormTag.L2,
+                     SamplerConfig(search_directions=24, refine_steps=0))
+    assert len(batches) == 1
+    assert sup.value == float(np.max(sup.values))
 
 
 # refine calls per constant on the planar lattices: one on the Euclidean

@@ -197,6 +197,22 @@ def test_hemicontinuity_schedule_lattice():
     assert np.all(rows[:, 1] >= -1e-12)
 
 
+@pytest.mark.parametrize("x", [(1.0, 0.0), (0.6, -0.8), (-0.3, 0.2)])
+def test_hemicontinuity_schedule_walks_on_the_sphere_of_its_target(x):
+    # x' stays on the sphere of radius |x|, so the schedule is homogeneous:
+    # doubling x doubles every step and keeps every ratio
+    x = np.array(x)
+    rows, doubled = (hemicontinuity_schedule(_spec(0.1), s * x, steps=9) for s in (1.0, 2.0))
+    np.testing.assert_allclose(doubled[:, 0], 2.0 * rows[:, 0], rtol=1e-12, atol=0.0)
+    np.testing.assert_allclose(doubled[:, 1], rows[:, 1], rtol=1e-12, atol=1e-12)
+    assert rows[0, 0] == pytest.approx(0.1 * np.linalg.norm(x), rel=0.01)
+
+
+def test_hemicontinuity_schedule_refuses_the_zero_target():
+    with pytest.raises(ValueError, match="zero target"):
+        hemicontinuity_schedule(_spec(0.1), np.zeros(2))
+
+
 def test_hemicontinuity_schedule_ice_cream():
     cone = DirectSumL1((SecondOrder(2), Negation(SecondOrder(2))))
     cm = ConeMap(np.hstack([np.eye(2), np.eye(2)]), cone, codomain_norm=NormTag.L2)
@@ -363,7 +379,7 @@ def binding_cap(cm):
 
 
 @pytest.mark.parametrize("d", (2, 3, 5))
-def test_binding_caps_run_dykstra_on_exactly_those_targets(d, spy):
+def test_binding_caps_run_conic_solves_on_exactly_those_targets(d, spy):
     # exactly the targets where the cap binds leave the screen for the conic
     # driver; the norm cap stays loose because raising p costs at most |x+|
     # on each side.  Dykstra, where it converges, is the reference
@@ -405,7 +421,7 @@ def test_binding_caps_get_the_right_verdict(d):
 
 
 @pytest.mark.parametrize("d", (2, 3, 5))
-def test_empty_relaxation_raises_without_dykstra(d, spy):
+def test_empty_relaxation_raises_without_a_conic_solve(d, spy):
     # sum(p) <= (-1 + slack) |x| leaves no p >= 0 for any target: the
     # empty relaxation is the verdict, and the conic driver never runs
     cm = lattice(d)

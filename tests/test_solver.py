@@ -682,7 +682,7 @@ def test_sweep_warm_start_matches_cold(name, T, cone, norm, monkeypatch, spy):
 
 @pytest.mark.parametrize("tags", [(NormTag.L2, NormTag.L2), (NormTag.L2, NormTag.L1)],
                          ids=["l2-sum", "l2-l1-mix"])
-def test_euclidean_sweep_starts_phase_one_warm(tags, monkeypatch, spy):
+def test_euclidean_sweep_compiles_one_conic_program(tags, monkeypatch, spy):
     # a sum of blocks with a Euclidean one is a conic program compiled once
     # per sweep; each target changes only its right-hand side
     norm = BlockNorm(((0, 2, tags[0]), (2, 4, tags[1])))
