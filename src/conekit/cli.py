@@ -24,7 +24,7 @@ import numpy as np
 
 from .funclift import LiftInfeasible, SampledFunction, SampledSpace, lift
 from .instances import Instance, InstanceError, load_instance
-from .sampling import SamplerConfig, sphere_sup
+from .sampling import SamplerConfig
 from .selection import CorrespondenceSpec, EmptyCorrespondence, RightInverse, gamma
 
 __all__ = ["main", "cmd_check_surjective", "cmd_constant", "cmd_decompose", "cmd_lift"]
@@ -98,8 +98,7 @@ def cmd_constant(inst: Instance, sampler: SamplerConfig, args) -> int:
         return 2
 
     cmap = inst.map
-    sup = sphere_sup(cmap._kind_objective(args.kind), cmap.codomain_dim, cmap.codomain_norm,
-                     sampler)
+    sup = cmap._kind_sup(args.kind, sampler)
     print(f"mode: {'exact' if sup.exact else 'sampled'}")
     print(f"constant {args.kind}: [{_fmt(sup.value)}, {_fmt(sup.upper())}]")
     if args.report:

@@ -103,8 +103,8 @@ class ConeMap:
         """The map's one compiled slice: gauges, kinds, feasibility, projections."""
         return _solver.MinNormSweep(self.matrix, self.cone, self.domain_norm)
 
-    def _kind_objective(self, kind: str):
-        """X -> per row x, inf over preimages c of the kind's cost (inf if none).
+    def _kind(self, kind: str):
+        """The sweep objective of a decomposition kind.
 
         Over a direct-sum domain with blocks c_1, c_2, ...: "openness" and
         "sum" cost sum_b |c_b| (the domain norm, so m itself), "max" costs
@@ -112,14 +112,24 @@ class ConeMap:
         one compiled slice, and the conic driver solves all rows at once.
         """
         if kind in ("openness", "sum"):
-            return self._sweep.values
+            return "norm"
         if kind == "plain":
             a, b, tag = self.domain_norm.blocks[0]
-            gauge = (np.eye(self.domain_dim)[a:b], tag)
-            return lambda X: self._sweep.values(X, gauge)
+            return np.eye(self.domain_dim)[a:b], tag
         if kind == "max":
-            return lambda X: self._sweep.values(X, "max")
+            return "max"
         raise ValueError(f"unknown decomposition kind {kind!r}")
+
+    def _kind_objective(self, kind: str):
+        """X -> per row x, inf over preimages c of the kind's cost (inf if none)."""
+        objective = self._kind(kind)
+        return lambda X: self._sweep.values(X, objective)
+
+    def _kind_sup(self, kind: str, config: SamplerConfig):
+        """``sphere_sup`` of the kind's cost, looking ahead on a conic batch."""
+        objective = self._kind(kind)
+        return sphere_sup(lambda X: self._sweep.values(X, objective), self.codomain_dim,
+                          self.codomain_norm, config, batched=self._sweep.batched(objective))
 
     def min_preimage(self, x: np.ndarray, tol: _solver.Tolerances = _solver.DEFAULT_TOL) -> _solver.Solution:
         """Smallest-norm cone point mapped to x, with certificate if none."""
@@ -203,8 +213,7 @@ class ConeMap:
         and the vertex grid is exact.  Euclidean spheres are sampled and the
         incumbent refined locally; inf signals an unreachable direction.
         """
-        return sphere_sup(self._sweep.values, self.codomain_dim, self.codomain_norm,
-                          config or SamplerConfig()).value
+        return self._kind_sup("openness", config or SamplerConfig()).value
 
     def interior_radius(self, config: SamplerConfig | None = None) -> float:
         """Largest t with t B_X inside T(C ∩ B_Y), measured independently.
@@ -254,6 +263,8 @@ class ConeMap:
                 below, above = reachable([a * x, b * x])
                 if below is None:
                     return a, a
+                if above is None:  # the bracket holds to the solver's resolution
+                    return a, b
                 lo, hi, inside = (a, b, above) if below else (0.0, a, False)
             else:
                 if not self._sweep.feasible(x):
@@ -301,8 +312,10 @@ class ConeMap:
                 and math.isfinite(m[argmin])):
             # polish: minimizing the critical scale = maximizing m over the
             # sphere, from the gauge at the incumbent (an undecided one has none)
-            _, worst_m = refine_on_sphere(self._sweep.values, dirs[argmin], m[argmin],
-                                          self.codomain_norm, steps=config.refine_steps)
-            if worst_m > 0 and math.isfinite(worst_m):
-                running = min(running, 1.0 / worst_m)
+            x, worst_m = refine_on_sphere(self._sweep.values, dirs[argmin], m[argmin],
+                                          self.codomain_norm, steps=config.refine_steps,
+                                          batched=self._sweep.batched())
+            if worst_m > m[argmin]:
+                a, b = critical(x, worst_m, lo)
+                running = min(running, 0.5 * (a + b))
         return float(running)

@@ -39,6 +39,7 @@ from __future__ import annotations
 
 import math
 from dataclasses import dataclass, replace
+from functools import cached_property
 
 import numpy as np
 
@@ -168,12 +169,16 @@ class ConeProgram:
         # a ray proves unboundedness only with a feasible point: ask the rows at zero cost
         rays = [i for i, res in enumerate(out) if res.status is SolveStatus.UNBOUNDED]
         if rays:
-            zero = ConeProgram(np.zeros(self.n), self.G, self.l, self.soc, self.A)
-            for i, res in zip(rays, zero.solve_many(B[rays], H[rays], TOL)):
+            for i, res in zip(rays, self._zero.solve_many(B[rays], H[rays], TOL)):
                 keep = {SolveStatus.OPTIMAL: out[i], SolveStatus.INFEASIBLE: res}.get(
                     res.status, ConicResult(SolveStatus.ITERATION_LIMIT))
                 out[i] = replace(keep, iterations=out[i].iterations + res.iterations)
         return out
+
+    @cached_property
+    def _zero(self) -> "ConeProgram":
+        """The program at zero cost, which asks whether a ray's rows have a point."""
+        return ConeProgram(np.zeros(self.n), self.G, self.l, self.soc, self.A)
 
     def certifies_infeasible(self, b, h, y, z) -> bool:
         """Whether (y, z) proves {A x = b, G x + s = h, s in K} empty.
@@ -261,7 +266,7 @@ class ConeProgram:
         cone, G, KH, factor, newton = self._cone, self.G, self._KH, self._factor, self._newton
         n, r, m = self.n, self._Ar.shape[0], self.m
         lead = B.shape[:-1]  # () for one target, (K,) for a stack
-        sqrt, most, least, pick, col, ray, recip, cube, better_of, dot, mv, any_of, all_of = (
+        sqrt, most, least, col, ray, recip, cube, dot, mv, any_of, all_of = (
             _STACK if lead else _ONE)
         total = lead[0] if lead else 1
         zs_, nv = slice(n + r, n + r + m), n + r + m
@@ -309,16 +314,20 @@ class ConeProgram:
                 better = meas < best
                 # go on while the answer is not good enough or still gains
                 go = (meas < math.inf) & (meas > target) & (better | (best > TOL))
-                best, best_m, best_X = (pick(better, meas, best), pick(better, m5, best_m),
-                                        better_of(better, X, best_X))
+                if all_of(better):
+                    best, best_m, best_X = meas, m5, X.copy()
+                elif any_of(better):  # some targets of a stack
+                    best, best_m = np.where(better, meas, best), np.where(better, m5, best_m)
+                    best_X = np.where(better[:, None], X, best_X)
                 # an empty program: b'y + h'z < 0 with |rx - c tau| small
                 infeasible = go & (byhz < 0.0)
-                bound = 1e-10 * -byhz * nc
-                if cn:  # |rx - c tau| >= |c| tau - |rx|, which rules out most iterates cheaply
-                    infeasible &= cn * tau - rxn <= 2.0 * bound + 1e-9 * (cn * tau + rxn)
                 if any_of(infeasible):
-                    rc = rx - c * col(tau)
-                    infeasible &= (sqrt(dot(rc, rc)) if cn else rxn) <= bound
+                    bound = 1e-10 * -byhz * nc
+                    if cn:  # |rx - c tau| >= |c| tau - |rx|, which rules out most iterates cheaply
+                        infeasible &= cn * tau - rxn <= 2.0 * bound + 1e-9 * (cn * tau + rxn)
+                    if any_of(infeasible):
+                        rc = rx - c * col(tau)
+                        infeasible &= (sqrt(dot(rc, rc)) if cn else rxn) <= bound
                 go ^= infeasible
                 unbounded = go & (cx < 0.0)
                 if any_of(unbounded):
@@ -340,7 +349,7 @@ class ConeProgram:
                     X, tau, kap, Q, P, F1, F2, hr, K, nb, rows, best, best_X, res, rt, sz, dets = (
                         a[keep] for a in (X, tau, kap, Q, P, F1, F2, hr, K, nb, rows, best, best_X,
                                           res, rt, sz, dets))
-                    best_m, lead = best_m[:, keep], tau.shape
+                    best_m, lead = np.asarray(best_m)[:, keep], tau.shape
                     v, s, zs = X[..., :nv], X[..., nv:], X[..., n + r:].reshape(lead + (2, m))
                     z = v[..., zs_]
                     rx, ry, rz = res[..., :n], res[..., n:n + r], res[..., zs_]
@@ -411,19 +420,17 @@ def _cols(a, b):
     return out
 
 
-# The iteration's per-target functions (sqrt, max, min, pick, column, ray to
-# where v + alpha dv = 0 for v > 0, step from max_step, cube, copy of the
-# better iterate, dot and matrix-vector products): Python's or ``@`` on one
-# target, cheaper per call, and numpy's elementwise ones on a stack; both
-# round alike.
-_ONE = (math.sqrt, max, min, lambda c, a, b: a if c else b, lambda x: x,
-        lambda v, dv: -v / dv if dv < 0.0 else math.inf,
+# The iteration's per-target functions (sqrt, max, min, column, ray to where
+# v + alpha dv = 0 for v > 0, step from max_step, cube, dot and matrix-vector
+# products, any and all): Python's or ``@`` on one target, cheaper per call,
+# and numpy's elementwise ones on a stack; both round alike.
+_ONE = (math.sqrt, max, min, lambda x: x, lambda v, dv: -v / dv if dv < 0.0 else math.inf,
         lambda top: 1.0 / top if top > 0.0 else math.inf, lambda x: x ** 3,
-        lambda c, new, old: new.copy() if c else old, np.matmul, np.matmul, bool, bool)
-_STACK = (np.sqrt, np.maximum, np.minimum, np.where, lambda x: x[:, None],
+        np.matmul, np.matmul, bool, bool)
+_STACK = (np.sqrt, np.maximum, np.minimum, lambda x: x[:, None],
           lambda v, dv: -v / np.minimum(dv, -0.0),  # -v / -0.0 = inf where dv >= 0
           lambda top: 1.0 / np.maximum(top, 0.0), lambda x: np.float_power(x, 3),
-          lambda c, new, old: np.where(c[:, None], new, old), np.vecdot, np.matvec, np.any, np.all)
+          np.vecdot, np.matvec, np.ndarray.any, np.ndarray.all)
 _GO = (np.False_, np.True_)
 
 

@@ -30,7 +30,7 @@ import numpy as np
 from . import cones as _cones
 from .conemap import ConeMap, SurjectivityReport
 from .norms import NormTag
-from .sampling import SamplerConfig, sphere_directions, sphere_sup
+from .sampling import SamplerConfig, sphere_directions
 from .selection import (
     ConstraintFunctional,
     CorrespondenceSpec,
@@ -168,9 +168,7 @@ def conormality_constant(space: OrderedSpace, kind: ConormalityKind = Conormalit
     inf when the cone is not generating.  Polyhedral space norms are scanned
     over exact ball vertices; the Euclidean sphere adds local refinement.
     """
-    cm = space._summing_map
-    return sphere_sup(cm._kind_objective(kind), cm.codomain_dim, cm.codomain_norm,
-                      config or SamplerConfig()).value
+    return space._summing_map._kind_sup(kind, config or SamplerConfig()).value
 
 
 @dataclass(frozen=True)

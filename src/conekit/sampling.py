@@ -4,8 +4,9 @@ Openness constants are suprema of convex positively homogeneous functions
 over a unit sphere.  For polyhedral norms the supremum is attained at a ball
 vertex, so the vertex set is an exact search grid.  Euclidean spheres get a
 seeded quasi-uniform sample, and its argmax is refined by a compass search
-whose steps are batches: one call of the function per step, stopped once the
-step is below what the conic solver resolves.
+whose steps are batches: one call of the function per step (per run of
+steps on a conic batch), stopped once the step is below what the conic
+solver resolves.
 """
 from __future__ import annotations
 
@@ -26,7 +27,7 @@ class SamplerConfig:
 
     ``directions`` sizes coverage grids (surjectivity probes); optimization
     searches use the cheaper ``search_directions`` grid plus refinement, at
-    most ``refine_steps`` batched steps of ``refine_on_sphere``.
+    most ``refine_steps`` compass steps of ``refine_on_sphere``.
     """
 
     directions: int = 2048
@@ -126,13 +127,14 @@ class SphereSup:
 
 
 def sphere_sup(values, dim: int, tag: NormTag, config: SamplerConfig,
-               trust_vertices: bool = True) -> SphereSup:
+               trust_vertices: bool = True, batched: bool = False) -> SphereSup:
     """sup of a convex positively homogeneous function on the unit ``tag``-sphere.
 
     ``values(X)`` gives it at each row of X: once on all of ``search_grid``
     (one batch for a batched solver), then once per refine step on that
-    step's probes.  A vertex grid is the answer as it stands; a sampled grid
-    refines its argmax with ``refine_on_sphere``, from the grid value there.
+    step's probes, or per run of steps with ``batched`` (``refine_on_sphere``).
+    A vertex grid is the answer as it stands; a sampled grid refines its
+    argmax with ``refine_on_sphere``, from the grid value there.
     ``trust_vertices=False`` refines on a vertex grid too, for functions that
     need not be convex.
     """
@@ -146,12 +148,13 @@ def sphere_sup(values, dim: int, tag: NormTag, config: SamplerConfig,
     best = int(np.argmax(vals))
     top, arg = float(vals[best]), dirs[best]
     if not exact:
-        arg, top = refine_on_sphere(values, arg, top, tag, steps=config.refine_steps)
+        arg, top = refine_on_sphere(values, arg, top, tag, steps=config.refine_steps,
+                                    batched=batched)
     return SphereSup(top, arg, dirs, vals, exact, tag, config)
 
 
 def refine_on_sphere(values, x0: np.ndarray, v0: float, tag: NormTag,
-                     steps: int = 48) -> tuple[np.ndarray, float]:
+                     steps: int = 48, batched: bool = False) -> tuple[np.ndarray, float]:
     """Batched compass search for a local maximum on the unit ``tag``-sphere.
 
     ``values(X)`` gives one value per row and ``v0`` is its value at the
@@ -164,6 +167,12 @@ def refine_on_sphere(values, x0: np.ndarray, v0: float, tag: NormTag,
     conic solver's resolution ``conic.TARGET``: near a smooth maximum the
     value moves by O(h^2).  Returns the incumbent and its value, one that
     ``values`` returned or v0.
+
+    With ``batched`` (a ``values`` that is one stacked conic solve) a call
+    looks ahead: it carries the next ``look`` steps, h, 0.35 h, ..., at the
+    incumbent as if none moved, read in order up to the first move; ``look``
+    doubles after a call with no move and is 1 after one.  Each row's value
+    is its own, so the steps and the answer are the same either way.
     """
     from .conic import TARGET  # on use: importing sampling loads no interior-point code
 
@@ -171,23 +180,29 @@ def refine_on_sphere(values, x0: np.ndarray, v0: float, tag: NormTag,
     planar = x.shape[0] == 2 and tag is NormTag.L2
     h = 0.05 * math.pi if planar else 0.5
     theta = math.atan2(x[1], x[0]) if planar else 0.0
-    eye = np.eye(x.shape[0])
-    for _ in range(steps):
-        if h < math.sqrt(TARGET):
-            break
+    signed = np.stack([np.eye(x.shape[0]), -np.eye(x.shape[0])], axis=1)
+    floor, look = math.sqrt(TARGET), 1
+    while steps > 0 and h >= floor:
+        hs = [h]  # the steps of this call, as if none moves
+        while len(hs) < min(look, steps) and hs[-1] * 0.35 >= floor:
+            hs.append(hs[-1] * 0.35)
         if planar:
-            angles = theta + np.array([h, -h])
-            probes = np.column_stack([np.cos(angles), np.sin(angles)])
-        else:  # x + h e_0, x - h e_0, x + h e_1, ...
-            probes = (x + h * np.stack([eye, -eye], axis=1)).reshape(-1, x.shape[0])
-            probes /= np.array([tag.of(p) for p in probes])[:, None]
-        vals = np.asarray(values(probes), dtype=float)
-        i = int(np.argmax(vals))
-        if vals[i] > best + 1e-15:
-            x, best = probes[i], float(vals[i])
-            if planar:
-                theta = float(angles[i])
-        else:
+            angles = [theta + np.array([g, -g]) for g in hs]
+            probes = [np.column_stack([np.cos(a), np.sin(a)]) for a in angles]
+        else:  # x + g e_0, x - g e_0, x + g e_1, ...
+            probes = [(x + g * signed).reshape(-1, x.shape[0]) for g in hs]
+            for P in probes:
+                P /= np.array([tag.of(p) for p in P])[:, None]
+        vals = np.asarray(values(np.vstack(probes)), dtype=float).reshape(len(hs), -1)
+        look = 2 * look if batched else 1
+        for k, (P, V) in enumerate(zip(probes, vals)):
+            steps -= 1
+            i = int(np.argmax(V))
+            if V[i] > best + 1e-15:
+                x, best, look = P[i], float(V[i]), 1
+                if planar:
+                    theta = float(angles[k][i])
+                break
             h *= 0.35
     return x, best
 

@@ -672,6 +672,11 @@ class MinNormSweep:
                       else v if v is not None else program.value(z))
         return out
 
+    def batched(self, objective="norm") -> bool:
+        """Whether ``values`` at this objective is one stacked conic solve."""
+        program = self._program(objective)
+        return program.driver == "conic" and not program.quadratic
+
     def value(self, x: np.ndarray) -> float:
         """Optimal value for target x, or inf when the slice is empty."""
         return float(self.values(x)[0])

@@ -200,6 +200,15 @@ def test_interior_radius_survives_an_undecided_gauge_on_a_sampled_grid(monkeypat
     assert 1.0 - 1e-9 <= cm.interior_radius(CFG) * math.sqrt(2.0) <= 1.001
 
 
+def test_interior_radius_polish_is_bracketed_too(monkeypatch):
+    # the refined direction of a sampled grid goes through the same
+    # feasibility bracket as the grid: a gauge off by 2 leaves r = 1 / sqrt(2)
+    cm = lattice_map()
+    values = cm._sweep.values
+    monkeypatch.setattr(cm._sweep, "values", lambda X: 2.0 * values(X))
+    assert abs(cm.interior_radius(SamplerConfig(512, 128)) - 1.0 / math.sqrt(2.0)) <= 1e-6
+
+
 def test_interior_radius_of_the_planar_l2_lattice():
     # a sampled grid, polished on the sphere: r = 1 / sqrt(2)
     assert abs(lattice_map().interior_radius(CFG) * math.sqrt(2.0) - 1.0) <= 1e-9

@@ -357,9 +357,9 @@ def test_solve_many_matches_solve_target_by_target(build, verdicts):
     assert all(same_result(a, b) for a, b in zip(split, batch))
 
 
-def test_solve_many_on_the_package_programs(conic_runs):
-    # the sweep programs behind the ice-cream gauges and feasibility tests
-    # and the lattice maxima: one batch against one solve per target
+def package_programs():
+    """The sweep programs behind the ice-cream gauges and feasibility tests,
+    the lattice maxima and a feasibility slice of Q^3, each with its targets."""
     ice = ice_cream(NormTag.L2)
     lattice = ConeMap(np.hstack([np.eye(3), np.eye(3)]),
                       DirectSumL1((Orthant(3), Negation(Orthant(3)))), NormTag.L2,
@@ -369,7 +369,12 @@ def test_solve_many_on_the_package_programs(conic_runs):
                  solver._Program(solver._canonicalize(MinNormProblem(
                      np.eye(3)[:2], np.zeros(2), SecondOrder(3),
                      BlockNorm.flat(3, NormTag.L2))), None)):
-        X = xs[:, :form.canon.eq_A.shape[0]]
+        yield form, xs[:, :form.canon.eq_A.shape[0]]
+
+
+def test_solve_many_on_the_package_programs(conic_runs):
+    # one batch against one solve per target
+    for form, X in package_programs():
         batch = form.solve_many(X)
         for x, (st, z, _, its, y), res in zip(X, batch, conic_runs[-1]):
             one = form.solve(x)
@@ -380,11 +385,35 @@ def test_solve_many_on_the_package_programs(conic_runs):
             assert {st for st, *_ in batch} == {SolveStatus.OPTIMAL, SolveStatus.INFEASIBLE}
 
 
+def identical(a, b):
+    """Equal status and iteration count, and x, s, y, z equal bit for bit."""
+    return (a.status is b.status and a.iterations == b.iterations
+            and all(np.array_equal(getattr(a, f), getattr(b, f)) if getattr(b, f) is not None
+                    else getattr(a, f) is None for f in "xsyz"))
+
+
+def test_every_small_batch_gives_each_target_its_lone_result():
+    # a look-ahead refinement sends runs of 2 to 8 steps' probes in one batch
+    # and relies on each probe's answer being the one it gets alone
+    cases = [(p.solve_many, B, H, p.solve) for p in (capped_cone_program(), ray_cone_program())
+             for B, H in [mixed_batch(p, np.random.default_rng(21))]]
+    for form, X in package_programs():
+        program, h, target = form.program, form.h, form._target
+        cases.append((lambda B, H, p=program, t=target: p.solve_many(B, H, t),
+                      X, np.broadcast_to(h, (len(X), h.shape[0])),
+                      lambda b, h, p=program, t=target: p.solve(b, h, t)))
+    for many, B, H, one in cases:
+        alone = [one(b, h) for b, h in zip(B, H)]
+        for k in range(1, 9):
+            got = [r for i in range(0, len(B), k) for r in many(B[i:i + k], H[i:i + k])]
+            assert all(identical(a, b) for a, b in zip(got, alone)), k
+
+
 # -- batching, counted --------------------------------------------------------------
 #
-# Counts, not times: the grid of a sphere search, each step of its refinement
-# and the probes of a sampled surjectivity test each reach the conic core as
-# one batched call.
+# Counts, not times: the grid of a sphere search, each run of steps of its
+# refinement and the probes of a sampled surjectivity test each reach the
+# conic core as one batched call.
 
 
 @pytest.mark.parametrize("kind", [ConormalityKind.SUM, ConormalityKind.MAX])
@@ -394,20 +423,21 @@ def test_lattice_constant_batches_its_grid(kind, spy):
     value = conormality_constant(OrderedSpace(Orthant(2), NormTag.L2), kind)
     assert value == pytest.approx(math.sqrt(2.0) if kind is ConormalityKind.SUM else 1.0,
                                   abs=1e-9)
-    # the grid, then one batch of the two angle probes per refine step; the
-    # grid maximum is already within 1e-12 of the constant, so the refinement
-    # only shrinks its step from 0.05 pi to below sqrt(conic.TARGET)
-    assert sizes[0] == SamplerConfig().search_directions == 192
-    assert 1 < len(sizes) <= 15 and sizes[1:] == [2] * (len(sizes) - 1)
+    # the grid, then the two angle probes of each refine step; the grid
+    # maximum is already within 1e-12 of the constant, so no step moves and
+    # the 12 steps that shrink h from 0.05 pi to below sqrt(conic.TARGET) go
+    # in runs of 1, 2, 4 and the 5 left
+    assert sizes == [SamplerConfig().search_directions, 2, 4, 8, 10] == [192, 2, 4, 8, 10]
 
 
 def test_ice_cream_openness_stops_refining_at_the_solver_resolution(spy):
-    # the 6 coordinate probes of the 3-d sphere go in one batch per step, and
-    # the step shrinks from 0.5 to below sqrt(conic.TARGET) in 13 steps
+    # the 6 coordinate probes of the 3-d sphere per step, and the step shrinks
+    # from 0.5 to below sqrt(conic.TARGET) in 13 steps, in runs of 1, 2, 4
+    # and the 6 left
     sizes = []
     spy(conic.ConeProgram, "solve_many", sizes, pick=len)
     assert ice_cream(NormTag.L2).openness_constant() == pytest.approx(math.sqrt(2.0), rel=1e-9)
-    assert 1 < len(sizes) <= 15 and sizes[1:] == [6] * (len(sizes) - 1)
+    assert sizes == [198, 6, 12, 24, 36]
 
 
 def test_sampled_surjectivity_probes_in_one_batch(spy):

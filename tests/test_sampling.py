@@ -153,6 +153,70 @@ def test_no_refine_steps_make_no_call():
     assert sup.value == float(np.max(sup.values))
 
 
+@pytest.mark.parametrize("dim", [2, 3, 5])
+@pytest.mark.parametrize("steps", [10, 48])
+def test_look_ahead_takes_the_same_steps(dim, steps):
+    # from far below the peak the search moves many times; looking ahead
+    # sends later steps' probes early, and the search still reads them in
+    # order, so it ends at the same point with the same value
+    x0 = -np.ones(dim) / math.sqrt(dim)
+    got = {}
+    for batched in (False, True):
+        batches = []
+        got[batched] = sampling.refine_on_sphere(logged(smooth_peak, batches), x0,
+                                                 smooth_peak(x0), NormTag.L2, steps, batched)
+        probes = 2 if dim == 2 else 2 * dim
+        runs = [len(X) // probes for X in batches]
+        assert all(len(X) % probes == 0 for X in batches)
+        if not batched:
+            assert runs == [1] * len(runs) and len(runs) <= steps
+        else:  # a call after a move carries one step, and some call carries more
+            best, moved = smooth_peak(x0), False
+            for X, run in zip(batches, runs):
+                assert run == 1 or not moved
+                tops = [max(smooth_peak(p) for p in X[j:j + probes])
+                        for j in range(0, len(X), probes)]
+                moved = any(t > best + 1e-15 for t in tops)
+                best = next((t for t in tops if t > best + 1e-15), best)
+            assert max(runs) > 1 or steps < 48
+    (x, value), (xb, valueb) = got[False], got[True]
+    assert value > smooth_peak(x0) + 0.5
+    assert np.array_equal(x, xb) and value == valueb
+
+
+@pytest.mark.parametrize("dim", [2, 3, 5])
+def test_a_search_that_never_moves_doubles_its_look_ahead(dim):
+    # at the peak no probe beats the incumbent: the steps go in runs of 1,
+    # 2, 4, ... until h falls below sqrt(conic.TARGET)
+    u = np.array([math.cos(0.3), math.sin(0.3), 0.0, 0.0, 0.0])[:dim]
+    h, left = 0.05 * math.pi if dim == 2 else 0.5, 0
+    while h >= math.sqrt(conic.TARGET):
+        h, left = 0.35 * h, left + 1
+    want, look = [], 1
+    while left:
+        want.append(min(look, left))
+        left, look = left - want[-1], 2 * look
+    batches = []
+    x, value = sampling.refine_on_sphere(logged(smooth_peak, batches), u, smooth_peak(u),
+                                         NormTag.L2, batched=True)
+    probes = 2 if dim == 2 else 2 * dim
+    assert [len(X) / probes for X in batches] == want
+    assert np.array_equal(x, u) and value == smooth_peak(u)
+
+
+@pytest.mark.parametrize("dim", [3, 5])
+def test_look_ahead_on_the_conic_lattice_sum(dim):
+    # the l2 lattice sum constant, a conic batch per call, moves on the way
+    # to sqrt 2: the same point and value bit for bit either way
+    cm = summing_map(OrderedSpace(Orthant(dim), NormTag.L2))
+    values = cm._kind_objective("sum")
+    assert cm._sweep.batched()
+    plain = sphere_sup(values, dim, NormTag.L2, SamplerConfig())
+    ahead = sphere_sup(values, dim, NormTag.L2, SamplerConfig(), batched=True)
+    assert plain.value == ahead.value == pytest.approx(math.sqrt(2.0), abs=1e-6)
+    assert np.array_equal(plain.argmax, ahead.argmax)
+
+
 # refine calls per constant on the planar lattices: one on the Euclidean
 # sphere, none on the vertex grids, except the constrained selection bound,
 # which refines on every grid (the counts of the separate sweep loops that
