@@ -28,12 +28,6 @@ from .sampling import SamplerConfig, refine_on_sphere, search_grid, sphere_direc
 
 __all__ = ["ConeMap", "SurjectivityReport"]
 
-# relative half-width of the bracket that the gauge opens around a critical
-# scale: ball-feasibility verdicts resolve scales to about 1.4e-9 relative,
-# so at 4e-10 both ends read reachable, while 1e-8 holds and leaves about
-# five bisection steps to the 1e-9 stop rule
-_BRACKET = 1e-8
-
 
 @dataclass
 class SurjectivityReport:
@@ -216,106 +210,70 @@ class ConeMap:
         return self._kind_sup("openness", config or SamplerConfig()).value
 
     def interior_radius(self, config: SamplerConfig | None = None) -> float:
-        """Largest t with t B_X inside T(C ∩ B_Y), measured independently.
+        """Largest t with t B_X inside T(C ∩ B_Y), from the grid's own gauges.
 
-        Works direction by direction: the reachability of t x from the unit
-        ball of the cone is monotone in t, so each direction has a critical
-        scale, bisected to 1e-9 relative on ball-constrained feasibility;
-        the radius is the smallest.  The gauge only seeds the search: the
-        critical scale of x is 1/m(x), so directions go in order of
-        decreasing m, and two verdicts certify the bracket (1 -+ δ)/m before
-        bisecting inside it (a failed end falls back on doubling and
-        bisection).  The other directions are checked at once at the
-        certified lower end, and any that fail are bracketed in turn.  An
-        unreachable direction (m = inf, a certified verdict) gives 0, and an
-        undecided gauge seeds nothing.  A curved feasibility test that cannot
-        decide a scale puts that scale at the critical one, to the solver's
-        resolution.
+        r = 1 / sup of m over the unit sphere.  One batched call gives m on
+        the search grid with a bracket lo <= m <= hi per row
+        (``MinNormSweep.certified``: lo by weak duality, hi a checked primal
+        point), so on a vertex grid r lies in [1 / max hi, 1 / max lo] and
+        the answer is 1 / max m, with no further solve.  A sampled grid
+        refines its worst direction and certifies it with one more solve.
+        An unreachable direction (a certified m = inf) gives 0.  Rows whose
+        bracket does not certify them (undecided, a w outside C*, or lo, m
+        and hi more than 1e-9 apart) fall back on ball-constrained feasibility.
         """
         config = config or SamplerConfig()
         dirs, exact = search_grid(self.codomain_dim, self.codomain_norm, config)
-        ball = _solver.BallConstraint(np.eye(self.domain_dim), self.domain_norm, 1.0)
-        sweep = _solver.MinNormSweep(self.matrix, self.cone, self.domain_norm, balls=(ball,))
-        try:
-            m = self._sweep.values(dirs)
-        except ArithmeticError:
-            m = np.full(len(dirs), np.nan)
+        brackets = self._sweep.certified(dirs)
+        m = brackets[:, 1]
         if np.isinf(m).any():
             return 0.0  # a whole ray misses the image
-
-        def reachable(X) -> list:
-            """Whether each row of X lies in T(C ∩ B_Y), in one batch; None
-            where the solver cannot tell, which puts that scale at the
-            critical one to its resolution."""
-            out = []
-            for x, (status, _) in zip(X, sweep.feasible_many(X)):
-                try:
-                    out.append(_solver._decided(status, x))
-                except ArithmeticError:
-                    out.append(None)
-            return out
-
-        def critical(x, m_x: float, guess: float) -> tuple[float, float]:
-            """(lo, hi) around the critical scale of x, lo reachable."""
-            lo, hi = 0.0, max(guess, 1e-8)
-            if 0.0 < m_x < math.inf:
-                a, b = (1.0 - _BRACKET) / m_x, (1.0 + _BRACKET) / m_x
-                below, above = reachable([a * x, b * x])
-                if below is None:
-                    return a, a
-                if above is None:  # the bracket holds to the solver's resolution
-                    return a, b
-                lo, hi, inside = (a, b, above) if below else (0.0, a, False)
-            else:
-                if not self._sweep.feasible(x):
-                    return 0.0, 0.0  # the whole ray misses the image
-                inside = reachable([hi * x])[0]
-            if inside is None:
-                return hi, hi
-            if inside:
-                for _ in range(60):
-                    lo, hi = hi, 2.0 * hi
-                    inside = reachable([hi * x])[0]
-                    if inside is None:
-                        return hi, hi
-                    if not inside:
-                        break
-                else:
-                    return math.inf, math.inf
-            for _ in range(80):
-                if hi - lo <= 1e-9 * max(hi, 1e-6):
-                    break
-                mid = 0.5 * (lo + hi)
-                inside = reachable([mid * x])[0]
-                if inside is None:
-                    return mid, mid
-                lo, hi = (mid, hi) if inside else (lo, mid)
-            return lo, hi
-
-        lo = running = math.inf
-        argmin = None
-        # largest gauge first, the smallest critical scale; with an undecided
-        # gauge m is all NaN and the grid keeps its order
-        pending = np.argsort(-m, kind="stable")
-        while pending.size:
-            i, pending = pending[0], pending[1:]
-            a, b = critical(dirs[i], m[i], lo if math.isfinite(lo) else 1.0)
-            if 0.5 * (a + b) < running:
-                lo, running, argmin = a, 0.5 * (a + b), i
-                if running <= 0.0:
-                    return 0.0
-                if math.isfinite(lo) and pending.size:
-                    # a direction reachable at lo has its critical scale above
-                    # it; those that are not were last checked at a larger lo
-                    pending = pending[[v is not True for v in reachable(lo * dirs[pending])]]
-        if (not exact and argmin is not None and math.isfinite(running)
-                and math.isfinite(m[argmin])):
+        if not exact and not np.isnan(m).all():
             # polish: minimizing the critical scale = maximizing m over the
             # sphere, from the gauge at the incumbent (an undecided one has none)
-            x, worst_m = refine_on_sphere(self._sweep.values, dirs[argmin], m[argmin],
-                                          self.codomain_norm, steps=config.refine_steps,
-                                          batched=self._sweep.batched())
-            if worst_m > m[argmin]:
-                a, b = critical(x, worst_m, lo)
-                running = min(running, 0.5 * (a + b))
-        return float(running)
+            a = int(np.nanargmax(m))
+            x, worst_m = refine_on_sphere(self._sweep.values, dirs[a], m[a], self.codomain_norm,
+                                          steps=config.refine_steps, batched=self._sweep.batched())
+            if worst_m > m[a]:
+                dirs, brackets = np.vstack([dirs, x]), np.vstack([brackets, self._sweep.certified(x)])
+        _, m, hi = brackets.T
+        ok = brackets.max(axis=1) - brackets.min(axis=1) <= 1e-9 * m
+        if ok.all():
+            return float(1.0 / m.max())
+        if not ok.any():
+            return self._bisected(dirs, 1.0)
+        floor = 1.0 / hi[ok].max()
+        return float(min(1.0 / m[ok].max(), self._bisected(dirs[~ok], floor, cap=floor)))
+
+    def _bisected(self, X, t: float, cap: float = math.inf) -> float:
+        """sup{s <= cap : s x in T(C ∩ B_Y) for every row x of X}, one batched
+        ball-feasibility call a step: doubling from t while every row is
+        reachable, then bisection to 1e-9 relative.  A scale that no row misses
+        but some leaves undecided is put at the critical one.  The ball shrinks
+        by the feasibility tolerance, so that an accepted point lies in B_Y."""
+        radius = 1.0 - self._sweep.tol.feasibility
+        ball = _solver.BallConstraint(np.eye(self.domain_dim), self.domain_norm, radius)
+        sweep = _solver.MinNormSweep(self.matrix, self.cone, self.domain_norm, balls=(ball,))
+
+        def reachable(s: float):  # False if a row misses, else None if one is undecided
+            verdicts = {status for status, _ in sweep.feasible_many(s * X)}
+            return verdicts <= {_solver.SolveStatus.OPTIMAL} or (
+                False if _solver.SolveStatus.INFEASIBLE in verdicts else None)
+
+        lo, hi = 0.0, t
+        for _ in range(60):
+            inside = reachable(hi)
+            if inside is None or (inside and hi >= cap):
+                return min(hi, cap)
+            if not inside:
+                break
+            lo, hi = hi, 2.0 * hi
+        for _ in range(80):
+            if hi - lo <= 1e-9 * hi:
+                break
+            mid = 0.5 * (lo + hi)
+            inside = reachable(mid)
+            if inside is None:
+                return mid
+            lo, hi = (mid, hi) if inside else (lo, mid)
+        return 0.5 * (lo + hi)

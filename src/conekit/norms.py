@@ -66,6 +66,12 @@ class BlockNorm:
             raise ValueError(f"expected vector of dim {self.dim}, got shape {v.shape}")
         return sum(tag.of(v[a:b]) for a, b, tag in self.blocks)
 
+    def dual_of(self, v: np.ndarray) -> float:
+        """The dual norm sup{<v, c> : |c| <= 1}: the largest dual block norm
+        (l1 and linf swap, l2 is its own)."""
+        swap = {NormTag.L1: NormTag.LINF, NormTag.LINF: NormTag.L1}
+        return max(swap.get(tag, tag).of(v[a:b]) for a, b, tag in self.blocks)
+
     def unit(self, v: np.ndarray) -> np.ndarray:
         """v scaled to norm one.  v must be nonzero."""
         n = self.of(v)

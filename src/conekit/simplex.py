@@ -246,9 +246,9 @@ class _WarmStart:
     counts include abandoned dual pivots.  Thresholds on b and c are relative
     to max(1, their largest entry), so a b or c with every entry below 1 in
     size is divided by ``_power_scale`` (``b_scale``, ``c_scale``) and the
-    answer multiplied back.  ``last`` is the last OPTIMAL answer's basis and a
-    function giving a fresh B^-1 [A | b / b_scale] for it; ``ray`` is the last
-    INFEASIBLE answer's Farkas ray y (else None).
+    answer multiplied back.  ``last`` is the last OPTIMAL answer's basis, a
+    function giving a fresh B^-1 [A | b / b_scale] for it and its checked
+    inverse M; ``ray`` is the last INFEASIBLE answer's Farkas ray y (else None).
     """
 
     def __init__(self, A: np.ndarray, c: np.ndarray):
@@ -285,7 +285,7 @@ class _WarmStart:
             if (M is not None and v.min(initial=0.0) >= -feas
                     and np.abs(self.A @ v - b).max(initial=0.0) <= feas):
                 self._record(rows, cols, M)
-                self.last = cols, T.copy
+                self.last = cols, T.copy, M
                 return status, v, value, its
         elif status is SolveStatus.INFEASIBLE:
             self.ray = _farkas_ray(self.A, b, proof, eps)
@@ -359,7 +359,7 @@ class _WarmStart:
         v[entry[1]] = np.maximum(xB, 0.0)  # a value rounded into (-feas, 0) leaves the cone
         if np.abs(self.A @ v - b).max(initial=0.0) > feas:
             return None
-        self.last = entry[1], partial(self._tableau, self.A, entry[0], entry[2], b)
+        self.last = entry[1], partial(self._tableau, self.A, entry[0], entry[2], b), entry[2]
         return SolveStatus.OPTIMAL, v, float(self.c @ v), pivots
 
     @staticmethod
@@ -480,9 +480,17 @@ class LinearProgram:
             return status, None, None, its
         return status, self._unsplit(v), value, its
 
+    @property
+    def dual(self) -> np.ndarray:
+        """After an OPTIMAL ``solve``, y = c_B B^-1 of its checked basis, one
+        multiplier per row: y b is the optimal value and c - y A >= 0."""
+        warm = self._warm
+        cols, _, M = warm.last
+        return (warm.c[cols] @ M) * warm.c_scale
+
     def lexmin(self, costs, tol: Tolerances = DEFAULT_TOL):
         """(z, pivots) after an OPTIMAL ``solve``: its optimum minimizing each cost row in turn."""
         warm = self._warm
-        cols, tableau = warm.last
+        cols, tableau, _ = warm.last
         v, its = _StandardLP.lexmin(tableau(), cols, warm.c, self._costs(costs), tol)
         return self._unsplit(v * warm.b_scale), its

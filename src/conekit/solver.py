@@ -166,7 +166,8 @@ def active_set_qp(
     the nearest blocking constraint, drop constraints with negative
     multipliers.  Ties break on the lowest row index so runs are
     deterministic.  H must be positive semidefinite; a hair of Tikhonov
-    regularization keeps degenerate reduced Hessians solvable.
+    regularization keeps degenerate reduced Hessians solvable.  Returns
+    (z, iterations, status, the final working set).
     """
     n = z0.shape[0]
     z = np.asarray(z0, dtype=float).copy()
@@ -197,11 +198,11 @@ def active_set_qp(
             p = np.zeros(n)
         if np.linalg.norm(p) <= 1e-11 * max(1.0, np.linalg.norm(z)):
             if not work:
-                return z, it, SolveStatus.OPTIMAL
+                return z, it, SolveStatus.OPTIMAL, work
             lam, *_ = np.linalg.lstsq(Aact.T, -grad, rcond=None)
             lam_in = lam[eq_A.shape[0] :]
             if lam_in.size == 0 or np.min(lam_in) >= -1e-9:
-                return z, it, SolveStatus.OPTIMAL
+                return z, it, SolveStatus.OPTIMAL, work
             work.pop(int(np.argmin(lam_in)))
             continue
         alpha = 1.0
@@ -218,7 +219,7 @@ def active_set_qp(
         if blocking >= 0:
             work.append(blocking)
             work.sort()
-    return z, it, SolveStatus.ITERATION_LIMIT
+    return z, it, SolveStatus.ITERATION_LIMIT, work
 
 
 # ---------------------------------------------------------------------------
@@ -480,7 +481,7 @@ class _Program:
                                  self._pad(canon.eq_A))
 
     def solve(self, x, scale: float = 1.0, tol: Tolerances = DEFAULT_TOL, center=None,
-              lexicographic: bool = False, whole: bool = False):
+              lexicographic: bool = False, whole: bool = False, dual: bool = False):
         """(status, z, value, iterations, y) at target x with bounds and radii
         times scale.
 
@@ -489,7 +490,8 @@ class _Program:
         an INFEASIBLE program's Farkas ray on the equality rows, <y, x> > 0.
         ``center`` is the point of a "center" objective.  ``lexicographic``
         asks for the lexicographically smallest optimal point; the LP stays as it was.
-        ``whole`` keeps the LP's auxiliaries after z."""
+        ``whole`` keeps the LP's auxiliaries after z.  ``dual`` asks an OPTIMAL
+        "norm" program for y = (equality-row dual, ``_subgradient``)."""
         x = np.asarray(x, dtype=float)
         if self.driver == "conic":
             program = self.program
@@ -499,7 +501,7 @@ class _Program:
                 rho = max(float(np.linalg.norm(x)), float(np.linalg.norm(center))) or 1.0
                 h[k], h[k + 1] = 0.5 * rho, -0.5 * rho
                 h[k + 2:] = -center
-            return self._conic(program.solve(x, h, target=self._target))
+            return self._conic(program.solve(x, h, target=self._target), dual)
         lp, eq = self.lp, slice(len(self._rows), len(self._rows) + x.shape[0])  # after the epigraphs
         b = self._unit * scale
         b[eq] = x
@@ -507,24 +509,40 @@ class _Program:
         if status is not SolveStatus.OPTIMAL:
             y = None if lp.ray is None else lp.ray[eq]
             return status, None, None, its, y
+        pi = lp.dual if dual else None  # LP multipliers of <= rows are <= 0
+        y = None if pi is None else (pi[eq], self._subgradient(-pi[:len(self._rows)]))
         if lexicographic:
             v, more = self._lexicographic(tol)
             its += more
-        return status, v if whole else v[:self.n], value, its, None
+        return status, v if whole else v[:self.n], value, its, y
 
-    def solve_many(self, X, tol: Tolerances = DEFAULT_TOL) -> list:
+    def solve_many(self, X, tol: Tolerances = DEFAULT_TOL, dual: bool = False) -> list:
         """``solve`` at each row of X at unit scale: one batched call on the
         conic backend, one target after another on the simplex, whose cached
         bases carry over."""
         if self.driver == "simplex":
-            return [self.solve(x, tol=tol) for x in X]
+            return [self.solve(x, tol=tol, dual=dual) for x in X]
         program = self.program  # compiled here, which also sets self.h
-        return [self._conic(r) for r in program.solve_many(X, self.h, target=self._target)]
+        return [self._conic(r, dual) for r in program.solve_many(X, self.h, target=self._target)]
 
-    def _conic(self, res):
+    def _conic(self, res, dual: bool = False):
         z = res.x[:self.n] if res.status is SolveStatus.OPTIMAL else None
         y = -res.y if res.status is SolveStatus.INFEASIBLE else None
+        if dual and z is not None:  # the epigraph rows follow the canon's and the caps' <= rows
+            k = self.canon.in_b.size + len(self._caprows)
+            y = -res.y, self._subgradient(res.z[k:k + len(self._rows)])
         return res.status, z, None, res.iterations, y
+
+    def _subgradient(self, mu) -> np.ndarray | None:
+        """g = mu+ - mu- over c = S z from the multipliers mu >= 0 of the "norm"
+        epigraph rows +-E_i z <= t, a pair per nonzero row E_i of S (None for
+        a Euclidean block): T^T y + w = g at an optimum, w in C*."""
+        S = self.canon.S
+        if any(tag is NormTag.L2 for _, tag in self.canon.obj_blocks):
+            return None
+        g = np.zeros(S.shape[0])
+        g[S.any(axis=1)] = mu[0::2] - mu[1::2]
+        return g
 
     def _lexicographic(self, tol: Tolerances):
         """(v, pivots) minimizing S z in turn over the LP's exact optimal face; no row is added."""
@@ -633,10 +651,11 @@ class MinNormSweep:
             self._hessians[program] = _euclidean_hessian(self._start._pad(E))
         return self._hessians[program]
 
-    def _qp(self, x, H: np.ndarray, g: np.ndarray, scale: float = 1.0):
+    def _qp(self, x, H: np.ndarray, g: np.ndarray, scale: float = 1.0, dual: bool = False):
         """min .5 v H v + g z over the polyhedral relaxation at target x,
         bounds and caps times scale, v being z and ``_start``'s cap
-        auxiliaries, from a warm vertex of ``_start``; as ``_Program.solve``."""
+        auxiliaries, from a warm vertex of ``_start``; as ``_Program.solve``
+        (``dual``: minus the final working set's equality-row multipliers)."""
         start = self._start
         status, v0, _, its0, y = start.solve(x, scale, self.tol, whole=True)
         if status is not SolveStatus.OPTIMAL:
@@ -644,8 +663,11 @@ class MinNormSweep:
         eq_A, in_A, in_b = start.constraints
         if start._aux:  # g has no part on the cap auxiliaries
             g = np.concatenate([g, np.zeros(start._aux)])
-        v, its, st = active_set_qp(H, g, eq_A, x, in_A, in_b * scale, v0, self.tol)
-        return st, None if v is None else v[:self.canon.n], None, its0 + its, None
+        v, its, st, work = active_set_qp(H, g, eq_A, x, in_A, in_b * scale, v0, self.tol)
+        if dual and st is SolveStatus.OPTIMAL:
+            lam = np.linalg.lstsq(np.vstack([eq_A, in_A[work]]).T, -(H @ v + g), rcond=None)[0]
+            y = -lam[:x.shape[0]], None
+        return st, v[:self.canon.n], None, its0 + its, y
 
     def values(self, X, objective="norm") -> np.ndarray:
         """Optimal value at each row of X, inf where the slice is empty;
@@ -671,6 +693,52 @@ class MinNormSweep:
             out[i] = (math.inf if st is SolveStatus.INFEASIBLE
                       else v if v is not None else program.value(z))
         return out
+
+    def certified(self, X) -> np.ndarray:
+        """(lo, value, hi) of the norm objective at each row of X from the one
+        solve that gives the value: lo = ``lower_end`` at its dual y and a w
+        in C* from its multipliers (for a Euclidean block w = Proj_C(u) - u,
+        u = T^T y), hi = ``upper_end`` at its primal point; inf for an empty
+        slice, NaN for an undecided solve."""
+        X = np.asarray(X, dtype=float).reshape(-1, self.problem.target.shape[0])
+        program, p = self._program(), self.problem
+        sols = ([self._qp(x, self._hessian(program), np.zeros(self.canon.n), dual=True) for x in X]
+                if program.quadratic else program.solve_many(X, self.tol, dual=True))
+        out = np.full((len(X), 3), math.nan)
+        for row, x, (st, z, v, _, dual) in zip(out, X, sols):
+            if st is SolveStatus.INFEASIBLE:
+                row[:] = math.inf
+            elif st is SolveStatus.OPTIMAL:
+                (y, g), u = dual, p.map.T @ dual[0]
+                w = _cones.project_l2(p.cone, u) - u if g is None else g - u
+                row[:] = (self.lower_end(x, y, w), program.value(z) if v is None else v,
+                          self.upper_end(x, z))
+        return out
+
+    def lower_end(self, x, y, w) -> float:
+        """<y, x> / |T^T y + w|_*, a lower bound on the norm objective at x for
+        any y and any w in the dual cone C*: for c in C with T c = x,
+        <y, x> = <T^T y + w, c> - <w, c> <= |T^T y + w|_* |c|.  NaN when w
+        is not in C* to 1e-10 of the scale of u = T^T y + w and w."""
+        p = self.problem
+        u = p.map.T @ y + w
+        dual_cone = _cones.dual(_set_level(p.cone))
+        if not _cones.contains(dual_cone, w, tol=1e-10 * np.abs(np.concatenate([u, w])).max()):
+            return math.nan
+        top, den = float(y @ x), p.objective.dual_of(u)
+        return top / den if den > 0.0 else (math.inf if top > 0.0 else math.nan)
+
+    def upper_end(self, x, z) -> float:
+        """|S z|, an upper bound on the norm objective at x once every row of
+        the canon (equality, <=, cap and second-order) holds at z to the
+        feasibility tolerance, as a simplex verdict is checked; else inf."""
+        canon, z = self.canon, np.asarray(z, dtype=float)
+        eps = self.tol.feasibility * max(1.0, float(np.abs(x).max()), float(np.abs(z).max()))
+        ok = (np.abs(canon.eq_A @ z - x).max(initial=0.0) <= eps
+              and (canon.in_A @ z - canon.in_b).max(initial=0.0) <= eps
+              and all(norm.of(E @ z) <= r + eps for E, norm, r in canon.caps)
+              and all(z[i[0]] >= np.linalg.norm(z[i[1:]]) - eps for i in canon.soc_idx))
+        return self.problem.objective.of(canon.S @ z) if ok else math.inf
 
     def batched(self, objective="norm") -> bool:
         """Whether ``values`` at this objective is one stacked conic solve."""

@@ -416,3 +416,58 @@ def lexmin_by_vertices(T, x, G, tag: str, tol: float = 1e-9):
     for i in range(n):
         C = C[C[:, i] <= C[:, i].min() + tol * scale]
     return float(best), C[0]
+
+
+# -- interior radius by ball-constrained feasibility --------------------------------
+
+
+def _critical_scale(reachable, x, t: float, rel: float):
+    """(lo, hi, decided) around sup{s : reachable(s x)}, lo reachable: doubling
+    from t while reachable, then bisection until hi - lo <= rel * hi.  A scale
+    the solver cannot decide (None) ends the search there, undecided."""
+    lo, hi = 0.0, t
+    for _ in range(60):
+        inside = reachable(hi * x[None])[0]
+        if inside is None:
+            return lo, hi, False
+        if not inside:
+            break
+        lo, hi = hi, 2.0 * hi
+    for _ in range(80):
+        if hi - lo <= rel * hi:
+            break
+        mid = 0.5 * (lo + hi)
+        inside = reachable(mid * x[None])[0]
+        if inside is None:
+            return lo, mid, False
+        lo, hi = (mid, hi) if inside else (lo, mid)
+    return lo, hi, True
+
+
+def interior_radius_by_bisection(reachable, directions, t: float = 1.0, rel: float = 1e-9):
+    """(lo, hi, decided) around the largest r with r x in T(C ∩ B_Y) for every
+    row x of directions, from ball-constrained feasibility verdicts alone.
+
+    ``reachable(X)`` says for each row of X whether it lies in the image of
+    the cone's unit ball: True, False, or None when undecided.  That set is
+    convex and holds 0, so each direction has a critical scale.  Rows go in
+    the order given: the first is doubled from t and bisected to rel, the
+    rest are checked in one batch at the lower end found so far, and only
+    those that fail there are bisected in turn.  ``decided`` is False when a
+    bisection met a scale the solver could not decide, and hi is then that
+    scale.  A direction whose ray misses the image gives lo = 0.
+    """
+    X = np.asarray(directions, dtype=float)
+    best = (np.inf, np.inf, True)
+    pending = list(range(len(X)))
+    while pending:
+        i = pending.pop(0)
+        lo, hi, decided = _critical_scale(reachable, X[i], t if np.isinf(best[0]) else best[0], rel)
+        if hi < best[1]:
+            best = (lo, hi, decided)
+        if best[0] == 0.0:
+            break
+        if pending:  # a row reachable at best's lower end has its critical scale above it
+            pending = [j for j, inside in zip(pending, reachable(best[0] * X[pending]))
+                       if inside is not True]
+    return best

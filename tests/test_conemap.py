@@ -1,4 +1,6 @@
+import collections
 import functools
+import itertools
 import math
 
 import numpy as np
@@ -161,34 +163,57 @@ def test_interior_radius_inverts_openness(seed):
 
 @pytest.mark.parametrize("seed", range(0, 24, 2))
 def test_interior_radius_takes_a_grid_of_solves(seed, spy):
-    # the gauge brackets the smallest critical scale, so one direction is
-    # bisected inside its bracket and the rest take one batched check each
+    # every grid gauge certifies its own bracket, so no feasibility program
+    # is built or solved
     inst = parse_instance(random_polyhedral_instance(seed))
     inst.map.openness_constant(inst.sampler)
     targets = []
     spy(solver.MinNormSweep, "feasible_many", targets, pick=len)
     assert inst.map.interior_radius(inst.sampler) > 0.0
-    grid = search_grid(inst.map.codomain_dim, inst.map.codomain_norm, inst.sampler)[0]
-    assert sum(targets) <= len(grid) + 8, (sum(targets), len(grid))
+    assert sum(targets) == 0
 
 
-def undecided(X):
-    raise ArithmeticError("iteration limit in sweep solve")
+# what the brackets read from each OPTIMAL row (status, z, value, its, (y, g))
+# of the norm program's dual solves, corrupted
+CORRUPTIONS = {
+    "x2": lambda st_, z, v, its, d: (st_, z, 2.0 * v, its, d),
+    "x0.5": lambda st_, z, v, its, d: (st_, z, 0.5 * v, its, d),
+    "undecided": lambda st_, z, v, its, d: (solver.SolveStatus.ITERATION_LIMIT, None, None, its,
+                                            None),
+    "y": lambda st_, z, v, its, d: (st_, z, v, its, (-d[0], d[1])),
+    "w": lambda st_, z, v, its, d: (st_, z, v, its, (d[0], d[1] + 1.0)),
+    "point": lambda st_, z, v, its, d: (st_, 2.0 * z, v, its, d),
+}
 
 
-@pytest.mark.parametrize("stub", [lambda values: lambda X: 2.0 * values(X),
-                                  lambda values: lambda X: 0.5 * values(X),
-                                  lambda values: undecided], ids=["x2", "x0.5", "undecided"])
+def corrupt(monkeypatch, cm, name, rows=None):
+    """Corrupt the brackets of the map's norm program, in every dual solve
+    or only in those of a batch of ``rows`` targets."""
+    program = cm._sweep._program()
+    solve_many, change = program.solve_many, CORRUPTIONS[name]
+
+    def run(X, tol=solver.DEFAULT_TOL, dual=False):
+        out = solve_many(X, tol, dual=dual)
+        if not dual or rows not in (None, len(X)):
+            return out
+        return [change(*r) if r[0] is solver.SolveStatus.OPTIMAL else r for r in out]
+
+    monkeypatch.setattr(program, "solve_many", run)
+
+
+@pytest.mark.parametrize("stub", list(CORRUPTIONS))
 @pytest.mark.parametrize("seed", [0, 4, 10])
-def test_interior_radius_survives_a_wrong_gauge(seed, stub, monkeypatch):
-    # the gauge only seeds the brackets: a gauge off by a factor fails a
-    # bracket end and falls back on doubling and bisection, and an undecided
-    # one seeds nothing, to the same radius
+def test_interior_radius_survives_a_wrong_gauge(seed, stub, monkeypatch, spy):
+    # a wrong value, y, w or primal point, or an undecided solve, leaves no
+    # row certified, and the fallback's doubling and bisection on ball
+    # feasibility find the same radius
     want = parse_instance(random_polyhedral_instance(seed)).map.interior_radius()
     cm = parse_instance(random_polyhedral_instance(seed)).map
-    monkeypatch.setattr(cm._sweep, "values", stub(cm._sweep.values))
+    corrupt(monkeypatch, cm, stub)
+    calls = []
+    spy(solver.MinNormSweep, "feasible_many", calls)
     got = cm.interior_radius()
-    assert abs(got - want) <= 1e-9 * want, (got, want)
+    assert calls and abs(got - want) <= 1e-9 * want, (got, want)
 
 
 def test_interior_radius_survives_an_undecided_gauge_on_a_sampled_grid(monkeypatch):
@@ -196,27 +221,96 @@ def test_interior_radius_survives_an_undecided_gauge_on_a_sampled_grid(monkeypat
     # an undecided gauge gives it nothing to start from, and the smallest
     # bisected critical scale on the grid stands, just above r = 1 / sqrt(2)
     cm = lattice_map()
-    monkeypatch.setattr(cm._sweep, "values", undecided)
+    corrupt(monkeypatch, cm, "undecided")
     assert 1.0 - 1e-9 <= cm.interior_radius(CFG) * math.sqrt(2.0) <= 1.001
 
 
 def test_interior_radius_polish_is_bracketed_too(monkeypatch):
-    # the refined direction of a sampled grid goes through the same
-    # feasibility bracket as the grid: a gauge off by 2 leaves r = 1 / sqrt(2)
+    # the refined direction of a sampled grid is certified by its own solve;
+    # with its primal point off by 2 it falls back on ball feasibility and
+    # still gives r = 1 / sqrt(2), where the grid alone is 1.2e-4 off
     cm = lattice_map()
-    values = cm._sweep.values
-    monkeypatch.setattr(cm._sweep, "values", lambda X: 2.0 * values(X))
+    corrupt(monkeypatch, cm, "point", rows=1)
     assert abs(cm.interior_radius(SamplerConfig(512, 128)) - 1.0 / math.sqrt(2.0)) <= 1e-6
 
 
-def test_interior_radius_of_the_planar_l2_lattice():
-    # a sampled grid, polished on the sphere: r = 1 / sqrt(2)
+def test_interior_radius_of_the_planar_l2_lattice(spy):
+    # a sampled grid, polished on the sphere, every row certified with no
+    # feasibility solve: r = 1 / sqrt(2)
+    calls = []
+    spy(solver.MinNormSweep, "feasible_many", calls)
     assert abs(lattice_map().interior_radius(CFG) * math.sqrt(2.0) - 1.0) <= 1e-9
+    assert calls == []
 
 
-def test_interior_radius_inverts_openness_on_the_ice_cream_lattice():
+def test_interior_radius_inverts_openness_on_the_ice_cream_lattice(spy):
     ice = summing_map(OrderedSpace(SecondOrder(3), NormTag.L2))
+    calls = []
+    spy(solver.MinNormSweep, "feasible_many", calls)
     assert ice.interior_radius() * ice.openness_constant() == pytest.approx(1.0, abs=1e-6)
+    assert calls == []
+
+
+def ball_reachable(cm):
+    """reachable(X) for ``oracles.interior_radius_by_bisection``: the verdicts
+    of the map's ball-capped feasibility program, None where undecided.  The
+    solver accepts points 1e-9 outside a cap, so the ball has radius 1 - 1e-9."""
+    ball = solver.BallConstraint(np.eye(cm.domain_dim), cm.domain_norm, 1.0 - 1e-9)
+    sweep = solver.MinNormSweep(cm.matrix, cm.cone, cm.domain_norm, balls=(ball,))
+    verdict = {solver.SolveStatus.OPTIMAL: True, solver.SolveStatus.INFEASIBLE: False}
+    return lambda X: [verdict.get(status) for status, _ in sweep.feasible_many(X)]
+
+
+def poly_sweep_style_docs():
+    """24 onto polyhedral instances, 4 of each (dimension 2-4, l1 or linf)
+    class: the mix of maps the poly_sweep benchmark draws, from other seeds."""
+    taken, docs = collections.Counter(), []
+    for seed in itertools.count(1000):
+        doc = random_polyhedral_instance(seed, surjective=True)
+        key = (doc["dimension"], doc["norm"])
+        if taken[key] < 4:
+            taken[key] += 1
+            docs.append(doc)
+        if len(docs) == 24:
+            return docs
+
+
+@pytest.mark.parametrize("doc", [random_polyhedral_instance(s) for s in range(50)]
+                         + poly_sweep_style_docs(),
+                         ids=[f"seed{s}" for s in range(50)] + [f"sweep{i}" for i in range(24)])
+def test_interior_radius_matches_the_bisection_oracle(doc, spy):
+    # the certified brackets against an independent computation: bisection
+    # on ball-constrained feasibility over the vertex grid, to 1e-9
+    inst = parse_instance(doc)
+    calls = []
+    spy(solver.MinNormSweep, "feasible_many", calls)
+    r = inst.map.interior_radius(inst.sampler)
+    assert calls == []
+    grid, exact = search_grid(inst.map.codomain_dim, inst.map.codomain_norm, inst.sampler)
+    lo, hi, decided = oracles.interior_radius_by_bisection(ball_reachable(inst.map), grid)
+    assert exact
+    if r == 0.0:  # no scale is reachable, down to where the ball programs cannot decide
+        assert lo == 0.0 and hi <= 1e-6
+    else:
+        assert decided and abs(r - 0.5 * (lo + hi)) <= 1e-9 * r, (r, lo, hi)
+
+
+@pytest.mark.parametrize("space", [Orthant(2), Orthant(3), Orthant(5), SecondOrder(3)],
+                         ids=["l2-d2", "l2-d3", "l2-d5", "ice-cream"])
+def test_curved_interior_radius_matches_the_bisection_oracle(space):
+    # the sampled grid plus the refined worst direction (the openness
+    # constant's argmax), worst first; the oracle's bisection may end at a
+    # scale its ball programs cannot decide, above the critical one
+    cm = summing_map(OrderedSpace(space, NormTag.L2))
+    r = cm.interior_radius()
+    sup = cm._kind_sup("openness", SamplerConfig())
+    dirs = np.vstack([sup.argmax, sup.directions])
+    lo, hi, decided = oracles.interior_radius_by_bisection(ball_reachable(cm), dirs)
+    assert abs(r * sup.value - 1.0) <= 1e-12
+    if decided:
+        assert abs(r - 0.5 * (lo + hi)) <= 1e-9 * r, (r, lo, hi)
+    else:
+        assert lo * (1.0 - 1e-9) <= r <= hi * (1.0 + 1e-9), (r, lo, hi)
 
 
 def test_operator_norm_bound_lattice():

@@ -9,13 +9,15 @@ import weakref
 
 import numpy as np
 import pytest
+import scipy.linalg as scipy_linalg
+import scipy.optimize as scipy_optimize
 from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
 from conekit import conic, parse_instance, random_polyhedral_instance, simplex, solver
 from conekit.conemap import ConeMap
-from conekit.cones import DirectSumL1, Generators, Negation, Orthant, SecondOrder
+from conekit.cones import DirectSumL1, Generators, Negation, Orthant, Product, SecondOrder
 from conekit.norms import BlockNorm, NormTag
 from conekit.sampling import SamplerConfig
 from conekit.solver import (BallConstraint, LinearProgram, MinNormProblem, MinNormSweep,
@@ -820,3 +822,117 @@ def test_sweep_computes_the_hessian_once(spy):
         want.append(math.inf if st is SolveStatus.INFEASIBLE else program.value(z))
     assert len(calls) == 61
     np.testing.assert_array_equal(got, want)
+
+
+# -- weak-duality brackets of the norm objective ----------------------------------
+
+
+def dual_bound_case(seed):
+    """(sweep, x, c0, w, generators): a random cone, domain norm and map with a
+    reachable target x = T c0 (c0 in C) and a w in the dual cone C*.  The
+    cone is an Orthant, Generators, SecondOrder, a Product or a DirectSumL1 of
+    those; the norm a flat l1, l2 or linf norm or a block norm.  w is built
+    from a description of C* (Orthant and SecondOrder are self-dual, and C*
+    of Generators(G) with G invertible is G^-T applied to the orthant).
+    ``generators`` is G with C = G R+^k on polyhedral cones, else None."""
+    rng = np.random.default_rng(seed)
+
+    def part(kind, n):  # (cone, G or None, a point of C, a point of C*)
+        if kind == "orthant":
+            return Orthant(n), np.eye(n), rng.random(n), rng.random(n)
+        if kind == "soc":
+            u, v = rng.standard_normal(n - 1), rng.standard_normal(n - 1)
+            return (SecondOrder(n), None, np.concatenate([[np.linalg.norm(u) + rng.random()], u]),
+                    np.concatenate([[np.linalg.norm(v) + rng.random()], v]))
+        if rng.random() < 0.3:  # the whole space: C* = {0}
+            G = np.hstack([np.eye(n), -np.eye(n)]) * rng.uniform(0.5, 2.0, 2 * n)
+            return Generators(G), G, G @ rng.random(2 * n), np.zeros(n)
+        G = rng.standard_normal((n, n)) + 2.0 * np.eye(n)
+        return Generators(G), G, G @ rng.random(n), np.linalg.solve(G.T, rng.random(n))
+
+    shape = rng.choice(["one", "product", "direct_sum"])
+    n = int(rng.integers(2, 4))
+    kinds = rng.choice(["orthant", "generators", "soc"], size=1 if shape == "one" else 2)
+    parts = [part(k, n) for k in kinds]
+    cones = [p[0] for p in parts]
+    cone = cones[0] if shape == "one" else Product(tuple(cones)) if shape == "product" \
+        else DirectSumL1(tuple(cones))
+    tags = [list(NormTag)[i] for i in rng.integers(0, 3, size=len(parts))]
+    if shape == "one" or rng.random() < 0.3:
+        norm = BlockNorm.flat(cone.ambient_dim, tags[0])
+    else:
+        norm = BlockNorm(tuple((i * n, (i + 1) * n, t) for i, t in enumerate(tags)))
+    gens = [p[1] for p in parts]
+    G = None if any(g is None for g in gens) else scipy_linalg.block_diag(*gens)
+    T = rng.standard_normal((int(rng.integers(1, cone.ambient_dim + 1)), cone.ambient_dim))
+    c0 = np.concatenate([p[2] for p in parts])
+    return MinNormSweep(T, cone, norm), T @ c0, c0, np.concatenate([p[3] for p in parts]), G
+
+
+def linprog_gauge(T, G, norm: BlockNorm, x) -> float:
+    """min |G lam| over lam >= 0 with T G lam = x, by scipy's HiGHS, for a
+    polyhedral block norm: one auxiliary per coordinate of an l1 block and
+    one per linf block, bounding it from both sides; inf when empty."""
+    n, k = G.shape
+    ties = []  # coordinate -> auxiliary
+    for a, b, tag in norm.blocks:
+        start = len(set(ties))
+        ties += list(range(start, start + b - a)) if tag is NormTag.L1 else [start] * (b - a)
+    aux = max(ties) + 1
+    tie = np.eye(aux)[ties]
+    A_ub = np.vstack([np.hstack([G, -tie]), np.hstack([-G, -tie])])
+    A_eq = np.hstack([T @ G, np.zeros((T.shape[0], aux))])
+    res = scipy_optimize.linprog(np.concatenate([np.zeros(k), np.ones(aux)]), A_ub=A_ub,
+                                 b_ub=np.zeros(2 * n), A_eq=A_eq, b_eq=x, bounds=(0, None),
+                                 method="highs")
+    return res.fun if res.status == 0 else math.inf
+
+
+@given(st.integers(0, 10_000))
+def test_lower_end_never_exceeds_the_gauge(seed):
+    # weak duality: <y, x> / |T^T y + w|_* <= m(x) for any y and any w in
+    # C*, checked against the gauge solved here and, on polyhedral cones
+    # and norms, against scipy; so is the lower end that ``certified`` reads
+    # off the solve's own multipliers (NaN when they leave C* by more than
+    # the check allows, as conic multipliers may), and the upper end of an
+    # optimal point meets m
+    sweep, x, c0, w, G = dual_bound_case(seed)
+    rng = np.random.default_rng(seed + 1)
+    m = sweep.value(x)
+    lo = sweep.lower_end(x, rng.standard_normal(x.shape[0]), w)
+    assert not math.isnan(lo) and lo <= m * (1.0 + 1e-9) + 1e-12, (lo, m)
+    own, value, _ = sweep.certified(x)[0]
+    assert abs(value - m) <= 1e-7 * max(1.0, m) and not own > m * (1.0 + 1e-9) + 1e-12
+    if G is not None and sweep.problem.objective.is_polyhedral:
+        want = linprog_gauge(sweep.problem.map, G, sweep.problem.objective, x)
+        assert abs(m - want) <= 1e-7 * max(1.0, want), (m, want)
+        assert lo <= want * (1.0 + 1e-9) + 1e-12 and abs(own - want) <= 1e-7 * max(1.0, want)
+    st_, z, *_ = sweep._program().solve(x)
+    assert st_ is SolveStatus.OPTIMAL
+    assert abs(sweep.upper_end(x, z) - m) <= 1e-7 * max(1.0, m)
+    assert sweep.upper_end(x, 2.0 * z) == math.inf  # T S (2 z) = 2 x
+
+
+@given(st.integers(0, 10_000))
+def test_lower_end_rejects_a_w_just_outside_the_dual_cone(seed):
+    # <w, c0> < 0 at a point c0 of C proves w outside C*: move w just past
+    # the face of C* that c0 defines, by 1e-6 of the scale of the data, and
+    # lower_end refuses it instead of reporting a bound
+    sweep, x, c0, w, _ = dual_bound_case(seed)
+    y = np.random.default_rng(seed + 1).standard_normal(x.shape[0])
+    scale = max(1.0, float(np.abs(sweep.problem.map.T @ y).max()), float(np.abs(w).max()))
+    out = w - (w @ c0 + 1e-6 * scale * np.linalg.norm(c0)) / (c0 @ c0) * c0
+    assert out @ c0 < 0.0
+    assert math.isnan(sweep.lower_end(x, y, out))
+    assert not math.isnan(sweep.lower_end(x, y, w))
+
+
+@pytest.mark.parametrize("seed", range(0, 50, 2))
+def test_certified_brackets_are_tight_on_polyhedral_instances(seed):
+    # every row of a vertex grid is certified by its own solve, lo from the
+    # simplex's basis dual: lo, the value and hi agree to rounding
+    m = parse_instance(random_polyhedral_instance(seed)).map
+    grid = np.vstack([np.eye(m.codomain_dim), -np.eye(m.codomain_dim)])
+    brackets = m._sweep.certified(grid)
+    np.testing.assert_allclose(brackets[:, 1], m._sweep.values(grid), rtol=1e-14)
+    assert np.all(brackets.max(axis=1) - brackets.min(axis=1) <= 1e-12 * brackets[:, 1])
