@@ -308,7 +308,7 @@ def function_space_conormality(space: OrderedSpace, functions: Sequence[SampledF
         sup_in = f.sup_norm(space.norm)
         if sup_in <= 0.0:
             continue
-        worst = max(value(v) for v in f.values)
+        worst = float(value(f.values).max())  # one sweep call for the function's samples
         if math.isinf(worst):
             return math.inf
         ratios.append(worst / sup_in)

@@ -147,12 +147,13 @@ def kind_objective(space: OrderedSpace, kind: ConormalityKind):
     """Per-point optimal decomposition cost of the kind, as a callable.
 
     Returns value(x) = inf over decompositions x = p - m of the kind's
-    objective, inf when x has none.  Batch callers reuse the callable: the
+    objective, inf when x has none; a 2-D X gives an array of one value
+    per row from one sweep call.  Batch callers reuse the callable: the
     sum and plain kinds each share a sweep, and the max kind a program,
     compiled once for the space's summing map.
     """
     values = space._summing_map._kind_objective(kind)
-    return lambda x: float(values(x)[0])
+    return lambda x: values(x) if np.ndim(x) > 1 else float(values(x)[0])
 
 
 def decomposition_value(space: OrderedSpace, x: np.ndarray,

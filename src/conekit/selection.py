@@ -155,6 +155,12 @@ class CorrespondenceSpec:
         x = np.asarray(x, dtype=float)
         return self._sweep.project(x, point, scale=self.map.codomain_norm.of(x))
 
+    def project_many(self, X, points) -> list:
+        """``project`` at each row of X, of the same row of ``points``: the
+        rows that reach the conic driver share one solve."""
+        X = [np.asarray(x, dtype=float) for x in X]
+        return self._sweep.project_many(X, points, [self.map.codomain_norm.of(x) for x in X])
+
 
 def correspondence_value(spec: CorrespondenceSpec, x: np.ndarray) -> _solver.Solution:
     """Euclidean-minimal witness of F(x); the spec itself describes the set.
@@ -354,7 +360,11 @@ def hemicontinuity_probe(spec: CorrespondenceSpec, x: np.ndarray, xp: np.ndarray
     Lower hemicontinuity makes this O(|x - xp|) as xp -> x; an empty F(xp)
     returns inf, flagging that the constants fail near x.
     """
-    res = spec.project(np.asarray(xp, dtype=float), np.asarray(y, dtype=float))
+    return _distance(spec.project(np.asarray(xp, dtype=float), np.asarray(y, dtype=float)))
+
+
+def _distance(res: _solver.Solution) -> float:
+    """The distance a projection onto F(x') reports, inf when F(x') is empty."""
     if res.status is _solver.SolveStatus.INFEASIBLE:
         return math.inf
     if res.status is not _solver.SolveStatus.OPTIMAL:
@@ -372,6 +382,8 @@ def hemicontinuity_schedule(spec: CorrespondenceSpec, x: np.ndarray,
     returns an array of rows (step, ratio).  Bounded ratios across the
     schedule are the empirical signature of lower hemicontinuity; blow-up
     flags a discontinuity.  The zero target has no sphere and is refused.
+    y is solved first, then every probe in one ``project_many`` call, each
+    ratio the one ``hemicontinuity_probe`` gives alone.
     """
     x = np.asarray(x, dtype=float)
     norm = spec.map.codomain_norm
@@ -390,7 +402,7 @@ def hemicontinuity_schedule(spec: CorrespondenceSpec, x: np.ndarray,
         t = np.zeros_like(x)
     else:
         t /= nt
-    out = np.empty((steps, 2))
+    out, probes = np.empty((steps, 2)), []
     for k in range(steps):
         theta = base * 2.0 ** (-k)
         xp = x + (theta * radius) * t
@@ -398,8 +410,11 @@ def hemicontinuity_schedule(spec: CorrespondenceSpec, x: np.ndarray,
         gap = float(np.linalg.norm(x - xp))
         if gap < 1e-15 * radius:
             out[k] = (theta * radius, 0.0)
-            continue
-        out[k] = (gap, hemicontinuity_probe(spec, x, xp, y) / gap)
+        else:
+            probes.append((k, xp, gap))
+    for (k, _, gap), res in zip(probes, spec.project_many([p[1] for p in probes],
+                                                          [y] * len(probes))):
+        out[k] = (gap, _distance(res) / gap)
     return out
 
 

@@ -480,7 +480,7 @@ class _Program:
         return conic.ConeProgram(c, self._matrix(rows), len(lp_rows), [len(b) for b in self._socs],
                                  self._pad(canon.eq_A))
 
-    def solve(self, x, scale: float = 1.0, tol: Tolerances = DEFAULT_TOL, center=None,
+    def solve(self, x, scale: float = 1.0, tol: Tolerances = DEFAULT_TOL,
               lexicographic: bool = False, whole: bool = False, dual: bool = False):
         """(status, z, value, iterations, y) at target x with bounds and radii
         times scale.
@@ -488,20 +488,15 @@ class _Program:
         ``value`` is the LP's optimal value, None from the conic driver (its
         epigraph variables only bound their blocks to its tolerance).  ``y`` is
         an INFEASIBLE program's Farkas ray on the equality rows, <y, x> > 0.
-        ``center`` is the point of a "center" objective.  ``lexicographic``
-        asks for the lexicographically smallest optimal point; the LP stays as it was.
-        ``whole`` keeps the LP's auxiliaries after z.  ``dual`` asks an OPTIMAL
-        "norm" program for y = (equality-row dual, ``_subgradient``)."""
+        ``lexicographic`` asks for the lexicographically smallest optimal
+        point; the LP stays as it was.  ``whole`` keeps the LP's auxiliaries
+        after z.  ``dual`` asks an OPTIMAL "norm" program for y = (equality-row
+        dual, ``_subgradient``).  A "center" objective solves through
+        ``solve_many``, which takes its point."""
         x = np.asarray(x, dtype=float)
         if self.driver == "conic":
             program = self.program
-            h = self.h * scale
-            if center is not None:
-                k = h.shape[0] - 2 - self.canon.S.shape[0]
-                rho = max(float(np.linalg.norm(x)), float(np.linalg.norm(center))) or 1.0
-                h[k], h[k + 1] = 0.5 * rho, -0.5 * rho
-                h[k + 2:] = -center
-            return self._conic(program.solve(x, h, target=self._target), dual)
+            return self._conic(program.solve(x, self.h * scale, target=self._target), dual)
         lp, eq = self.lp, slice(len(self._rows), len(self._rows) + x.shape[0])  # after the epigraphs
         b = self._unit * scale
         b[eq] = x
@@ -516,14 +511,24 @@ class _Program:
             its += more
         return status, v if whole else v[:self.n], value, its, y
 
-    def solve_many(self, X, tol: Tolerances = DEFAULT_TOL, dual: bool = False) -> list:
+    def solve_many(self, X, tol: Tolerances = DEFAULT_TOL, dual: bool = False, target=None,
+                   centers=None) -> list:
         """``solve`` at each row of X at unit scale: one batched call on the
-        conic backend, one target after another on the simplex, whose cached
-        bases carry over."""
+        conic backend (to ``target`` if given), one target after another on
+        the simplex, whose cached bases carry over.  A "center" objective
+        takes ``centers`` = (points, scales), each row's point and scale."""
         if self.driver == "simplex":
             return [self.solve(x, tol=tol, dual=dual) for x in X]
-        program = self.program  # compiled here, which also sets self.h
-        return [self._conic(r, dual) for r in program.solve_many(X, self.h, target=self._target)]
+        program, H = self.program, self.h  # compiled here, which also sets self.h
+        if centers is not None:
+            points, scales = centers
+            H = self.h * np.asarray(scales, dtype=float)[:, None]
+            k = H.shape[1] - 2 - self.canon.S.shape[0]
+            for h, x, point in zip(H, X, points):
+                rho = max(float(np.linalg.norm(x)), float(np.linalg.norm(point))) or 1.0
+                h[k], h[k + 1] = 0.5 * rho, -0.5 * rho
+                h[k + 2:] = -point
+        return [self._conic(r, dual) for r in program.solve_many(X, H, target or self._target)]
 
     def _conic(self, res, dual: bool = False):
         z = res.x[:self.n] if res.status is SolveStatus.OPTIMAL else None
@@ -592,8 +597,9 @@ class MinNormSweep:
     critical region costs one matrix product and a target next to one a few
     dual simplex pivots (see ``LinearProgram``).  Values agree with a cold
     solve to rounding; infeasible targets report inf.  ``solve`` gives one
-    target's ``Solution`` and ``project`` one Euclidean projection, with
-    bounds and caps times a scale.
+    target's ``Solution``; ``project_many`` gives the Euclidean projection
+    at each of a batch of targets, with bounds and caps times a scale per
+    target, its conic rows in one stacked solve (``project`` is one row).
 
     A single Euclidean objective on polyhedral data, and a projection on
     data with no second-order cone, run the active-set QP on the polyhedral
@@ -699,11 +705,23 @@ class MinNormSweep:
         solve that gives the value: lo = ``lower_end`` at its dual y and a w
         in C* from its multipliers (for a Euclidean block w = Proj_C(u) - u,
         u = T^T y), hi = ``upper_end`` at its primal point; inf for an empty
-        slice, NaN for an undecided solve."""
+        slice, NaN for an undecided solve.  Conic multipliers at ``conic.TOL``
+        may leave C* by rounding (lo = NaN): those conic rows are solved again
+        to ``conic.TARGET``, in one stacked call."""
         X = np.asarray(X, dtype=float).reshape(-1, self.problem.target.shape[0])
-        program, p = self._program(), self.problem
+        program = self._program()
         sols = ([self._qp(x, self._hessian(program), np.zeros(self.canon.n), dual=True) for x in X]
                 if program.quadratic else program.solve_many(X, self.tol, dual=True))
+        out = self._brackets(X, sols)
+        redo = (np.isnan(out[:, 0]) & np.isfinite(out[:, 1])).nonzero()[0]
+        if redo.size and not program._sharp:  # a curved slice, solved to conic.TOL
+            from .conic import TARGET
+            out[redo] = self._brackets(X[redo], program.solve_many(X[redo], self.tol, True, TARGET))
+        return out
+
+    def _brackets(self, X, sols) -> np.ndarray:
+        """``certified``'s rows from the norm program's dual solves at X."""
+        program, p = self._program(), self.problem
         out = np.full((len(X), 3), math.nan)
         for row, x, (st, z, v, _, dual) in zip(out, X, sols):
             if st is SolveStatus.INFEASIBLE:
@@ -780,28 +798,42 @@ class MinNormSweep:
     def project(self, x, point, scale: float = 1.0) -> Solution:
         """Euclidean projection of ``point`` onto the slice at target x, every
         bound and cap times scale (|x|_X when the caps grow with the target
-        norm); value is the distance."""
-        x, point = self._target(x), np.asarray(point, dtype=float)
-        st, its, driver, y = None, 0, "active-set", None
-        canon, center = self.canon, self._program("center")
-        if not canon.soc_idx:
-            st, z, _, its, y = self._qp(x, self._hessian(center), -2.0 * (canon.S.T @ point),
-                                        scale)
-            # the polyhedral caps are rows of the QP: an exact test on them
-            # could send a binding cap, off by rounding, to the conic driver
-            if not (canon.polyhedral or st is SolveStatus.INFEASIBLE
-                    or (st is SolveStatus.OPTIMAL
-                        and all(norm.of(E @ z) <= r * scale for E, norm, r in self._curved))):
-                st = None
-        if st is None and (sol := self._trivial(x, scale, point)) is not None:
-            return sol  # interior points converge slowly to a zero distance
-        if st is None:
-            st, z, _, more, y = center.solve(x, scale, center=point)
-            its += more
-            driver = "conic"
-        S = canon.S
-        return self._conclude(x, scale, st, its, driver,
-                              lambda: (S @ z, np.linalg.norm(S @ z - point)), y)
+        norm); value is the distance.  The one-row ``project_many``."""
+        return self.project_many([x], [point], [scale])[0]
+
+    def project_many(self, X, points, scales) -> list:
+        """``project`` at each row of X, of the point and at the scale in the
+        same row of ``points`` and ``scales``.  With no second-order cone
+        each row runs its QP in turn; a row it leaves open, or any row on a
+        second-order slice, keeps ``_trivial``'s answer if there is one, and
+        the others share one stacked conic solve."""
+        canon, center, S = self.canon, self._program("center"), self.canon.S
+        out, todo = [], []  # todo: (row, x, point, scale, QP iterations) for the conic driver
+        for x, point, scale in zip(X, points, scales):
+            x, point, st, its = self._target(x), np.asarray(point, dtype=float), None, 0
+            if not canon.soc_idx:
+                st, z, _, its, y = self._qp(x, self._hessian(center), -2.0 * (S.T @ point), scale)
+                # the polyhedral caps are rows of the QP: an exact test on them
+                # could send a binding cap, off by rounding, to the conic driver
+                if not (canon.polyhedral or st is SolveStatus.INFEASIBLE
+                        or (st is SolveStatus.OPTIMAL
+                            and all(norm.of(E @ z) <= r * scale for E, norm, r in self._curved))):
+                    st = None
+            if st is not None:
+                out.append(self._conclude(x, scale, st, its, "active-set",
+                                          lambda: (S @ z, np.linalg.norm(S @ z - point)), y))
+                continue
+            # an interior point would converge slowly to a zero distance
+            out.append(self._trivial(x, scale, point))
+            if out[-1] is None:
+                todo.append((len(out) - 1, x, point, scale, its))
+        if todo:
+            _, xs, pts, scs, _ = zip(*todo)
+            for (i, x, point, scale, its), (st, z, _, more, y) in zip(
+                    todo, center.solve_many(np.array(xs), centers=(pts, scs))):
+                out[i] = self._conclude(x, scale, st, its + more, "conic",
+                                        lambda: (S @ z, np.linalg.norm(S @ z - point)), y)
+        return out
 
     # -- checks and certificates at one target --------------------------------
 

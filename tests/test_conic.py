@@ -82,8 +82,10 @@ def test_lattice_parts_through_the_conic_driver(objective, conic_runs):
     canon = solver._canonicalize(problem)
     form = solver._Program(canon, objective)
     for x in TARGETS:
-        center = np.zeros(6) if objective == "center" else None
-        st, z, _, its, _ = form.solve(x, center=center)
+        if objective == "center":
+            st, z, _, its, _ = form.solve_many(x[None], centers=(np.zeros((1, 6)), [1.0]))[0]
+        else:
+            st, z, _, its, _ = form.solve(x)
         res = conic_runs[-1][0]
         assert st is SolveStatus.OPTIMAL and max(res.pres, res.dres, res.gap) <= TOL
         parts = np.concatenate(oracles.lattice_parts(x))
@@ -448,3 +450,27 @@ def test_sampled_surjectivity_probes_in_one_batch(spy):
     assert rep.surjective
     # 128 sampled directions and the 6 signed axes
     assert sizes == [len(sphere_directions(3, NormTag.L2, config))] == [134]
+
+
+def test_hemicontinuity_schedule_is_two_conic_calls(spy):
+    # the base point alone, then all 8 probes in one stacked solve; each
+    # ratio is the one a lone probe gives, bit for bit
+    from conekit.selection import (CorrespondenceSpec, correspondence_value,
+                                   hemicontinuity_probe, hemicontinuity_schedule)
+
+    spec = CorrespondenceSpec(ice_cream(NormTag.L2), slack=1e-3)
+    x = np.array([0.3, 0.5, -0.8])
+    sizes = []
+    spy(conic.ConeProgram, "solve_many", sizes, pick=len)
+    rows = hemicontinuity_schedule(spec, x, steps=8, seed=4)
+    assert sizes == [1, 8]
+    y = correspondence_value(spec, x).point
+    radius = np.linalg.norm(x)
+    t = np.random.default_rng(4).standard_normal(3)
+    t -= (t @ x) / (x @ x) * x
+    t /= np.linalg.norm(t)
+    for k, (gap, ratio) in enumerate(rows):
+        xp = x + (0.1 * 2.0 ** (-k) * radius) * t
+        xp = xp / (np.linalg.norm(xp) / radius)
+        assert gap == float(np.linalg.norm(x - xp))
+        assert ratio == hemicontinuity_probe(spec, x, xp, y) / gap

@@ -97,6 +97,16 @@ def test_kind_values_are_ordered_pointwise(x):
     assert sm <= 2.0 * mx + tol
 
 
+@pytest.mark.parametrize("kind", list(ConormalityKind))
+def test_kind_objective_takes_a_batch(kind):
+    # a 2-D X is one sweep call, each row the value its lone call gives;
+    # separate spaces, so their warm bases see the same targets in order
+    X = np.random.default_rng(5).standard_normal((6, 2))
+    alone = kind_objective(OrderedSpace(Orthant(2), NormTag.L2), kind)
+    batch = kind_objective(OrderedSpace(Orthant(2), NormTag.L2), kind)(X)
+    assert batch.shape == (6,) and batch.tolist() == [alone(x) for x in X]
+
+
 @given(xs())
 def test_decomposition_value_matches_closed_form(x):
     plus, minus = oracles.lattice_parts(x)

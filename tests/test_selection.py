@@ -571,3 +571,71 @@ def test_undecided_conic_selection_is_not_an_empty_correspondence(undecided_coni
             with pytest.raises(ArithmeticError) as exc:
                 ri(x)
             assert isinstance(exc.value, EmptyCorrespondence) == certified
+
+
+# -- batched projections -------------------------------------------------------
+#
+# ``project_many`` runs each polyhedral row's QP in turn and every row left
+# for the conic driver in one stacked solve; each row must be the Solution
+# of its lone ``project``.  The lone and the batched calls run on separate
+# fresh objects, so the warm LP bases see the same sequence of targets.
+
+
+def same_solution(a, b):
+    return (a.status is b.status and a.iterations == b.iterations and a.driver == b.driver
+            and a.value == b.value and (np.array_equal(a.point, b.point)
+                                        if b.point is not None else a.point is None))
+
+
+def ice_cream_map():
+    cone = DirectSumL1((SecondOrder(3), Negation(SecondOrder(3))))
+    return ConeMap(np.hstack([np.eye(3), np.eye(3)]), cone, codomain_norm=NormTag.L2)
+
+
+def projection_cases():
+    """(name, spec factory, targets, points): the ice-cream slice, the l2
+    lattice QP and an l1 lattice whose curved cap binds on some targets and
+    leaves others empty, each with zero targets and points that are their
+    own projections among random ones."""
+    rng = np.random.default_rng(70)
+    X, P = rng.standard_normal((12, 3)), rng.standard_normal((12, 6))
+    X[3] = 0.0
+    P[5] = correspondence_value(CorrespondenceSpec(ice_cream_map(), slack=0.1), X[5]).point
+    P[7] = 0.0
+    yield "ice-cream", lambda: CorrespondenceSpec(ice_cream_map(), slack=0.1), X, P
+    X, P = rng.standard_normal((12, 3)), rng.standard_normal((12, 6))
+    X[2], P[2] = 0.0, 0.0
+    P[4] = np.concatenate(oracles.lattice_parts(X[4]))
+    yield "l2-lattice", lambda: CorrespondenceSpec(lattice(3)), X, P
+    # the targets of test_polyhedral_norm_cap_beside_a_binding_curved_cap[2]
+    X, P = np.random.default_rng(62).standard_normal((40, 2)), np.zeros((40, 4))
+    X[6] = 0.0
+
+    def l1_spec():
+        cm = l1_lattice(2)
+        return CorrespondenceSpec(cm, (binding_cap(cm), norm_cap(cm, 2.0)), slack=0.01)
+
+    yield "l1-binding-cap", l1_spec, X, P
+
+
+@pytest.mark.parametrize("name,make,X,P", list(projection_cases()),
+                         ids=[c[0] for c in projection_cases()])
+def test_project_many_rows_equal_their_lone_projections(name, make, X, P, spy):
+    alone = [spec.project(x, p) for spec in [make()] for x, p in zip(X, P)]
+    runs = []
+    spy(conic.ConeProgram, "solve_many", runs, pick=len)
+    batch = make().project_many(X, P)
+    assert all(same_solution(a, b) for a, b in zip(batch, alone)) and len(batch) == len(X)
+    drivers = [s.driver for s in alone]
+    # the rows that reach the conic driver share one stacked solve
+    assert runs == ([drivers.count("conic")] if "conic" in drivers else [])
+    # only a second-order slice asks _trivial: a polyhedral row's QP decides it
+    assert ("trivial" in drivers) == (name == "ice-cream")
+    if name == "l1-binding-cap":
+        statuses = {s.status for s in alone}
+        assert drivers.count("conic") > 1 and SolveStatus.INFEASIBLE in statuses
+    sweep = make()._sweep  # the compiled slice itself, at a scale other than 1
+    scaled = [sweep.project(x, p, 2.0) for x, p in zip(X, P)]
+    assert all(same_solution(a, b) for a, b in zip(make()._sweep.project_many(X, P, [2.0] * len(X)),
+                                                   scaled))
+

@@ -927,6 +927,23 @@ def test_lower_end_rejects_a_w_just_outside_the_dual_cone(seed):
     assert not math.isnan(sweep.lower_end(x, y, w))
 
 
+@pytest.mark.parametrize("seed", [162, 165, 188])
+def test_conic_rows_whose_w_leaves_the_dual_cone_are_solved_again(seed, spy):
+    # at conic.TOL the multipliers of these second-order slices under
+    # polyhedral norms give a w about 1e-10 outside C*; ``certified`` solves
+    # just those rows again to conic.TARGET, one more stacked call, and the
+    # bracket closes to rounding
+    sweep, x, *_ = dual_bound_case(seed)
+    st_, *_, (y, g) = sweep._program().solve_many(x[None], sweep.tol, dual=True)[0]
+    assert st_ is SolveStatus.OPTIMAL
+    assert math.isnan(sweep.lower_end(x, y, g - sweep.problem.map.T @ y))
+    sizes = []
+    spy(conic.ConeProgram, "solve_many", sizes, pick=len)
+    lo, m, hi = sweep.certified(np.vstack([x, x]))[1]
+    assert sizes == [2, 2]
+    assert 0.0 <= m - lo <= 1e-13 * m and hi == m
+
+
 @pytest.mark.parametrize("seed", range(0, 50, 2))
 def test_certified_brackets_are_tight_on_polyhedral_instances(seed):
     # every row of a vertex grid is certified by its own solve, lo from the
