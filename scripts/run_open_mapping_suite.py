@@ -4,9 +4,10 @@ Generates polyhedral cone maps, splits them by surjectivity, and reports
 how tightly the interior radius inverts the openness constant on the
 surjective half.  The generator makes the map onto exactly at even seeds,
 so the verdict must follow the seed parity; non-surjective instances must
-show an infinite constant, a zero radius and an unreachable witness.  Exits
-1 when an instance is inconsistent or when |rK - 1| exceeds 1e-6 on some
-surjective one.
+show an infinite constant, a zero radius and an unreachable witness.  A
+radius that ``interior_radius`` refuses (ArithmeticError, with the bracket
+it can certify) makes its instance inconsistent.  Exits 1 when an instance
+is inconsistent or when |rK - 1| exceeds 1e-6 on some surjective one.
 """
 
 import argparse
@@ -35,7 +36,12 @@ def main() -> int:
         cfg = inst.sampler
         rep = inst.map.is_surjective(config=cfg)
         K = inst.map.openness_constant(cfg)
-        r = inst.map.interior_radius(cfg)
+        try:
+            r = inst.map.interior_radius(cfg)
+        except ArithmeticError as err:
+            inconsistent += 1
+            print(f"seed {seed}: interior radius refused: {err}")
+            continue
         reached = not rep.surjective and check_feasible(inst.map.matrix, rep.unreachable,
                                                         inst.map.cone).feasible
         if (rep.surjective != (seed % 2 == 0) or reached

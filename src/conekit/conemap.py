@@ -218,9 +218,10 @@ class ConeMap:
         point), so on a vertex grid r lies in [1 / max hi, 1 / max lo] and
         the answer is 1 / max m, with no further solve.  A sampled grid
         refines its worst direction and certifies it with one more solve.
-        An unreachable direction (a certified m = inf) gives 0.  Rows whose
-        bracket does not certify them (undecided, a w outside C*, or lo, m
-        and hi more than 1e-9 apart) fall back on ball-constrained feasibility.
+        An unreachable direction (a certified m = inf) gives 0.  A row whose
+        bracket does not certify it (undecided, a w outside C*, or lo, m and
+        hi more than 1e-9 m apart) raises ArithmeticError with the bracket
+        on r that weak duality still gives over the grid's directions.
         """
         config = config or SamplerConfig()
         dirs, exact = search_grid(self.codomain_dim, self.codomain_norm, config)
@@ -228,52 +229,25 @@ class ConeMap:
         m = brackets[:, 1]
         if np.isinf(m).any():
             return 0.0  # a whole ray misses the image
-        if not exact and not np.isnan(m).all():
-            # polish: minimizing the critical scale = maximizing m over the
-            # sphere, from the gauge at the incumbent (an undecided one has none)
-            a = int(np.nanargmax(m))
+        if not exact:
+            _certified_max(brackets)  # polish m over the sphere from a certified incumbent
+            a = int(np.argmax(m))
             x, worst_m = refine_on_sphere(self._sweep.values, dirs[a], m[a], self.codomain_norm,
                                           steps=config.refine_steps, batched=self._sweep.batched())
             if worst_m > m[a]:
-                dirs, brackets = np.vstack([dirs, x]), np.vstack([brackets, self._sweep.certified(x)])
-        _, m, hi = brackets.T
-        ok = brackets.max(axis=1) - brackets.min(axis=1) <= 1e-9 * m
-        if ok.all():
-            return float(1.0 / m.max())
-        if not ok.any():
-            return self._bisected(dirs, 1.0)
-        floor = 1.0 / hi[ok].max()
-        return float(min(1.0 / m[ok].max(), self._bisected(dirs[~ok], floor, cap=floor)))
+                brackets = np.vstack([brackets, self._sweep.certified(x)])
+        return 1.0 / _certified_max(brackets)
 
-    def _bisected(self, X, t: float, cap: float = math.inf) -> float:
-        """sup{s <= cap : s x in T(C ∩ B_Y) for every row x of X}, one batched
-        ball-feasibility call a step: doubling from t while every row is
-        reachable, then bisection to 1e-9 relative.  A scale that no row misses
-        but some leaves undecided is put at the critical one.  The ball shrinks
-        by the feasibility tolerance, so that an accepted point lies in B_Y."""
-        radius = 1.0 - self._sweep.tol.feasibility
-        ball = _solver.BallConstraint(np.eye(self.domain_dim), self.domain_norm, radius)
-        sweep = _solver.MinNormSweep(self.matrix, self.cone, self.domain_norm, balls=(ball,))
 
-        def reachable(s: float):  # False if a row misses, else None if one is undecided
-            verdicts = {status for status, _ in sweep.feasible_many(s * X)}
-            return verdicts <= {_solver.SolveStatus.OPTIMAL} or (
-                False if _solver.SolveStatus.INFEASIBLE in verdicts else None)
-
-        lo, hi = 0.0, t
-        for _ in range(60):
-            inside = reachable(hi)
-            if inside is None or (inside and hi >= cap):
-                return min(hi, cap)
-            if not inside:
-                break
-            lo, hi = hi, 2.0 * hi
-        for _ in range(80):
-            if hi - lo <= 1e-9 * hi:
-                break
-            mid = 0.5 * (lo + hi)
-            inside = reachable(mid)
-            if inside is None:
-                return mid
-            lo, hi = (mid, hi) if inside else (lo, mid)
-        return 0.5 * (lo + hi)
+def _certified_max(brackets: np.ndarray) -> float:
+    """max m over rows (lo, m, hi) whose ends all lie within 1e-9 m.  Else
+    ArithmeticError with r in [1 / max hi, 1 / max lo]: a NaN hi counts as
+    inf, rows with a NaN lo are left out, and no positive lo gives inf."""
+    lo, m, hi = brackets.T
+    ok = brackets.max(axis=1) - brackets.min(axis=1) <= 1e-9 * m
+    if ok.all():
+        return float(m.max())
+    top = float(np.nan_to_num(hi, nan=math.inf, posinf=math.inf).max())
+    low = float(lo[~np.isnan(lo)].max(initial=-math.inf))
+    raise ArithmeticError(f"{int((~ok).sum())} of {len(m)} grid gauges not certified: r in "
+                          f"[{1.0 / top!r}, {1.0 / low if low > 0.0 else math.inf!r}]")

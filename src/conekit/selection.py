@@ -381,11 +381,17 @@ def hemicontinuity_schedule(spec: CorrespondenceSpec, x: np.ndarray,
     with step sizes r * base * 2^-k, k = 0..steps-1, along a fixed tangent;
     returns an array of rows (step, ratio).  Bounded ratios across the
     schedule are the empirical signature of lower hemicontinuity; blow-up
-    flags a discontinuity.  The zero target has no sphere and is refused.
+    flags a discontinuity.  The tangent is a seeded draw with x projected
+    out; a draw along x is replaced by the coordinate axis where |x_j| is
+    smallest, x projected out.  The zero target has no sphere and a
+    codomain of dimension 1 no tangent: both are refused.
     y is solved first, then every probe in one ``project_many`` call, each
     ratio the one ``hemicontinuity_probe`` gives alone.
     """
     x = np.asarray(x, dtype=float)
+    if x.shape[0] < 2:
+        raise ValueError("hemicontinuity_schedule needs a codomain of dimension 2 or more: "
+                         "a line has no tangent")
     norm = spec.map.codomain_norm
     radius = norm.of(x)
     if radius <= 0.0:
@@ -397,11 +403,10 @@ def hemicontinuity_schedule(spec: CorrespondenceSpec, x: np.ndarray,
     rng = np.random.default_rng(seed)
     t = rng.standard_normal(x.shape[0])
     t -= (t @ x) / (x @ x) * x
-    nt = np.linalg.norm(t)
-    if nt < 1e-12:  # dimension 1: no tangent, fall back to scaling probes
-        t = np.zeros_like(x)
-    else:
-        t /= nt
+    if np.linalg.norm(t) < 1e-12:  # drawn along x
+        t = np.eye(x.shape[0])[np.argmin(np.abs(x))]
+        t -= (t @ x) / (x @ x) * x
+    t /= np.linalg.norm(t)
     out, probes = np.empty((steps, 2)), []
     for k in range(steps):
         theta = base * 2.0 ** (-k)

@@ -687,18 +687,22 @@ class MinNormSweep:
             rows = np.arange(len(X))  # the zero target needs a solve (a cost may go negative)
         live = X if len(rows) == len(X) else X[rows]
         program = self._program(objective)
-        if program.quadratic:
-            H, g = self._hessian(program), np.zeros(self.canon.n)
-            sols = [self._qp(x, H, g) for x in live]
-        else:
-            sols = program.solve_many(live, self.tol)
-        out = np.zeros(len(X))
+        sols, out = self._solve_rows(program, live), np.zeros(len(X))
         for i, (st, z, v, *_) in zip(rows.tolist(), sols):  # v: an LP's optimal value
             if st is not SolveStatus.OPTIMAL and st is not SolveStatus.INFEASIBLE:
                 raise ArithmeticError(f"sweep solve ended {st.value}")
             out[i] = (math.inf if st is SolveStatus.INFEASIBLE
                       else v if v is not None else program.value(z))
         return out
+
+    def _solve_rows(self, program: _Program, X, dual: bool = False) -> list:
+        """(status, z, value, iterations, dual) of a program at each row of X:
+        the active-set QP row by row for a quadratic program, else one
+        ``solve_many`` call."""
+        if program.quadratic:
+            H, g = self._hessian(program), np.zeros(self.canon.n)
+            return [self._qp(x, H, g, dual=dual) for x in X]
+        return program.solve_many(X, self.tol, dual=dual)
 
     def certified(self, X) -> np.ndarray:
         """(lo, value, hi) of the norm objective at each row of X from the one
@@ -710,9 +714,7 @@ class MinNormSweep:
         to ``conic.TARGET``, in one stacked call."""
         X = np.asarray(X, dtype=float).reshape(-1, self.problem.target.shape[0])
         program = self._program()
-        sols = ([self._qp(x, self._hessian(program), np.zeros(self.canon.n), dual=True) for x in X]
-                if program.quadratic else program.solve_many(X, self.tol, dual=True))
-        out = self._brackets(X, sols)
+        out = self._brackets(X, self._solve_rows(program, X, dual=True))
         redo = (np.isnan(out[:, 0]) & np.isfinite(out[:, 1])).nonzero()[0]
         if redo.size and not program._sharp:  # a curved slice, solved to conic.TOL
             from .conic import TARGET

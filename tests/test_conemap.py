@@ -2,6 +2,7 @@ import collections
 import functools
 import itertools
 import math
+import re
 
 import numpy as np
 import pytest
@@ -9,7 +10,7 @@ from hypothesis import given
 from hypothesis import strategies as st
 from hypothesis.extra.numpy import arrays
 
-from conekit import conic, solver
+from conekit import conemap, conic, solver
 from conekit.conemap import ConeMap
 from conekit.cones import DirectSumL1, Generators, Halfspaces, Negation, Orthant, SecondOrder
 from conekit.instances import parse_instance, random_polyhedral_instance
@@ -201,37 +202,54 @@ def corrupt(monkeypatch, cm, name, rows=None):
     monkeypatch.setattr(program, "solve_many", run)
 
 
+def refused_bracket(cm, config=None):
+    """The bracket (lo, hi) on r that a refused ``interior_radius`` states."""
+    with pytest.raises(ArithmeticError, match="not certified") as err:
+        cm.interior_radius(config)
+    return tuple(map(float, re.search(r"r in \[(\S+), (\S+)\]", str(err.value)).groups()))
+
+
 @pytest.mark.parametrize("stub", list(CORRUPTIONS))
 @pytest.mark.parametrize("seed", [0, 4, 10])
 def test_interior_radius_survives_a_wrong_gauge(seed, stub, monkeypatch, spy):
-    # a wrong value, y, w or primal point, or an undecided solve, leaves no
-    # row certified, and the fallback's doubling and bisection on ball
-    # feasibility find the same radius
+    # a wrong value, y, w or primal point, or an undecided solve, leaves a
+    # row uncertified: the radius is refused with no feasibility solve, and
+    # the bracket that weak duality still gives holds the true radius
     want = parse_instance(random_polyhedral_instance(seed)).map.interior_radius()
     cm = parse_instance(random_polyhedral_instance(seed)).map
     corrupt(monkeypatch, cm, stub)
     calls = []
     spy(solver.MinNormSweep, "feasible_many", calls)
-    got = cm.interior_radius()
-    assert calls and abs(got - want) <= 1e-9 * want, (got, want)
+    lo, hi = refused_bracket(cm)
+    assert calls == [] and lo * (1.0 - 1e-12) <= want <= hi * (1.0 + 1e-12), (lo, want, hi)
 
 
-def test_interior_radius_survives_an_undecided_gauge_on_a_sampled_grid(monkeypatch):
-    # the refinement of a sampled grid starts from the gauge at the incumbent;
-    # an undecided gauge gives it nothing to start from, and the smallest
-    # bisected critical scale on the grid stands, just above r = 1 / sqrt(2)
+def test_interior_radius_survives_an_undecided_gauge_on_a_sampled_grid(monkeypatch, spy):
+    # the refinement of a sampled grid starts from the certified gauge at
+    # the incumbent; with every gauge undecided there is none, so the radius
+    # is refused before any refinement, and the bracket says nothing
     cm = lattice_map()
     corrupt(monkeypatch, cm, "undecided")
-    assert 1.0 - 1e-9 <= cm.interior_radius(CFG) * math.sqrt(2.0) <= 1.001
+    calls, refined = [], []
+    spy(solver.MinNormSweep, "feasible_many", calls)
+    spy(conemap, "refine_on_sphere", refined)
+    assert refused_bracket(cm, CFG) == (0.0, math.inf)
+    assert calls == refined == []
 
 
-def test_interior_radius_polish_is_bracketed_too(monkeypatch):
-    # the refined direction of a sampled grid is certified by its own solve;
-    # with its primal point off by 2 it falls back on ball feasibility and
-    # still gives r = 1 / sqrt(2), where the grid alone is 1.2e-4 off
+def test_interior_radius_polish_is_bracketed_too(monkeypatch, spy):
+    # the refined direction of a sampled grid is certified by its own solve
+    # (130 directions miss the worst one, 45 degrees, by 7.3e-5 in r); with
+    # its primal point off by 2 the radius is refused, and the bracket from
+    # its lower end still holds r = 1 / sqrt(2)
     cm = lattice_map()
     corrupt(monkeypatch, cm, "point", rows=1)
-    assert abs(cm.interior_radius(SamplerConfig(512, 128)) - 1.0 / math.sqrt(2.0)) <= 1e-6
+    calls, sizes = [], []
+    spy(solver.MinNormSweep, "feasible_many", calls)
+    spy(solver.MinNormSweep, "certified", sizes, pick=len)
+    lo, hi = refused_bracket(cm, SamplerConfig(512, 130))
+    assert calls == [] and sizes == [130, 1]
+    assert lo == 0.0 and 1.0 / math.sqrt(2.0) <= hi <= (1.0 + 1e-9) / math.sqrt(2.0), hi
 
 
 def test_interior_radius_of_the_planar_l2_lattice(spy):

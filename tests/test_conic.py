@@ -474,3 +474,27 @@ def test_hemicontinuity_schedule_is_two_conic_calls(spy):
         xp = xp / (np.linalg.norm(xp) / radius)
         assert gap == float(np.linalg.norm(x - xp))
         assert ratio == hemicontinuity_probe(spec, x, xp, y) / gap
+
+
+def test_hemicontinuity_schedule_walks_an_axis_when_its_draw_is_along_x(spy):
+    # seed 0 draws t = x itself, which leaves no tangent once x is projected
+    # out; the schedule walks the axis x leans on least instead, and every
+    # probe is solved: 8 nonzero gaps, 2 conic calls of 1 and 8 rows
+    from conekit.selection import CorrespondenceSpec, hemicontinuity_schedule
+
+    spec = CorrespondenceSpec(ice_cream(NormTag.L2), slack=1e-3)
+    x = np.random.default_rng(0).standard_normal(3)
+    x /= np.linalg.norm(x)
+    sizes = []
+    spy(conic.ConeProgram, "solve_many", sizes, pick=len)
+    rows = hemicontinuity_schedule(spec, x, steps=8, seed=0)
+    assert sizes == [1, 8]
+    radius = np.linalg.norm(x)
+    t = np.eye(3)[np.argmin(np.abs(x))]
+    t -= (t @ x) / (x @ x) * x
+    t /= np.linalg.norm(t)
+    for k, (gap, ratio) in enumerate(rows):
+        xp = x + (0.1 * 2.0 ** (-k) * radius) * t
+        xp = xp / (np.linalg.norm(xp) / radius)
+        assert gap == float(np.linalg.norm(x - xp)) > 0.0
+        assert ratio > 0.0

@@ -53,6 +53,30 @@ def test_open_mapping_script_fails_on_a_missed_identity(monkeypatch, capsys):
     assert "2 instances miss r * K = 1 by more than 1e-06" in out
 
 
+def test_open_mapping_script_counts_a_refused_radius(monkeypatch, capsys):
+    # a radius refused at seed 1 is reported with its message, and the rest
+    # of the batch still runs
+    spec = importlib.util.spec_from_file_location("run_open_mapping_suite",
+                                                  SCRIPTS / "run_open_mapping_suite.py")
+    script = importlib.util.module_from_spec(spec)
+    spec.loader.exec_module(script)
+    radius, calls = ConeMap.interior_radius, []
+
+    def refused_once(self, config=None):
+        calls.append(None)
+        if len(calls) == 2:
+            raise ArithmeticError("1 of 16 grid gauges not certified: r in [0.5, inf]")
+        return radius(self, config)
+
+    monkeypatch.setattr(ConeMap, "interior_radius", refused_once)
+    monkeypatch.setattr(sys, "argv", ["run_open_mapping_suite.py", "--count", "4"])
+    assert script.main() == 1
+    out = capsys.readouterr().out
+    assert ("seed 1: interior radius refused: 1 of 16 grid gauges not certified: "
+            "r in [0.5, inf]") in out
+    assert "4 instances in" in out and "2 surjective, 1 not, 1 inconsistent" in out
+
+
 def test_open_mapping_script_fails_on_a_reachable_witness(monkeypatch, capsys):
     spec = importlib.util.spec_from_file_location("run_open_mapping_suite",
                                                   SCRIPTS / "run_open_mapping_suite.py")

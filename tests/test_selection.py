@@ -213,6 +213,13 @@ def test_hemicontinuity_schedule_refuses_the_zero_target():
         hemicontinuity_schedule(_spec(0.1), np.zeros(2))
 
 
+def test_hemicontinuity_schedule_refuses_a_line():
+    # a codomain of dimension 1 has no tangent to walk along
+    cm = ConeMap(np.array([[1.0, -1.0]]), Orthant(2), codomain_norm=NormTag.L2)
+    with pytest.raises(ValueError, match="no tangent"):
+        hemicontinuity_schedule(CorrespondenceSpec(cm, (), slack=0.1), np.array([1.0]))
+
+
 def test_hemicontinuity_schedule_ice_cream():
     cone = DirectSumL1((SecondOrder(2), Negation(SecondOrder(2))))
     cm = ConeMap(np.hstack([np.eye(2), np.eye(2)]), cone, codomain_norm=NormTag.L2)

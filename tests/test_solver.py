@@ -88,8 +88,9 @@ def test_lp_rejects_mismatched_shapes(c, A, eq, free, named):
 def test_program_lp_matches_a_row_by_row_build():
     # the epigraph rows, then the equality rows, then the canon's <= rows,
     # then the cap rows, over free z and nonnegative auxiliaries, those of
-    # the cap first.  The ball programs are interior_radius's, with a flat
-    # l1 or linf cap, and with the same norm split into an l1-sum of blocks
+    # the cap first.  The ball programs are those of the bisection oracle's
+    # ``ball_reachable`` (test_conemap.py), with a flat l1 or linf cap, and
+    # with the same norm split into an l1-sum of blocks
     for seed in range(40):
         m = parse_instance(random_polyhedral_instance(seed)).map
         d, tag = m.domain_dim, m.domain_norm.blocks[0][2]
