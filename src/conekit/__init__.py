@@ -31,9 +31,8 @@ from .selection import (ConstraintFunctional, CorrespondenceSpec, EmptyCorrespon
                         gamma_constrained, hemicontinuity_probe, hemicontinuity_schedule,
                         lipschitz_estimate, selection_bound, tabulate_sphere)
 from .solver import (BallConstraint, FeasibilityReport, MinNormProblem, Solution,
-                     SolveStatus, Tolerances, check_feasible, farkas_certificate,
-                     solve_max_block_norm, solve_min_gauge, solve_min_linear,
-                     solve_min_norm)
+                     SolveStatus, check_feasible, farkas_certificate, solve_max_block_norm,
+                     solve_min_gauge, solve_min_linear, solve_min_norm)
 
 __version__ = "0.1.0"
 
@@ -45,7 +44,7 @@ __all__ = [
     "LiftResult", "LipschitzReport", "MinNormProblem", "Negation", "NormTag",
     "OrderedSpace", "Orthant", "Product", "PropertyCheck", "RightInverse",
     "SampledFunction", "SampledSpace", "SamplerConfig", "SecondOrder", "Solution",
-    "SolveStatus", "SphereTable", "SurjectivityReport", "Tolerances", "TransferReport",
+    "SolveStatus", "SphereTable", "SurjectivityReport", "TransferReport",
     "achievable_alpha", "ando_decompose", "ball_vertices", "check_feasible", "combine",
     "conormality_constant", "contains", "correspondence_value", "covering_radius",
     "decomposition_bound", "decomposition_value", "dual", "extend_from_sphere",

@@ -125,10 +125,10 @@ class ConeMap:
         return sphere_sup(lambda X: self._sweep.values(X, objective), self.codomain_dim,
                           self.codomain_norm, config, batched=self._sweep.batched(objective))
 
-    def min_preimage(self, x: np.ndarray, tol: _solver.Tolerances = _solver.DEFAULT_TOL) -> _solver.Solution:
+    def min_preimage(self, x: np.ndarray) -> _solver.Solution:
         """Smallest-norm cone point mapped to x, with certificate if none."""
         problem = _solver.MinNormProblem(self.matrix, x, self.cone, self.domain_norm)
-        return _solver.solve_min_norm(problem, tol)
+        return _solver.solve_min_norm(problem)
 
     def preimage_gauge(self, x: np.ndarray) -> float:
         """m(x): inf over preimages in the cone, inf when x is unreachable."""

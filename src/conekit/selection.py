@@ -204,12 +204,17 @@ class RightInverse:
         x = np.asarray(x, dtype=float)
         if not np.any(x):
             return np.zeros(self.map.domain_dim)
-        sol = self.solve(x)
-        if sol.status is _solver.SolveStatus.INFEASIBLE:
-            raise EmptyCorrespondence(x, sol)
-        if sol.status is not _solver.SolveStatus.OPTIMAL:
-            raise ArithmeticError(f"selection failed at target {x!r}: {sol.status.value}")
-        return sol.point
+        return _selected(x, self.solve(x))
+
+
+def _selected(x: np.ndarray, sol: _solver.Solution) -> np.ndarray:
+    """The point of a solve of F(x): EmptyCorrespondence when F(x) is
+    certified empty, ArithmeticError for any other verdict but OPTIMAL."""
+    if sol.status is _solver.SolveStatus.INFEASIBLE:
+        raise EmptyCorrespondence(x, sol)
+    if sol.status is not _solver.SolveStatus.OPTIMAL:
+        raise ArithmeticError(f"selection failed at target {x!r}: {sol.status.value}")
+    return sol.point
 
 
 def gamma(cmap: ConeMap) -> RightInverse:
@@ -386,7 +391,10 @@ def hemicontinuity_schedule(spec: CorrespondenceSpec, x: np.ndarray,
     smallest, x projected out.  The zero target has no sphere and a
     codomain of dimension 1 no tangent: both are refused.
     y is solved first, then every probe in one ``project_many`` call, each
-    ratio the one ``hemicontinuity_probe`` gives alone.
+    ratio the one ``hemicontinuity_probe`` gives alone.  A step whose probe
+    lands within 1e-15 r of x (x' is x to rounding) is not solved: its row
+    is (r * base * 2^-k, NaN).  An empty F(x) raises EmptyCorrespondence,
+    an undecided solve of y ArithmeticError.
     """
     x = np.asarray(x, dtype=float)
     if x.shape[0] < 2:
@@ -396,10 +404,7 @@ def hemicontinuity_schedule(spec: CorrespondenceSpec, x: np.ndarray,
     radius = norm.of(x)
     if radius <= 0.0:
         raise ValueError("hemicontinuity_schedule needs a nonzero target, got the zero target")
-    base_sol = correspondence_value(spec, x)
-    if base_sol.status is not _solver.SolveStatus.OPTIMAL:
-        raise EmptyCorrespondence(x, base_sol)
-    y = base_sol.point
+    y = _selected(x, correspondence_value(spec, x))
     rng = np.random.default_rng(seed)
     t = rng.standard_normal(x.shape[0])
     t -= (t @ x) / (x @ x) * x
@@ -414,7 +419,7 @@ def hemicontinuity_schedule(spec: CorrespondenceSpec, x: np.ndarray,
         xp = xp / (norm.of(xp) / radius)
         gap = float(np.linalg.norm(x - xp))
         if gap < 1e-15 * radius:
-            out[k] = (theta * radius, 0.0)
+            out[k] = (theta * radius, math.nan)
         else:
             probes.append((k, xp, gap))
     for (k, _, gap), res in zip(probes, spec.project_many([p[1] for p in probes],

@@ -8,35 +8,28 @@ the optimal bases of earlier solves and repairs them with dual simplex
 pivots; the cold two-phase method remains the fallback.  Every
 verdict is checked on the original data, or is ITERATION_LIMIT.  Ties among
 optima are broken lexicographically by phase 2 on the last answer's optimal
-face.  The shared tolerances and solve statuses live here as well.
+face.  The fixed thresholds of every simplex and active-set verdict
+(``FEASIBILITY``, ``OPTIMALITY``, ``iteration_cap``) and the solve statuses
+live here as well.
 """
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from enum import Enum
 from functools import partial
 
 import numpy as np
 
 
-@dataclass(frozen=True)
-class Tolerances:
-    """Numerical thresholds shared across the kernel.
-
-    feasibility: primal/dual feasibility of returned points.
-    optimality:  objective-gap / KKT residual target.
-    cap(m, n):   iteration budget, quadratic in the problem size.
-    """
-
-    feasibility: float = 1e-9
-    optimality: float = 1e-8
-
-    def cap(self, m: int, n: int) -> int:
-        return 10 * (m + n) ** 2 + 100
+# primal and dual feasibility of returned points, relative to the data's scale
+FEASIBILITY = 1e-9
+# a Farkas certificate y needs <y, x> above this
+OPTIMALITY = 1e-8
 
 
-DEFAULT_TOL = Tolerances()
+def iteration_cap(m: int, n: int) -> int:
+    """Iteration budget of a program with m rows and n columns, quadratic in its size."""
+    return 10 * (m + n) ** 2 + 100
 
 
 class SolveStatus(str, Enum):
@@ -62,11 +55,10 @@ class _StandardLP:
     start.  INFEASIBLE's is the phase-1 dual, UNBOUNDED's a ray d >= 0.
     """
 
-    def __init__(self, A: np.ndarray, b: np.ndarray, c: np.ndarray, tol: Tolerances = DEFAULT_TOL):
+    def __init__(self, A: np.ndarray, b: np.ndarray, c: np.ndarray):
         self.A = np.atleast_2d(np.asarray(A, dtype=float))
         self.b = np.asarray(b, dtype=float)
         self.c = np.asarray(c, dtype=float)
-        self.tol = tol
 
     def solve(self):
         A, b, c = self.A.copy(), self.b.copy(), self.c.copy()
@@ -74,8 +66,7 @@ class _StandardLP:
         neg = b < 0
         A[neg] *= -1.0
         b[neg] *= -1.0
-        eps = self.tol.feasibility
-        cap = self.tol.cap(m, n)
+        cap = iteration_cap(m, n)
 
         # phase 1: columns [original | artificial | rhs], from a slack basis
         # (Bixby 2002): a row owning a +1 unit column (the slack of a
@@ -94,10 +85,10 @@ class _StandardLP:
         basis = [owner[i] for i in range(m)]
         T[m, :n] = -A[art].sum(axis=0)
         T[m, -1] = -b[art].sum()
-        it1 = self._pivot_loop(T, basis, restrict=n + len(art), eps=eps, cap=cap)
+        it1 = self._pivot_loop(T, basis, restrict=n + len(art), cap=cap)
         if it1 == -1:
             return SolveStatus.ITERATION_LIMIT, None, None, cap, None
-        if -T[m, -1] > 1e-9 * _scale(b):
+        if -T[m, -1] > FEASIBILITY * _scale(b):
             # the phase-1 dual: a starting column owner(i) is the unit vector
             # e_i at phase-1 cost [artificial], so its reduced cost is that cost - y_i
             start = np.array([owner[i] for i in range(m)], dtype=int)
@@ -121,9 +112,9 @@ class _StandardLP:
         for i, bi in enumerate(basis2):
             if c[bi] != 0.0:
                 T2[-1, :] -= c[bi] * T2[i, :]
-        it2 = self._pivot_loop(T2, basis2, restrict=n, eps=eps, cap=cap)
+        it2 = self._pivot_loop(T2, basis2, restrict=n, cap=cap)
         if it2 == -2:  # a column with negative reduced cost and no positive entry
-            j = np.flatnonzero((T2[-1, :n] < -eps) & (T2[:-1, :n] <= eps).all(axis=0))[0]
+            j = np.flatnonzero((T2[-1, :n] < -FEASIBILITY) & (T2[:-1, :n] <= FEASIBILITY).all(axis=0))[0]
             d = np.zeros(n)
             d[basis2], d[j] = np.maximum(-T2[:-1, j], 0.0), 1.0
             return SolveStatus.UNBOUNDED, None, None, it1, d
@@ -136,21 +127,21 @@ class _StandardLP:
         return SolveStatus.OPTIMAL, v, float(-T2[-1, -1]), it1 + it2, proof
 
     @classmethod
-    def lexmin(cls, T, basis, c, costs, tol: Tolerances = DEFAULT_TOL):
+    def lexmin(cls, T, basis, c, costs):
         """(v, pivots): from the tableau T (changed in place) of a basis optimal
         for c, the point of the optimal face minimizing each row of costs in turn.
         That face is the feasible set with v_j = 0 where the reduced cost d_j > 0
         (complementary slackness): each cost runs phase 2 from the current basis,
-        then columns with d_j > eps are zeroed.  An unbounded pass or the cap stops,
-        and so does a pass after which no cost row left has a reduced cost below
-        -eps on a live nonbasic column, so that no later pass could pivot: the
-        face is one point, or the costs left are constant on it."""
-        r, n, eps = len(basis), T.shape[1] - 1, tol.feasibility
+        then columns with d_j > eps = FEASIBILITY are zeroed.  An unbounded pass
+        or the cap stops, and so does a pass after which no cost row left has a
+        reduced cost below -eps on a live nonbasic column, so that no later pass
+        could pivot: the face is one point, or the costs left are constant on it."""
+        r, n, eps = len(basis), T.shape[1] - 1, FEASIBILITY
         basis, dead, its = list(basis), np.zeros(n, bool), 0
         for k, cost in enumerate((c, *costs)):
             cost = np.where(dead, 0.0, cost)
             T[r, :n] = cost - cost[basis] @ T[:r, :n]
-            got = cls._pivot_loop(T, basis, n, eps, tol.cap(r, n))
+            got = cls._pivot_loop(T, basis, n, iteration_cap(r, n))
             if got < 0:
                 break
             its += got
@@ -174,8 +165,8 @@ class _StandardLP:
         basis[row] = col
 
     @classmethod
-    def _pivot_loop(cls, T, basis, restrict, eps, cap):
-        m, it = len(basis), 0
+    def _pivot_loop(cls, T, basis, restrict, cap):
+        m, it, eps = len(basis), 0, FEASIBILITY
         bland_after = 4 * (m + restrict) + 50
         with np.errstate(divide="ignore"):
             while it < cap:
@@ -206,13 +197,14 @@ def _scale(v: np.ndarray) -> float:
     return max(1.0, float(np.abs(v).max(initial=0.0)))
 
 
-def _farkas_ray(A, b, y, eps: float):
+def _farkas_ray(A, b, y):
     """y scaled to max-abs 1 when it proves {A v = b, v >= 0} empty, with
-    y A <= 0 < y b within eps times the data's scale; else None."""
+    y A <= 0 < y b within FEASIBILITY times the data's scale; else None."""
     top = float(np.abs(y).max(initial=0.0))
     if not 0.0 < top < math.inf:
         return None
     y = y / top
+    eps = FEASIBILITY
     return y if (y @ A).max(initial=0.0) <= eps * _scale(A) and y @ b > eps * _scale(b) else None
 
 
@@ -259,42 +251,41 @@ class _WarmStart:
         self._stack = None  # every entry's M stacked, rebuilt after a change
         self._starts = None
 
-    def solve(self, b: np.ndarray, tol: Tolerances):
+    def solve(self, b: np.ndarray):
         """(status, v, value, pivots) for right-hand side b."""
         spent, self.last, self.ray, status = 0, None, None, None
         top = float(np.abs(b).max(initial=0.0))
         self.b_scale = _power_scale(top)
-        b, feas = b / self.b_scale, tol.feasibility * max(1.0, top / self.b_scale)
+        b, feas = b / self.b_scale, FEASIBILITY * max(1.0, top / self.b_scale)
         if self._stack_entries():
-            status, v, value, spent = self._warm(b, tol, feas)
+            status, v, value, spent = self._warm(b, feas)
         if status is None:
-            status, v, value, its = self._cold(b, tol, feas)
+            status, v, value, its = self._cold(b, feas)
             spent += its
         if status is SolveStatus.OPTIMAL and self.b_scale * self.c_scale != 1.0:
             v, value = v * self.b_scale, value * self.b_scale * self.c_scale
         return status, v, value, spent
 
-    def _cold(self, b: np.ndarray, tol: Tolerances, feas: float):
+    def _cold(self, b: np.ndarray, feas: float):
         """The two-phase simplex, its verdict checked (ITERATION_LIMIT when the
         check fails): a primal ray d >= 0 needs A d = 0 > c d."""
-        status, v, value, its, proof = _StandardLP(self.A, b, self.c, tol).solve()
-        eps = tol.feasibility
+        status, v, value, its, proof = _StandardLP(self.A, b, self.c).solve()
         if status is SolveStatus.OPTIMAL:
             rows, cols, T = proof
-            M = self._inverse(rows, cols, tol)
+            M = self._inverse(rows, cols)
             if (M is not None and v.min(initial=0.0) >= -feas
                     and np.abs(self.A @ v - b).max(initial=0.0) <= feas):
                 self._record(rows, cols, M)
                 self.last = cols, T.copy, M
                 return status, v, value, its
         elif status is SolveStatus.INFEASIBLE:
-            self.ray = _farkas_ray(self.A, b, proof, eps)
+            self.ray = _farkas_ray(self.A, b, proof)
             if self.ray is not None:
                 return status, None, None, its
         elif status is SolveStatus.UNBOUNDED:
             d = proof / proof.max()
-            if (np.abs(self.A @ d).max(initial=0.0) <= eps * _scale(self.A)
-                    and self.c @ d < -eps * self.c_top):
+            if (np.abs(self.A @ d).max(initial=0.0) <= FEASIBILITY * _scale(self.A)
+                    and self.c @ d < -FEASIBILITY * self.c_top):
                 return status, None, None, its
         return SolveStatus.ITERATION_LIMIT, None, None, its
 
@@ -317,10 +308,10 @@ class _WarmStart:
                 e[2] = self._stack[start : start + e[1].size]
         return self._stack is not None
 
-    def _inverse(self, rows, cols, tol: Tolerances):
+    def _inverse(self, rows, cols):
         """M with M b = B^-1 b[rows], or None for a singular or dual infeasible B."""
         if cols.size == 0:  # phase 1 found every row redundant: y = 0
-            dual = self.c.min(initial=0.0) >= -tol.feasibility * self.c_top
+            dual = self.c.min(initial=0.0) >= -FEASIBILITY * self.c_top
             return np.zeros((0, self.A.shape[0])) if dual else None
         A = self.A[rows]
         B = A[:, cols]
@@ -330,13 +321,13 @@ class _WarmStart:
             return None
         if np.abs(Binv @ B - np.eye(cols.size)).max() > 1e-8:
             return None
-        if (self.c - (self.c[cols] @ Binv) @ A).min() < -tol.feasibility * self.c_top:
+        if (self.c - (self.c[cols] @ Binv) @ A).min() < -FEASIBILITY * self.c_top:
             return None
         M = np.zeros((rows.size, self.A.shape[0]))
         M[:, rows] = Binv
         return M
 
-    def _warm(self, b: np.ndarray, tol: Tolerances, feas: float):
+    def _warm(self, b: np.ndarray, feas: float):
         """A checked answer from the cache, or status None after the pivots spent."""
         X = self._stack @ b
         lows = np.minimum.reduceat(X, self._starts)
@@ -352,7 +343,7 @@ class _WarmStart:
         k = int(np.argmax(gaps))
         if gaps[k] == -np.inf:
             return None, None, None, 0
-        return self._dual_simplex(k, b, tol, feas)
+        return self._dual_simplex(k, b, feas)
 
     def _accept(self, entry, xB, b, feas: float, pivots: int):
         v = np.zeros(self.A.shape[1])
@@ -372,22 +363,22 @@ class _WarmStart:
         T[:r, n] = M @ b
         return T
 
-    def _dual_simplex(self, k: int, b: np.ndarray, tol: Tolerances, feas: float):
+    def _dual_simplex(self, k: int, b: np.ndarray, feas: float):
         rows, cols, M = self.entries[k]
         T = self._tableau(self.A, rows, M, b)
-        r, n, eps = cols.size, self.A.shape[1], tol.feasibility
+        r, n = cols.size, self.A.shape[1]
         T[r, :n] = self.c - self.c[cols] @ T[:r, :n]
         basis = cols.tolist()
         its = 0
         while its < 2 * (r + n):
             p = int(np.argmin(T[:r, n]))
             if T[p, n] >= -feas:
-                out = self._repaired(rows, np.array(basis), b, tol, feas, its)
+                out = self._repaired(rows, np.array(basis), b, feas, its)
                 break
             alpha = T[p, :n]
-            cand = np.nonzero(alpha < -eps)[0]
+            cand = np.nonzero(alpha < -FEASIBILITY)[0]
             if cand.size == 0:
-                out = self._ray(rows, np.array(basis), p, b, tol, its)
+                out = self._ray(rows, np.array(basis), p, b, its)
                 break
             ratios = np.maximum(T[r, cand], 0.0) / -alpha[cand]
             _StandardLP._pivot(T, p, int(cand[np.argmin(ratios)]), basis)
@@ -396,9 +387,9 @@ class _WarmStart:
             out = None
         return out if out is not None else (None, None, None, its)
 
-    def _repaired(self, rows, cols, b, tol: Tolerances, feas: float, pivots: int):
+    def _repaired(self, rows, cols, b, feas: float, pivots: int):
         """Refactorize the basis the dual simplex ended on, check it, keep it."""
-        M = self._inverse(rows, cols, tol)
+        M = self._inverse(rows, cols)
         if M is None:
             return None
         xB = M @ b
@@ -409,7 +400,7 @@ class _WarmStart:
             self._record(rows, cols, M)
         return out
 
-    def _ray(self, rows, cols, p: int, b, tol: Tolerances, pivots: int):
+    def _ray(self, rows, cols, p: int, b, pivots: int):
         """INFEASIBLE, with ``ray`` set, when minus row p of B^-1 is a Farkas
         ray on the original data."""
         e = np.zeros(rows.size)
@@ -420,7 +411,7 @@ class _WarmStart:
             return None
         y = np.zeros(self.A.shape[0])
         y[rows] = yr
-        self.ray = _farkas_ray(self.A, b, y, tol.feasibility)
+        self.ray = _farkas_ray(self.A, b, y)
         return None if self.ray is None else (SolveStatus.INFEASIBLE, None, None, pivots)
 
 
@@ -472,9 +463,9 @@ class LinearProgram:
         z[free] -= v[q]
         return z
 
-    def solve(self, b, tol: Tolerances = DEFAULT_TOL):
+    def solve(self, b):
         """(status, z, value, pivots) at right-hand side b."""
-        status, v, value, its = self._warm.solve(np.asarray(b, dtype=float), tol)
+        status, v, value, its = self._warm.solve(np.asarray(b, dtype=float))
         self.ray = self._warm.ray
         if status is not SolveStatus.OPTIMAL:
             return status, None, None, its
@@ -488,9 +479,9 @@ class LinearProgram:
         cols, _, M = warm.last
         return (warm.c[cols] @ M) * warm.c_scale
 
-    def lexmin(self, costs, tol: Tolerances = DEFAULT_TOL):
+    def lexmin(self, costs):
         """(z, pivots) after an OPTIMAL ``solve``: its optimum minimizing each cost row in turn."""
         warm = self._warm
         cols, tableau, _ = warm.last
-        v, its = _StandardLP.lexmin(tableau(), cols, warm.c, self._costs(costs), tol)
+        v, its = _StandardLP.lexmin(tableau(), cols, warm.c, self._costs(costs))
         return self._unsplit(v * warm.b_scale), its

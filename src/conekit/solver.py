@@ -38,10 +38,9 @@ import numpy as np
 from . import cones as _cones
 from .norms import BlockNorm, NormTag
 from .projops import nonneg_lstsq
-from .simplex import DEFAULT_TOL, LinearProgram, SolveStatus, Tolerances
+from .simplex import FEASIBILITY, OPTIMALITY, LinearProgram, SolveStatus, iteration_cap
 
 __all__ = [
-    "Tolerances",
     "SolveStatus",
     "Certificate",
     "Solution",
@@ -65,15 +64,15 @@ __all__ = [
 class Certificate:
     """Separating functional for an infeasible slice.
 
-    Farkas evidence: ``<y, x> > 0`` while ``T^T y`` lies in the dual cone
-    of ``-C``, so no ``c in C`` can satisfy ``T c = x``: the equality-row
-    part of the simplex's or the conic driver's ray that proved the slice
-    empty, once it has passed ``certificate_is_valid``.
+    Farkas evidence: ``<y, x> > OPTIMALITY`` while ``T^T y`` lies in the
+    dual cone of ``-C``, so no ``c in C`` can satisfy ``T c = x``: the
+    equality-row part of the simplex's or the conic driver's ray that proved
+    the slice empty, scaled to max-abs 1, once it has passed
+    ``certificate_is_valid``.  Every certificate returned is checked; ``y``
+    is its only field.
     """
 
     y: np.ndarray
-    kind: str = "exact"  # every certificate returned here has been checked
-    note: str = ""
 
 
 @dataclass
@@ -157,7 +156,6 @@ def active_set_qp(
     in_A: np.ndarray,
     in_b: np.ndarray,
     z0: np.ndarray,
-    tol: Tolerances = DEFAULT_TOL,
 ):
     """min .5 z H z + g z over {eq_A z = eq_b, in_A z <= in_b} from feasible z0.
 
@@ -171,10 +169,9 @@ def active_set_qp(
     """
     n = z0.shape[0]
     z = np.asarray(z0, dtype=float).copy()
-    eps = tol.feasibility
     scale = max(1.0, float(np.linalg.norm(z)))
-    work = [i for i in range(in_A.shape[0]) if in_A[i] @ z >= in_b[i] - 1e-9 * scale]
-    cap = tol.cap(in_A.shape[0] + eq_A.shape[0], n)
+    work = [i for i in range(in_A.shape[0]) if in_A[i] @ z >= in_b[i] - FEASIBILITY * scale]
+    cap = iteration_cap(in_A.shape[0] + eq_A.shape[0], n)
 
     it = 0
     while it < cap:
@@ -201,7 +198,7 @@ def active_set_qp(
                 return z, it, SolveStatus.OPTIMAL, work
             lam, *_ = np.linalg.lstsq(Aact.T, -grad, rcond=None)
             lam_in = lam[eq_A.shape[0] :]
-            if lam_in.size == 0 or np.min(lam_in) >= -1e-9:
+            if lam_in.size == 0 or np.min(lam_in) >= -FEASIBILITY:
                 return z, it, SolveStatus.OPTIMAL, work
             work.pop(int(np.argmin(lam_in)))
             continue
@@ -211,7 +208,7 @@ def active_set_qp(
             if i in work:
                 continue
             ap = in_A[i] @ p
-            if ap > eps:
+            if ap > FEASIBILITY:
                 ratio = (in_b[i] - in_A[i] @ z) / ap
                 if ratio < alpha - 1e-14:
                     alpha, blocking = max(ratio, 0.0), i
@@ -480,8 +477,8 @@ class _Program:
         return conic.ConeProgram(c, self._matrix(rows), len(lp_rows), [len(b) for b in self._socs],
                                  self._pad(canon.eq_A))
 
-    def solve(self, x, scale: float = 1.0, tol: Tolerances = DEFAULT_TOL,
-              lexicographic: bool = False, whole: bool = False, dual: bool = False):
+    def solve(self, x, scale: float = 1.0, lexicographic: bool = False, whole: bool = False,
+              dual: bool = False):
         """(status, z, value, iterations, y) at target x with bounds and radii
         times scale.
 
@@ -500,25 +497,24 @@ class _Program:
         lp, eq = self.lp, slice(len(self._rows), len(self._rows) + x.shape[0])  # after the epigraphs
         b = self._unit * scale
         b[eq] = x
-        status, v, value, its = lp.solve(b, tol)
+        status, v, value, its = lp.solve(b)
         if status is not SolveStatus.OPTIMAL:
             y = None if lp.ray is None else lp.ray[eq]
             return status, None, None, its, y
         pi = lp.dual if dual else None  # LP multipliers of <= rows are <= 0
         y = None if pi is None else (pi[eq], self._subgradient(-pi[:len(self._rows)]))
         if lexicographic:
-            v, more = self._lexicographic(tol)
+            v, more = self._lexicographic()
             its += more
         return status, v if whole else v[:self.n], value, its, y
 
-    def solve_many(self, X, tol: Tolerances = DEFAULT_TOL, dual: bool = False, target=None,
-                   centers=None) -> list:
+    def solve_many(self, X, dual: bool = False, target=None, centers=None) -> list:
         """``solve`` at each row of X at unit scale: one batched call on the
         conic backend (to ``target`` if given), one target after another on
         the simplex, whose cached bases carry over.  A "center" objective
         takes ``centers`` = (points, scales), each row's point and scale."""
         if self.driver == "simplex":
-            return [self.solve(x, tol=tol, dual=dual) for x in X]
+            return [self.solve(x, dual=dual) for x in X]
         program, H = self.program, self.h  # compiled here, which also sets self.h
         if centers is not None:
             points, scales = centers
@@ -549,9 +545,9 @@ class _Program:
         g[S.any(axis=1)] = mu[0::2] - mu[1::2]
         return g
 
-    def _lexicographic(self, tol: Tolerances):
+    def _lexicographic(self):
         """(v, pivots) minimizing S z in turn over the LP's exact optimal face; no row is added."""
-        return self.lp.lexmin(self._pad(self.canon.S), tol)
+        return self.lp.lexmin(self._pad(self.canon.S))
 
     def value(self, z: np.ndarray) -> float:
         """The objective at z: the cost, or the sum (the maximum, for "max")
@@ -613,13 +609,11 @@ class MinNormSweep:
     on to the conic program of the squared distance.
     """
 
-    def __init__(self, map, cone, objective: BlockNorm | None = None,
-                 tol: Tolerances = DEFAULT_TOL, balls=(), extra_bounds=()):
+    def __init__(self, map, cone, objective: BlockNorm | None = None, balls=(), extra_bounds=()):
         d = np.atleast_2d(np.asarray(map, dtype=float)).shape[0]
         objective = objective or BlockNorm.flat(cone.ambient_dim, NormTag.L2)
         self.problem = MinNormProblem(map, np.zeros(d), cone, objective,
                                       tuple(extra_bounds), tuple(balls))
-        self.tol = tol
         self.canon = _canonicalize(self.problem)
         self._curved = [cap for cap in self.canon.caps if not cap[1].is_polyhedral]
         self._programs: dict = {}
@@ -663,13 +657,13 @@ class MinNormSweep:
         auxiliaries, from a warm vertex of ``_start``; as ``_Program.solve``
         (``dual``: minus the final working set's equality-row multipliers)."""
         start = self._start
-        status, v0, _, its0, y = start.solve(x, scale, self.tol, whole=True)
+        status, v0, _, its0, y = start.solve(x, scale, whole=True)
         if status is not SolveStatus.OPTIMAL:
             return status, None, None, its0, y
         eq_A, in_A, in_b = start.constraints
         if start._aux:  # g has no part on the cap auxiliaries
             g = np.concatenate([g, np.zeros(start._aux)])
-        v, its, st, work = active_set_qp(H, g, eq_A, x, in_A, in_b * scale, v0, self.tol)
+        v, its, st, work = active_set_qp(H, g, eq_A, x, in_A, in_b * scale, v0)
         if dual and st is SolveStatus.OPTIMAL:
             lam = np.linalg.lstsq(np.vstack([eq_A, in_A[work]]).T, -(H @ v + g), rcond=None)[0]
             y = -lam[:x.shape[0]], None
@@ -702,7 +696,7 @@ class MinNormSweep:
         if program.quadratic:
             H, g = self._hessian(program), np.zeros(self.canon.n)
             return [self._qp(x, H, g, dual=dual) for x in X]
-        return program.solve_many(X, self.tol, dual=dual)
+        return program.solve_many(X, dual=dual)
 
     def certified(self, X) -> np.ndarray:
         """(lo, value, hi) of the norm objective at each row of X from the one
@@ -718,7 +712,7 @@ class MinNormSweep:
         redo = (np.isnan(out[:, 0]) & np.isfinite(out[:, 1])).nonzero()[0]
         if redo.size and not program._sharp:  # a curved slice, solved to conic.TOL
             from .conic import TARGET
-            out[redo] = self._brackets(X[redo], program.solve_many(X[redo], self.tol, True, TARGET))
+            out[redo] = self._brackets(X[redo], program.solve_many(X[redo], dual=True, target=TARGET))
         return out
 
     def _brackets(self, X, sols) -> np.ndarray:
@@ -750,10 +744,11 @@ class MinNormSweep:
 
     def upper_end(self, x, z) -> float:
         """|S z|, an upper bound on the norm objective at x once every row of
-        the canon (equality, <=, cap and second-order) holds at z to the
-        feasibility tolerance, as a simplex verdict is checked; else inf."""
+        the canon (equality, <=, cap and second-order) holds at z to
+        ``FEASIBILITY`` times the scale of x and z, as a simplex verdict is
+        checked; else inf."""
         canon, z = self.canon, np.asarray(z, dtype=float)
-        eps = self.tol.feasibility * max(1.0, float(np.abs(x).max()), float(np.abs(z).max()))
+        eps = FEASIBILITY * max(1.0, float(np.abs(x).max()), float(np.abs(z).max()))
         ok = (np.abs(canon.eq_A @ z - x).max(initial=0.0) <= eps
               and (canon.in_A @ z - canon.in_b).max(initial=0.0) <= eps
               and all(norm.of(E @ z) <= r + eps for E, norm, r in canon.caps)
@@ -773,7 +768,7 @@ class MinNormSweep:
         """(status, Farkas y or None) of the feasibility program at each row of
         X, to be read by ``_decided`` and ``_certificate``."""
         X = np.asarray(X, dtype=float).reshape(-1, self.problem.target.shape[0])
-        return [(st, y) for st, _, _, _, y in self._program(None).solve_many(X, self.tol)]
+        return [(st, y) for st, _, _, _, y in self._program(None).solve_many(X)]
 
     def feasible(self, x: np.ndarray) -> bool:
         """Whether the slice at x is nonempty; ArithmeticError when undecided."""
@@ -792,7 +787,7 @@ class MinNormSweep:
         if program.quadratic:
             st, z, _, its, y = self._qp(x, self._hessian(program), np.zeros(self.canon.n))
         else:
-            st, z, _, its, y = program.solve(x, tol=self.tol, lexicographic=lexicographic)
+            st, z, _, its, y = program.solve(x, lexicographic=lexicographic)
         driver = "active-set" if program.quadratic else program.driver
         return self._conclude(x, 1.0, st, its, driver,
                               lambda: (self.canon.S @ z, program.value(z)), y)
@@ -894,18 +889,14 @@ class MinNormSweep:
         """The checked Farkas certificate in the ray y of the verdict that found
         the slice at target x empty, when no bound or cap takes part in it."""
         p = self.problem
-        return None if p.extra_bounds or p.balls else _ray_certificate(p.map, x, p.cone, y, self.tol)
+        return None if p.extra_bounds or p.balls else _ray_certificate(p.map, x, p.cone, y)
 
 
 # ---------------------------------------------------------------------------
 # one-shot entry points: compile, then solve at the target
 
 
-def solve_min_norm(
-    problem: MinNormProblem,
-    tol: Tolerances = DEFAULT_TOL,
-    lexicographic: bool = True,
-) -> Solution:
+def solve_min_norm(problem: MinNormProblem, lexicographic: bool = True) -> Solution:
     """Minimize the problem's block norm over the slice {T c = x} inter C.
 
     Returns an Optimal solution with the ambient minimizer, an Infeasible
@@ -914,41 +905,25 @@ def solve_min_norm(
     returned point is the lexicographically smallest optimum (disable with
     ``lexicographic=False`` when only the value matters).
     """
-    sweep = MinNormSweep(problem.map, problem.cone, problem.objective, tol, problem.balls,
+    sweep = MinNormSweep(problem.map, problem.cone, problem.objective, problem.balls,
                          problem.extra_bounds)
     return sweep.solve(problem.target, lexicographic=lexicographic)
 
 
-def solve_min_gauge(
-    map,
-    target,
-    cone: _cones.Cone,
-    gauge: tuple[np.ndarray, NormTag],
-    *,
-    extra_bounds=(),
-    balls=(),
-    tol: Tolerances = DEFAULT_TOL,
-) -> Solution:
+def solve_min_gauge(map, target, cone: _cones.Cone, gauge: tuple[np.ndarray, NormTag], *,
+                    extra_bounds=(), balls=()) -> Solution:
     """Minimize |R c|_tag over the slice, for a possibly degenerate gauge.
 
     Unlike solve_min_norm the objective may ignore part of the ambient point
     (R is any matrix), so it is a sublinear gauge rather than a norm.
     Solution.value is the gauge value of the minimizer.
     """
-    sweep = MinNormSweep(map, cone, tol=tol, balls=balls, extra_bounds=extra_bounds)
+    sweep = MinNormSweep(map, cone, balls=balls, extra_bounds=extra_bounds)
     return sweep.solve(target, gauge)
 
 
-def solve_min_linear(
-    map,
-    target,
-    cone: _cones.Cone,
-    cost,
-    *,
-    extra_bounds=(),
-    balls=(),
-    tol: Tolerances = DEFAULT_TOL,
-) -> Solution:
+def solve_min_linear(map, target, cone: _cones.Cone, cost, *, extra_bounds=(),
+                     balls=()) -> Solution:
     """Minimize <cost, c> over the slice {T c = x} inter C plus bounds.
 
     The value can be negative.  The feasible set must be bounded in the
@@ -956,35 +931,27 @@ def solve_min_linear(
     Polyhedral instances solve exactly with the simplex; curved ones with
     the conic driver, to its residual and gap tolerance.
     """
-    sweep = MinNormSweep(map, cone, tol=tol, balls=balls, extra_bounds=extra_bounds)
+    sweep = MinNormSweep(map, cone, balls=balls, extra_bounds=extra_bounds)
     sol = sweep.solve(target, np.asarray(cost, dtype=float))
     if sol.status is SolveStatus.UNBOUNDED:
         raise ArithmeticError("linear objective unbounded below; add a norm cap")
     return sol
 
 
-def solve_max_block_norm(problem: MinNormProblem, tol: Tolerances = DEFAULT_TOL) -> Solution:
+def solve_max_block_norm(problem: MinNormProblem) -> Solution:
     """Minimize max_b |c_b| over the objective blocks of the problem.
 
     One epigraph variable t bounds every block: an LP for polyhedral block
     tags on polyhedral data, a conic program for any other mix of tags and
     cones.
     """
-    sweep = MinNormSweep(problem.map, problem.cone, problem.objective, tol, problem.balls,
+    sweep = MinNormSweep(problem.map, problem.cone, problem.objective, problem.balls,
                          problem.extra_bounds)
     return sweep.solve(problem.target, "max")
 
 
-def project_onto_slice(
-    map: np.ndarray,
-    target: np.ndarray,
-    cone: _cones.Cone,
-    point: np.ndarray,
-    *,
-    extra_bounds=(),
-    balls=(),
-    tol: Tolerances = DEFAULT_TOL,
-) -> Solution:
+def project_onto_slice(map: np.ndarray, target: np.ndarray, cone: _cones.Cone,
+                       point: np.ndarray, *, extra_bounds=(), balls=()) -> Solution:
     """Euclidean projection of ``point`` onto {c in C : T c = x} plus bounds.
 
     The projection is unique by strict convexity; Infeasible when the slice
@@ -992,27 +959,22 @@ def project_onto_slice(
     ``MinNormSweep.project``; ``ConeMap`` and ``CorrespondenceSpec`` keep
     their compiled slice for many targets.
     """
-    sweep = MinNormSweep(map, cone, tol=tol, balls=balls, extra_bounds=extra_bounds)
+    sweep = MinNormSweep(map, cone, balls=balls, extra_bounds=extra_bounds)
     return sweep.project(target, point)
 
 
 @dataclass
 class FeasibilityReport:
+    """``check_feasible``'s verdict: a point of a nonempty slice, or the
+    checked certificate of an empty one (None when bounds or caps take part)."""
+
     feasible: bool
     certificate: Certificate | None = None
     point: np.ndarray | None = None
-    note: str = ""
 
 
-def check_feasible(
-    map: np.ndarray,
-    target: np.ndarray,
-    cone: _cones.Cone,
-    *,
-    extra_bounds=(),
-    balls=(),
-    tol: Tolerances = DEFAULT_TOL,
-) -> FeasibilityReport:
+def check_feasible(map: np.ndarray, target: np.ndarray, cone: _cones.Cone, *,
+                   extra_bounds=(), balls=()) -> FeasibilityReport:
     """Is {c in C : T c = x, bounds} nonempty?
 
     Polyhedral systems are decided by phase 1, curved ones by the conic
@@ -1021,9 +983,9 @@ def check_feasible(
     bounds or caps comes with a verified Farkas-type certificate, read off
     the ray of that same verdict.
     """
-    sweep = MinNormSweep(map, cone, tol=tol, balls=balls, extra_bounds=extra_bounds)
+    sweep = MinNormSweep(map, cone, balls=balls, extra_bounds=extra_bounds)
     x = sweep._target(target)
-    st, z, _, _, y = sweep._program(None).solve(x, tol=tol)
+    st, z, _, _, y = sweep._program(None).solve(x)
     if _decided(st, x):
         return FeasibilityReport(True, point=sweep.canon.S @ z)
     return FeasibilityReport(False, certificate=sweep._certificate(x, y))
@@ -1038,9 +1000,7 @@ def _set_level(cone: _cones.Cone) -> _cones.Cone:
     return cone
 
 
-def farkas_certificate(
-    map: np.ndarray, target: np.ndarray, cone: _cones.Cone, tol: Tolerances = DEFAULT_TOL
-) -> Certificate | None:
+def farkas_certificate(map: np.ndarray, target: np.ndarray, cone: _cones.Cone) -> Certificate | None:
     """Separating y with <y, x> > 0 and T^T y in dual(-C), if one exists.
 
     One solve of the slice's feasibility program: an INFEASIBLE verdict
@@ -1049,28 +1009,28 @@ def farkas_certificate(
     passes ``certificate_is_valid``.  Images of curved cones need not be
     closed, so a target on the boundary of the closure may have none.
     """
-    sweep = MinNormSweep(map, cone, tol=tol)
+    sweep = MinNormSweep(map, cone)
     x = sweep._target(target)
-    return sweep._certificate(x, sweep._program(None).solve(x, tol=tol)[4])
+    return sweep._certificate(x, sweep._program(None).solve(x)[4])
 
 
-def certificate_is_valid(map, target, cone, y, tol: Tolerances = DEFAULT_TOL) -> bool:
-    """Check <y, x> > 0 and T^T y in dual(-C) within tolerance."""
+def certificate_is_valid(map, target, cone, y) -> bool:
+    """Check <y, x> > ``OPTIMALITY`` and T^T y in dual(-C) within tolerance."""
     T = np.atleast_2d(np.asarray(map, dtype=float))
     x = np.asarray(target, dtype=float)
     y = np.asarray(y, dtype=float)
-    if float(y @ x) <= tol.optimality:
+    if float(y @ x) <= OPTIMALITY:
         return False
     dual_cone = _cones.dual(_cones.Negation(_set_level(cone)))
     u = T.T @ y
     return _cones.contains(dual_cone, u, tol=1e-8 * max(1.0, float(np.linalg.norm(u))))
 
 
-def _ray_certificate(map, target, cone, y, tol: Tolerances = DEFAULT_TOL) -> Certificate | None:
+def _ray_certificate(map, target, cone, y) -> Certificate | None:
     """y, scaled to max-abs 1, as the certificate of the empty slice at target
     when it passes ``certificate_is_valid``; y is the equality-row part of the
     Farkas ray of an INFEASIBLE verdict (see ``_Program.solve``), or None."""
     if y is None or not np.abs(y).max(initial=0.0) > 0.0:
         return None
     y = y / np.abs(y).max()
-    return Certificate(y=y) if certificate_is_valid(map, target, cone, y, tol) else None
+    return Certificate(y=y) if certificate_is_valid(map, target, cone, y) else None

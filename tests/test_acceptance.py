@@ -1,7 +1,7 @@
 """Release gates for the package's headline behaviors.
 
 Every test here checks one end-to-end claim and prints a single verdict
-line, so a full run reads as a checklist.  Tolerances are pinned in the
+line, so a full run reads as a checklist.  Every tolerance is pinned in the
 asserts; the helper values they compare against live in oracles.py and
 were computed independently of the library code.
 """

@@ -193,8 +193,8 @@ def corrupt(monkeypatch, cm, name, rows=None):
     program = cm._sweep._program()
     solve_many, change = program.solve_many, CORRUPTIONS[name]
 
-    def run(X, tol=solver.DEFAULT_TOL, dual=False):
-        out = solve_many(X, tol, dual=dual)
+    def run(X, dual=False):
+        out = solve_many(X, dual=dual)
         if not dual or rows not in (None, len(X)):
             return out
         return [change(*r) if r[0] is solver.SolveStatus.OPTIMAL else r for r in out]

@@ -476,6 +476,44 @@ def test_hemicontinuity_schedule_is_two_conic_calls(spy):
         assert ratio == hemicontinuity_probe(spec, x, xp, y) / gap
 
 
+def test_hemicontinuity_schedule_marks_unprobed_steps_nan():
+    # from k = 47 on, 0.1 * 2^-k < 1e-15: the probe is x to rounding and is
+    # not solved, so its ratio is NaN, not a perfect 0.0; every earlier row
+    # is the lone probe's, bit for bit
+    from conekit.selection import (CorrespondenceSpec, correspondence_value,
+                                   hemicontinuity_probe, hemicontinuity_schedule)
+
+    spec = CorrespondenceSpec(ice_cream(NormTag.L2), slack=1e-3)
+    x = np.array([0.3, 0.5, -0.8])
+    rows = hemicontinuity_schedule(spec, x, steps=60, seed=4)
+    radius = np.linalg.norm(x)
+    assert np.isnan(rows[47:, 1]).all()
+    assert rows[47:, 0].tolist() == [0.1 * 2.0 ** (-k) * radius for k in range(47, 60)]
+    y = correspondence_value(spec, x).point
+    t = np.random.default_rng(4).standard_normal(3)
+    t -= (t @ x) / (x @ x) * x
+    t /= np.linalg.norm(t)
+    for k, (gap, ratio) in enumerate(rows[:47]):
+        xp = x + (0.1 * 2.0 ** (-k) * radius) * t
+        xp = xp / (np.linalg.norm(xp) / radius)
+        assert gap == float(np.linalg.norm(x - xp)) > 0.0
+        assert ratio == hemicontinuity_probe(spec, x, xp, y) / gap
+
+
+@pytest.mark.parametrize("certified", [False, True])
+def test_hemicontinuity_schedule_tells_undecided_from_empty(certified, undecided_conic):
+    # an undecided solve of y is ArithmeticError, as for gamma(x); only a
+    # certified empty F(x) is an EmptyCorrespondence
+    from conekit.selection import (CorrespondenceSpec, EmptyCorrespondence,
+                                   hemicontinuity_schedule)
+
+    spec = CorrespondenceSpec(ice_cream(NormTag.L2), slack=1e-3)
+    undecided_conic(certified)
+    with pytest.raises(ArithmeticError) as exc:
+        hemicontinuity_schedule(spec, np.array([0.3, 0.5, -0.8]))
+    assert isinstance(exc.value, EmptyCorrespondence) == certified
+
+
 def test_hemicontinuity_schedule_walks_an_axis_when_its_draw_is_along_x(spy):
     # seed 0 draws t = x itself, which leaves no tangent once x is projected
     # out; the schedule walks the axis x leans on least instead, and every

@@ -645,7 +645,7 @@ def sweep_targets(T, rng, count=100):
 
 
 def cold_value(sweep, x):
-    st, _, value, _, _ = solver._Program(sweep.canon).solve(x, tol=sweep.tol)
+    st, _, value, _, _ = solver._Program(sweep.canon).solve(x)
     return np.inf if st is SolveStatus.INFEASIBLE else value
 
 
@@ -935,7 +935,7 @@ def test_conic_rows_whose_w_leaves_the_dual_cone_are_solved_again(seed, spy):
     # just those rows again to conic.TARGET, one more stacked call, and the
     # bracket closes to rounding
     sweep, x, *_ = dual_bound_case(seed)
-    st_, *_, (y, g) = sweep._program().solve_many(x[None], sweep.tol, dual=True)[0]
+    st_, *_, (y, g) = sweep._program().solve_many(x[None], dual=True)[0]
     assert st_ is SolveStatus.OPTIMAL
     assert math.isnan(sweep.lower_end(x, y, g - sweep.problem.map.T @ y))
     sizes = []
