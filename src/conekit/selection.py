@@ -393,8 +393,11 @@ def hemicontinuity_schedule(spec: CorrespondenceSpec, x: np.ndarray,
     y is solved first, then every probe in one ``project_many`` call, each
     ratio the one ``hemicontinuity_probe`` gives alone.  A step whose probe
     lands within 1e-15 r of x (x' is x to rounding) is not solved: its row
-    is (r * base * 2^-k, NaN).  An empty F(x) raises EmptyCorrespondence,
-    an undecided solve of y ArithmeticError.
+    is (r * base * 2^-k, NaN).  So is a conic probe nearer than the "center"
+    program resolves, sqrt(2 rho ``conic.TARGET``) with rho = max(|x'|, |y|)
+    or 1 (half its squared distance over rho is good to ``TARGET``), or one
+    that keeps y ("trivial"), but at |x - x'|.  An empty F(x) raises
+    EmptyCorrespondence, an undecided solve of y ArithmeticError.
     """
     x = np.asarray(x, dtype=float)
     if x.shape[0] < 2:
@@ -422,9 +425,13 @@ def hemicontinuity_schedule(spec: CorrespondenceSpec, x: np.ndarray,
             out[k] = (theta * radius, math.nan)
         else:
             probes.append((k, xp, gap))
-    for (k, _, gap), res in zip(probes, spec.project_many([p[1] for p in probes],
-                                                          [y] * len(probes))):
-        out[k] = (gap, _distance(res) / gap)
+    for (k, xp, gap), res in zip(probes, spec.project_many([p[1] for p in probes],
+                                                           [y] * len(probes))):
+        dist, rho = _distance(res), max(float(np.linalg.norm(xp)), float(np.linalg.norm(y))) or 1.0
+        if res.driver in ("conic", "trivial"):  # below the "center" program's resolution: NaN
+            from .conic import TARGET
+            dist = dist if dist >= math.sqrt(2.0 * rho * TARGET) else math.nan
+        out[k] = (gap, dist / gap)
     return out
 
 

@@ -232,24 +232,27 @@ class _WarmStart:
     one; the cold two-phase simplex settles anything else.  An OPTIMAL basis
     is dual feasible and its point passes a residual check on the full A; an
     INFEASIBLE verdict has a Farkas ray (``_farkas_ray``), minus a row of
-    B^-1 after dual pivots or the phase-1 dual.  A basis is recorded with
-    the inverse its dual-feasibility check computed, and until some
-    right-hand side is feasible every solve is cold.  Pivot
-    counts include abandoned dual pivots.  Thresholds on b and c are relative
-    to max(1, their largest entry), so a b or c with every entry below 1 in
-    size is divided by ``_power_scale`` (``b_scale``, ``c_scale``) and the
-    answer multiplied back.  ``last`` is the last OPTIMAL answer's basis, a
-    function giving a fresh B^-1 [A | b / b_scale] for it and its checked
-    inverse M; ``ray`` is the last INFEASIBLE answer's Farkas ray y (else None).
+    B^-1 after dual pivots or the phase-1 dual.  A basis is recorded with the
+    inverse its dual-feasibility check computed, once per key (its kept rows
+    and column set): the inverse is appended to the one stack, and the 17th
+    basis evicts the oldest by dropping its rows, with no scan of the entries.
+    Until some right-hand side is feasible every solve is cold.  Pivot counts
+    include abandoned dual pivots.  Thresholds on b and c are relative to
+    max(1, their largest entry), so a b or c with every entry below 1 in size
+    is divided by ``_power_scale`` (``b_scale``, ``c_scale``) and the answer
+    multiplied back.  ``last`` is the last OPTIMAL answer's basis, a function
+    giving a fresh B^-1 [A | b / b_scale] for it and its checked inverse M;
+    ``ray`` is the last INFEASIBLE answer's Farkas ray y (else None).
     """
 
     def __init__(self, A: np.ndarray, c: np.ndarray):
         self.c_scale = _power_scale(float(np.abs(c).max(initial=0.0)))
         self.A, self.c = A, c / self.c_scale
         self.c_top = _scale(self.c)
-        self.entries: list = []  # [rows, cols, M], oldest first; M b = B^-1 b[rows]
-        self._stack = None  # every entry's M stacked, rebuilt after a change
-        self._starts = None
+        self.entries: list = []  # (rows, cols), oldest first
+        self._keys: dict = {}  # the entries' rows and sorted cols as bytes, oldest first
+        # every entry's M, oldest first (M b = B^-1 b[rows]); entry k's from row _starts[k]
+        self._stack, self._starts = np.empty((0, A.shape[0])), np.zeros(0, dtype=int)
 
     def solve(self, b: np.ndarray):
         """(status, v, value, pivots) for right-hand side b."""
@@ -257,7 +260,7 @@ class _WarmStart:
         top = float(np.abs(b).max(initial=0.0))
         self.b_scale = _power_scale(top)
         b, feas = b / self.b_scale, FEASIBILITY * max(1.0, top / self.b_scale)
-        if self._stack_entries():
+        if self.entries:
             status, v, value, spent = self._warm(b, feas)
         if status is None:
             status, v, value, its = self._cold(b, feas)
@@ -290,23 +293,22 @@ class _WarmStart:
         return SolveStatus.ITERATION_LIMIT, None, None, its
 
     def _record(self, rows, cols, M):
-        if cols.size == 0:
+        key = rows.tobytes() + np.sort(cols).tobytes()  # one column per kept row
+        if cols.size == 0 or key in self._keys:
             return
-        for r, c, _ in self.entries:
-            if np.array_equal(r, rows) and set(c.tolist()) == set(cols.tolist()):
-                return
-        if len(self.entries) == _BASIS_CACHE_SIZE:
-            self.entries.pop(0)
-        self.entries.append([rows, cols, M])
-        self._stack = None
+        stack, starts = self._stack, self._starts
+        if len(self.entries) == _BASIS_CACHE_SIZE:  # evict the oldest: drop its rows
+            del self.entries[0], self._keys[next(iter(self._keys))]
+            stack, starts = stack[starts[1] :], starts[1:] - starts[1]
+        self._stack = np.concatenate((stack, M))
+        self._starts = np.concatenate((starts, [len(stack)]))
+        self.entries.append((rows, cols))
+        self._keys[key] = None
 
-    def _stack_entries(self) -> bool:
-        if self._stack is None and self.entries:
-            self._stack = np.vstack([M for _, _, M in self.entries])
-            self._starts = np.cumsum([0] + [c.size for _, c, _ in self.entries[:-1]])
-            for e, start in zip(self.entries, self._starts):  # one copy of each inverse
-                e[2] = self._stack[start : start + e[1].size]
-        return self._stack is not None
+    def _entry(self, k: int):
+        """(rows, cols, M) of entry k, M a view of the stack."""
+        rows, cols = self.entries[k]
+        return rows, cols, self._stack[self._starts[k] : self._starts[k] + cols.size]
 
     def _inverse(self, rows, cols):
         """M with M b = B^-1 b[rows], or None for a singular or dual infeasible B."""
@@ -333,8 +335,8 @@ class _WarmStart:
         lows = np.minimum.reduceat(X, self._starts)
         fits = lows >= -feas
         for k in np.nonzero(fits)[0]:
-            cols = self.entries[k][1]
-            out = self._accept(self.entries[k], X[self._starts[k] : self._starts[k] + cols.size],
+            entry = self._entry(k)
+            out = self._accept(entry, X[self._starts[k] : self._starts[k] + entry[1].size],
                                b, feas, 0)
             if out is not None:
                 return out
@@ -364,7 +366,7 @@ class _WarmStart:
         return T
 
     def _dual_simplex(self, k: int, b: np.ndarray, feas: float):
-        rows, cols, M = self.entries[k]
+        rows, cols, M = self._entry(k)
         T = self._tableau(self.A, rows, M, b)
         r, n = cols.size, self.A.shape[1]
         T[r, :n] = self.c - self.c[cols] @ T[:r, :n]

@@ -479,7 +479,8 @@ def test_hemicontinuity_schedule_is_two_conic_calls(spy):
 def test_hemicontinuity_schedule_marks_unprobed_steps_nan():
     # from k = 47 on, 0.1 * 2^-k < 1e-15: the probe is x to rounding and is
     # not solved, so its ratio is NaN, not a perfect 0.0; every earlier row
-    # is the lone probe's, bit for bit
+    # is the lone probe's, bit for bit, or NaN where that probe's distance
+    # is below the "center" program's resolution sqrt(2 rho TARGET)
     from conekit.selection import (CorrespondenceSpec, correspondence_value,
                                    hemicontinuity_probe, hemicontinuity_schedule)
 
@@ -497,7 +498,47 @@ def test_hemicontinuity_schedule_marks_unprobed_steps_nan():
         xp = x + (0.1 * 2.0 ** (-k) * radius) * t
         xp = xp / (np.linalg.norm(xp) / radius)
         assert gap == float(np.linalg.norm(x - xp)) > 0.0
-        assert ratio == hemicontinuity_probe(spec, x, xp, y) / gap
+        dist = hemicontinuity_probe(spec, x, xp, y)
+        if dist < math.sqrt(2.0 * max(np.linalg.norm(xp), np.linalg.norm(y)) * conic.TARGET):
+            assert math.isnan(ratio)
+        else:
+            assert ratio == dist / gap
+
+
+# rows 0-13 of the schedule below, which the resolution rule leaves as they were
+HEMI_ROWS = [0.7209565413725072, 0.7207368103885133, 0.7206170093758753, 0.7205547402793014,
+             0.7205230526710379, 0.7205070361641017, 0.7204990088607264, 0.720494997024275,
+             0.7204932909327096, 0.7204921428523205, 0.7204920855238969, 0.7205142979097025,
+             0.7206310653625047, 0.7206314139787481]
+
+
+def test_hemicontinuity_schedule_reads_no_blow_up_below_the_projection_resolution():
+    # the ice-cream summing map: from k = 19 on, dist(y, F(x')) stalls at
+    # 3.7e-7, the conic projection's resolution, so the raw ratio doubles
+    # each step up to 2.6e5 at k = 36; then y is accepted as its own
+    # projection ("trivial") and rows 37-46 would read 0.0.  All of them are
+    # NaN; rows 0-13 keep their values, and no finite ratio exceeds 2
+    from conekit.ordered import summing_map
+    from conekit.selection import (CorrespondenceSpec, correspondence_value,
+                                   hemicontinuity_probe, hemicontinuity_schedule)
+
+    spec = CorrespondenceSpec(summing_map(OrderedSpace(SecondOrder(3), NormTag.L2)), slack=1e-3)
+    x = np.array([0.3, 0.5, -0.8])
+    rows = hemicontinuity_schedule(spec, x, steps=60, seed=4)
+    ratios = rows[:, 1]
+    assert np.isnan(ratios[37:47]).all()
+    finite = ratios[np.isfinite(ratios)]
+    assert finite.size >= 14 and finite.max() <= 2.0
+    y = correspondence_value(spec, x).point
+    radius = np.linalg.norm(x)
+    t = np.random.default_rng(4).standard_normal(3)
+    t -= (t @ x) / (x @ x) * x
+    t /= np.linalg.norm(t)
+    for k in range(14):  # each the lone probe's, bit for bit
+        xp = x + (0.1 * 2.0 ** (-k) * radius) * t
+        xp = xp / (np.linalg.norm(xp) / radius)
+        assert ratios[k] == hemicontinuity_probe(spec, x, xp, y) / rows[k, 0]
+    assert ratios[:14].tolist() == pytest.approx(HEMI_ROWS, rel=1e-12)
 
 
 @pytest.mark.parametrize("certified", [False, True])
