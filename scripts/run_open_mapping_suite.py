@@ -34,7 +34,7 @@ def main() -> int:
     for seed in range(args.seed, args.seed + args.count):
         inst = parse_instance(random_polyhedral_instance(seed))
         cfg = inst.sampler
-        rep = inst.map.is_surjective(config=cfg)
+        rep = inst.map.is_surjective()
         K = inst.map.openness_constant(cfg)
         try:
             r = inst.map.interior_radius(cfg)

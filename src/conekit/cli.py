@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import csv
+import functools
 import math
 import sys
 from dataclasses import replace
@@ -77,8 +78,8 @@ def _selection(inst: Instance, epsilon: float) -> RightInverse:
 # -- check-surjective --------------------------------------------------------
 
 def cmd_check_surjective(inst: Instance, sampler: SamplerConfig, args) -> int:
-    rep = inst.map.is_surjective(config=sampler)
-    print(f"mode: {rep.method}")
+    rep = inst.map.is_surjective()
+    print("mode: exact")
     print(f"surjective: {'yes' if rep.surjective else 'no'}")
     if not rep.surjective and rep.unreachable is not None:
         print(f"witness: {_fmt_vec(rep.unreachable)}")
@@ -90,7 +91,7 @@ def cmd_check_surjective(inst: Instance, sampler: SamplerConfig, args) -> int:
 # -- constant ----------------------------------------------------------------
 
 def cmd_constant(inst: Instance, sampler: SamplerConfig, args) -> int:
-    rep = inst.map.is_surjective(config=sampler)
+    rep = inst.map.is_surjective()
     if not rep.surjective:
         print("surjective: no")
         if rep.unreachable is not None:
@@ -182,7 +183,7 @@ def _read_function(path, d: int) -> SampledFunction:
 
 
 def cmd_lift(inst: Instance, sampler: SamplerConfig, args) -> int:
-    rep = inst.map.is_surjective(config=sampler)
+    rep = inst.map.is_surjective()
     if not rep.surjective:
         print("surjective: no")
         if rep.unreachable is not None:
@@ -223,6 +224,7 @@ def cmd_lift(inst: Instance, sampler: SamplerConfig, args) -> int:
 
 # -- wiring --------------------------------------------------------------------
 
+@functools.cache
 def _build_parser() -> argparse.ArgumentParser:
     parser = argparse.ArgumentParser(prog="conekit",
                                      description="Openness constants, norm-controlled "

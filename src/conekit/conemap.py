@@ -12,6 +12,9 @@ m is convex and positively homogeneous, finite everywhere exactly when T
 maps C onto the codomain, and then K < inf with r K = 1.  The symmetrized
 gauge max(m(x), m(-x)) is an equivalent norm on the codomain sandwiched
 between |x|/M and K |x|, where M bounds the operator norm of T.
+
+Surjectivity is decided on the 2 d signed axes for every closed convex
+cone, polyhedral or curved, with a checked Farkas certificate when not onto.
 """
 from __future__ import annotations
 
@@ -24,21 +27,19 @@ import numpy as np
 from . import cones as _cones
 from . import solver as _solver
 from .norms import BlockNorm, NormTag, operator_norm_upper
-from .sampling import SamplerConfig, refine_on_sphere, search_grid, sphere_directions, sphere_sup
+from .sampling import SamplerConfig, refine_on_sphere, search_grid, sphere_sup
 
 __all__ = ["ConeMap", "SurjectivityReport"]
 
 
 @dataclass
 class SurjectivityReport:
-    """The verdict of ``ConeMap.is_surjective`` and the method, "exact" or
-    "sampled", that reached it.  When T(C) is not the codomain, ``functional``
-    is an f with <f, T c> >= 0 on C and ``unreachable`` a point that T(C)
-    misses: -f for the exact method, the first missed direction for the
-    sampled one (whose f may be None when no certificate checks)."""
+    """The verdict of ``ConeMap.is_surjective``, decided on the signed axes.
+    When T(C) is not the codomain, ``functional`` is an f with <f, T c> >= 0
+    on C, built from checked Farkas certificates, and ``unreachable`` is -f,
+    a point that T(C) misses."""
 
     surjective: bool
-    method: str
     functional: np.ndarray | None = None
     unreachable: np.ndarray | None = None
     note: str = ""
@@ -154,49 +155,36 @@ class ConeMap:
     def is_surjective(self, method: str = "auto", config: SamplerConfig | None = None) -> SurjectivityReport:
         """Does T map the cone onto the whole codomain?
 
-        T(C) is a convex cone, so it fills the codomain iff it reaches every
-        direction of a grid whose conic hull is the codomain.  The "exact"
-        method, for polyhedral cones, tests the 2 d signed axes; "sampled"
-        tests the sampled sphere directions and says so.  Both decide the
-        whole grid with one batched feasibility call on the map's compiled
-        slice.  A missed direction x comes with a checked Farkas y (<y, x> > 0
-        and <y, T c> <= 0 on C): the sampled witness is the first such x with
-        -y; the exact one sums -y over every missed axis (the first alone
-        when the sum vanishes) and scales it to max-abs 1.
+        T(C) is a convex cone, so it fills the codomain iff it reaches the 2 d
+        signed axes, decided by one batched feasibility call on the map's
+        compiled slice.  If it does not, neither does its closure (a convex
+        set dense in R^d is R^d), so some axis x is strictly separated from
+        it and carries a checked Farkas y (<y, x> > 0, <y, T c> <= 0 on C),
+        for curved cones too.  A missed axis that is undecided or has no
+        checked y (as on the boundary of a closure T(C) misses) is skipped;
+        ArithmeticError when no missed axis has one.  The witness sums -y over
+        the certified axes (the first alone when the sum vanishes), scaled to
+        max-abs 1.  ``method`` and ``config`` select nothing.
         """
-        set_cone = _solver._set_level(self.cone)
-        if method == "auto":
-            method = "exact" if _cones.is_polyhedral(set_cone) else "sampled"
-        if method == "exact":
-            if not _cones.is_polyhedral(set_cone):
-                raise ValueError("exact surjectivity test needs a polyhedral cone")
-            dirs = np.vstack([np.eye(self.codomain_dim), -np.eye(self.codomain_dim)])
-        elif method == "sampled":
-            dirs = sphere_directions(self.codomain_dim, self.codomain_norm,
-                                     config or SamplerConfig())
-        else:
+        if method not in ("auto", "exact", "sampled"):
             raise ValueError(f"unknown method {method!r}")
-        missed = []
-        for x, (status, y) in zip(dirs, self._sweep.feasible_many(dirs)):
-            if _solver._decided(status, x):
-                continue
-            cert = self._sweep._certificate(x, y)
-            if method == "sampled":  # an undecided direction before this one has raised
-                note = f"direction outside the image among {len(dirs)} samples"
-                return SurjectivityReport(False, method, unreachable=x.copy(), note=note,
-                                          functional=None if cert is None else -cert.y)
-            if cert is None:
-                raise ArithmeticError(f"no Farkas certificate at the missed axis {x.tolist()}")
-            missed.append(-cert.y)
+        axes = np.vstack([np.eye(self.codomain_dim), -np.eye(self.codomain_dim)])
+        missed = [(x, status, y) for x, (status, y) in zip(axes, self._sweep.feasible_many(axes))
+                  if status is not _solver.SolveStatus.OPTIMAL]
         if not missed:
-            note = "" if method == "exact" else f"all {len(dirs)} sampled directions reachable"
-            return SurjectivityReport(True, method, note=note)
-        f = np.sum(missed, axis=0)
+            return SurjectivityReport(True)
+        certs = [self._sweep._certificate(x, y) for x, status, y in missed
+                 if status is _solver.SolveStatus.INFEASIBLE]
+        certified = [-cert.y for cert in certs if cert is not None]
+        if not certified:
+            raise ArithmeticError("no Farkas certificate at any missed axis; undecided or unchecked: "
+                                  f"{[(x.tolist(), status.name) for x, status, _ in missed]}")
+        f = np.sum(certified, axis=0)
         if np.linalg.norm(f) <= 1e-9:
-            f = missed[0]
+            f = certified[0]
         f = f / np.max(np.abs(f))
         note = "functional is nonnegative on the image; its negative is unreachable"
-        return SurjectivityReport(False, method, functional=f, unreachable=-f, note=note)
+        return SurjectivityReport(False, functional=f, unreachable=-f, note=note)
 
     # -- openness constant and interior radius ------------------------------
 

@@ -109,9 +109,10 @@ def summing_map(space: OrderedSpace) -> ConeMap:
                    domain_norm=_cones.space_norm(cone, space.norm))
 
 
-def is_generating(space: OrderedSpace, config: SamplerConfig | None = None) -> SurjectivityReport:
-    """Does X+ - X+ fill the space?  Exact for polyhedral cones."""
-    return space._summing_map.is_surjective(config=config)
+def is_generating(space: OrderedSpace) -> SurjectivityReport:
+    """Does X+ - X+ fill the space?  Decided on the signed axes for every
+    closed convex cone (see ``ConeMap.is_surjective``)."""
+    return space._summing_map.is_surjective()
 
 
 def positive_part_functional(space: OrderedSpace) -> ConstraintFunctional:

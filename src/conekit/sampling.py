@@ -25,9 +25,11 @@ __all__ = ["SamplerConfig", "ball_vertices", "sphere_directions", "search_grid",
 class SamplerConfig:
     """Knobs for sphere sampling; identical seeds give identical grids.
 
-    ``directions`` sizes coverage grids (surjectivity probes); optimization
-    searches use the cheaper ``search_directions`` grid plus refinement, at
+    Sphere searches use the ``search_directions`` grid plus refinement, at
     most ``refine_steps`` compass steps of ``refine_on_sphere``.
+    ``directions`` sizes the grid of ``sphere_directions`` when called with
+    this config itself; no surjectivity probe reads it, since
+    ``ConeMap.is_surjective`` tests the signed axes.
     """
 
     directions: int = 2048

@@ -363,18 +363,29 @@ def hemicontinuity_probe(spec: CorrespondenceSpec, x: np.ndarray, xp: np.ndarray
     """dist(y, F(xp)) for a point y picked from F(x).
 
     Lower hemicontinuity makes this O(|x - xp|) as xp -> x; an empty F(xp)
-    returns inf, flagging that the constants fail near x.
+    returns inf, flagging that the constants fail near x, and a distance the
+    conic projection cannot resolve NaN (see ``_distance``), as does any
+    "trivial" answer (y kept): on a second-order spec xp = x reads NaN, not 0.
     """
-    return _distance(spec.project(np.asarray(xp, dtype=float), np.asarray(y, dtype=float)))
+    xp, y = np.asarray(xp, dtype=float), np.asarray(y, dtype=float)
+    return _distance(spec.project(xp, y), xp, y)
 
 
-def _distance(res: _solver.Solution) -> float:
-    """The distance a projection onto F(x') reports, inf when F(x') is empty."""
+def _distance(res: _solver.Solution, xp: np.ndarray, y: np.ndarray) -> float:
+    """dist(y, F(xp)) as a projection reports it, inf when F(xp) is empty;
+    NaN for a conic or "trivial" (y kept) answer below sqrt(2 rho
+    ``conic.TARGET``), rho = max(|xp|, |y|) or 1, where the "center"
+    program, half the squared distance over rho, is good to ``TARGET``."""
     if res.status is _solver.SolveStatus.INFEASIBLE:
         return math.inf
     if res.status is not _solver.SolveStatus.OPTIMAL:
         raise ArithmeticError("projection onto the correspondence did not converge")
-    return float(res.value)
+    dist = float(res.value)
+    if res.driver in ("conic", "trivial"):
+        from .conic import TARGET  # imported on the first curved program only
+        rho = max(float(np.linalg.norm(xp)), float(np.linalg.norm(y))) or 1.0
+        return math.nan if dist < math.sqrt(2.0 * rho * TARGET) else dist
+    return dist
 
 
 def hemicontinuity_schedule(spec: CorrespondenceSpec, x: np.ndarray,
@@ -393,11 +404,10 @@ def hemicontinuity_schedule(spec: CorrespondenceSpec, x: np.ndarray,
     y is solved first, then every probe in one ``project_many`` call, each
     ratio the one ``hemicontinuity_probe`` gives alone.  A step whose probe
     lands within 1e-15 r of x (x' is x to rounding) is not solved: its row
-    is (r * base * 2^-k, NaN).  So is a conic probe nearer than the "center"
-    program resolves, sqrt(2 rho ``conic.TARGET``) with rho = max(|x'|, |y|)
-    or 1 (half its squared distance over rho is good to ``TARGET``), or one
-    that keeps y ("trivial"), but at |x - x'|.  An empty F(x) raises
-    EmptyCorrespondence, an undecided solve of y ArithmeticError.
+    is (r * base * 2^-k, NaN).  So is a probe that ``_distance`` reads as
+    NaN (below the conic projection's resolution), but at |x - x'|.  An
+    empty F(x) raises EmptyCorrespondence, an undecided solve of y
+    ArithmeticError.
     """
     x = np.asarray(x, dtype=float)
     if x.shape[0] < 2:
@@ -427,11 +437,7 @@ def hemicontinuity_schedule(spec: CorrespondenceSpec, x: np.ndarray,
             probes.append((k, xp, gap))
     for (k, xp, gap), res in zip(probes, spec.project_many([p[1] for p in probes],
                                                            [y] * len(probes))):
-        dist, rho = _distance(res), max(float(np.linalg.norm(xp)), float(np.linalg.norm(y))) or 1.0
-        if res.driver in ("conic", "trivial"):  # below the "center" program's resolution: NaN
-            from .conic import TARGET
-            dist = dist if dist >= math.sqrt(2.0 * rho * TARGET) else math.nan
-        out[k] = (gap, dist / gap)
+        out[k] = (gap, _distance(res, xp, y) / gap)
     return out
 
 

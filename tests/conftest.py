@@ -44,21 +44,28 @@ def conic_runs(spy):
 
 @pytest.fixture
 def undecided_conic(monkeypatch):
-    """undecided_conic(certified): make every conic solve, alone or batched,
-    end without an optimal pair, as INFEASIBLE (a certified empty program,
-    with a dummy certificate that callers still check) when certified and as
-    ITERATION_LIMIT otherwise.  ``ConeProgram.solve`` is the one-target case
-    of ``solve_many``, so patching the batched core covers both."""
+    """undecided_conic(certified, keep=None): make every conic solve, alone
+    or batched, end without an optimal pair, as INFEASIBLE (a certified empty
+    program, with a dummy certificate that callers still check) when
+    certified and as ITERATION_LIMIT otherwise.  A row b of the equality
+    right-hand sides with keep(b) true is solved as usual.
+    ``ConeProgram.solve`` is the one-target case of ``solve_many``, so
+    patching the batched core covers both."""
+    solve_many = conic.ConeProgram.solve_many
 
-    def install(certified):
-        def one(program):
+    def install(certified, keep=None):
+        def one(program, b, h, target):
+            if keep is not None and keep(b):
+                return solve_many(program, b[None], h[None], target)[0]
             if certified:
                 return conic.ConicResult(SolveStatus.INFEASIBLE, y=np.ones(program.A.shape[0]),
                                          z=np.zeros(program.m), iterations=60)
             return conic.ConicResult(SolveStatus.ITERATION_LIMIT, iterations=60)
 
-        def run(self, B, H, target=None):
-            return [one(self) for _ in range(np.shape(B)[0])]
+        def run(self, B, H, target=conic.TARGET):
+            B = np.atleast_2d(np.asarray(B, dtype=float))
+            H = np.broadcast_to(np.asarray(H, dtype=float).reshape(-1, self.m), (B.shape[0], self.m))
+            return [one(self, b, h, target) for b, h in zip(B, H)]
 
         monkeypatch.setattr(conic.ConeProgram, "solve_many", run)
 

@@ -471,3 +471,22 @@ def interior_radius_by_bisection(reachable, directions, t: float = 1.0, rel: flo
             pending = [j for j, inside in zip(pending, reachable(best[0] * X[pending]))
                        if inside is not True]
     return best
+
+
+def sampled_surjectivity(directions, reachable):
+    """(surjective, first missed row or None) by sampling: T(C) is a convex
+    cone, so it fills the codomain as far as a grid of directions can tell
+    iff it reaches every row.
+
+    ``reachable(X)`` says for each row of X whether T(C) reaches it: True,
+    False, or None when undecided, which raises ArithmeticError, since a
+    sampled verdict read past an undecided row would be a guess.  Rows go in
+    the order given, and the first one missed decides.
+    """
+    X = np.asarray(directions, dtype=float)
+    for x, inside in zip(X, reachable(X)):
+        if inside is None:
+            raise ArithmeticError(f"feasibility undecided at {x.tolist()}")
+        if not inside:
+            return False, x
+    return True, None

@@ -7,7 +7,7 @@ import pathlib
 import numpy as np
 import pytest
 
-from conekit import solver
+from conekit import cli, solver
 from conekit.cli import main
 
 
@@ -63,6 +63,28 @@ def test_check_surjective_lattice(tmp_path, capsys):
     assert code == 0
     assert "mode: exact" in out
     assert "surjective: yes" in out
+
+
+def test_check_surjective_ice_cream_is_decided_on_the_signed_axes(tmp_path, capsys):
+    # a curved cone gets the same signed-axis test and the same mode line
+    # as a polyhedral one, whatever its sampler asks for; SOC(3) alone
+    # misses -e_1 and its witness says so
+    ice = {"dimension": 3, "norm": "l2",
+           "cones": [{"variant": "second_order", "dim": 3},
+                     {"variant": "negation", "inner": {"variant": "second_order", "dim": 3}}],
+           "sampler": {"directions": 4096, "seed": 3}}
+    code, out, _ = run(capsys, ["check-surjective", write_instance(tmp_path, ice)])
+    assert (code, out) == (0, "mode: exact\nsurjective: yes\n")
+    alone = {**ice, "cones": ice["cones"][:1]}
+    code, out, _ = run(capsys, ["check-surjective", write_instance(tmp_path, alone)])
+    assert code == 2 and out.startswith("mode: exact\nsurjective: no\nwitness: -1, ")
+
+
+def test_main_builds_its_parser_once(tmp_path, capsys):
+    inst = write_instance(tmp_path, LATTICE)
+    first = run(capsys, ["check-surjective", inst])
+    assert run(capsys, ["check-surjective", inst]) == first
+    assert cli._build_parser() is cli._build_parser()
 
 
 def test_check_surjective_orthant_identity_witness(tmp_path, capsys):

@@ -12,7 +12,8 @@ from hypothesis.extra.numpy import arrays
 
 from conekit import conemap, conic, solver
 from conekit.conemap import ConeMap
-from conekit.cones import DirectSumL1, Generators, Halfspaces, Negation, Orthant, SecondOrder
+from conekit.cones import (DirectSumL1, Generators, Halfspaces, Negation, Orthant, Product,
+                           SecondOrder)
 from conekit.instances import parse_instance, random_polyhedral_instance
 from conekit.norms import NormTag
 from conekit.ordered import OrderedSpace, summing_map
@@ -117,18 +118,19 @@ def test_gauge_norm_sandwich(x):
 def test_surjectivity_exact_positive_and_negative():
     assert lattice_map().is_surjective().surjective
     rep = ConeMap(np.eye(2), Orthant(2)).is_surjective()
-    assert not rep.surjective and rep.method == "exact"
+    assert not rep.surjective
     # witness direction misses the image: both coordinates strictly negative
     assert np.all(rep.unreachable < 0)
     assert rep.functional is not None
 
 
 def test_surjectivity_sampled_second_order():
-    # ice-cream lattice: SOC(2) and its negation sum onto the plane
+    # ice-cream lattice: SOC(2) and its negation sum onto the plane; a
+    # sampler config, once the size of a sampled grid, selects nothing
     cone = DirectSumL1((SecondOrder(2), Negation(SecondOrder(2))))
     cm = ConeMap(np.hstack([np.eye(2), np.eye(2)]), cone, codomain_norm=NormTag.L2)
     rep = cm.is_surjective(config=CFG)
-    assert rep.surjective and rep.method == "sampled"
+    assert rep.surjective and rep.functional is None and rep.note == ""
     # a single second-order cone misses directions outside itself
     alone = ConeMap(np.eye(2), SecondOrder(2), codomain_norm=NormTag.L2)
     rep = alone.is_surjective(config=CFG)
@@ -344,18 +346,17 @@ def test_operator_norm_bound_lattice():
 
 
 def test_sampled_surjectivity_certificate_comes_from_the_batch(spy):
-    # the identity on the ice-cream cone misses every direction outside it;
-    # the witness is the first such direction in grid order, and its
-    # certificate comes from the verdict the batch already holds
+    # the identity on the ice-cream cone misses the five signed axes other
+    # than e_1, all in one conic batch of the six (method="sampled" builds no
+    # grid); their certificates come from the verdicts the batch already
+    # holds, and the +-e_2, +-e_3 ones cancel in the witness, which is -e_1
     cm = ConeMap(np.eye(3), SecondOrder(3))
     runs = []
     spy(conic.ConeProgram, "solve_many", runs, pick=len)
     rep = cm.is_surjective(method="sampled")
-    dirs = sphere_directions(3, NormTag.L2, SamplerConfig())
-    assert runs == [len(dirs)]
+    assert runs == [6]
     assert not rep.surjective
-    outside = [x for x in dirs if np.linalg.norm(x[1:]) > x[0]]
-    np.testing.assert_array_equal(rep.unreachable, outside[0])
+    np.testing.assert_allclose(rep.unreachable, [-1.0, 0.0, 0.0], atol=1e-9)
     assert solver.certificate_is_valid(np.eye(3), rep.unreachable, SecondOrder(3), -rep.functional)
 
 
@@ -372,10 +373,10 @@ RANK_ONE = np.outer([1.0, -2.0], [1.0, 0.5, 2.0])
     (ConeMap(RANK_ONE, Orthant(3)), np.eye(3), "sampled"),
 ], ids=["ice-sampled", "orthant-exact", "orthant-sampled", "rank-one-exact", "rank-one-sampled"])
 def test_surjectivity_functional_is_nonnegative_on_the_image(cmap, points, method):
-    # both methods report f with <f, T c> >= 0 on the cone (checked on its
+    # either keyword reports f with <f, T c> >= 0 on the cone (checked on its
     # generators, or on the rim of the ice-cream cone), so -f misses the image
     rep = cmap.is_surjective(method=method)
-    assert not rep.surjective and rep.method == method
+    assert not rep.surjective and np.array_equal(rep.unreachable, -rep.functional)
     f = rep.functional
     assert np.abs(f).max() > 0.0
     assert (f @ cmap.matrix @ points).min() >= -1e-7
@@ -459,3 +460,133 @@ def test_exact_surjectivity_of_a_map_not_onto_is_one_batch(spy, seed):
     assert batches == [2 * cmap.codomain_dim] and len(solves) == 2 * cmap.codomain_dim
     assert solver.SolveStatus.INFEASIBLE in solves and farkas == []
     assert_exact_witness(cmap, np.array(doc["cones"][0]["generators"]).T, rep)
+
+
+# -- the signed axes on curved cones -----------------------------------------
+
+ICE = DirectSumL1((SecondOrder(3), Negation(SecondOrder(3))))
+SIGNS = np.hstack([np.eye(3), np.eye(3)[:, [0, 1]] * [-1.0, 1.0]])  # c, then -p_1 and +p_2
+
+
+def curved_maps():
+    """(id, map): the ice-cream summing maps under l2 and l1, the SOC(3)
+    identity, the projection of SOC(4) onto its first two coordinates,
+    SOC(3) x Orthant(2) through SIGNS, and 12 seeded random maps SOC(n) -> R^d
+    with 1 <= d < n <= 5."""
+    maps = [("ice-l2", ConeMap(np.hstack([np.eye(3), np.eye(3)]), ICE, domain_norm=NormTag.L2)),
+            ("ice-l1", ConeMap(np.hstack([np.eye(3), np.eye(3)]), ICE, domain_norm=NormTag.L1)),
+            ("soc3-identity", ConeMap(np.eye(3), SecondOrder(3))),
+            ("soc4-projection", ConeMap(np.eye(4)[:2], SecondOrder(4))),
+            ("soc3-x-orthant2", ConeMap(SIGNS, Product((SecondOrder(3), Orthant(2)))))]
+    for seed in range(12):
+        rng = np.random.default_rng(seed)
+        n = int(rng.integers(3, 6))
+        d = int(rng.integers(1, n))
+        maps.append((f"random-{seed}", ConeMap(rng.standard_normal((d, n)), SecondOrder(n))))
+    return maps
+
+
+CURVED = curved_maps()
+
+
+def signed_axes(d):
+    return np.vstack([np.eye(d), -np.eye(d)])
+
+
+def reachable_by(cmap):
+    """reachable(X) for oracles.sampled_surjectivity: the map's own
+    feasibility verdicts, None where undecided."""
+    decided = (solver.SolveStatus.OPTIMAL, solver.SolveStatus.INFEASIBLE)
+    return lambda X: [st is solver.SolveStatus.OPTIMAL if st in decided else None
+                      for st, _ in cmap._sweep.feasible_many(X)]
+
+
+@pytest.mark.parametrize("cmap", [m for _, m in CURVED], ids=[name for name, _ in CURVED])
+def test_signed_axes_agree_with_a_sampled_grid_on_curved_maps(cmap):
+    # the verdict of the 2 d signed axes is the sampled grid's at 128
+    # directions; every axis the map misses with a certificate passes the
+    # check on its own, a map not onto has at least one, and its witness
+    # -f is certified unreachable by -f itself
+    rep = cmap.is_surjective()
+    dirs = sphere_directions(cmap.codomain_dim, NormTag.L2, SamplerConfig(directions=128))
+    onto, _ = oracles.sampled_surjectivity(dirs, reachable_by(cmap))
+    assert rep.surjective == onto
+    axes = signed_axes(cmap.codomain_dim)
+    certified = 0
+    for x, (status, y) in zip(axes, cmap._sweep.feasible_many(axes)):
+        cert = cmap._sweep._certificate(x, y) if status is solver.SolveStatus.INFEASIBLE else None
+        if cert is not None:
+            assert solver.certificate_is_valid(cmap.matrix, x, cmap.cone, cert.y)
+            certified += 1
+    assert (certified > 0) == (not onto)
+    if not onto:
+        assert np.abs(rep.functional).max() == 1.0
+        assert solver.certificate_is_valid(cmap.matrix, rep.unreachable, cmap.cone, -rep.functional)
+
+
+def test_curved_maps_cover_both_verdicts():
+    assert {m.is_surjective().surjective for _, m in CURVED} == {True, False}
+
+
+NOT_CLOSED = np.array([[1.0, -1.0, 0.0], [0.0, 0.0, 1.0]])
+
+
+def test_a_map_whose_image_is_not_closed_is_decided():
+    # T c = (c_1 - c_2, c_3) maps SOC(3) onto {a > 0} and the origin: the
+    # axes (0, +-1) lie in the closure but not in the image, so their
+    # programs are only weakly infeasible and end undecided, and the sampled
+    # grid raises there; (-1, 0) is strictly separated, certified, and decides
+    cmap = ConeMap(NOT_CLOSED, SecondOrder(3))
+    st = [s for s, _ in cmap._sweep.feasible_many(signed_axes(2))]
+    assert st[0] is solver.SolveStatus.OPTIMAL and st[2] is solver.SolveStatus.INFEASIBLE
+    assert st[1] is st[3] is solver.SolveStatus.ITERATION_LIMIT
+    dirs = sphere_directions(2, NormTag.L2, SamplerConfig(directions=128))
+    with pytest.raises(ArithmeticError, match="undecided"):
+        oracles.sampled_surjectivity(dirs, reachable_by(cmap))
+    rep = cmap.is_surjective()
+    assert not rep.surjective
+    np.testing.assert_allclose(rep.functional, [1.0, 0.0], atol=1e-9)
+    assert solver.certificate_is_valid(NOT_CLOSED, rep.unreachable, SecondOrder(3), -rep.functional)
+
+
+@pytest.mark.parametrize("certified", [False, True], ids=["undecided", "unchecked"])
+def test_surjectivity_skips_an_uncertified_axis_when_another_is_certified(certified,
+                                                                          undecided_conic):
+    # only -e_1 is solved; every other axis ends ITERATION_LIMIT, or
+    # INFEASIBLE with a certificate that fails its check, and is skipped
+    undecided_conic(certified, keep=lambda b: b[0] < 0.0)
+    rep = ConeMap(np.eye(3), SecondOrder(3)).is_surjective()
+    assert not rep.surjective
+    np.testing.assert_allclose(rep.unreachable, [-1.0, 0.0, 0.0], atol=1e-9)
+
+
+@pytest.mark.parametrize("certified", [False, True], ids=["undecided", "unchecked"])
+def test_surjectivity_raises_when_no_missed_axis_is_certified(certified, undecided_conic):
+    # the message names every axis left and its status
+    undecided_conic(certified)
+    with pytest.raises(ArithmeticError, match="no Farkas certificate at any missed axis") as err:
+        ConeMap(np.eye(3), SecondOrder(3)).is_surjective()
+    status = "INFEASIBLE" if certified else "ITERATION_LIMIT"
+    for x in np.vstack([np.eye(3), -np.eye(3)]):
+        assert f"({x.tolist()}, '{status}')" in str(err.value)
+
+
+@pytest.mark.parametrize("make", [
+    lambda: ConeMap(np.hstack([np.eye(3), np.eye(3)]), ICE),
+    lambda: ConeMap(np.eye(3), SecondOrder(3)),
+    lambda: parse_instance(random_polyhedral_instance(1)).map,
+    lambda: parse_instance(random_polyhedral_instance(2)).map,
+], ids=["ice-onto", "soc3-not-onto", "polyhedral-not-onto", "polyhedral-onto"])
+def test_the_keyword_forms_give_the_same_verdict(make):
+    # method="exact", config=..., and method="sampled" with a config select
+    # nothing: each gives the bare call's report bit for bit; an unknown
+    # method is still refused
+    base = make().is_surjective()
+    for kw in ({"method": "exact"}, {"config": SamplerConfig(directions=512, seed=7)},
+               {"method": "sampled", "config": SamplerConfig(directions=128)}):
+        rep = make().is_surjective(**kw)
+        assert (rep.surjective, rep.note) == (base.surjective, base.note)
+        for got, want in ((rep.functional, base.functional), (rep.unreachable, base.unreachable)):
+            assert (got is None and want is None) or np.array_equal(got, want)
+    with pytest.raises(ValueError, match="unknown method"):
+        make().is_surjective(method="grid")

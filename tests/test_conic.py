@@ -15,7 +15,7 @@ from conekit.conic import TOL, ConeProgram
 from conekit.cones import DirectSumL1, Negation, Orthant, Product, SecondOrder
 from conekit.norms import BlockNorm, NormTag
 from conekit.ordered import ConormalityKind, OrderedSpace, conormality_constant
-from conekit.sampling import SamplerConfig, sphere_directions
+from conekit.sampling import SamplerConfig
 from conekit.selection import gamma
 from conekit.solver import BallConstraint, MinNormProblem, SolveStatus
 
@@ -414,7 +414,7 @@ def test_every_small_batch_gives_each_target_its_lone_result():
 # -- batching, counted --------------------------------------------------------------
 #
 # Counts, not times: the grid of a sphere search, each run of steps of its
-# refinement and the probes of a sampled surjectivity test each reach the
+# refinement and the signed axes of a surjectivity test each reach the
 # conic core as one batched call.
 
 
@@ -448,8 +448,8 @@ def test_sampled_surjectivity_probes_in_one_batch(spy):
     config = SamplerConfig(directions=128)
     rep = ice_cream(NormTag.L2).is_surjective(method="sampled", config=config)
     assert rep.surjective
-    # 128 sampled directions and the 6 signed axes
-    assert sizes == [len(sphere_directions(3, NormTag.L2, config))] == [134]
+    # the 6 signed axes alone: neither keyword builds a grid of 128 directions
+    assert sizes == [6]
 
 
 def test_hemicontinuity_schedule_is_two_conic_calls(spy):
@@ -479,8 +479,9 @@ def test_hemicontinuity_schedule_is_two_conic_calls(spy):
 def test_hemicontinuity_schedule_marks_unprobed_steps_nan():
     # from k = 47 on, 0.1 * 2^-k < 1e-15: the probe is x to rounding and is
     # not solved, so its ratio is NaN, not a perfect 0.0; every earlier row
-    # is the lone probe's, bit for bit, or NaN where that probe's distance
-    # is below the "center" program's resolution sqrt(2 rho TARGET)
+    # is the lone probe's, bit for bit, and both are NaN exactly where the
+    # raw projection's distance is below the "center" program's resolution
+    # sqrt(2 rho TARGET)
     from conekit.selection import (CorrespondenceSpec, correspondence_value,
                                    hemicontinuity_probe, hemicontinuity_schedule)
 
@@ -499,10 +500,13 @@ def test_hemicontinuity_schedule_marks_unprobed_steps_nan():
         xp = xp / (np.linalg.norm(xp) / radius)
         assert gap == float(np.linalg.norm(x - xp)) > 0.0
         dist = hemicontinuity_probe(spec, x, xp, y)
-        if dist < math.sqrt(2.0 * max(np.linalg.norm(xp), np.linalg.norm(y)) * conic.TARGET):
+        raw = spec.project(xp, y)
+        resolution = math.sqrt(2.0 * max(np.linalg.norm(xp), np.linalg.norm(y)) * conic.TARGET)
+        if math.isnan(dist):
+            assert raw.driver in ("conic", "trivial") and raw.value < resolution
             assert math.isnan(ratio)
         else:
-            assert ratio == dist / gap
+            assert ratio == dist / gap == raw.value / gap and dist >= resolution
 
 
 # rows 0-13 of the schedule below, which the resolution rule leaves as they were
@@ -539,6 +543,36 @@ def test_hemicontinuity_schedule_reads_no_blow_up_below_the_projection_resolutio
         xp = xp / (np.linalg.norm(xp) / radius)
         assert ratios[k] == hemicontinuity_probe(spec, x, xp, y) / rows[k, 0]
     assert ratios[:14].tolist() == pytest.approx(HEMI_ROWS, rel=1e-12)
+
+
+def test_hemicontinuity_probe_reads_nan_below_the_projection_resolution():
+    # the schedule's row 36 above, probed alone: |x - x'| = 1.44e-12 and the
+    # conic projection reports 3.69e-7, below sqrt(2 rho TARGET), so the
+    # probe reads NaN as the schedule does, not a gap it cannot resolve;
+    # row 13 is resolved and keeps its distance; x' = x keeps y ("trivial"),
+    # which on this second-order spec reads NaN as well
+    from conekit.ordered import summing_map
+    from conekit.selection import (CorrespondenceSpec, correspondence_value,
+                                   hemicontinuity_probe, hemicontinuity_schedule)
+
+    spec = CorrespondenceSpec(summing_map(OrderedSpace(SecondOrder(3), NormTag.L2)), slack=1e-3)
+    x = np.array([0.3, 0.5, -0.8])
+    y = correspondence_value(spec, x).point
+    radius = np.linalg.norm(x)
+    t = np.random.default_rng(4).standard_normal(3)
+    t -= (t @ x) / (x @ x) * x
+    t /= np.linalg.norm(t)
+    rows = hemicontinuity_schedule(spec, x, steps=37, seed=4)
+    assert spec.project(x, y).driver == "trivial" and math.isnan(hemicontinuity_probe(spec, x, x, y))
+    for k in (13, 36):
+        xp = x + (0.1 * 2.0 ** (-k) * radius) * t
+        xp = xp / (np.linalg.norm(xp) / radius)
+        dist = hemicontinuity_probe(spec, x, xp, y)
+        if k == 36:
+            assert rows[k, 0] == pytest.approx(1.44e-12, rel=1e-2)
+            assert math.isnan(dist) and math.isnan(rows[k, 1])
+        else:
+            assert rows[k, 1] == dist / rows[k, 0] == pytest.approx(HEMI_ROWS[k], rel=1e-12)
 
 
 @pytest.mark.parametrize("certified", [False, True])
