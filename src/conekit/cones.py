@@ -49,6 +49,8 @@ __all__ = [
 class Cone:
     """Base marker class; concrete variants are the dataclasses below."""
 
+    __slots__ = ()
+
     @property
     def ambient_dim(self) -> int:  # pragma: no cover - overridden
         raise NotImplementedError
@@ -84,7 +86,7 @@ class Halfspaces(Cone):
         return self.rows.shape[1]
 
 
-@dataclass(frozen=True, eq=False)
+@dataclass(frozen=True, eq=False, slots=True)
 class Generators(Cone):
     """{columns @ lam : lam >= 0}.  Columns may be redundant."""
 

@@ -51,7 +51,7 @@ class InstanceError(ValueError):
         super().__init__(f"{field}: {message}")
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class Instance:
     map: ConeMap
     sampler: SamplerConfig = field(default_factory=SamplerConfig)

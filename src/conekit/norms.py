@@ -9,6 +9,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 from enum import Enum
+from functools import cache
 from itertools import product as _iterproduct
 
 import numpy as np
@@ -34,7 +35,7 @@ class NormTag(str, Enum):
         return self is not NormTag.L2
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class BlockNorm:
     """l1-sum of tagged norms over consecutive coordinate blocks.
 
@@ -45,8 +46,9 @@ class BlockNorm:
     blocks: tuple[tuple[int, int, NormTag], ...]
 
     @staticmethod
-    def flat(dim: int, tag: NormTag) -> "BlockNorm":
-        return BlockNorm(((0, dim, tag),))
+    @cache
+    def flat(dim: int, tag: NormTag) -> "BlockNorm":  # one shared object per (dim, tag)
+        return BlockNorm(((0, int(dim), NormTag(tag)),))
 
     @property
     def dim(self) -> int:

@@ -21,7 +21,7 @@ __all__ = ["SamplerConfig", "ball_vertices", "sphere_directions", "search_grid",
            "refine_on_sphere", "covering_radius", "SphereSup", "sphere_sup"]
 
 
-@dataclass(frozen=True)
+@dataclass(frozen=True, slots=True)
 class SamplerConfig:
     """Knobs for sphere sampling; identical seeds give identical grids.
 

@@ -106,7 +106,7 @@ class CorrespondenceSpec:
     positively homogeneous; on the unit sphere the bounds read
     alpha_j + slack exactly.  ``constraints`` pairs each functional with
     its alpha.  F is compiled once into a ``MinNormSweep`` at unit caps;
-    each target rescales the caps and starts phase 1 warm.  On polyhedral
+    each target rescales the caps and starts its feasibility LP warm.  On polyhedral
     cones the projection onto F(x) first solves the polyhedral relaxation
     (curved caps dropped) with the active-set QP; the slack usually leaves
     the caps loose, and the conic driver runs only when a cap binds, with
@@ -180,7 +180,7 @@ class RightInverse:
     achievable constants, continuous (unique parametric minimizer).
 
     Each call projects through the slice compiled once by the map (plain)
-    or the spec (constrained), starting phase 1 warm.  A constrained
+    or the spec (constrained), starting its feasibility LP warm.  A constrained
     call on a polyhedral cone solves the polyhedral relaxation first and
     returns its exact point when every curved cap holds there; the conic
     driver runs only when a cap binds, and on second-order cones always.

@@ -2,13 +2,14 @@
 
 ``LinearProgram(c, A, eq, free)`` is a program over free and nonnegative
 variables with = and <= rows, put in standard form once when it is built;
-``solve(b)`` solves it at a whole right-hand side b with a two-phase primal
-simplex on a dense tableau.  A program re-solved at another b restarts from
-the optimal bases of earlier solves and repairs them with dual simplex
-pivots; the cold two-phase method remains the fallback.  Every
-verdict is checked on the original data, or is ITERATION_LIMIT.  Ties among
-optima are broken lexicographically by phase 2 on the last answer's optimal
-face.  The fixed thresholds of every simplex and active-set verdict
+``solve(b)`` solves it at a whole right-hand side b by the dual simplex on a
+dense tableau that carries B^-1.  A cold solve starts from the slack crash
+basis, which is dual feasible when c >= 0; a program re-solved at another b
+starts from the optimal bases of earlier solves.  The two-phase primal
+simplex is the fallback where no crash basis exists.  Every verdict is
+checked on the original data, or is ITERATION_LIMIT.  Ties among optima are
+broken lexicographically by primal passes on the last answer's optimal face.
+The fixed thresholds of every simplex and active-set verdict
 (``FEASIBILITY``, ``OPTIMALITY``, ``iteration_cap``) and the solve statuses
 live here as well.
 """
@@ -40,19 +41,20 @@ class SolveStatus(str, Enum):
 
 
 # ---------------------------------------------------------------------------
-# dense two-phase primal simplex on standard form
+# dense two-phase primal simplex on standard form: the cold fallback
 
 
 class _StandardLP:
-    """min c v s.t. A v = b, v >= 0 with deterministic pivoting.
+    """min c v s.t. A v = b, v >= 0 with deterministic pivoting, where the
+    slack crash basis is not dual feasible (a negative cost) or does not exist.
 
     Dantzig's rule (lowest index on ties) with a switch to Bland's rule after
     a stall budget guards against cycling.  Desk-scale dense tableau.
-    ``solve`` returns (status, v, value, pivots, proof) for ``_WarmStart._cold``
-    to check.  OPTIMAL's proof is its basis (kept rows, basic columns, phase-2
-    tableau), where phase 1 dropped the rows it found redundant and the tableau
-    is B^-1 [A | b] over the kept rows, cost row last: where ``lexmin`` can
-    start.  INFEASIBLE's is the phase-1 dual, UNBOUNDED's a ray d >= 0.
+    ``solve`` returns (status, pivots, proof) for ``_WarmStart._cold`` to
+    check.  OPTIMAL's proof is its basis: kept rows (phase 1 drops the rows
+    it finds redundant), basic columns, and M with M A = B^-1 A over the kept
+    rows, read off the starting basis's columns, which ride along through
+    phase 2.  INFEASIBLE's is the phase-1 dual, UNBOUNDED's a ray d >= 0.
     """
 
     def __init__(self, A: np.ndarray, b: np.ndarray, c: np.ndarray):
@@ -82,19 +84,19 @@ class _StandardLP:
         T[:m, :n] = A
         T[art, n + np.arange(len(art))] = 1.0
         T[:m, -1] = b
-        basis = [owner[i] for i in range(m)]
+        start = np.array([owner[i] for i in range(m)], dtype=int)  # e_i of row i
+        basis = start.tolist()
         T[m, :n] = -A[art].sum(axis=0)
         T[m, -1] = -b[art].sum()
         it1 = self._pivot_loop(T, basis, restrict=n + len(art), cap=cap)
         if it1 == -1:
-            return SolveStatus.ITERATION_LIMIT, None, None, cap, None
+            return SolveStatus.ITERATION_LIMIT, cap, None
         if -T[m, -1] > FEASIBILITY * _scale(b):
-            # the phase-1 dual: a starting column owner(i) is the unit vector
-            # e_i at phase-1 cost [artificial], so its reduced cost is that cost - y_i
-            start = np.array([owner[i] for i in range(m)], dtype=int)
+            # the phase-1 dual: a starting column is the unit vector e_i at
+            # phase-1 cost [artificial], so its reduced cost is that cost - y_i
             y = (start >= n) - T[m, start]
             y[neg] *= -1.0
-            return SolveStatus.INFEASIBLE, None, None, max(it1, 0), y
+            return SolveStatus.INFEASIBLE, max(it1, 0), y
         keep_rows = []
         for i in range(m):
             if basis[i] >= n:
@@ -103,12 +105,11 @@ class _StandardLP:
                     continue  # redundant row
                 self._pivot(T, i, piv, basis)
             keep_rows.append(i)
-        # phase 2 on the original columns
-        T2 = np.zeros((len(keep_rows) + 1, n + 1))
-        T2[: len(keep_rows), :n] = T[keep_rows][:, :n]
-        T2[: len(keep_rows), -1] = T[keep_rows][:, -1]
+        # phase 2 on the original columns; the starting columns ride along,
+        # so their entries stay B^-1 of the sign-flipped rows
+        T2 = T[keep_rows + [m]]
         basis2 = [basis[i] for i in keep_rows]
-        T2[-1, :n] = c
+        T2[-1], T2[-1, :n] = 0.0, c
         for i, bi in enumerate(basis2):
             if c[bi] != 0.0:
                 T2[-1, :] -= c[bi] * T2[i, :]
@@ -117,14 +118,11 @@ class _StandardLP:
             j = np.flatnonzero((T2[-1, :n] < -FEASIBILITY) & (T2[:-1, :n] <= FEASIBILITY).all(axis=0))[0]
             d = np.zeros(n)
             d[basis2], d[j] = np.maximum(-T2[:-1, j], 0.0), 1.0
-            return SolveStatus.UNBOUNDED, None, None, it1, d
+            return SolveStatus.UNBOUNDED, it1, d
         if it2 == -1:
-            return SolveStatus.ITERATION_LIMIT, None, None, cap, None
-        v = np.zeros(n)
-        for i, bi in enumerate(basis2):
-            v[bi] = T2[i, -1]
-        proof = np.array(keep_rows, dtype=int), np.array(basis2, dtype=int), T2
-        return SolveStatus.OPTIMAL, v, float(-T2[-1, -1]), it1 + it2, proof
+            return SolveStatus.ITERATION_LIMIT, cap, None
+        M = T2[:-1, start] * np.where(neg, -1.0, 1.0)
+        return SolveStatus.OPTIMAL, it1 + it2, (np.array(keep_rows, dtype=int), np.array(basis2, dtype=int), M)
 
     @classmethod
     def lexmin(cls, T, basis, c, costs):
@@ -136,7 +134,7 @@ class _StandardLP:
         or the cap stops, and so does a pass after which no cost row left has a
         reduced cost below -eps on a live nonbasic column, so that no later pass
         could pivot: the face is one point, or the costs left are constant on it."""
-        r, n, eps = len(basis), T.shape[1] - 1, FEASIBILITY
+        r, n, eps = len(basis), c.size, FEASIBILITY
         basis, dead, its = list(basis), np.zeros(n, bool), 0
         for k, cost in enumerate((c, *costs)):
             cost = np.where(dead, 0.0, cost)
@@ -153,15 +151,15 @@ class _StandardLP:
             if (rest[:, live] - rest[:, basis] @ T[:r, :n][:, live] >= -eps).all():
                 break
         v = np.zeros(n)
-        v[basis] = T[:r, n]
+        v[basis] = T[:r, -1]
         return v, its
 
     @staticmethod
     def _pivot(T, row, col, basis):
-        T[row, :] /= T[row, col]
+        T[row] /= T[row, col]
         colvals = T[:, col].copy()
         colvals[row] = 0.0
-        T -= np.outer(colvals, T[row, :])
+        T -= colvals[:, None] * T[row]
         basis[row] = col
 
     @classmethod
@@ -199,19 +197,34 @@ def _scale(v: np.ndarray) -> float:
 
 def _farkas_ray(A, b, y):
     """y scaled to max-abs 1 when it proves {A v = b, v >= 0} empty, with
-    y A <= 0 < y b within FEASIBILITY times the data's scale; else None."""
+    y A <= 0 < y b within FEASIBILITY times the scale of A, and of b or of
+    the terms of y b if smaller; else None."""
     top = float(np.abs(y).max(initial=0.0))
     if not 0.0 < top < math.inf:
         return None
     y = y / top
     eps = FEASIBILITY
-    return y if (y @ A).max(initial=0.0) <= eps * _scale(A) and y @ b > eps * _scale(b) else None
+    pairing = eps * min(_scale(b), float(np.abs(y) @ np.abs(b)))
+    return y if (y @ A).max(initial=0.0) <= eps * _scale(A) and y @ b > pairing else None
 
 
 def _power_scale(top: float) -> float:
     """The power of two that brings top, a largest entry in size, into [1, 2)
     when it is below 1, else 1: dividing by it and multiplying back are exact."""
     return math.ldexp(1.0, math.frexp(top)[1] - 1) if 0.0 < top < 1.0 else 1.0
+
+
+def _below(M, xB, b) -> int:
+    """The row of the most negative basic value xB = M b below -FEASIBILITY
+    times its own scale, else -1: |M_k| |b|, plus 2^-16 max|M_k| times the
+    largest |b_l| with M_kl nonzero for the rounding M carries (about 70 ulp),
+    so an exact zero of M keeps a large b_l, such as a cap radius, from excusing a small row."""
+    rows = (xB < 0.0).nonzero()[0]
+    if rows.size:
+        Mk, b = np.abs(M[rows]), np.abs(b)
+        reach = np.where(Mk > 0.0, b, 0.0).max(axis=1)
+        rows = rows[xB[rows] < -FEASIBILITY * (Mk @ b + 2.0**-16 * Mk.max(axis=1) * reach)]
+    return int(rows[xB[rows].argmin()]) if rows.size else -1
 
 
 # optimal bases kept per standardized LP; the oldest is evicted first.  A
@@ -224,25 +237,28 @@ _BASIS_CACHE_SIZE = 16
 class _WarmStart:
     """Solves of one standardized LP (A, c) as its right-hand side moves.
 
-    Dual feasibility of a basis B depends on (A, c) alone, so a basis that
-    was optimal for one b stays optimal for every b with B^-1 b >= 0: the
-    critical regions of multiparametric LP (Gal & Nedoma 1972).  A new b is
-    tested against every cached optimal basis with one stacked product; when
-    none fits, the dual simplex (Lemke 1954) repairs the least infeasible
-    one; the cold two-phase simplex settles anything else.  An OPTIMAL basis
-    is dual feasible and its point passes a residual check on the full A; an
-    INFEASIBLE verdict has a Farkas ray (``_farkas_ray``), minus a row of
-    B^-1 after dual pivots or the phase-1 dual.  A basis is recorded with the
-    inverse its dual-feasibility check computed, once per key (its kept rows
-    and column set): the inverse is appended to the one stack, and the 17th
-    basis evicts the oldest by dropping its rows, with no scan of the entries.
-    Until some right-hand side is feasible every solve is cold.  Pivot counts
-    include abandoned dual pivots.  Thresholds on b and c are relative to
-    max(1, their largest entry), so a b or c with every entry below 1 in size
-    is divided by ``_power_scale`` (``b_scale``, ``c_scale``) and the answer
-    multiplied back.  ``last`` is the last OPTIMAL answer's basis, a function
-    giving a fresh B^-1 [A | b / b_scale] for it and its checked inverse M;
-    ``ray`` is the last INFEASIBLE answer's Farkas ray y (else None).
+    Every solve runs the dual simplex (Lemke 1954) from a dual feasible basis
+    B on the tableau [B^-1 A | B^-1 | B^-1 b; reduced costs]: the middle
+    columns carry M = B^-1 through every pivot.  A basis optimal for one b
+    stays optimal for every b with B^-1 b >= 0, the critical regions of
+    multiparametric LP (Gal & Nedoma 1972), so a new b is tested against
+    every cached optimal basis with one stacked product and, when none fits,
+    the least infeasible one is repaired.  A cold solve starts from the slack
+    crash basis (``_crash``, Bixby 2002); ``_StandardLP`` settles the rest,
+    and any cold answer that fails its check.  OPTIMAL needs M B = I, dual
+    feasibility and a residual check on the full A; INFEASIBLE a Farkas ray
+    (``_farkas_ray``), minus a row of M or the phase-1 dual.  A negative
+    basic value is also judged at its own row's scale (``_below``), so a
+    large entry of b cannot excuse a small row.  A basis is recorded with M
+    once per key (its kept rows and column set): M is appended to the one
+    stack, and the 17th basis evicts the oldest by dropping its rows.  Pivot
+    counts include abandoned dual pivots.
+    Thresholds on b and c are relative to max(1, their largest entry), so a
+    b or c with every entry below 1 in size is divided by ``_power_scale``
+    (``b_scale``, ``c_scale``) and the answer multiplied back.  ``last`` is
+    the last OPTIMAL answer's (rows, cols, M) and a function giving a fresh
+    [M A | M | M b / b_scale] for it; ``ray`` is the last INFEASIBLE
+    answer's Farkas ray y (else None).
     """
 
     def __init__(self, A: np.ndarray, c: np.ndarray):
@@ -251,7 +267,7 @@ class _WarmStart:
         self.c_top = _scale(self.c)
         self.entries: list = []  # (rows, cols), oldest first
         self._keys: dict = {}  # the entries' rows and sorted cols as bytes, oldest first
-        # every entry's M, oldest first (M b = B^-1 b[rows]); entry k's from row _starts[k]
+        # every entry's M, oldest first (M A = B^-1 A); entry k's from row _starts[k]
         self._stack, self._starts = np.empty((0, A.shape[0])), np.zeros(0, dtype=int)
 
     def solve(self, b: np.ndarray):
@@ -270,17 +286,21 @@ class _WarmStart:
         return status, v, value, spent
 
     def _cold(self, b: np.ndarray, feas: float):
-        """The two-phase simplex, its verdict checked (ITERATION_LIMIT when the
-        check fails): a primal ray d >= 0 needs A d = 0 > c d."""
-        status, v, value, its, proof = _StandardLP(self.A, b, self.c).solve()
+        """The dual simplex from the crash basis, else the two-phase simplex,
+        its verdict checked (ITERATION_LIMIT when the check fails): a primal
+        ray d >= 0 needs A d = 0 > c d.  The crash basis's pivots count."""
+        spent, crash = 0, self._crash(b)
+        if crash is not None:
+            status, v, value, its = self._dual_simplex(np.arange(self.A.shape[0]), *crash[:2], b, feas)
+            spent = crash[2] + its
+            if status is not None:
+                return status, v, value, spent
+        status, its, proof = _StandardLP(self.A, b, self.c).solve()
+        its += spent
         if status is SolveStatus.OPTIMAL:
-            rows, cols, T = proof
-            M = self._inverse(rows, cols)
-            if (M is not None and v.min(initial=0.0) >= -feas
-                    and np.abs(self.A @ v - b).max(initial=0.0) <= feas):
-                self._record(rows, cols, M)
-                self.last = cols, T.copy, M
-                return status, v, value, its
+            out = self._repaired(*proof, b, feas, its)
+            if out is not None:
+                return out
         elif status is SolveStatus.INFEASIBLE:
             self.ray = _farkas_ray(self.A, b, proof)
             if self.ray is not None:
@@ -291,6 +311,30 @@ class _WarmStart:
                     and self.c @ d < -FEASIBILITY * self.c_top):
                 return status, None, None, its
         return SolveStatus.ITERATION_LIMIT, None, None, its
+
+    def _crash(self, b: np.ndarray):
+        """(T, basis, pivots): the tableau [A | I | b; c] at the slack crash
+        basis, each +1 slack column basic on its row and on every other row the
+        zero-cost column of largest entry pivoted in, so that c_B = 0 and, with
+        c >= 0, the basis is dual feasible.  None when a cost is negative or some
+        row has no zero-cost entry above FEASIBILITY times its largest."""
+        A, c = self.A, self.c
+        m, n = A.shape
+        if c.min(initial=0.0) < 0.0 or m == 0:
+            return None
+        T = np.zeros((m + 1, n + m + 1))
+        T[:m, :n], T[:m, -1], T[m, :n] = A, b, c
+        np.fill_diagonal(T[:m, n:], 1.0)
+        free = np.flatnonzero(c == 0.0)
+        unit = free[((A[:, free] != 0.0).sum(axis=0) == 1) & (A[:, free].sum(axis=0) == 1.0)]
+        owner = dict(zip(A[:, unit[::-1]].argmax(axis=0).tolist(), unit[::-1].tolist()))
+        basis = [owner.get(i, -1) for i in range(m)]  # the first unit column of each row
+        for i in [i for i in range(m) if basis[i] < 0]:
+            row = np.abs(T[i, free])
+            if row.max(initial=0.0) <= FEASIBILITY * np.abs(A[i]).max():
+                return None
+            _StandardLP._pivot(T, i, int(free[row.argmax()]), basis)
+        return T, basis, m - len(owner)
 
     def _record(self, rows, cols, M):
         key = rows.tobytes() + np.sort(cols).tobytes()  # one column per kept row
@@ -310,111 +354,93 @@ class _WarmStart:
         rows, cols = self.entries[k]
         return rows, cols, self._stack[self._starts[k] : self._starts[k] + cols.size]
 
-    def _inverse(self, rows, cols):
-        """M with M b = B^-1 b[rows], or None for a singular or dual infeasible B."""
-        if cols.size == 0:  # phase 1 found every row redundant: y = 0
-            dual = self.c.min(initial=0.0) >= -FEASIBILITY * self.c_top
-            return np.zeros((0, self.A.shape[0])) if dual else None
-        A = self.A[rows]
-        B = A[:, cols]
-        try:
-            Binv = np.linalg.inv(B)
-        except np.linalg.LinAlgError:
-            return None
-        if np.abs(Binv @ B - np.eye(cols.size)).max() > 1e-8:
-            return None
-        if (self.c - (self.c[cols] @ Binv) @ A).min() < -FEASIBILITY * self.c_top:
-            return None
-        M = np.zeros((rows.size, self.A.shape[0]))
-        M[:, rows] = Binv
-        return M
-
     def _warm(self, b: np.ndarray, feas: float):
         """A checked answer from the cache, or status None after the pivots spent."""
-        X = self._stack @ b
-        lows = np.minimum.reduceat(X, self._starts)
-        fits = lows >= -feas
-        for k in np.nonzero(fits)[0]:
+        X, starts = self._stack @ b, self._starts
+        fits = np.minimum.reduceat(X, starts) >= -feas
+        for k in fits.nonzero()[0].tolist():
             entry = self._entry(k)
-            out = self._accept(entry, X[self._starts[k] : self._starts[k] + entry[1].size],
-                               b, feas, 0)
+            out = self._accept(entry, X[starts[k] : starts[k] + entry[1].size], b, feas, 0)
             if out is not None:
                 return out
-        # a basis that fits b but fails the residual check cannot be repaired by pivoting
+        # a basis that fits b but fails its checks is not repaired
         gaps = np.where(fits, -np.inf, np.add.reduceat(np.minimum(X, 0.0), self._starts))
         k = int(np.argmax(gaps))
         if gaps[k] == -np.inf:
             return None, None, None, 0
-        return self._dual_simplex(k, b, feas)
+        rows, cols, M = self._entry(k)
+        T = self._tableau(self.A, M, b)
+        T[-1, : self.A.shape[1]] = self.c - self.c[cols] @ T[:-1, : self.A.shape[1]]
+        return self._dual_simplex(rows, T, cols.tolist(), b, feas)
 
     def _accept(self, entry, xB, b, feas: float, pivots: int):
+        """OPTIMAL at basis entry = (rows, cols, M) with basic values xB = M b >= -feas,
+        when none is ``_below`` its own tolerance and v passes the residual check."""
+        rows, cols, M = entry
+        if _below(M, xB, b) >= 0:
+            return None
         v = np.zeros(self.A.shape[1])
-        v[entry[1]] = np.maximum(xB, 0.0)  # a value rounded into (-feas, 0) leaves the cone
+        v[cols] = np.maximum(xB, 0.0)  # a value rounded into (-feas, 0) leaves the cone
         if np.abs(self.A @ v - b).max(initial=0.0) > feas:
             return None
-        self.last = entry[1], partial(self._tableau, self.A, entry[0], entry[2], b), entry[2]
+        self.last = rows, cols, M, partial(self._tableau, self.A, M, b)
         return SolveStatus.OPTIMAL, v, float(self.c @ v), pivots
 
     @staticmethod
-    def _tableau(A, rows, M, b: np.ndarray):
-        """B^-1 [A | b] over the basis rows, with M b = B^-1 b[rows], and a zero cost row
-        (static, so that ``last`` holds no reference cycle through the cache)."""
-        r, n = M.shape[0], A.shape[1]
-        T = np.zeros((r + 1, n + 1))
-        T[:r, :n] = M[:, rows] @ A[rows]
-        T[:r, n] = M @ b
+    def _tableau(A, M, b: np.ndarray):
+        """[M A | M | M b] and a zero cost row (static, so that ``last`` holds
+        no reference cycle through the cache)."""
+        (r, m), n = M.shape, A.shape[1]
+        T = np.zeros((r + 1, n + m + 1))
+        T[:r, :n], T[:r, n:-1], T[:r, -1] = M @ A, M, M @ b
         return T
 
-    def _dual_simplex(self, k: int, b: np.ndarray, feas: float):
-        rows, cols, M = self._entry(k)
-        T = self._tableau(self.A, rows, M, b)
-        r, n = cols.size, self.A.shape[1]
-        T[r, :n] = self.c - self.c[cols] @ T[:r, :n]
-        basis = cols.tolist()
-        its = 0
+    def _dual_simplex(self, rows, T, basis: list, b, feas: float):
+        """Dual simplex pivots on T (changed in place) from its dual feasible
+        basis; a basic value in (-feas, 0) leaves only when ``_below`` its own tolerance."""
+        r, n = len(basis), self.A.shape[1]
+        M, xB, its = T[:r, n:-1], T[:r, -1], 0  # views, kept up to date by the pivots
         while its < 2 * (r + n):
-            p = int(np.argmin(T[:r, n]))
-            if T[p, n] >= -feas:
-                out = self._repaired(rows, np.array(basis), b, feas, its)
-                break
+            p = int(xB.argmin())
+            if xB[p] >= -feas:  # then the values below their own tolerance, if any
+                p = _below(M, xB, b)
+                if p < 0:
+                    out = self._repaired(rows, np.array(basis), M.copy(), b, feas, its)
+                    break
             alpha = T[p, :n]
-            cand = np.nonzero(alpha < -FEASIBILITY)[0]
+            cand = np.flatnonzero(alpha < -FEASIBILITY)
             if cand.size == 0:
-                out = self._ray(rows, np.array(basis), p, b, its)
+                self.ray = _farkas_ray(self.A, b, -M[p])
+                out = None if self.ray is None else (SolveStatus.INFEASIBLE, None, None, its)
                 break
             ratios = np.maximum(T[r, cand], 0.0) / -alpha[cand]
-            _StandardLP._pivot(T, p, int(cand[np.argmin(ratios)]), basis)
+            # ties (most columns cost 0) go to the largest |alpha|, the most stable pivot
+            tie = cand[ratios == ratios.min()]
+            _StandardLP._pivot(T, p, int(tie[np.argmin(alpha[tie])]), basis)
             its += 1
         else:
             out = None
         return out if out is not None else (None, None, None, its)
 
-    def _repaired(self, rows, cols, b, feas: float, pivots: int):
-        """Refactorize the basis the dual simplex ended on, check it, keep it."""
-        M = self._inverse(rows, cols)
-        if M is None:
+    def _repaired(self, rows, cols, M, b, feas: float, pivots: int):
+        """Check the carried inverse M of the basis cols, its entries below 2^-52
+        of their row's largest zeroed as rounding residue (M B = I, dual
+        feasible), then the answer at it (as ``_accept``), and keep it."""
+        absM = np.abs(M)
+        M[absM <= 2.0**-52 * absM.max(axis=1, initial=0.0)[:, None]] = 0.0
+        G = M @ self.A[:, cols]
+        G.flat[:: cols.size + 1] -= 1.0
+        if np.abs(G).max(initial=0.0) > 1e-8:
+            return None
+        if (self.c - (self.c[cols] @ M) @ self.A).min() < -FEASIBILITY * self.c_top:
             return None
         xB = M @ b
-        if xB.min() < -feas:
+        if xB.min(initial=0.0) < -feas:
             return None
         out = self._accept((rows, cols, M), xB, b, feas, pivots)
         if out is not None:
             self._record(rows, cols, M)
         return out
-
-    def _ray(self, rows, cols, p: int, b, pivots: int):
-        """INFEASIBLE, with ``ray`` set, when minus row p of B^-1 is a Farkas
-        ray on the original data."""
-        e = np.zeros(rows.size)
-        e[p] = -1.0
-        try:
-            yr = np.linalg.solve(self.A[np.ix_(rows, cols)].T, e)
-        except np.linalg.LinAlgError:
-            return None
-        y = np.zeros(self.A.shape[0])
-        y[rows] = yr
-        self.ray = _farkas_ray(self.A, b, y)
-        return None if self.ray is None else (SolveStatus.INFEASIBLE, None, None, pivots)
 
 
 class LinearProgram:
@@ -423,12 +449,12 @@ class LinearProgram:
 
     Standard form: each free variable takes two adjacent columns, z+ then
     -z- (``_split``), and each <= row one +1 slack column, in row order.
-    ``solve`` takes a whole right-hand side b, and a program re-solved at
+    ``solve`` takes a whole right-hand side b: a program re-solved at
     another b first tries the optimal bases of earlier solves and repairs
-    the closest one by dual simplex pivots, falling back to the cold
-    two-phase simplex, whose phase 1 starts from the slack basis of
-    ``_StandardLP``, when neither gives a checked answer.  The pivot count
-    returned covers every pivot the call made.
+    the closest one by dual simplex pivots; a cold solve runs the dual
+    simplex from the slack crash basis, or the two-phase primal simplex
+    where that basis does not exist or is not dual feasible (``_WarmStart``).
+    The pivot count returned covers every pivot the call made.
 
     After an INFEASIBLE ``solve``, ``ray`` is its checked Farkas ray, one
     multiplier per row: y A <= 0 < y b on the standard form (else None).
@@ -478,12 +504,12 @@ class LinearProgram:
         """After an OPTIMAL ``solve``, y = c_B B^-1 of its checked basis, one
         multiplier per row: y b is the optimal value and c - y A >= 0."""
         warm = self._warm
-        cols, _, M = warm.last
+        _, cols, M, _ = warm.last
         return (warm.c[cols] @ M) * warm.c_scale
 
     def lexmin(self, costs):
         """(z, pivots) after an OPTIMAL ``solve``: its optimum minimizing each cost row in turn."""
         warm = self._warm
-        cols, tableau, _ = warm.last
+        _, cols, _, tableau = warm.last
         v, its = _StandardLP.lexmin(tableau(), cols, warm.c, self._costs(costs))
         return self._unsplit(v * warm.b_scale), its

@@ -60,7 +60,7 @@ __all__ = [
 ]
 
 
-@dataclass
+@dataclass(slots=True)
 class Certificate:
     """Separating functional for an infeasible slice.
 
@@ -75,7 +75,7 @@ class Certificate:
     y: np.ndarray
 
 
-@dataclass
+@dataclass(slots=True)
 class Solution:
     """One solve.  ``driver`` names the method that produced the answer
     ("simplex", "active-set", "conic", or "trivial" for an answer known
@@ -963,7 +963,7 @@ def project_onto_slice(map: np.ndarray, target: np.ndarray, cone: _cones.Cone,
     return sweep.project(target, point)
 
 
-@dataclass
+@dataclass(slots=True)
 class FeasibilityReport:
     """``check_feasible``'s verdict: a point of a nonempty slice, or the
     checked certificate of an empty one (None when bounds or caps take part)."""
@@ -977,7 +977,7 @@ def check_feasible(map: np.ndarray, target: np.ndarray, cone: _cones.Cone, *,
                    extra_bounds=(), balls=()) -> FeasibilityReport:
     """Is {c in C : T c = x, bounds} nonempty?
 
-    Polyhedral systems are decided by phase 1, curved ones by the conic
+    Polyhedral systems are decided by the simplex, curved ones by the conic
     driver's feasible point or checked certificate: one solve either way.
     ArithmeticError when the program is undecided.  An empty slice with no
     bounds or caps comes with a verified Farkas-type certificate, read off

@@ -6,6 +6,7 @@ imports conekit; the only dependency is numpy.
 """
 import dataclasses
 import itertools
+from fractions import Fraction
 
 import numpy as np
 
@@ -490,3 +491,26 @@ def sampled_surjectivity(directions, reachable):
         if not inside:
             return False, x
     return True, None
+
+
+def solve_exactly(B, rhs) -> list:
+    """x with B x = rhs for a square nonsingular float matrix B, in exact
+    rational arithmetic: every float is a binary rational, so x is the exact
+    solution for the data as stored (Gauss-Jordan on Fractions)."""
+    T = [[Fraction(v) for v in row] + [Fraction(r)] for row, r in zip(np.asarray(B).tolist(),
+                                                                      np.asarray(rhs).tolist())]
+    for k in range(len(T)):
+        p = next(i for i in range(k, len(T)) if T[i][k] != 0)
+        T[k], T[p] = T[p], T[k]
+        T[k] = [v / T[k][k] for v in T[k]]
+        for i in range(len(T)):
+            if i != k and T[i][k] != 0:
+                T[i] = [a - T[i][k] * e for a, e in zip(T[i], T[k])]
+    return [row[-1] for row in T]
+
+
+def exact_products(y, A) -> list:
+    """y A for float vectors and matrices, exactly, as Fractions."""
+    y = [Fraction(v) for v in np.asarray(y).tolist()]
+    return [sum((a * Fraction(v) for a, v in zip(y, col)), Fraction(0))
+            for col in np.asarray(A).T.tolist()]

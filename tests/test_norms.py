@@ -102,3 +102,13 @@ def test_operator_norm_is_an_upper_bound(A, v):
 def test_tags_match_reference(x):
     for tag in NormTag:
         assert tag.of(x) == pytest.approx(oracles.norm(x, tag.value), rel=1e-12, abs=1e-12)
+
+
+def test_a_flat_norm_is_one_shared_object():
+    # every program and answer that asks for the same flat norm holds one
+    # frozen object, with no per-instance __dict__
+    assert BlockNorm.flat(3, NormTag.L1) is BlockNorm.flat(3, NormTag.L1)
+    assert BlockNorm.flat(np.int64(3), "l1") is BlockNorm.flat(3, NormTag.L1)
+    assert BlockNorm.flat(3, NormTag.L1) is not BlockNorm.flat(3, NormTag.LINF)
+    assert BlockNorm.flat(3, NormTag.L1).blocks == ((0, 3, NormTag.L1),)
+    assert not hasattr(BlockNorm.flat(3, NormTag.L1), "__dict__")

@@ -9,12 +9,17 @@ Farkas ray that ``oracles.farkas_checks`` accepts on a standard form built
 here, apart from the package; an UNBOUNDED one must be feasible and unbounded
 for HiGHS.  ITERATION_LIMIT is an honest "undecided" and passes; any other
 status is wrong.
+
+Every verdict is also judged in exact rational arithmetic (``exact_verdict``):
+an OPTIMAL answer's basis must be primal and dual feasible, and an INFEASIBLE
+answer's ray must pair positively with b and stay in the polar of the columns.
 """
 import numpy as np
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
+from conekit import simplex
 from conekit.simplex import LinearProgram, SolveStatus
 
 import oracles
@@ -22,6 +27,10 @@ import oracles
 linprog = pytest.importorskip("scipy.optimize").linprog
 
 SCALES = (1.0, 1e-8, 1e8)
+# the slack of the exact checks, relative to the data's scale: far inside
+# simplex.FEASIBILITY, far above rounding.  b is rounded data, so an exactly
+# degenerate vertex can sit 1e-16 outside the cone
+EXACT = 1e-12
 
 
 def random_lp(seed: int):
@@ -113,14 +122,37 @@ def standard_form(A, senses, nonneg):
     return np.hstack([A[:, nonneg], free, -free, slack])
 
 
+def exact_verdict(lp: LinearProgram, b, status):
+    """The verdict of lp's last solve, at right-hand side b of its standard
+    form, judged in exact rational arithmetic.  OPTIMAL: on the answer's basis
+    (kept rows, columns), x_B = B^-1 b and the reduced costs c - c_B B^-1 A
+    are at least -EXACT times the scale of b and of c.  INFEASIBLE: the ray y
+    has y b > 0 and y A at most EXACT times the scale of A."""
+    A, c = lp.A, lp.c
+    if status is SolveStatus.OPTIMAL:
+        rows, cols = lp._warm.last[:2]
+        B = A[np.ix_(rows, cols)]
+        xB = oracles.solve_exactly(B, b[rows]) if cols.size else []
+        y = oracles.solve_exactly(B.T, c[cols]) if cols.size else [0.0] * rows.size
+        d = [cj - yAj for cj, yAj in zip(c.tolist(), oracles.exact_products(y, A[rows]))]
+        assert min(xB, default=0) >= -EXACT * max(1.0, np.abs(b).max()), float(min(xB))
+        assert min(d) >= -EXACT * max(1.0, np.abs(c).max()), float(min(d))
+    elif status is SolveStatus.INFEASIBLE:
+        yA, yb = oracles.exact_products(lp.ray, A), oracles.exact_products(lp.ray, b[:, None])[0]
+        assert yb > 0 and max(yA) <= EXACT * np.abs(A).max(), (float(yb), float(max(yA)))
+
+
 def agree(lp, reference=None, factor: float = 1.0, built=None):
     """lp's verdict against HiGHS's on reference (lp itself by default),
-    whose optimal value times factor is lp's; ``built`` re-solves a
-    ``LinearProgram`` of the same rows at lp's right-hand side."""
+    whose optimal value times factor is lp's, and in exact arithmetic;
+    ``built`` re-solves a ``LinearProgram`` of the same rows at lp's
+    right-hand side."""
     c, A, senses, b, nonneg = lp
+    built = built or build(c, A, senses, nonneg)
     status, z, value, ray = solve_ours(*lp, lp=built)
     if status is SolveStatus.ITERATION_LIMIT:
         return
+    exact_verdict(built, signs(senses) * b, status)
     want, fun = highs(*(reference or lp))
     assert status.value == want, (status, want)
     bscale = float(np.abs(b).max())
@@ -196,3 +228,26 @@ def test_standard_form_matches_a_row_by_row_build():
                 for row, s in zip(signs(senses)[:, None] * A, senses)]
         want_A, want_c = oracles.standard_form_by_rows(c, ~nonneg, rows)
         assert np.array_equal(lp.A, want_A) and np.array_equal(lp.c, want_c), seed
+
+
+def test_crash_start_and_two_phase_give_the_same_status(spy):
+    # with c >= 0 on the standard form (no cost on a free variable, whose
+    # second column would carry -c) a cold solve runs the dual simplex from
+    # the slack crash basis, with no two-phase fallback; the two-phase primal
+    # simplex on the same standard form (its unchecked verdict) must agree,
+    # and every verdict passes the exact checks.  A row with no zero-cost
+    # column has no crash basis and goes to the fallback
+    fallbacks, crashed = [], 0
+    spy(simplex._StandardLP, "solve", fallbacks, lambda out: out[0])
+    for seed in range(300):
+        c, A, senses, b, nonneg = random_lp(seed)
+        c = np.where(nonneg, np.maximum(c, 0.0), 0.0)
+        lp, rhs = build(c, A, senses, nonneg), signs(senses) * b
+        fallbacks.clear()
+        status = lp.solve(rhs)[0]
+        if lp._warm._crash(rhs) is not None:
+            crashed += 1
+            assert fallbacks == [], seed
+        exact_verdict(lp, rhs, status)
+        assert status is simplex._StandardLP(lp.A, rhs, lp.c).solve()[0], seed
+    assert crashed == 265

@@ -62,14 +62,23 @@ def test_lp_equality_and_free_vars():
 
 
 def test_lp_whose_rows_are_all_redundant(spy):
-    # 0 z = 0 leaves phase 2 no row: the empty basis is optimal at z = 0,
-    # and its inverse maps the one row to nothing
-    inverses = []
-    spy(simplex._WarmStart, "_inverse", inverses, pick=lambda M: None if M is None else M.shape)
+    # 0 z = 0 has no crash basis, and phase 1 of the two-phase fallback
+    # leaves phase 2 no row: the empty basis is optimal at z = 0, and its
+    # carried inverse maps the one row to nothing
+    cold = []
+    spy(simplex._StandardLP, "solve", cold, lambda out: out[0])
     lp = LinearProgram([1.0, 2.0], [[0.0, 0.0]], [True], [False, False])
     status, z, value, _ = lp.solve([0.0])
-    assert status is SolveStatus.OPTIMAL and value == 0.0 and inverses == [(0, 1)]
+    assert status is SolveStatus.OPTIMAL and value == 0.0 and cold == [SolveStatus.OPTIMAL]
+    assert lp._warm.last[2].shape == (0, 1)
     np.testing.assert_array_equal(z, [0.0, 0.0])
+
+
+def test_lp_with_no_rows():
+    # no row, no crash basis: the empty basis decides, by the sign of c
+    for c, want in ((1.0, SolveStatus.OPTIMAL), (-1.0, SolveStatus.UNBOUNDED)):
+        lp = LinearProgram([c], np.zeros((0, 1)), np.zeros(0, bool), [False])
+        assert lp.solve(np.zeros(0))[0] is want
 
 
 @pytest.mark.parametrize("c,A,eq,free,named", [
@@ -224,9 +233,9 @@ def test_lexicographic_value_is_the_optimal_value():
 
 def test_lexicographic_passes_run_no_cold_solve(spy):
     # the passes continue on the optimal tableau of the main solve: one
-    # two-phase solve per program, however many coordinates are tied
+    # cold solve per program, however many coordinates are tied
     cold = []
-    spy(simplex._StandardLP, "solve", cold, lambda out: out[0])
+    spy(simplex._WarmStart, "_cold", cold, lambda out: out[0])
     for T, x, G, cone, tag in LEXICOGRAPHIC_CASES[:20]:
         cold.clear()
         solve_min_norm(MinNormProblem(T, x, cone, BlockNorm.flat(T.shape[1], tag)))
@@ -578,7 +587,7 @@ def test_check_feasible_both_ways():
 
 
 def test_check_feasible_at_an_unreachable_target_is_one_lp(spy):
-    # the certificate is the equality-row part of the phase-1 Farkas ray
+    # the certificate is the equality-row part of the simplex's Farkas ray
     G = np.array([[1.0, 0.0, 1.0], [1.0, 1.0, 0.0]])
     solves = []
     spy(LinearProgram, "solve", solves, pick=lambda out: out[0])
@@ -587,6 +596,35 @@ def test_check_feasible_at_an_unreachable_target_is_one_lp(spy):
     assert certificate_is_valid(np.eye(2), [-1.0, 0.5], Generators(G), rep.certificate.y)
     pairing, dual_defect = oracles.farkas_checks(G, [-1.0, 0.5], rep.certificate.y)
     assert pairing > 1e-9 and dual_defect <= 1e-8
+
+
+@pytest.mark.parametrize("seed", [9, 21, 29, 35])
+def test_a_capped_slice_is_empty_wherever_the_uncapped_one_is(seed):
+    # {c in C : T c = x, |c| <= 1} lies in the uncapped slice.  At targets of
+    # size 1e-6 to 1e-12 the cap radius 1 is the largest entry of the
+    # right-hand side by far, yet every basic value and Farkas pairing is
+    # judged at its own row's scale, so the radius cannot excuse a target
+    # row.  One sweep runs the signed axes at every scale in turn (cached
+    # bases and dual repairs); check_feasible solves each target cold
+    m = parse_instance(random_polyhedral_instance(seed)).map
+    ball = BallConstraint(np.eye(m.domain_dim), m.domain_norm, 1.0)
+    axes = np.vstack([np.eye(m.codomain_dim), -np.eye(m.codomain_dim)])
+    X = np.vstack([s * axes for s in 10.0 ** -np.arange(6, 13)])
+    plain = [st for st, _ in MinNormSweep(m.matrix, m.cone, m.domain_norm).feasible_many(X)]
+    capped = MinNormSweep(m.matrix, m.cone, m.domain_norm, balls=(ball,))
+    assert SolveStatus.INFEASIBLE in plain and SolveStatus.OPTIMAL in plain
+    assert [st for st, _ in capped.feasible_many(X)] == plain
+    cold = [check_feasible(m.matrix, x, m.cone, balls=(ball,)).feasible for x in X]
+    assert cold == [st is SolveStatus.OPTIMAL for st in plain]
+
+
+def test_answers_carry_no_instance_dict():
+    # a benchmark run keeps every round's answers, so each one is slotted
+    sol = solve_min_norm(lattice_problem([3.0, -4.0], NormTag.L1))
+    rep = check_feasible(np.array([[1.0, 0.0]]), np.array([-2.0]), Orthant(2))
+    assert sol.status is SolveStatus.OPTIMAL and not rep.feasible
+    for obj in (sol, rep, rep.certificate, Generators(np.eye(2)), SamplerConfig()):
+        assert not hasattr(obj, "__dict__"), type(obj).__name__
 
 
 def test_farkas_certificate_validity():
@@ -658,7 +696,7 @@ def test_sweep_warm_start_matches_cold(name, T, cone, norm, monkeypatch, spy):
     xs = sweep_targets(T, np.random.default_rng(1))
     pivots, cold, rejected = [], [], []
     spy(LinearProgram, "solve", pivots, lambda out: out[3])
-    spy(simplex._StandardLP, "solve", cold, lambda out: out[0])
+    spy(simplex._WarmStart, "_cold", cold, lambda out: out[0])
     spy(simplex._WarmStart, "_accept", rejected, lambda out: out is None)
     warm = [sweep.value(x) for x in xs]
     monkeypatch.undo()
@@ -723,20 +761,27 @@ def pivot_loops(monkeypatch):
 
 
 def test_cold_lp_of_slack_rows_takes_no_phase_one_pivot(pivot_loops):
-    # every <= row with b >= 0 owns its slack, so the slack crash basis is
-    # feasible and phase 1 has no artificial to drive out
+    # every <= row with b >= 0 owns its slack, so the slack basis is primal
+    # feasible: with c >= 0 it is the crash basis and optimal at once (no dual
+    # pivot), and with a negative cost phase 1 of the two-phase fallback has
+    # no artificial to drive out
     linprog = pytest.importorskip("scipy.optimize").linprog
     rng = np.random.default_rng(3)
     for _ in range(20):
         m, n = rng.integers(1, 7, size=2)
         A, b, c = rng.normal(size=(m, n)), rng.uniform(0.0, 2.0, size=m), rng.normal(size=n)
-        lp = LinearProgram(c, np.vstack([A, np.eye(n)]), np.zeros(m + n, bool), np.zeros(n, bool))
-        pivot_loops.clear()
-        status, z, value, _ = lp.solve(np.concatenate([b, np.ones(n)]))
-        assert status is SolveStatus.OPTIMAL
-        assert pivot_loops[0] == 0
-        want = linprog(c, A_ub=np.vstack([A, np.eye(n)]), b_ub=np.concatenate([b, np.ones(n)]))
-        assert abs(value - want.fun) <= 1e-9 * max(1.0, abs(want.fun))
+        A, b = np.vstack([A, np.eye(n)]), np.concatenate([b, np.ones(n)])
+        for cost in (np.abs(c), np.append(-np.abs(c[:1]), c[1:])):
+            lp = LinearProgram(cost, A, np.zeros(m + n, bool), np.zeros(n, bool))
+            pivot_loops.clear()
+            status, z, value, pivots = lp.solve(b)
+            assert status is SolveStatus.OPTIMAL
+            if cost.min() >= 0.0:
+                assert pivots == 0 and pivot_loops == []
+            else:
+                assert pivot_loops[0] == 0
+            want = linprog(cost, A_ub=A, b_ub=b)
+            assert abs(value - want.fun) <= 1e-9 * max(1.0, abs(want.fun))
 
 
 def test_lexmin_stops_once_no_pass_can_pivot(pivot_loops):
