@@ -2,7 +2,7 @@
 
 Four operations on instance files:
 
-    conekit check-surjective INSTANCE [--samples N] [--seed S]
+    conekit check-surjective INSTANCE
     conekit constant  INSTANCE [--kind openness|plain|max|sum] [--report CSV]
     conekit decompose INSTANCE --points CSV [--report CSV] [--epsilon E]
     conekit lift      INSTANCE --function CSV --report CSV [--epsilon E]
@@ -240,8 +240,8 @@ def _build_parser() -> argparse.ArgumentParser:
                        help="override the instance sampler's seed")
 
     p = sub.add_parser("check-surjective", help="does the map cover the codomain?")
-    common(p)
-    p.set_defaults(func=cmd_check_surjective)
+    p.add_argument("instance", help="instance file (JSON)")
+    p.set_defaults(func=cmd_check_surjective, samples=None, seed=None)  # it reads no sampler
 
     p = sub.add_parser("constant", help="sphere sweep for a decomposition constant")
     common(p)

@@ -4,9 +4,10 @@
 variables with = and <= rows, put in standard form once when it is built;
 ``solve(b)`` solves it at a whole right-hand side b by the dual simplex on a
 dense tableau that carries B^-1.  A cold solve starts from the slack crash
-basis, which is dual feasible when c >= 0; a program re-solved at another b
-starts from the optimal bases of earlier solves.  The two-phase primal
-simplex is the fallback where no crash basis exists.  Every verdict is
+basis, which is dual feasible when c >= 0 and drops dependent rows (or proves
+b inconsistent on one); a program re-solved at another b starts from the
+optimal bases of earlier solves.  The two-phase primal simplex is the
+fallback where no crash basis exists.  Every verdict is
 checked on the original data, or is ITERATION_LIMIT.  Ties among optima are
 broken lexicographically by primal passes on the last answer's optimal face.
 The fixed thresholds of every simplex and active-set verdict
@@ -244,8 +245,9 @@ class _WarmStart:
     multiparametric LP (Gal & Nedoma 1972), so a new b is tested against
     every cached optimal basis with one stacked product and, when none fits,
     the least infeasible one is repaired.  A cold solve starts from the slack
-    crash basis (``_crash``, Bixby 2002); ``_StandardLP`` settles the rest,
-    and any cold answer that fails its check.  OPTIMAL needs M B = I, dual
+    crash basis (``_crash``, Bixby 2002), which drops dependent rows or proves
+    b inconsistent on one; ``_StandardLP`` settles the rest, and any cold
+    answer that fails its check.  OPTIMAL needs M B = I, dual
     feasibility and a residual check on the full A; INFEASIBLE a Farkas ray
     (``_farkas_ray``), minus a row of M or the phase-1 dual.  A negative
     basic value is also judged at its own row's scale (``_below``), so a
@@ -291,8 +293,11 @@ class _WarmStart:
         ray d >= 0 needs A d = 0 > c d.  The crash basis's pivots count."""
         spent, crash = 0, self._crash(b)
         if crash is not None:
-            status, v, value, its = self._dual_simplex(np.arange(self.A.shape[0]), *crash[:2], b, feas)
-            spent = crash[2] + its
+            rows, T, basis, spent = crash
+            if rows is None:  # a dependent row whose b disagrees
+                return SolveStatus.INFEASIBLE, None, None, spent
+            status, v, value, its = self._dual_simplex(rows, T, basis, b, feas)
+            spent += its
             if status is not None:
                 return status, v, value, spent
         status, its, proof = _StandardLP(self.A, b, self.c).solve()
@@ -313,11 +318,13 @@ class _WarmStart:
         return SolveStatus.ITERATION_LIMIT, None, None, its
 
     def _crash(self, b: np.ndarray):
-        """(T, basis, pivots): the tableau [A | I | b; c] at the slack crash
-        basis, each +1 slack column basic on its row and on every other row the
-        zero-cost column of largest entry pivoted in, so that c_B = 0 and, with
-        c >= 0, the basis is dual feasible.  None when a cost is negative or some
-        row has no zero-cost entry above FEASIBILITY times its largest."""
+        """(rows, T, basis, pivots): the tableau [A | I | b; c] on the kept rows
+        at the slack crash basis, each +1 slack column basic on its row and on
+        every other row the zero-cost column of largest entry pivoted in, so
+        that c_B = 0 and, with c >= 0, the basis is dual feasible.  A dependent
+        row, all below FEASIBILITY times its largest, is dropped, or its row of
+        M (y A ~ 0) is the ``ray`` (rows None).  None when a cost is negative or
+        some row has entries only on positive-cost columns."""
         A, c = self.A, self.c
         m, n = A.shape
         if c.min(initial=0.0) < 0.0 or m == 0:
@@ -329,12 +336,22 @@ class _WarmStart:
         unit = free[((A[:, free] != 0.0).sum(axis=0) == 1) & (A[:, free].sum(axis=0) == 1.0)]
         owner = dict(zip(A[:, unit[::-1]].argmax(axis=0).tolist(), unit[::-1].tolist()))
         basis = [owner.get(i, -1) for i in range(m)]  # the first unit column of each row
-        for i in [i for i in range(m) if basis[i] < 0]:
-            row = np.abs(T[i, free])
-            if row.max(initial=0.0) <= FEASIBILITY * np.abs(A[i]).max():
-                return None
-            _StandardLP._pivot(T, i, int(free[row.argmax()]), basis)
-        return T, basis, m - len(owner)
+        kept, its = [], 0
+        for i in range(m):
+            if basis[i] < 0:
+                row, tol = np.abs(T[i, :n]), FEASIBILITY * np.abs(A[i]).max()
+                if row[free].max(initial=0.0) > tol:
+                    _StandardLP._pivot(T, i, int(free[row[free].argmax()]), basis)
+                    its += 1
+                elif row.max(initial=0.0) > tol:
+                    return None
+                else:
+                    self.ray = _farkas_ray(A, b, np.sign(T[i, -1]) * T[i, n:-1])
+                    if self.ray is not None:
+                        return None, None, None, its
+                    continue
+            kept.append(i)
+        return np.array(kept, dtype=int), T[kept + [m]], [basis[i] for i in kept], its
 
     def _record(self, rows, cols, M):
         key = rows.tobytes() + np.sort(cols).tobytes()  # one column per kept row
@@ -401,12 +418,11 @@ class _WarmStart:
         r, n = len(basis), self.A.shape[1]
         M, xB, its = T[:r, n:-1], T[:r, -1], 0  # views, kept up to date by the pivots
         while its < 2 * (r + n):
-            p = int(xB.argmin())
-            if xB[p] >= -feas:  # then the values below their own tolerance, if any
-                p = _below(M, xB, b)
-                if p < 0:
-                    out = self._repaired(rows, np.array(basis), M.copy(), b, feas, its)
-                    break
+            # the most negative value, else the values below their own tolerance, if any
+            p = int(xB.argmin()) if xB.min(initial=0.0) < -feas else _below(M, xB, b)
+            if p < 0:
+                out = self._repaired(rows, np.array(basis, dtype=int), M.copy(), b, feas, its)
+                break
             alpha = T[p, :n]
             cand = np.flatnonzero(alpha < -FEASIBILITY)
             if cand.size == 0:

@@ -229,10 +229,12 @@ class _Canon:
 
     Ambient point c = S z, S from the cone's structure alone.  Linear part:
     eq rows, and <= rows for the cone's halfspaces and sign constraints and
-    the extra bounds.  Curved part: second-order index blocks.  Caps: one
-    norm(E z) <= r per ball, E the ball's matrix times S.  ``_Program._cap``
-    writes each into rows after the <= rows (a flat linf cap as +-E z <= r);
-    the polyhedral relaxation drops the curved ones, those with an l2 block.
+    the extra bounds; the sign rows -z_j <= 0 are ``signs``, one per z_j of
+    the mask ``nonneg``, which the LP takes as column bounds.  Curved part:
+    second-order index blocks.  Caps: one norm(E z) <= r per ball, E the
+    ball's matrix times S.  ``_Program._cap`` writes each into rows after the
+    <= rows (a flat linf cap as +-E z <= r); the polyhedral relaxation drops
+    the curved ones, those with an l2 block.
     """
 
     S: np.ndarray
@@ -240,6 +242,8 @@ class _Canon:
     eq_b: np.ndarray
     in_A: np.ndarray
     in_b: np.ndarray
+    nonneg: np.ndarray
+    signs: slice
     soc_idx: list
     caps: list  # (E over z, BlockNorm, radius)
     obj_blocks: list  # (E over z, tag)
@@ -302,6 +306,8 @@ def _canonicalize(problem: MinNormProblem) -> _Canon:
         eq_b=problem.target.copy(),
         in_A=in_A,
         in_b=in_b,
+        nonneg=nonneg,
+        signs=slice(len(hrows), len(hrows) + int(nonneg.sum())),
         soc_idx=list(socs),
         caps=[(ball.matrix @ S, ball._block_norm(), ball.bound) for ball in problem.balls],
         obj_blocks=[(S[a:b, :], tag) for a, b, tag in problem.objective.blocks],
@@ -341,17 +347,18 @@ class _Program:
     compiled.
 
     With no second-order block the rows become one ``LinearProgram`` over
-    free z and nonnegative auxiliaries, built from the stacked matrix of the
+    z and nonnegative auxiliaries, built from the stacked matrix of the
     objective epigraph rows, then the equality rows, then the canon's <=
-    rows, then the cap rows; a solve writes x into the equality rows of the
-    right-hand side, and the program keeps the optimal bases of earlier
-    right-hand sides.  Otherwise they become a ``conic.ConeProgram`` whose
-    nonnegative rows are the canon's <= rows, then the cap rows, then the
-    objective epigraph rows, then -t <= 0 for each auxiliary that no row
-    bounds from below.  Either backend is compiled on the first solve,
-    and ``conic`` is imported only then.  Every nonzero right-hand side is a
-    target entry, a bound or a radius, so a solve at (x, scale) changes only
-    the right-hand side.
+    rows but its sign rows, then the cap rows, each z_j of the canon's
+    ``nonneg`` a nonnegative column and every other z_j free; a solve writes
+    x into the equality rows of the right-hand side, and the program keeps
+    the optimal bases of earlier right-hand sides.  Otherwise they become a
+    ``conic.ConeProgram`` whose nonnegative rows are the canon's <= rows,
+    then the cap rows, then the objective epigraph rows, then -t <= 0 for
+    each auxiliary that no row bounds from below.  Either backend is
+    compiled on the first solve, and ``conic`` is imported only then.  Every
+    nonzero right-hand side is a target entry, a bound or a radius, so a
+    solve at (x, scale) changes only the right-hand side.
     """
 
     def __init__(self, canon: _Canon, objective="norm"):
@@ -447,13 +454,15 @@ class _Program:
         """The simplex backend, with its right-hand side ``_unit`` at unit scale
         (zero on the equality rows)."""
         eq_A, in_A, in_b = self.constraints
+        signs = self.canon.signs  # column bounds of the LP, not rows
+        in_A, in_b = np.delete(in_A, signs, axis=0), np.delete(in_b, signs)
         sizes = [len(self._rows), eq_A.shape[0], in_b.size]
         c = np.zeros(self.n + self._aux)
         c[:self.n], c[self._epi] = self._cost, 1.0
         A = np.vstack([self._matrix(self._rows), eq_A, in_A])
         self._unit = np.concatenate([[r for *_, r in self._rows], np.zeros(sizes[1]), in_b])
         eq = np.repeat([False, True, False], sizes)
-        return LinearProgram(c, A, eq, np.arange(c.size) < self.n)
+        return LinearProgram(c, A, eq, np.append(~self.canon.nonneg, np.zeros(self._aux, bool)))
 
     @cached_property
     def program(self):

@@ -325,7 +325,7 @@ def test_10_cli_determinism(capsys, tmp_path):
     dec = str(tmp_path / "dec.csv")
     lif = str(tmp_path / "lift.csv")
     commands = [
-        (["check-surjective", str(inst), "--seed", "3"], []),
+        (["check-surjective", str(inst)], []),
         (["constant", str(inst), "--kind", "sum", "--seed", "3",
           "--report", cst], [cst]),
         (["decompose", str(inst), "--points", str(pts), "--seed", "3",

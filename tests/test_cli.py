@@ -289,6 +289,15 @@ def test_bad_flag_exits_one(tmp_path, capsys):
     assert code == 1
 
 
+@pytest.mark.parametrize("flag", [["--samples", "64"], ["--seed", "3"]])
+def test_check_surjective_takes_no_sampler_flag(tmp_path, capsys, flag):
+    # the surjectivity test reads no sampler: a sampler flag is an unknown flag
+    inst = write_instance(tmp_path, LATTICE)
+    code, out, err = run(capsys, ["check-surjective", inst, *flag])
+    assert code == 1 and out == "" and flag[0] in err
+    assert run(capsys, ["constant", inst, "--kind", "sum", *flag])[0] == 0
+
+
 def test_samples_flag_shrinks_the_grid(tmp_path, capsys):
     inst = write_instance(tmp_path, LATTICE)
     report = str(tmp_path / "dirs.csv")

@@ -235,8 +235,9 @@ def test_crash_start_and_two_phase_give_the_same_status(spy):
     # second column would carry -c) a cold solve runs the dual simplex from
     # the slack crash basis, with no two-phase fallback; the two-phase primal
     # simplex on the same standard form (its unchecked verdict) must agree,
-    # and every verdict passes the exact checks.  A row with no zero-cost
-    # column has no crash basis and goes to the fallback
+    # and every verdict passes the exact checks.  A row with entries only on
+    # positive-cost columns has no crash basis and goes to the fallback; a
+    # dependent row is dropped by the crash, or proves the program empty
     fallbacks, crashed = [], 0
     spy(simplex._StandardLP, "solve", fallbacks, lambda out: out[0])
     for seed in range(300):
@@ -250,4 +251,48 @@ def test_crash_start_and_two_phase_give_the_same_status(spy):
             assert fallbacks == [], seed
         exact_verdict(lp, rhs, status)
         assert status is simplex._StandardLP(lp.A, rhs, lp.c).solve()[0], seed
-    assert crashed == 265
+    assert crashed == 279
+
+
+def dependent(seed: int, shift: float):
+    """random_lp with costs as the crash test's (c >= 0, none on a free
+    variable) and one more = row, a combination of two of its = rows, whose
+    right-hand side agrees with theirs (shift 0) or is off by shift, up on
+    even seeds and down on odd ones; None when the program has no = row."""
+    c, A, senses, b, nonneg = random_lp(seed)
+    eq = [i for i, s in enumerate(senses) if s == "="]
+    if not eq:
+        return None
+    i, j = np.random.default_rng(seed + 1).choice(eq, size=2)
+    c = np.where(nonneg, np.maximum(c, 0.0), 0.0)
+    return (c, np.vstack([A, A[i] - 2.0 * A[j]]), senses + ["="],
+            np.append(b, b[i] - 2.0 * b[j] + shift * (-1.0) ** seed), nonneg)
+
+
+@pytest.mark.parametrize("shift", [0.0, 1.0], ids=["consistent", "inconsistent"])
+def test_the_crash_settles_dependent_rows(spy, shift):
+    # a dependent = row falls to zero in the crash: with a consistent b it
+    # is dropped and the dual simplex runs on the rest, with an inconsistent
+    # one its row of M is a Farkas ray and no simplex runs.  Either way no
+    # two-phase fallback runs, the status is HiGHS's and the raw two-phase
+    # verdict, and the basis or the ray passes the exact checks
+    fallbacks, duals, crashed = [], [], 0
+    spy(simplex._StandardLP, "solve", fallbacks)
+    spy(simplex._WarmStart, "_dual_simplex", duals)
+    for seed in range(300):
+        lp = dependent(seed, shift)
+        if lp is None:
+            continue
+        c, A, senses, b, nonneg = lp
+        built, rhs = build(c, A, senses, nonneg), signs(senses) * b
+        fallbacks.clear(), duals.clear()
+        status = built.solve(rhs)[0]
+        exact_verdict(built, rhs, status)
+        if built._warm._crash(rhs) is not None:
+            crashed += 1
+            assert fallbacks == [], seed
+            if shift:
+                assert status is SolveStatus.INFEASIBLE and duals == [], seed
+        assert status.value == highs(*lp)[0], seed
+        assert status is simplex._StandardLP(built.A, rhs, built.c).solve()[0], seed
+    assert crashed == 169  # of the 190 programs with a = row

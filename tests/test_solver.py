@@ -17,7 +17,8 @@ from hypothesis.extra.numpy import arrays
 
 from conekit import conic, parse_instance, random_polyhedral_instance, simplex, solver
 from conekit.conemap import ConeMap
-from conekit.cones import DirectSumL1, Generators, Negation, Orthant, Product, SecondOrder
+from conekit.cones import (DirectSumL1, Generators, Halfspaces, Negation, Orthant, Product,
+                           SecondOrder)
 from conekit.norms import BlockNorm, NormTag
 from conekit.sampling import SamplerConfig
 from conekit.solver import (BallConstraint, LinearProgram, MinNormProblem, MinNormSweep,
@@ -62,14 +63,14 @@ def test_lp_equality_and_free_vars():
 
 
 def test_lp_whose_rows_are_all_redundant(spy):
-    # 0 z = 0 has no crash basis, and phase 1 of the two-phase fallback
-    # leaves phase 2 no row: the empty basis is optimal at z = 0, and its
-    # carried inverse maps the one row to nothing
+    # 0 z = 0 is a dependent row: the crash basis drops it, with no
+    # two-phase fallback, and leaves no row: the empty basis is optimal at
+    # z = 0, and its carried inverse maps the one row to nothing
     cold = []
     spy(simplex._StandardLP, "solve", cold, lambda out: out[0])
     lp = LinearProgram([1.0, 2.0], [[0.0, 0.0]], [True], [False, False])
     status, z, value, _ = lp.solve([0.0])
-    assert status is SolveStatus.OPTIMAL and value == 0.0 and cold == [SolveStatus.OPTIMAL]
+    assert status is SolveStatus.OPTIMAL and value == 0.0 and cold == []
     assert lp._warm.last[2].shape == (0, 1)
     np.testing.assert_array_equal(z, [0.0, 0.0])
 
@@ -94,10 +95,44 @@ def test_lp_rejects_mismatched_shapes(c, A, eq, free, named):
         LinearProgram(c, A, eq, free)
 
 
+def assert_lp_matches_rows(program, case):
+    """program's LP against one built row by row: the epigraph rows, then the
+    equality rows, then the canon's <= rows but its sign rows -z_j <= 0, then
+    the cap rows, over z and the auxiliaries, those of the cap first; a
+    sign-constrained z_j is a nonnegative column, every other z_j is free,
+    and the auxiliaries are nonnegative."""
+    canon, aux = program.canon, np.zeros(program._aux)
+    caps, unit = [], []
+    for E, norm, r in canon.caps:
+        blocks = [(a, b, t.value) for a, b, t in norm.blocks]
+        caps, unit = oracles.polyhedral_cap_rows(E, blocks, r)
+    signs = [j for j in range(program.n) if canon.nonneg[j]]
+    in_rows, in_b = [], []
+    for row, rhs in zip(canon.in_A, canon.in_b):
+        j = int(np.argmin(row))
+        if rhs == 0.0 and j in signs and np.array_equal(row, -np.eye(program.n)[j]):
+            signs.remove(j)  # a sign constraint is the column's bound, not a row
+        else:
+            in_rows.append(row), in_b.append(rhs)
+    assert signs == [], case  # every nonnegative z_j had its sign row
+    width = program.n + program._aux
+    rows = ([(row, "<=") for row in program._matrix(program._rows)]
+            + [(np.concatenate([row, aux]), "=") for row in canon.eq_A]
+            + [(np.concatenate([row, aux]), "<=") for row in in_rows]
+            + [(np.concatenate([row, np.zeros(width - row.size)]), "<=") for row in caps])
+    costs = np.concatenate([program._cost, aux])
+    costs[program._epi] = 1.0
+    free = np.concatenate([~canon.nonneg, np.zeros(program._aux, bool)])
+    want_A, want_c = oracles.standard_form_by_rows(costs, free, rows)
+    assert np.array_equal(program.lp.A, want_A), case
+    assert np.array_equal(program.lp.c, want_c), case
+    want_b = np.concatenate([np.zeros(len(program._rows) + canon.eq_A.shape[0]), in_b, unit])
+    assert np.array_equal(program._unit, want_b), case
+
+
 def test_program_lp_matches_a_row_by_row_build():
-    # the epigraph rows, then the equality rows, then the canon's <= rows,
-    # then the cap rows, over free z and nonnegative auxiliaries, those of
-    # the cap first.  The ball programs are those of the bisection oracle's
+    # the sign constraints of orthants and generated cones are nonnegative
+    # columns.  The ball programs are those of the bisection oracle's
     # ``ball_reachable`` (test_conemap.py), with a flat l1 or linf cap, and
     # with the same norm split into an l1-sum of blocks
     for seed in range(40):
@@ -109,25 +144,62 @@ def test_program_lp_matches_a_row_by_row_build():
         for ball, objective in cases:
             sweep = MinNormSweep(m.matrix, m.cone, m.domain_norm, balls=(ball,) if ball else ())
             program = sweep._program(objective)
-            canon, aux = program.canon, np.zeros(program._aux)
-            caps, unit = [], []
-            for E, norm, r in canon.caps:
-                blocks = [(a, b, t.value) for a, b, t in norm.blocks]
-                caps, unit = oracles.polyhedral_cap_rows(E, blocks, r)
-            width = program.n + program._aux
-            rows = ([(row, "<=") for row in program._matrix(program._rows)]
-                    + [(np.concatenate([row, aux]), "=") for row in canon.eq_A]
-                    + [(np.concatenate([row, aux]), "<=") for row in canon.in_A]
-                    + [(np.concatenate([row, np.zeros(width - row.size)]), "<=") for row in caps])
-            costs = np.concatenate([program._cost, aux])
-            costs[program._epi] = 1.0
-            free = np.arange(costs.size) < program.n
-            want_A, want_c = oracles.standard_form_by_rows(costs, free, rows)
-            assert np.array_equal(program.lp.A, want_A), (seed, ball)
-            assert np.array_equal(program.lp.c, want_c), (seed, ball)
-            want_b = np.concatenate([np.zeros(len(program._rows) + canon.eq_A.shape[0]),
-                                     canon.in_b, unit])
-            assert np.array_equal(program._unit, want_b), (seed, ball)
+            assert program.canon.nonneg.all(), seed
+            assert_lp_matches_rows(program, (seed, ball))
+
+
+def halfspace_cases():
+    """(T, cone, norm): random maps on a Halfspaces cone and on a Product of
+    one with an orthant, under an l1 or a linf norm."""
+    rng = np.random.default_rng(28)
+    for k in range(12):
+        n = int(rng.integers(2, 5))
+        rows = rng.integers(-2, 3, (int(rng.integers(1, 4)), n)).astype(float)
+        rows[~rows.any(axis=1), 0] = 1.0
+        cone = Halfspaces(rows) if k % 2 else Product((Halfspaces(rows), Orthant(2)))
+        n, tag = cone.ambient_dim, (NormTag.L1, NormTag.LINF)[k // 2 % 2]
+        yield rng.normal(size=(int(rng.integers(1, n)), n)), cone, BlockNorm.flat(n, tag)
+
+
+def linprog_min_norm(T, cone, norm, x):
+    """min |c| over {T c = x} and the cone by ``linprog``, with c free, the
+    halfspace rows and the orthant's signs as <= rows, and |c| through
+    epigraph variables t >= 0 (one per entry for l1, one for linf): inf when
+    empty."""
+    n = T.shape[1]
+    parts = cone.parts if isinstance(cone, Product) else (cone,)
+    G, at = np.zeros((0, n)), 0
+    for part in parts:
+        R = part.rows if isinstance(part, Halfspaces) else np.eye(part.dim)
+        block = np.zeros((R.shape[0], n))
+        block[:, at:at + part.ambient_dim] = R
+        G, at = np.vstack([G, block]), at + part.ambient_dim
+    l1 = norm.blocks[0][2] is NormTag.L1
+    tie = np.eye(n) if l1 else np.ones((n, 1))
+    k = tie.shape[1]
+    A_ub = np.block([[-G, np.zeros((G.shape[0], k))], [np.eye(n), -tie], [-np.eye(n), -tie]])
+    c, A_eq = np.concatenate([np.zeros(n), np.ones(k)]), np.hstack([T, np.zeros((len(x), k))])
+    res = scipy_optimize.linprog(c, A_ub=A_ub, b_ub=np.zeros(len(A_ub)), A_eq=A_eq, b_eq=x,
+                                 bounds=[(None, None)] * n + [(0, None)] * k, method="highs")
+    assert res.status in (0, 2), res.message
+    return res.fun if res.status == 0 else math.inf
+
+
+def test_halfspace_cones_keep_free_columns():
+    # a Halfspaces cone leaves z unsigned, so its columns stay split and its
+    # rows stay <= rows; beside an orthant only the orthant's z are bounds.
+    # The optimal values match an independent ``linprog`` build
+    rng = np.random.default_rng(7)
+    for k, (T, cone, norm) in enumerate(halfspace_cases()):
+        sweep = MinNormSweep(T, cone, norm)
+        program = sweep._program()
+        nonneg = program.canon.nonneg
+        assert nonneg.sum() == (0 if isinstance(cone, Halfspaces) else 2), k
+        assert_lp_matches_rows(program, k)
+        X = rng.normal(size=(6, T.shape[0]))
+        for x, got in zip(X, sweep.values(X)):
+            want = linprog_min_norm(T, cone, norm, x)
+            assert got == want or abs(got - want) <= 1e-12 * max(1.0, abs(want)), (k, x, got, want)
 
 
 # -- min norm -------------------------------------------------------------
