@@ -4,12 +4,13 @@
 variables with = and <= rows, put in standard form once when it is built;
 ``solve(b)`` solves it at a whole right-hand side b by the dual simplex on a
 dense tableau that carries B^-1.  A cold solve starts from the slack crash
-basis, which is dual feasible when c >= 0 and drops dependent rows (or proves
-b inconsistent on one); a program re-solved at another b starts from the
-optimal bases of earlier solves.  The two-phase primal simplex is the
-fallback where no crash basis exists.  Every verdict is
-checked on the original data, or is ITERATION_LIMIT.  Ties among optima are
-broken lexicographically by primal passes on the last answer's optimal face.
+basis, which drops dependent rows (or proves b inconsistent on one), with
+any negative reduced cost raised to 0 so that the dual simplex can start;
+primal pivots on the true costs finish from the primal feasible basis it
+reaches.  A program re-solved at another b starts from the optimal bases of
+earlier solves.  Every verdict is checked on the original data, or is
+ITERATION_LIMIT.  Ties among optima are broken lexicographically by primal
+passes on the last answer's optimal face.
 The fixed thresholds of every simplex and active-set verdict
 (``FEASIBILITY``, ``OPTIMALITY``, ``iteration_cap``) and the solve statuses
 live here as well.
@@ -42,154 +43,78 @@ class SolveStatus(str, Enum):
 
 
 # ---------------------------------------------------------------------------
-# dense two-phase primal simplex on standard form: the cold fallback
+# dense tableau pivots
 
 
-class _StandardLP:
-    """min c v s.t. A v = b, v >= 0 with deterministic pivoting, where the
-    slack crash basis is not dual feasible (a negative cost) or does not exist.
+def _pivot(T, row, col, basis):
+    T[row] /= T[row, col]
+    colvals = T[:, col].copy()
+    colvals[row] = 0.0
+    T -= colvals[:, None] * T[row]
+    basis[row] = col
 
-    Dantzig's rule (lowest index on ties) with a switch to Bland's rule after
-    a stall budget guards against cycling.  Desk-scale dense tableau.
-    ``solve`` returns (status, pivots, proof) for ``_WarmStart._cold`` to
-    check.  OPTIMAL's proof is its basis: kept rows (phase 1 drops the rows
-    it finds redundant), basic columns, and M with M A = B^-1 A over the kept
-    rows, read off the starting basis's columns, which ride along through
-    phase 2.  INFEASIBLE's is the phase-1 dual, UNBOUNDED's a ray d >= 0.
-    """
 
-    def __init__(self, A: np.ndarray, b: np.ndarray, c: np.ndarray):
-        self.A = np.atleast_2d(np.asarray(A, dtype=float))
-        self.b = np.asarray(b, dtype=float)
-        self.c = np.asarray(c, dtype=float)
+def _pivot_loop(T, basis, restrict, cap):
+    """Primal simplex pivots on T (changed in place), whose last row holds
+    the reduced costs, over its first ``restrict`` columns: the pivot count
+    once none is below -FEASIBILITY, -2 at a column with a negative reduced
+    cost and no positive entry, -1 after cap pivots.  Dantzig's rule (lowest
+    index on ties) with a switch to Bland's rule after a stall budget guards
+    against cycling."""
+    m, it, eps = len(basis), 0, FEASIBILITY
+    bland_after = 4 * (m + restrict) + 50
+    while it < cap:
+        costs = T[-1, :restrict]
+        if it < bland_after:
+            j = int(np.argmin(costs))
+            if costs[j] >= -eps:
+                return it
+        else:
+            below = np.nonzero(costs < -eps)[0]
+            if below.size == 0:
+                return it
+            j = int(below[0])
+        col = T[:m, j]
+        pos = col > eps
+        if not np.any(pos):
+            return -2
+        ratios = np.where(pos, T[:m, -1] / np.where(pos, col, 1.0), np.inf)
+        best = np.min(ratios)
+        tie = np.nonzero(ratios <= best + 1e-12)[0]
+        row = int(tie[0]) if tie.size == 1 else min(tie.tolist(), key=basis.__getitem__)
+        _pivot(T, row, j, basis)
+        it += 1
+    return -1
 
-    def solve(self):
-        A, b, c = self.A.copy(), self.b.copy(), self.c.copy()
-        m, n = A.shape
-        neg = b < 0
-        A[neg] *= -1.0
-        b[neg] *= -1.0
-        cap = iteration_cap(m, n)
 
-        # phase 1: columns [original | artificial | rhs], from a slack basis
-        # (Bixby 2002): a row owning a +1 unit column (the slack of a
-        # <= row with b >= 0) starts with that column basic, and only the
-        # other rows get artificials
-        owner = {}
-        unit = ((A == 0.0).sum(axis=0) == m - 1) & (A.sum(axis=0) == 1.0)
-        for j in np.flatnonzero(unit):
-            owner.setdefault(int(np.argmax(A[:, j])), int(j))
-        art = [i for i in range(m) if i not in owner]
-        owner.update((i, n + k) for k, i in enumerate(art))
-        T = np.zeros((m + 1, n + len(art) + 1))
-        T[:m, :n] = A
-        T[art, n + np.arange(len(art))] = 1.0
-        T[:m, -1] = b
-        start = np.array([owner[i] for i in range(m)], dtype=int)  # e_i of row i
-        basis = start.tolist()
-        T[m, :n] = -A[art].sum(axis=0)
-        T[m, -1] = -b[art].sum()
-        it1 = self._pivot_loop(T, basis, restrict=n + len(art), cap=cap)
-        if it1 == -1:
-            return SolveStatus.ITERATION_LIMIT, cap, None
-        if -T[m, -1] > FEASIBILITY * _scale(b):
-            # the phase-1 dual: a starting column is the unit vector e_i at
-            # phase-1 cost [artificial], so its reduced cost is that cost - y_i
-            y = (start >= n) - T[m, start]
-            y[neg] *= -1.0
-            return SolveStatus.INFEASIBLE, max(it1, 0), y
-        keep_rows = []
-        for i in range(m):
-            if basis[i] >= n:
-                piv = next((j for j in range(n) if abs(T[i, j]) > 1e-9), None)
-                if piv is None:
-                    continue  # redundant row
-                self._pivot(T, i, piv, basis)
-            keep_rows.append(i)
-        # phase 2 on the original columns; the starting columns ride along,
-        # so their entries stay B^-1 of the sign-flipped rows
-        T2 = T[keep_rows + [m]]
-        basis2 = [basis[i] for i in keep_rows]
-        T2[-1], T2[-1, :n] = 0.0, c
-        for i, bi in enumerate(basis2):
-            if c[bi] != 0.0:
-                T2[-1, :] -= c[bi] * T2[i, :]
-        it2 = self._pivot_loop(T2, basis2, restrict=n, cap=cap)
-        if it2 == -2:  # a column with negative reduced cost and no positive entry
-            j = np.flatnonzero((T2[-1, :n] < -FEASIBILITY) & (T2[:-1, :n] <= FEASIBILITY).all(axis=0))[0]
-            d = np.zeros(n)
-            d[basis2], d[j] = np.maximum(-T2[:-1, j], 0.0), 1.0
-            return SolveStatus.UNBOUNDED, it1, d
-        if it2 == -1:
-            return SolveStatus.ITERATION_LIMIT, cap, None
-        M = T2[:-1, start] * np.where(neg, -1.0, 1.0)
-        return SolveStatus.OPTIMAL, it1 + it2, (np.array(keep_rows, dtype=int), np.array(basis2, dtype=int), M)
-
-    @classmethod
-    def lexmin(cls, T, basis, c, costs):
-        """(v, pivots): from the tableau T (changed in place) of a basis optimal
-        for c, the point of the optimal face minimizing each row of costs in turn.
-        That face is the feasible set with v_j = 0 where the reduced cost d_j > 0
-        (complementary slackness): each cost runs phase 2 from the current basis,
-        then columns with d_j > eps = FEASIBILITY are zeroed.  An unbounded pass
-        or the cap stops, and so does a pass after which no cost row left has a
-        reduced cost below -eps on a live nonbasic column, so that no later pass
-        could pivot: the face is one point, or the costs left are constant on it."""
-        r, n, eps = len(basis), c.size, FEASIBILITY
-        basis, dead, its = list(basis), np.zeros(n, bool), 0
-        for k, cost in enumerate((c, *costs)):
-            cost = np.where(dead, 0.0, cost)
-            T[r, :n] = cost - cost[basis] @ T[:r, :n]
-            got = cls._pivot_loop(T, basis, n, iteration_cap(r, n))
-            if got < 0:
-                break
-            its += got
-            dead |= T[r, :n] > eps
-            dead[basis] = False
-            T[:, np.flatnonzero(dead)] = 0.0
-            rest, live = costs[k:], ~dead
-            live[basis] = False
-            if (rest[:, live] - rest[:, basis] @ T[:r, :n][:, live] >= -eps).all():
-                break
-        v = np.zeros(n)
-        v[basis] = T[:r, -1]
-        return v, its
-
-    @staticmethod
-    def _pivot(T, row, col, basis):
-        T[row] /= T[row, col]
-        colvals = T[:, col].copy()
-        colvals[row] = 0.0
-        T -= colvals[:, None] * T[row]
-        basis[row] = col
-
-    @classmethod
-    def _pivot_loop(cls, T, basis, restrict, cap):
-        m, it, eps = len(basis), 0, FEASIBILITY
-        bland_after = 4 * (m + restrict) + 50
-        with np.errstate(divide="ignore"):
-            while it < cap:
-                costs = T[-1, :restrict]
-                if it < bland_after:
-                    j = int(np.argmin(costs))
-                    if costs[j] >= -eps:
-                        return it
-                else:
-                    below = np.nonzero(costs < -eps)[0]
-                    if below.size == 0:
-                        return it
-                    j = int(below[0])
-                col = T[:m, j]
-                pos = col > eps
-                if not np.any(pos):
-                    return -2
-                ratios = np.where(pos, T[:m, -1] / np.where(pos, col, 1.0), np.inf)
-                best = np.min(ratios)
-                tie = np.nonzero(ratios <= best + 1e-12)[0]
-                row = int(tie[0]) if tie.size == 1 else min(tie.tolist(), key=basis.__getitem__)
-                cls._pivot(T, row, j, basis)
-                it += 1
-        return -1
+def _lexmin(T, basis, c, costs):
+    """(v, pivots): from the tableau T (changed in place) of a basis optimal
+    for c, the point of the optimal face minimizing each row of costs in turn.
+    That face is the feasible set with v_j = 0 where the reduced cost d_j > 0
+    (complementary slackness): each cost runs primal pivots from the current
+    basis, then columns with d_j > eps = FEASIBILITY are zeroed.  An unbounded
+    pass or the cap stops, and so does a pass after which no cost row left has
+    a reduced cost below -eps on a live nonbasic column, so that no later pass
+    could pivot: the face is one point, or the costs left are constant on it."""
+    r, n, eps = len(basis), c.size, FEASIBILITY
+    basis, dead, its = list(basis), np.zeros(n, bool), 0
+    for k, cost in enumerate((c, *costs)):
+        cost = np.where(dead, 0.0, cost)
+        T[r, :n] = cost - cost[basis] @ T[:r, :n]
+        got = _pivot_loop(T, basis, n, iteration_cap(r, n))
+        if got < 0:
+            break
+        its += got
+        dead |= T[r, :n] > eps
+        dead[basis] = False
+        T[:, np.flatnonzero(dead)] = 0.0
+        rest, live = costs[k:], ~dead
+        live[basis] = False
+        if (rest[:, live] - rest[:, basis] @ T[:r, :n][:, live] >= -eps).all():
+            break
+    v = np.zeros(n)
+    v[basis] = T[:r, -1]
+    return v, its
 
 
 def _scale(v: np.ndarray) -> float:
@@ -215,11 +140,14 @@ def _power_scale(top: float) -> float:
     return math.ldexp(1.0, math.frexp(top)[1] - 1) if 0.0 < top < 1.0 else 1.0
 
 
-def _below(M, xB, b) -> int:
-    """The row of the most negative basic value xB = M b below -FEASIBILITY
-    times its own scale, else -1: |M_k| |b|, plus 2^-16 max|M_k| times the
-    largest |b_l| with M_kl nonzero for the rounding M carries (about 70 ulp),
-    so an exact zero of M keeps a large b_l, such as a cap radius, from excusing a small row."""
+def _below(M, xB, b, feas: float) -> int:
+    """The row of the most negative basic value xB = M b below -feas, else of
+    the most negative one below -FEASIBILITY times its own scale, else -1:
+    |M_k| |b|, plus 2^-16 max|M_k| times the largest |b_l| with M_kl nonzero
+    for the rounding M carries (about 70 ulp), so an exact zero of M keeps a
+    large b_l, such as a cap radius, from excusing a small row."""
+    if xB.min(initial=0.0) < -feas:
+        return int(xB.argmin())
     rows = (xB < 0.0).nonzero()[0]
     if rows.size:
         Mk, b = np.abs(M[rows]), np.abs(b)
@@ -246,15 +174,17 @@ class _WarmStart:
     every cached optimal basis with one stacked product and, when none fits,
     the least infeasible one is repaired.  A cold solve starts from the slack
     crash basis (``_crash``, Bixby 2002), which drops dependent rows or proves
-    b inconsistent on one; ``_StandardLP`` settles the rest, and any cold
-    answer that fails its check.  OPTIMAL needs M B = I, dual
+    b inconsistent on one, and whose negative reduced costs are raised to 0
+    (cost shifting, Koberstein 2005); the true costs come back for primal
+    pivots once the basis is primal feasible.  OPTIMAL needs M B = I, dual
     feasibility and a residual check on the full A; INFEASIBLE a Farkas ray
-    (``_farkas_ray``), minus a row of M or the phase-1 dual.  A negative
-    basic value is also judged at its own row's scale (``_below``), so a
-    large entry of b cannot excuse a small row.  A basis is recorded with M
-    once per key (its kept rows and column set): M is appended to the one
-    stack, and the 17th basis evicts the oldest by dropping its rows.  Pivot
-    counts include abandoned dual pivots.
+    (``_farkas_ray``), minus a row of M or a sum of such rows; UNBOUNDED a
+    ray d >= 0 with A d = 0 > c d.  A negative basic value is also judged at
+    its own row's scale (``_below``), so a large entry of b cannot excuse a
+    small row.  A basis is recorded with M once per key (its kept rows and
+    column set): M is appended to the one stack, and the 17th basis evicts
+    the oldest by dropping its rows.  Pivot counts include abandoned dual
+    pivots.
     Thresholds on b and c are relative to max(1, their largest entry), so a
     b or c with every entry below 1 in size is divided by ``_power_scale``
     (``b_scale``, ``c_scale``) and the answer multiplied back.  ``last`` is
@@ -288,69 +218,49 @@ class _WarmStart:
         return status, v, value, spent
 
     def _cold(self, b: np.ndarray, feas: float):
-        """The dual simplex from the crash basis, else the two-phase simplex,
-        its verdict checked (ITERATION_LIMIT when the check fails): a primal
-        ray d >= 0 needs A d = 0 > c d.  The crash basis's pivots count."""
-        spent, crash = 0, self._crash(b)
-        if crash is not None:
-            rows, T, basis, spent = crash
-            if rows is None:  # a dependent row whose b disagrees
-                return SolveStatus.INFEASIBLE, None, None, spent
-            status, v, value, its = self._dual_simplex(rows, T, basis, b, feas)
-            spent += its
-            if status is not None:
-                return status, v, value, spent
-        status, its, proof = _StandardLP(self.A, b, self.c).solve()
-        its += spent
-        if status is SolveStatus.OPTIMAL:
-            out = self._repaired(*proof, b, feas, its)
-            if out is not None:
-                return out
-        elif status is SolveStatus.INFEASIBLE:
-            self.ray = _farkas_ray(self.A, b, proof)
-            if self.ray is not None:
-                return status, None, None, its
-        elif status is SolveStatus.UNBOUNDED:
-            d = proof / proof.max()
-            if (np.abs(self.A @ d).max(initial=0.0) <= FEASIBILITY * _scale(self.A)
-                    and self.c @ d < -FEASIBILITY * self.c_top):
-                return status, None, None, its
-        return SolveStatus.ITERATION_LIMIT, None, None, its
+        """The dual simplex from the crash basis, its verdict checked
+        (ITERATION_LIMIT when the check fails).  The crash basis's pivots count."""
+        rows, T, basis, spent = self._crash(b)
+        if rows is None:  # a dependent row whose b disagrees
+            return SolveStatus.INFEASIBLE, None, None, spent
+        status, v, value, its = self._dual_simplex(rows, T, basis, b, feas)
+        return status or SolveStatus.ITERATION_LIMIT, v, value, spent + its
 
     def _crash(self, b: np.ndarray):
-        """(rows, T, basis, pivots): the tableau [A | I | b; c] on the kept rows
+        """(rows, T, basis, pivots): the tableau [A | I | b; d] on the kept rows
         at the slack crash basis, each +1 slack column basic on its row and on
-        every other row the zero-cost column of largest entry pivoted in, so
-        that c_B = 0 and, with c >= 0, the basis is dual feasible.  A dependent
-        row, all below FEASIBILITY times its largest, is dropped, or its row of
-        M (y A ~ 0) is the ``ray`` (rows None).  None when a cost is negative or
-        some row has entries only on positive-cost columns."""
+        every other row the zero-cost column of largest entry pivoted in, or,
+        on a row with none, the column of largest entry.  The cost row d is
+        the reduced costs with each negative one raised to 0, which leaves
+        the basis dual feasible (and, with c >= 0 and c_B = 0, is c itself).
+        A dependent row, all below FEASIBILITY times its largest, is dropped,
+        or its row of M (y A ~ 0) is the ``ray`` (rows None)."""
         A, c = self.A, self.c
         m, n = A.shape
-        if c.min(initial=0.0) < 0.0 or m == 0:
-            return None
         T = np.zeros((m + 1, n + m + 1))
         T[:m, :n], T[:m, -1], T[m, :n] = A, b, c
         np.fill_diagonal(T[:m, n:], 1.0)
         free = np.flatnonzero(c == 0.0)
         unit = free[((A[:, free] != 0.0).sum(axis=0) == 1) & (A[:, free].sum(axis=0) == 1.0)]
-        owner = dict(zip(A[:, unit[::-1]].argmax(axis=0).tolist(), unit[::-1].tolist()))
+        at = A[:, unit].T.nonzero()[1]  # the row of each unit column
+        owner = dict(zip(at[::-1].tolist(), unit[::-1].tolist()))
         basis = [owner.get(i, -1) for i in range(m)]  # the first unit column of each row
         kept, its = [], 0
         for i in range(m):
             if basis[i] < 0:
                 row, tol = np.abs(T[i, :n]), FEASIBILITY * np.abs(A[i]).max()
                 if row[free].max(initial=0.0) > tol:
-                    _StandardLP._pivot(T, i, int(free[row[free].argmax()]), basis)
-                    its += 1
+                    _pivot(T, i, int(free[row[free].argmax()]), basis)
                 elif row.max(initial=0.0) > tol:
-                    return None
+                    _pivot(T, i, int(row.argmax()), basis)
                 else:
                     self.ray = _farkas_ray(A, b, np.sign(T[i, -1]) * T[i, n:-1])
                     if self.ray is not None:
                         return None, None, None, its
                     continue
+                its += 1
             kept.append(i)
+        np.maximum(T[m, :n], 0.0, out=T[m, :n])
         return np.array(kept, dtype=int), T[kept + [m]], [basis[i] for i in kept], its
 
     def _record(self, rows, cols, M):
@@ -394,7 +304,7 @@ class _WarmStart:
         """OPTIMAL at basis entry = (rows, cols, M) with basic values xB = M b >= -feas,
         when none is ``_below`` its own tolerance and v passes the residual check."""
         rows, cols, M = entry
-        if _below(M, xB, b) >= 0:
+        if _below(M, xB, b, feas) >= 0:
             return None
         v = np.zeros(self.A.shape[1])
         v[cols] = np.maximum(xB, 0.0)  # a value rounded into (-feas, 0) leaves the cone
@@ -413,45 +323,73 @@ class _WarmStart:
         return T
 
     def _dual_simplex(self, rows, T, basis: list, b, feas: float):
-        """Dual simplex pivots on T (changed in place) from its dual feasible
-        basis; a basic value in (-feas, 0) leaves only when ``_below`` its own tolerance."""
+        """Dual simplex pivots on T (changed in place) from a basis dual
+        feasible for its cost row, to a Farkas ray or a primal feasible basis.
+        There the true reduced costs c - c_B M A, which a cold start may have
+        raised to 0, are restored for primal pivots (``_pivot_loop``), which
+        end at a primal ray d >= 0 with A d = 0 > c d or at the answer.  A
+        basic value in (-feas, 0) leaves when ``_below`` its own tolerance.
+        The answer is judged on M with its entries below 2^-52 of their row's
+        largest zeroed as rounding residue, and xB = M b on that M; when it
+        fails its check with a negative basic value, the most negative one
+        leaves.  Status None when the verdict fails its check."""
         r, n = len(basis), self.A.shape[1]
         M, xB, its = T[:r, n:-1], T[:r, -1], 0  # views, kept up to date by the pivots
         while its < 2 * (r + n):
-            # the most negative value, else the values below their own tolerance, if any
-            p = int(xB.argmin()) if xB.min(initial=0.0) < -feas else _below(M, xB, b)
+            p = _below(M, xB, b, feas)
             if p < 0:
-                out = self._repaired(rows, np.array(basis, dtype=int), M.copy(), b, feas, its)
-                break
+                T[r, :n] = self.c - self.c[basis] @ T[:r, :n]
+                got = _pivot_loop(T, basis, n, iteration_cap(r, n))
+                if got == -2:
+                    return self._unbounded(T, basis, its)
+                if got == -1:
+                    break
+                its += got
+                absM = np.abs(M)
+                M[absM <= 2.0**-52 * absM.max(axis=1, initial=0.0)[:, None]] = 0.0
+                xB[:] = M @ b
+                out = self._repaired(rows, np.array(basis, dtype=int), M.copy(), xB, b, feas, its)
+                if out is not None or xB.min(initial=0.0) >= 0.0:
+                    return out or (None, None, None, its)
+                p = int(xB.argmin())  # rounded into (-feas, 0), it fails the answer
             alpha = T[p, :n]
             cand = np.flatnonzero(alpha < -FEASIBILITY)
             if cand.size == 0:
+                # -M[p] proves b out of reach, or on a knife edge the sum of
+                # -M[k] over every negative row k with no entering column does
                 self.ray = _farkas_ray(self.A, b, -M[p])
-                out = None if self.ray is None else (SolveStatus.INFEASIBLE, None, None, its)
-                break
+                if self.ray is None:
+                    dead = (xB < 0.0) & (T[:r, :n] >= -FEASIBILITY).all(axis=1)
+                    self.ray = _farkas_ray(self.A, b, -M[dead].sum(axis=0))
+                return (None if self.ray is None else SolveStatus.INFEASIBLE), None, None, its
             ratios = np.maximum(T[r, cand], 0.0) / -alpha[cand]
             # ties (most columns cost 0) go to the largest |alpha|, the most stable pivot
             tie = cand[ratios == ratios.min()]
-            _StandardLP._pivot(T, p, int(tie[np.argmin(alpha[tie])]), basis)
+            _pivot(T, p, int(tie[np.argmin(alpha[tie])]), basis)
             its += 1
-        else:
-            out = None
-        return out if out is not None else (None, None, None, its)
+        return None, None, None, its
 
-    def _repaired(self, rows, cols, M, b, feas: float, pivots: int):
-        """Check the carried inverse M of the basis cols, its entries below 2^-52
-        of their row's largest zeroed as rounding residue (M B = I, dual
-        feasible), then the answer at it (as ``_accept``), and keep it."""
-        absM = np.abs(M)
-        M[absM <= 2.0**-52 * absM.max(axis=1, initial=0.0)[:, None]] = 0.0
+    def _unbounded(self, T, basis: list, pivots: int):
+        """UNBOUNDED at a column of T with a negative reduced cost and no
+        positive entry, when its ray d >= 0 has A d = 0 > c d; else status None."""
+        r, n = len(basis), self.A.shape[1]
+        j = np.flatnonzero((T[r, :n] < -FEASIBILITY) & (T[:r, :n] <= FEASIBILITY).all(axis=0))[0]
+        d = np.zeros(n)
+        d[basis], d[j] = np.maximum(-T[:r, j], 0.0), 1.0
+        d /= d.max()
+        if (np.abs(self.A @ d).max(initial=0.0) <= FEASIBILITY * _scale(self.A)
+                and self.c @ d < -FEASIBILITY * self.c_top):
+            return SolveStatus.UNBOUNDED, None, None, pivots
+        return None, None, None, pivots
+
+    def _repaired(self, rows, cols, M, xB, b, feas: float, pivots: int):
+        """Check the carried inverse M of the basis cols (M B = I, dual
+        feasible), then the answer xB = M b at it (as ``_accept``), and keep it."""
         G = M @ self.A[:, cols]
         G.flat[:: cols.size + 1] -= 1.0
         if np.abs(G).max(initial=0.0) > 1e-8:
             return None
         if (self.c - (self.c[cols] @ M) @ self.A).min() < -FEASIBILITY * self.c_top:
-            return None
-        xB = M @ b
-        if xB.min(initial=0.0) < -feas:
             return None
         out = self._accept((rows, cols, M), xB, b, feas, pivots)
         if out is not None:
@@ -468,8 +406,8 @@ class LinearProgram:
     ``solve`` takes a whole right-hand side b: a program re-solved at
     another b first tries the optimal bases of earlier solves and repairs
     the closest one by dual simplex pivots; a cold solve runs the dual
-    simplex from the slack crash basis, or the two-phase primal simplex
-    where that basis does not exist or is not dual feasible (``_WarmStart``).
+    simplex from the slack crash basis, its negative reduced costs raised
+    to 0, then primal pivots on the true costs (``_WarmStart``).
     The pivot count returned covers every pivot the call made.
 
     After an INFEASIBLE ``solve``, ``ray`` is its checked Farkas ray, one
@@ -527,5 +465,5 @@ class LinearProgram:
         """(z, pivots) after an OPTIMAL ``solve``: its optimum minimizing each cost row in turn."""
         warm = self._warm
         _, cols, _, tableau = warm.last
-        v, its = _StandardLP.lexmin(tableau(), cols, warm.c, self._costs(costs))
+        v, its = _lexmin(tableau(), cols, warm.c, self._costs(costs))
         return self._unsplit(v * warm.b_scale), its

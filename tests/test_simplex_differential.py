@@ -232,26 +232,22 @@ def test_standard_form_matches_a_row_by_row_build():
 
 def test_crash_start_and_two_phase_give_the_same_status(spy):
     # with c >= 0 on the standard form (no cost on a free variable, whose
-    # second column would carry -c) a cold solve runs the dual simplex from
-    # the slack crash basis, with no two-phase fallback; the two-phase primal
-    # simplex on the same standard form (its unchecked verdict) must agree,
-    # and every verdict passes the exact checks.  A row with entries only on
-    # positive-cost columns has no crash basis and goes to the fallback; a
-    # dependent row is dropped by the crash, or proves the program empty
-    fallbacks, crashed = [], 0
-    spy(simplex._StandardLP, "solve", fallbacks, lambda out: out[0])
+    # second column would carry -c) every cold solve runs the dual simplex
+    # from the slack crash basis, where a row with entries only on
+    # positive-cost columns takes its largest; a dependent row is dropped by
+    # the crash, or proves the program empty.  Every program has that basis,
+    # every status is HiGHS's, and every verdict passes the exact checks
+    crashes = []
+    spy(simplex._WarmStart, "_crash", crashes)
     for seed in range(300):
         c, A, senses, b, nonneg = random_lp(seed)
         c = np.where(nonneg, np.maximum(c, 0.0), 0.0)
         lp, rhs = build(c, A, senses, nonneg), signs(senses) * b
-        fallbacks.clear()
+        crashes.clear()
         status = lp.solve(rhs)[0]
-        if lp._warm._crash(rhs) is not None:
-            crashed += 1
-            assert fallbacks == [], seed
+        assert len(crashes) == 1, seed
         exact_verdict(lp, rhs, status)
-        assert status is simplex._StandardLP(lp.A, rhs, lp.c).solve()[0], seed
-    assert crashed == 279
+        assert status.value == highs(c, A, senses, b, nonneg)[0], seed
 
 
 def dependent(seed: int, shift: float):
@@ -273,26 +269,78 @@ def dependent(seed: int, shift: float):
 def test_the_crash_settles_dependent_rows(spy, shift):
     # a dependent = row falls to zero in the crash: with a consistent b it
     # is dropped and the dual simplex runs on the rest, with an inconsistent
-    # one its row of M is a Farkas ray and no simplex runs.  Either way no
-    # two-phase fallback runs, the status is HiGHS's and the raw two-phase
-    # verdict, and the basis or the ray passes the exact checks
-    fallbacks, duals, crashed = [], [], 0
-    spy(simplex._StandardLP, "solve", fallbacks)
+    # one its row of M is a Farkas ray and no simplex runs.  Either way the
+    # status is HiGHS's, and the basis or the ray passes the exact checks,
+    # on every program with a = row
+    duals, programs = [], 0
     spy(simplex._WarmStart, "_dual_simplex", duals)
     for seed in range(300):
         lp = dependent(seed, shift)
         if lp is None:
             continue
+        programs += 1
         c, A, senses, b, nonneg = lp
         built, rhs = build(c, A, senses, nonneg), signs(senses) * b
-        fallbacks.clear(), duals.clear()
+        duals.clear()
         status = built.solve(rhs)[0]
         exact_verdict(built, rhs, status)
-        if built._warm._crash(rhs) is not None:
-            crashed += 1
-            assert fallbacks == [], seed
-            if shift:
-                assert status is SolveStatus.INFEASIBLE and duals == [], seed
+        if shift:
+            assert status is SolveStatus.INFEASIBLE and duals == [], seed
         assert status.value == highs(*lp)[0], seed
-        assert status is simplex._StandardLP(built.A, rhs, built.c).solve()[0], seed
-    assert crashed == 169  # of the 190 programs with a = row
+    assert programs == 190
+
+
+# a capped bisection program on a knife edge, an interior-radius probe of
+# random_polyhedral_instance(6): the target rows E z = (-1, -1, -1) against
+# the cap |E z|_inf <= 1 - 1e-9, over z >= 0
+KNIFE_EDGE = np.array([
+    [0.9949451830781875, 0.0, 0.0, -0.5775938479756628, 0.0, 0.0, -5.025264761639784],
+    [0.0, 1.5198764917460335, 0.0, 0.0, -1.7752870202131805, 0.0, -0.27153612087733797],
+    [0.0, 0.0, 0.6844585623307851, 0.0, 0.0, -0.513343708303152, 1.995153216635131]])
+
+
+def test_knife_edge_infeasibility_is_decided_by_the_summed_ray(spy):
+    # the leaving row has no entering column, but its row of M misses the
+    # Farkas check by rounding; within the same dual simplex the sum over
+    # every negative row with no entering column passes it, and the exact check
+    E = KNIFE_EDGE
+    lp = LinearProgram(np.zeros(7), np.vstack([E, E, -E]), [True] * 3 + [False] * 6, [False] * 7)
+    b = np.concatenate([-np.ones(3), np.full(6, 1.0 - 1e-9)])
+    rays, verdicts = [], []
+    spy(simplex, "_farkas_ray", rays)
+    spy(simplex._WarmStart, "_dual_simplex", verdicts, lambda out: out[0])
+    status = lp.solve(b)[0]
+    assert status is SolveStatus.INFEASIBLE and verdicts == [status]
+    exact_verdict(lp, b, status)
+    assert len(rays) == 2 and rays[0] is None and rays[1] is lp.ray
+
+
+def row_scaled(seed: int, scale: float):
+    """random_lp with the first row of A and of b multiplied by scale: the
+    same feasible set and optimum, at another row scale."""
+    c, A, senses, b, nonneg = random_lp(seed)
+    A[0], b[0] = scale * A[0], scale * b[0]
+    return c, A, senses, b, nonneg
+
+
+ROW_SCALES = (1e-8, 1e8)
+# the one contradicted verdict of the row-scaled suite
+ROW_SCALED_WRONG = {(89, 1e-8): "INFEASIBLE, where HiGHS finds an optimum of the unscaled program"}
+
+
+@pytest.mark.parametrize("seed,scale", [
+    pytest.param(seed, scale, id=f"{seed}-{scale:g}", marks=[
+        pytest.mark.xfail(strict=True, reason=f"seed {seed} at {scale:g}: {ROW_SCALED_WRONG[seed, scale]}")
+    ] if (seed, scale) in ROW_SCALED_WRONG else [])
+    for scale in ROW_SCALES for seed in range(300)])
+def test_row_scaled_lps_agree_with_highs_unscaled(seed, scale):
+    # scaling one row changes neither the feasible set nor the optimum, so
+    # each verdict is HiGHS's on the unscaled program, and exact
+    agree(row_scaled(seed, scale), random_lp(seed))
+
+
+def test_row_scaled_lps_are_mostly_decided():
+    # a ray or basis that fails its check is ITERATION_LIMIT: 18 of the 600
+    undecided = [(seed, scale) for scale in ROW_SCALES for seed in range(300)
+                 if solve_ours(*row_scaled(seed, scale))[0] is SolveStatus.ITERATION_LIMIT]
+    assert len(undecided) <= 18, undecided
